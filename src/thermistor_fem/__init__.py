@@ -5,7 +5,6 @@ potential conservation equation, by decoupled backward-Euler steps, and runs
 the iteration to steady state.
 """
 
-from ._kernels import ACTIVE_BACKEND
 from .coefficients import (CoefficientModel, ModelSpec, eval_k, eval_sigma,
                            validate_physical)
 from .errors import (ConfigurationError, ModelError, NumericalFailureError,
@@ -28,7 +27,6 @@ from .tridiag import (TridiagonalSystem, dense_solve_oracle, residual_norm,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIVE_BACKEND",
     "CORRECTED",
     "PAPER_LITERAL",
     "CoefficientModel",

@@ -18,13 +18,16 @@ class ModelError(ThermistorError):
 class SolverError(ThermistorError):
     """Base for failures inside a linear solve or a time step.
 
-    ``step`` is filled in by the simulation driver when the failure occurred
-    inside the time loop, and stays None for standalone solves.
+    ``step`` is the index of the failing time step and ``diagnostics`` the
+    run's series up to it; the simulation driver fills both in when the
+    failure occurred inside its time loop.  Both stay None for standalone
+    solves.
     """
 
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
         self.step = step
+        self.diagnostics = None
 
 
 class SingularSystemError(SolverError):

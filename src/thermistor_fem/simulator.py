@@ -113,9 +113,54 @@ def step(state: temp.TemperatureState, config: SimulationConfig,
     return new_state, pot
 
 
-def _zero_potential(mesh: Mesh, variant: SchemeVariant) -> PotentialState:
-    return PotentialState(mu=np.zeros(mesh.n_nodes), ghost_left=None,
-                          ghost_right=None, scheme=variant)
+def _march(config: SimulationConfig, mesh: Mesh, stepper,
+           state: temp.TemperatureState,
+           model: CoefficientModel | None = None) -> SimulationResult:
+    """Advance ``stepper`` on the t0 + n*tau grid until steady or t_max.
+
+    ``stepper(state, residual_sink)`` returns the next state and the nodal
+    potential it used, and appends its solves' residuals to the sink.
+    Snapshots are recorded at t0, every ``record_every`` steps, and at the
+    final state.  The boundary-current compatibility of each step's starting
+    state is recorded when ``model`` is given and is 0 otherwise.  A
+    SolverError leaves with the failing step's index and the diagnostics
+    collected so far.
+    """
+    diag = Diagnostics()
+    snapshots = [Snapshot(state.time, state.alpha.copy(), mesh.nodes.copy())]
+    steady_time = None
+    mu = mesh.nodes
+    t0 = state.time
+    n = 0
+    try:
+        while (n + 1) * config.tau + t0 <= config.t_max * (1.0 + 1e-12):
+            prev_alpha = state.alpha
+            state, mu = stepper(state, diag.solver_residuals)
+            n += 1
+            # keep times on the exact t0 + n*tau grid instead of accumulating
+            state = dataclasses.replace(state, time=t0 + n * config.tau)
+            change = float(np.max(np.abs(state.alpha - prev_alpha)))
+            diag.max_change.append(change)
+            diag.compatibility_residuals.append(
+                0.0 if model is None
+                else check_current_compatibility(prev_alpha, model))
+            if n % config.record_every == 0:
+                snapshots.append(Snapshot(state.time, state.alpha.copy(),
+                                          mu.copy()))
+            if change / config.tau < config.steady_tolerance:
+                steady_time = state.time
+                break
+    except SolverError as exc:
+        exc.step = n
+        exc.diagnostics = diag
+        raise
+    if snapshots[-1].time != state.time:
+        snapshots.append(Snapshot(state.time, state.alpha.copy(), mu.copy()))
+    return SimulationResult(snapshots=snapshots,
+                            steady_reached=steady_time is not None,
+                            steady_time=steady_time,
+                            final_profile=state.alpha.copy(),
+                            diagnostics=diag, nodes=mesh.nodes.copy())
 
 
 def run(config: SimulationConfig,
@@ -132,58 +177,25 @@ def run(config: SimulationConfig,
         else temp.initial_temperature(mesh)
     if state.alpha.shape != (mesh.n_nodes,):
         raise ConfigurationError("initial state does not match the mesh")
+    # a potential that is no longer solved for: zero without conduction, or
+    # the first step's potential when frozen
+    fixed = PotentialState(mu=np.zeros(mesh.n_nodes), ghost_left=None,
+                           ghost_right=None, scheme=config.variant) \
+        if model.sigma_is_zero else None
 
-    diag = Diagnostics()
-    snapshots = [Snapshot(state.time, state.alpha.copy(), mesh.nodes.copy())]
-    steady = False
-    steady_time = None
-    frozen_potential: PotentialState | None = None
-    last_potential_mu = mesh.nodes.copy()
-    t0 = state.time
-    n = 0
-    try:
-        while (n + 1) * config.tau + t0 <= config.t_max * (1.0 + 1e-12):
-            prev_alpha = state.alpha
-            if model.sigma_is_zero:
-                pot = _zero_potential(mesh, config.variant)
-                state = temp.solve_temperature(
-                    state, pot, mesh, model, config.tau, config.beta,
-                    config.variant, residual_sink=diag.solver_residuals)
-            elif config.freeze_potential_after_first_step and frozen_potential is not None:
-                pot = frozen_potential
-                state = temp.solve_temperature(
-                    state, pot, mesh, model, config.tau, config.beta,
-                    config.variant, residual_sink=diag.solver_residuals)
-            else:
-                state, pot = step(state, config, mesh, model,
-                                  residual_sink=diag.solver_residuals)
-                if config.freeze_potential_after_first_step:
-                    frozen_potential = pot
-            n += 1
-            # keep times on the exact t0 + n*tau grid instead of accumulating
-            state = dataclasses.replace(state, time=t0 + n * config.tau)
-            last_potential_mu = pot.mu
-            change = float(np.max(np.abs(state.alpha - prev_alpha)))
-            diag.max_change.append(change)
-            diag.compatibility_residuals.append(
-                check_current_compatibility(prev_alpha, model))
-            if n % config.record_every == 0:
-                snapshots.append(Snapshot(state.time, state.alpha.copy(),
-                                          pot.mu.copy()))
-            if change / config.tau < config.steady_tolerance:
-                steady = True
-                steady_time = state.time
-                break
-    except SolverError as exc:
-        exc.diagnostics = diag
-        raise
-    if snapshots[-1].time != state.time:
-        snapshots.append(Snapshot(state.time, state.alpha.copy(),
-                                  last_potential_mu.copy()))
-    return SimulationResult(snapshots=snapshots, steady_reached=steady,
-                            steady_time=steady_time,
-                            final_profile=state.alpha.copy(),
-                            diagnostics=diag, nodes=mesh.nodes.copy())
+    def advance(state, residual_sink):
+        nonlocal fixed
+        if fixed is not None:
+            return temp.solve_temperature(
+                state, fixed, mesh, model, config.tau, config.beta,
+                config.variant, residual_sink=residual_sink), fixed.mu
+        state, pot = step(state, config, mesh, model,
+                          residual_sink=residual_sink)
+        if config.freeze_potential_after_first_step:
+            fixed = pot
+        return state, pot.mu
+
+    return _march(config, mesh, advance, state, model)
 
 
 def reduced_system_rows(mesh: Mesh, tau: float, beta: float
@@ -238,50 +250,23 @@ def run_reduced(config: SimulationConfig) -> SimulationResult:
             f"(got {config.model.kind!r})")
     gamma = float(config.model.parameters["gamma"])
     mesh = config.build_mesh()
-    h = mesh.h
-    beta = config.beta
-    tau = config.tau
-    n = mesh.n_elements
+    tau, beta = config.tau, config.beta
     sub, main, sup = reduced_system_rows(mesh, tau, beta)
 
-    def full_vector(alpha01: np.ndarray) -> np.ndarray:
-        # alpha_N reconstructed via the right ghost relation at k = 1
-        return np.append(alpha01, alpha01[-1] / (1.0 + beta * h))
-
-    alpha01 = np.zeros(n)
-    full = full_vector(alpha01)
-    diag = Diagnostics()
-    snapshots = [Snapshot(0.0, full.copy(), mesh.nodes.copy())]
-    steady = False
-    steady_time = None
-    step_count = 0
-    while (step_count + 1) * tau <= config.t_max * (1.0 + 1e-12):
+    def advance(state, residual_sink):
+        # the unknowns are alpha_0..alpha_{N-1}; alpha_N is not one of them
         system = TridiagonalSystem(sub=sub, main=main, sup=sup,
-                                   rhs=reduced_rhs(alpha01, mesh, tau, beta,
-                                                   gamma))
+                                   rhs=reduced_rhs(state.alpha[:-1], mesh, tau,
+                                                   beta, gamma))
         new01 = thomas_solve(system)
         scale = 1.0 + float(np.max(np.abs(system.rhs)))
-        diag.solver_residuals.append(residual_norm(system, new01) / scale)
-        step_count += 1
-        new_full = full_vector(new01)
-        change = float(np.max(np.abs(new_full - full)))
-        diag.max_change.append(change)
-        diag.compatibility_residuals.append(0.0)
-        alpha01, full = new01, new_full
-        t_now = step_count * tau
-        if step_count % config.record_every == 0:
-            snapshots.append(Snapshot(t_now, full.copy(), mesh.nodes.copy()))
-        if change / tau < config.steady_tolerance:
-            steady = True
-            steady_time = t_now
-            break
-    t_final = step_count * tau
-    if snapshots[-1].time != t_final:
-        snapshots.append(Snapshot(t_final, full.copy(), mesh.nodes.copy()))
-    return SimulationResult(snapshots=snapshots, steady_reached=steady,
-                            steady_time=steady_time,
-                            final_profile=full.copy(), diagnostics=diag,
-                            nodes=mesh.nodes.copy())
+        residual_sink.append(residual_norm(system, new01) / scale)
+        # alpha_N reconstructed via the right ghost relation at k = 1
+        alpha = np.append(new01, new01[-1] / (1.0 + beta * mesh.h))
+        return temp.TemperatureState(alpha=alpha, alpha_prev=state.alpha,
+                                     time=state.time + tau), mesh.nodes
+
+    return _march(config, mesh, advance, temp.initial_temperature(mesh))
 
 
 def analytic_steady_state(x, beta: float, gamma: float):

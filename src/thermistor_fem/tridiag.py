@@ -6,8 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import matvec_kernel, thomas_kernel
 from .errors import NumericalFailureError, SingularSystemError
+
+# Relative pivot threshold: a pivot smaller than this times the row's largest
+# original coefficient magnitude is treated as structurally singular.
+PIVOT_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -60,11 +63,26 @@ def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
     Raises SingularSystemError (carrying the failing row) when a pivot falls
     below 1e-14 of the row's largest original coefficient.
     """
-    x, fail = thomas_kernel(system.sub, system.main, system.sup, system.rhs)
-    if fail >= 0:
-        raise SingularSystemError(
-            f"zero or near-zero pivot at row {fail}", row=int(fail))
-    return x
+    # Python floats: per-element numpy indexing costs more than the arithmetic
+    lower = [0.0] + system.sub.tolist()
+    upper = system.sup.tolist() + [0.0]
+    c = []  # modified superdiagonal from the forward sweep
+    x = []
+    c_prev = x_prev = 0.0
+    for i, (a, b, d, r) in enumerate(zip(lower, system.main.tolist(), upper,
+                                         system.rhs.tolist())):
+        scale = max(abs(a), abs(b), abs(d))
+        piv = b - a * c_prev
+        if scale == 0.0 or abs(piv) < PIVOT_RTOL * scale:
+            raise SingularSystemError(
+                f"zero or near-zero pivot at row {i}", row=i)
+        c_prev = d / piv
+        x_prev = (r - a * x_prev) / piv
+        c.append(c_prev)
+        x.append(x_prev)
+    for i in range(len(x) - 2, -1, -1):
+        x_prev = x[i] = x[i] - c[i] * x_prev
+    return np.array(x)
 
 
 def dense_solve_oracle(system: TridiagonalSystem) -> np.ndarray:
@@ -80,5 +98,7 @@ def residual_norm(system: TridiagonalSystem, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (system.size,):
         raise ValueError(f"solution length {x.shape} does not match system size {system.size}")
-    tx = matvec_kernel(system.sub, system.main, system.sup, x)
+    tx = system.main * x
+    tx[1:] += system.sub * x[:-1]
+    tx[:-1] += system.sup * x[1:]
     return float(np.max(np.abs(tx - system.rhs)))

@@ -37,6 +37,20 @@ def test_step_zero_conductivity_fails_with_step_index():
     assert exc.value.step == 0
 
 
+@pytest.mark.parametrize("driver, model", [
+    (tf.run, tf.ModelSpec("paper_example", {"gamma": GAMMA})),
+    (tf.run, tf.ModelSpec("constant", {"k0": 1.0, "sigma0": 0.0})),
+    (tf.run_reduced, tf.ModelSpec("paper_example", {"gamma": GAMMA})),
+], ids=["coupled", "sigma_zero", "reduced"])
+def test_run_failure_carries_step_and_diagnostics(driver, model):
+    # an infinite Robin coefficient makes the first step's system non-finite
+    config = small_config(model=model, beta=np.inf)
+    with pytest.raises(tf.NumericalFailureError) as exc:
+        driver(config)
+    assert exc.value.step == 0
+    assert isinstance(exc.value.diagnostics, tf.Diagnostics)
+
+
 def test_step_benchmark_first_step(fig1_config):
     state = tf.initial_temperature(fig1_config.build_mesh())
     new_state, pot = tf.step(state, fig1_config)
@@ -70,26 +84,32 @@ def test_run_zero_conductivity_model_is_steady_at_first_check():
     np.testing.assert_array_equal(result.final_profile, np.zeros(21))
 
 
+# run and run_reduced share one time loop; both drivers are checked by name
+DRIVERS = (tf.run, tf.run_reduced)
+
+
 def test_run_respects_t_max_cap():
     config = small_config(t_max=0.1, steady_tolerance=1e-14)
-    result = tf.run(config)
-    assert not result.steady_reached
-    assert result.steady_time is None
-    assert len(result.diagnostics.max_change) == 1
+    for driver in DRIVERS:
+        result = driver(config)
+        assert not result.steady_reached, driver.__name__
+        assert result.steady_time is None, driver.__name__
+        assert len(result.diagnostics.max_change) == 1, driver.__name__
 
 
 def test_snapshot_times_and_final_block():
     config = small_config(record_every=7, t_max=50.0)
-    result = tf.run(config)
-    times = [s.time for s in result.snapshots]
-    assert times[0] == 0.0
-    assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
-    stride = config.tau * config.record_every
-    for t in times[1:-1]:
-        assert (t / stride) == pytest.approx(round(t / stride))
-    assert times[-1] == pytest.approx(result.steady_time)
-    np.testing.assert_array_equal(result.snapshots[-1].temperature,
-                                  result.final_profile)
+    for driver in DRIVERS:
+        result = driver(config)
+        times = [s.time for s in result.snapshots]
+        assert times[0] == 0.0, driver.__name__
+        assert all(t2 > t1 for t1, t2 in zip(times, times[1:])), driver.__name__
+        stride = config.tau * config.record_every
+        for t in times[1:-1]:
+            assert (t / stride) == pytest.approx(round(t / stride)), driver.__name__
+        assert times[-1] == pytest.approx(result.steady_time), driver.__name__
+        np.testing.assert_array_equal(result.snapshots[-1].temperature,
+                                      result.final_profile, driver.__name__)
 
 
 def test_record_every_does_not_change_final_state():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import thermistor_fem as tf
-from thermistor_fem._kernels import matvec_kernel
 from conftest import constant_model, make_potential
 
 H, TAU, BETA = 0.01, 0.1, 0.2
@@ -142,7 +141,7 @@ def test_tau_zero_assembly_is_pure_mass_matrix():
                                      model, 0.0, BETA, tf.CORRECTED)
     h = mesh.h
     const = np.full(11, 0.7)
-    applied = matvec_kernel(system.sub, system.main, system.sup, const)
+    applied = system.dense() @ const
     np.testing.assert_allclose(applied[1:-1], h * 0.7, rtol=1e-13)
     np.testing.assert_allclose(applied[[0, -1]], 0.5 * h * 0.7, rtol=1e-13)
     assert system.main[5] == pytest.approx(2 * h / 3, abs=0.0)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,10 +36,31 @@ def test_size_one_system():
 
 
 def test_zero_pivot_reports_row():
-    s = system([0], [0, 1], [0], [1, 1])
-    with pytest.raises(tf.SingularSystemError) as exc:
-        tf.thomas_solve(s)
-    assert exc.value.row == 0
+    cases = [
+        ([0], [0, 1], [0], 0),
+        # exact zero pivot at an interior row: 1 - 1*1
+        ([1, 0], [1, 1, 1], [1, 0], 1),
+        # nonzero pivot ~1e-9, below 1e-14 of its row's largest coefficient 1e6
+        ([1, 0], [1, 1e6 + 1e-9, 1], [1e6, 0], 1),
+    ]
+    for sub, main, sup, row in cases:
+        s = system(sub, main, sup, np.ones(len(main)))
+        with pytest.raises(tf.SingularSystemError) as exc:
+            tf.thomas_solve(s)
+        assert exc.value.row == row, main
+
+
+def test_import_loads_only_numpy_outside_stdlib():
+    # the package's import time and memory stay those of numpy alone
+    code = ("import sys; before = set(sys.modules); import thermistor_fem; "
+            "print(' '.join(sorted({m.partition('.')[0] for m in sys.modules} "
+            "- {m.partition('.')[0] for m in before})))")
+    src = str(Path(tf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    loaded = set(out.stdout.split()) - set(sys.stdlib_module_names)
+    assert loaded <= {"numpy", "thermistor_fem"}, loaded
 
 
 def test_dense_oracle_singular():
