@@ -33,17 +33,26 @@ class CoefficientModel:
 def eval_k(model: CoefficientModel, u):
     """Thermal conductivity at u; rejects nonpositive or non-finite values."""
     arr = np.asarray(model.thermal_conductivity(u), dtype=float)
-    if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
-        raise ModelError(f"thermal conductivity must be positive and finite, got {arr!r}")
+    _check(arr, arr > 0.0, "thermal conductivity must be positive and finite")
     return float(arr) if arr.ndim == 0 else arr
 
 
 def eval_sigma(model: CoefficientModel, u):
     """Electrical conductivity at u; rejects negative or non-finite values."""
     arr = np.asarray(model.electrical_conductivity(u), dtype=float)
-    if not np.all(np.isfinite(arr)) or not np.all(arr >= 0.0):
-        raise ModelError(f"electrical conductivity must be >= 0 and finite, got {arr!r}")
+    _check(arr, arr >= 0.0, "electrical conductivity must be >= 0 and finite")
     return float(arr) if arr.ndim == 0 else arr
+
+
+def _check(arr: np.ndarray, ok: np.ndarray, requirement: str) -> None:
+    """Raise a ModelError unless every entry is finite and ok; the message
+    gives the count of failing entries and the first one, not the array."""
+    if np.isfinite(arr).all() and ok.all():
+        return
+    bad = np.flatnonzero(~(ok & np.isfinite(arr)))
+    first = int(bad[0])
+    raise ModelError(f"{requirement}; {bad.size} of {arr.size} values fail, "
+                     f"first at index {first}: {float(arr.flat[first])!r}")
 
 
 def validate_physical(beta: float, gamma: float) -> bool:

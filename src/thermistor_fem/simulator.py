@@ -9,6 +9,7 @@ from that snapshot's predecessor.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,6 +43,11 @@ class SimulationConfig:
     freeze_potential_after_first_step: bool = False
 
     def __post_init__(self):
+        for name in ("tau", "beta", "t_max", "steady_tolerance", "flux_left",
+                     "flux_right"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.tau <= 0.0:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
         if self.t_max < self.tau:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ class TridiagonalSystem:
             raise ValueError(
                 f"sub/sup must have length {m - 1}, got {self.sub.shape}/{self.sup.shape}")
         for name in ("sub", "main", "sup", "rhs"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise NumericalFailureError(f"non-finite entries in {name}")
 
     @property
@@ -61,28 +62,60 @@ def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
     """Direct O(m) elimination.  The input system is never mutated.
 
     Raises SingularSystemError (carrying the failing row) when a pivot falls
-    below 1e-14 of the row's largest original coefficient.
+    below 1e-14 of the row's largest original coefficient.  The elimination
+    of the matrix is reused while consecutive calls share it exactly, so a
+    time loop that alternates two fixed matrices factors each of them once.
     """
-    # Python floats: per-element numpy indexing costs more than the arithmetic
-    lower = [0.0] + system.sub.tolist()
-    upper = system.sup.tolist() + [0.0]
-    c = []  # modified superdiagonal from the forward sweep
+    lower, pivots, upper = _factor(system.sub.tobytes(), system.main.tobytes(),
+                                   system.sup.tobytes())
     x = []
-    c_prev = x_prev = 0.0
-    for i, (a, b, d, r) in enumerate(zip(lower, system.main.tolist(), upper,
-                                         system.rhs.tolist())):
-        scale = max(abs(a), abs(b), abs(d))
-        piv = b - a * c_prev
-        if scale == 0.0 or abs(piv) < PIVOT_RTOL * scale:
-            raise SingularSystemError(
-                f"zero or near-zero pivot at row {i}", row=i)
-        c_prev = d / piv
-        x_prev = (r - a * x_prev) / piv
-        c.append(c_prev)
+    x_prev = 0.0
+    for a, p, r in zip(lower, pivots, system.rhs.tolist()):
+        x_prev = (r - a * x_prev) / p
         x.append(x_prev)
     for i in range(len(x) - 2, -1, -1):
-        x_prev = x[i] = x[i] - c[i] * x_prev
+        x_prev = x[i] = x[i] - upper[i] * x_prev
     return np.array(x)
+
+
+# Keyed on the exact bytes of the three diagonals, so a hit returns what a
+# fresh factorisation would: the cache changes no result, only its cost.  Two
+# entries hold the potential and temperature matrices of a coupled step.
+# Exceptions are not cached, so a singular matrix raises on every call.
+@functools.lru_cache(maxsize=2)
+def _factor(sub: bytes, main: bytes, sup: bytes
+            ) -> tuple[tuple, tuple, tuple]:
+    """Forward elimination of T = L U: the subdiagonal, the pivots and the
+    modified superdiagonal, as tuples of Python floats."""
+    sub, main, sup = (np.frombuffer(b) for b in (sub, main, sup))
+    # Python floats: per-element numpy indexing costs more than the arithmetic
+    lower = [0.0] + sub.tolist()
+    pivots = []
+    upper = []
+    c_prev = 0.0
+    try:
+        for a, b, d in zip(lower, main.tolist(), sup.tolist() + [0.0]):
+            piv = b - a * c_prev
+            pivots.append(piv)
+            c_prev = d / piv
+            upper.append(c_prev)
+    except ZeroDivisionError:
+        pass  # an exact zero pivot ends the sweep; its row fails below
+    # the pivot rule on every row the sweep reached; up to the first failing
+    # row, each pivot is the one a row-by-row check would have seen
+    m = len(pivots)
+    scale = np.abs(main)
+    scale[1:] = np.maximum(scale[1:], np.abs(sub))
+    scale[:-1] = np.maximum(scale[:-1], np.abs(sup))
+    scale = scale[:m]
+    bad = (scale == 0.0) | (np.abs(pivots) < PIVOT_RTOL * scale)
+    # also where 1e-14 of a subnormal row scale rounds to zero
+    bad[-1] |= len(upper) < m
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise SingularSystemError(f"zero or near-zero pivot at row {row}",
+                                  row=row)
+    return tuple(lower), tuple(pivots), tuple(upper)
 
 
 def dense_solve_oracle(system: TridiagonalSystem) -> np.ndarray:

@@ -1,10 +1,12 @@
-"""Shared test utilities: random system generators and quadrature oracles."""
+"""Shared test utilities: random system generators, the reference Thomas
+sweep and quadrature oracles."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from thermistor_fem import TridiagonalSystem
+from thermistor_fem import SingularSystemError, TridiagonalSystem
+from thermistor_fem.tridiag import PIVOT_RTOL
 
 
 def random_dominant_system(rng: np.random.Generator, size: int) -> TridiagonalSystem:
@@ -18,6 +20,34 @@ def random_dominant_system(rng: np.random.Generator, size: int) -> TridiagonalSy
         main[i] = (row + rng.uniform(0.5, 2.0)) * rng.choice((-1.0, 1.0))
     rhs = rng.uniform(-5.0, 5.0, size)
     return TridiagonalSystem(sub=sub, main=main, sup=sup, rhs=rhs)
+
+
+def reference_thomas(system: TridiagonalSystem) -> np.ndarray:
+    """Row-by-row Thomas sweep with the pivot rule checked inside the loop.
+
+    The solver's reference: ``thomas_solve`` must return the same bits and
+    fail at the same row.
+    """
+    # Python floats: per-element numpy indexing costs more than the arithmetic
+    lower = [0.0] + system.sub.tolist()
+    upper = system.sup.tolist() + [0.0]
+    c = []  # modified superdiagonal from the forward sweep
+    x = []
+    c_prev = x_prev = 0.0
+    for i, (a, b, d, r) in enumerate(zip(lower, system.main.tolist(), upper,
+                                         system.rhs.tolist())):
+        scale = max(abs(a), abs(b), abs(d))
+        piv = b - a * c_prev
+        if scale == 0.0 or abs(piv) < PIVOT_RTOL * scale:
+            raise SingularSystemError(
+                f"zero or near-zero pivot at row {i}", row=i)
+        c_prev = d / piv
+        x_prev = (r - a * x_prev) / piv
+        c.append(c_prev)
+        x.append(x_prev)
+    for i in range(len(x) - 2, -1, -1):
+        x_prev = x[i] = x[i] - c[i] * x_prev
+    return np.array(x)
 
 
 def simpson(f, a: float, b: float, panels: int = 64) -> float:

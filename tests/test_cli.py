@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,6 +151,48 @@ def test_cli_outputs_are_deterministic(fig1_cfg_path, tmp_path):
     assert run_cli(["run", "--config", str(fig1_cfg_path), "--out", str(a)]) == 0
     assert run_cli(["run", "--config", str(fig1_cfg_path), "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the series and profile CSVs, as recorded in CHANGES.md; a change
+# to the solve path or the CSV writers must leave these bytes unchanged
+GOLDEN = {
+    "run": ("b807233b6201b80b91076e2d447761318e3e6c0ab8d55eed11b9091bb30bfef9",
+            "07a9cc619702fb6498fd92d222ec0f7a1b04a8d101701f4a2df86a7427c483c5"),
+    "run-paper": ("44ac30fb1d4507db63637f83822e9342a13e71f1b34ba93c8b186faf568cddf3",
+                  "2c5da442382644ac3e902aee326603b04dec823ecd4e3a2673640866de1ebc47"),
+    "run-reduced": ("fe55ab3bc938e4306f26593df552f6b370b2732008b0f02ad6e0f730744dbc59",
+                    "327a5ced7bef1c93182986f2ac9962a04930ee84849ca95c6933672e521ff587"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_cli_csv_outputs_match_golden_hashes(case, fig1_cfg_path, tmp_path):
+    text = fig1_cfg_path.read_text()
+    if case == "run-paper":
+        text = text.replace("scheme = corrected", "scheme = paper") \
+            .replace("source = central", "source = paper")
+    cfg, out, prof = tmp_path / "c.cfg", tmp_path / "s.csv", tmp_path / "p.csv"
+    cfg.write_text(text)
+    command = "run-reduced" if case == "run-reduced" else "run"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out),
+                    "--profile", str(prof)]) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, prof))
+    assert digests == GOLDEN[case]
+
+
+@pytest.mark.parametrize("line", ["beta = inf", "tau = nan", "steady_tol = nan"],
+                         ids=["beta_inf", "tau_nan", "steady_tol_nan"])
+def test_cli_non_finite_value_exits_1(line, tmp_path, capsys):
+    key = line.split()[0]
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text("".join(line + "\n" if raw.startswith(key + " ") else raw
+                           for raw in MINIMAL.splitlines(keepends=True)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["run", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
 
 
 def test_cli_missing_config_exits_1(tmp_path, capsys):

@@ -59,6 +59,22 @@ def test_eval_rejects_non_finite():
         tf.eval_sigma(model, 0.0)
 
 
+def test_model_error_message_is_short():
+    nan_sigma = build("paper_example", {"gamma": np.nan})
+    with pytest.raises(tf.ModelError) as exc:
+        tf.eval_sigma(nan_sigma, np.zeros(1001))
+    assert len(str(exc.value)) < 120
+    assert "1001 of 1001" in str(exc.value) and "index 0: nan" in str(exc.value)
+    model = tf.CoefficientModel(
+        thermal_conductivity=lambda u: 1.0 - np.asarray(u, float),
+        electrical_conductivity=lambda u: np.asarray(u, float),
+        heat_transfer=0.2, flux_left=1.0, flux_right=1.0)
+    with pytest.raises(tf.ModelError, match="3 of 5 values fail, first at index 2: 0.0"):
+        tf.eval_k(model, np.array([-1.0, 0.5, 1.0, 2.0, 3.0]))
+    with pytest.raises(tf.ModelError, match="1 of 1 values fail, first at index 0: -2.0"):
+        tf.eval_sigma(model, -2.0)
+
+
 def test_model_spec_validation():
     with pytest.raises(tf.ConfigurationError):
         tf.ModelSpec("nonsense", {})

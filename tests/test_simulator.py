@@ -27,6 +27,11 @@ def test_config_validation():
         small_config(record_every=0)
     with pytest.raises(tf.ConfigurationError):
         small_config(steady_tolerance=0.0)
+    for name in ("tau", "beta", "t_max", "steady_tolerance", "flux_left",
+                 "flux_right"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(tf.ConfigurationError, match=name):
+                small_config(**{name: value})
 
 
 def test_step_zero_conductivity_fails_with_step_index():
@@ -43,8 +48,10 @@ def test_step_zero_conductivity_fails_with_step_index():
     (tf.run_reduced, tf.ModelSpec("paper_example", {"gamma": GAMMA})),
 ], ids=["coupled", "sigma_zero", "reduced"])
 def test_run_failure_carries_step_and_diagnostics(driver, model):
-    # an infinite Robin coefficient makes the first step's system non-finite
-    config = small_config(model=model, beta=np.inf)
+    # an infinite Robin coefficient makes the first step's system non-finite;
+    # the config rejects it, so it is set past validation
+    config = small_config(model=model)
+    object.__setattr__(config, "beta", np.inf)
     with pytest.raises(tf.NumericalFailureError) as exc:
         driver(config)
     assert exc.value.step == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermistor_fem as tf
-from helpers import random_dominant_system
+from helpers import random_dominant_system, reference_thomas
 
 
 def system(sub, main, sup, rhs):
@@ -42,12 +42,85 @@ def test_zero_pivot_reports_row():
         ([1, 0], [1, 1, 1], [1, 0], 1),
         # nonzero pivot ~1e-9, below 1e-14 of its row's largest coefficient 1e6
         ([1, 0], [1, 1e6 + 1e-9, 1], [1e6, 0], 1),
+        # exact zero pivot in a subnormal row, where 1e-14 of its scale is 0
+        ([1e-320], [1e-320, 1e-320], [1e-320], 1),
     ]
     for sub, main, sup, row in cases:
         s = system(sub, main, sup, np.ones(len(main)))
         with pytest.raises(tf.SingularSystemError) as exc:
             tf.thomas_solve(s)
         assert exc.value.row == row, main
+
+
+def near_singular_system(rng, size):
+    """Small-integer diagonals, so exact zero pivots occur at any row, with
+    perturbations on either side of the 1e-14 relative rule."""
+    sub, main, sup = (rng.integers(-2, 3, n).astype(float)
+                      for n in (size - 1, size, size - 1))
+    nudge = rng.choice((0.0, 0.0, 1e-15, 0.7e-14, 1.5e-14, 1e-13), size)
+    main += nudge * rng.choice((-1.0, 1.0), size)
+    scale = 10.0 ** rng.integers(-3, 4)
+    return system(sub * scale, main * scale, sup * scale, rng.uniform(-1, 1, size))
+
+
+def test_thomas_is_bit_identical_to_reference():
+    rng = np.random.default_rng(20)
+    for size in (1, 2, 3, 7, 64, 101, 1001, 2000):
+        for _ in range(3):
+            s = random_dominant_system(rng, size)
+            assert np.array_equal(tf.thomas_solve(s), reference_thomas(s)), size
+
+
+def test_near_singular_systems_fail_at_reference_row():
+    rng = np.random.default_rng(21)
+    rows = []
+    for _ in range(3000):
+        s = near_singular_system(rng, int(rng.integers(1, 9)))
+        try:
+            expected = reference_thomas(s)
+        except tf.SingularSystemError as exc:
+            with pytest.raises(tf.SingularSystemError) as got:
+                tf.thomas_solve(s)
+            assert got.value.row == exc.row
+            rows.append(exc.row)
+        else:
+            assert np.array_equal(tf.thomas_solve(s), expected)
+    # the draw reaches failures at interior rows and leaves solvable systems
+    assert 300 < len(rows) < 2700 and max(rows) >= 4
+
+
+def test_factorisation_reused_for_new_rhs():
+    rng = np.random.default_rng(22)
+    s = random_dominant_system(rng, 300)
+    tf.thomas_solve(s)
+    hits = tf.tridiag._factor.cache_info().hits
+    for _ in range(3):
+        s = tf.TridiagonalSystem(sub=s.sub, main=s.main, sup=s.sup,
+                                 rhs=rng.uniform(-5.0, 5.0, 300))
+        assert np.array_equal(tf.thomas_solve(s), reference_thomas(s))
+    assert tf.tridiag._factor.cache_info().hits == hits + 3
+
+
+def test_singular_matrix_raises_on_every_call():
+    rng = np.random.default_rng(23)
+    singular = system([1, 0], [1, 1, 1], [1, 0], np.ones(3))
+    for _ in range(3):
+        with pytest.raises(tf.SingularSystemError) as exc:
+            tf.thomas_solve(singular)
+        assert exc.value.row == 1
+    s = random_dominant_system(rng, 40)
+    assert np.array_equal(tf.thomas_solve(s), reference_thomas(s))
+
+
+def test_alternating_matrices_beyond_cache_size_stay_exact():
+    # three matrices in turn evict each other from a two-entry cache
+    rng = np.random.default_rng(24)
+    matrices = [random_dominant_system(rng, 50) for _ in range(3)]
+    for i in range(12):
+        m = matrices[i % 3]
+        s = tf.TridiagonalSystem(sub=m.sub, main=m.main, sup=m.sup,
+                                 rhs=rng.uniform(-5.0, 5.0, 50))
+        assert np.array_equal(tf.thomas_solve(s), reference_thomas(s))
 
 
 def test_import_loads_only_numpy_outside_stdlib():
