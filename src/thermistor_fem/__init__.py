@@ -7,13 +7,14 @@ the iteration to steady state.
 
 from .coefficients import (CoefficientModel, ModelSpec, eval_k, eval_sigma,
                            validate_physical)
-from .errors import (ConfigurationError, ModelError, NumericalFailureError,
-                     SingularSystemError, SolverError, ThermistorError)
+from .errors import (ConfigurationError, ModelError, NotSteadyError,
+                     NumericalFailureError, SingularSystemError, SolverError,
+                     ThermistorError)
 from .mesh import Mesh, build_mesh, eval_hat, mass_row
-from .potential import (CORRECTED, PAPER_LITERAL, PotentialState,
-                        SchemeVariant, assemble_potential,
-                        check_current_compatibility, ghost_potential_left,
-                        ghost_potential_right, solve_potential)
+from .potential import (CORRECTED, PAPER_LITERAL, SchemeVariant,
+                        assemble_potential, check_current_compatibility,
+                        ghost_potential_left, ghost_potential_right,
+                        solve_potential)
 from .simulator import (Diagnostics, SimulationConfig, SimulationResult,
                         Snapshot, analytic_steady_state, convergence_study,
                         run, run_reduced, steady_state_error, step)
@@ -21,8 +22,8 @@ from .temperature import (TemperatureState, assemble_temperature,
                           ghost_temp_left, ghost_temp_right,
                           initial_temperature, joule_source_vector,
                           solve_temperature, source_term)
-from .tridiag import (TridiagonalSystem, dense_solve_oracle, residual_norm,
-                      thomas_solve)
+from .tridiag import (TridiagonalSystem, checked_solve, dense_solve_oracle,
+                      residual_norm, thomas_solve)
 
 __version__ = "0.1.0"
 
@@ -35,8 +36,8 @@ __all__ = [
     "Mesh",
     "ModelError",
     "ModelSpec",
+    "NotSteadyError",
     "NumericalFailureError",
-    "PotentialState",
     "SchemeVariant",
     "SimulationConfig",
     "SimulationResult",
@@ -51,6 +52,7 @@ __all__ = [
     "assemble_temperature",
     "build_mesh",
     "check_current_compatibility",
+    "checked_solve",
     "convergence_study",
     "dense_solve_oracle",
     "eval_hat",

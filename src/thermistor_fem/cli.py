@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .coefficients import ModelSpec, validate_physical
-from .errors import ConfigurationError, ModelError, SolverError
-from .mesh import Mesh
+from .errors import (ConfigurationError, ModelError, NotSteadyError,
+                     SolverError)
 from .potential import SchemeVariant, check_current_compatibility, solve_potential
-from .simulator import (SimulationConfig, SimulationResult, convergence_study,
-                        run, run_reduced, steady_state_error)
-from .temperature import initial_temperature
+from .simulator import (COMPATIBILITY_WARN_THRESHOLD, SimulationConfig,
+                        SimulationResult, convergence_study, run, run_reduced)
+from .temperature import ghost_alpha_left_of, initial_temperature
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -112,9 +112,7 @@ def parse_config(text: str) -> SimulationConfig:
 def _parse_value(key: str, value: str, lineno: int):
     try:
         if key in _SCALAR_KEYS:
-            parsed = _SCALAR_KEYS[key](value) if _SCALAR_KEYS[key] is int \
-                else float(value)
-            return parsed
+            return _SCALAR_KEYS[key](value)
         if key in _MODEL_KEYS:
             return float(value)
         if key in _ENUM_KEYS:
@@ -157,7 +155,7 @@ def _infer_model(values: dict) -> ModelSpec:
         "missing model keys: provide gamma, or k0 and sigma0")
 
 
-def write_series_csv(result: SimulationResult, mesh: Mesh) -> str:
+def write_series_csv(result: SimulationResult) -> str:
     """Long-format time series: header ``t,x,u,phi``, time-major rows.
 
     Numbers are written with 13 significant digits so the file parses back
@@ -166,7 +164,7 @@ def write_series_csv(result: SimulationResult, mesh: Mesh) -> str:
     if not result.snapshots:
         raise ValueError("result has no snapshots")
     # Python floats format faster than numpy scalars, with the same digits
-    x = [f"{xj:.12e}" for xj in mesh.nodes.tolist()]
+    x = [f"{xj:.12e}" for xj in result.nodes.tolist()]
     lines = ["t,x,u,phi"]
     for snap in result.snapshots:
         t = f"{snap.time:.12e}"
@@ -229,8 +227,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_run(args, reduced: bool) -> int:
     config = _load_config(args.config)
     result = run_reduced(config) if reduced else run(config)
-    mesh = config.build_mesh()
-    _emit(write_series_csv(result, mesh), args.out)
+    _emit(write_series_csv(result), args.out)
     if args.profile:
         Path(args.profile).write_text(write_profile_csv(result))
     if result.steady_reached:
@@ -239,10 +236,11 @@ def _cmd_run(args, reduced: bool) -> int:
         print(f"no steady state before t_max={config.t_max:g}", file=sys.stderr)
         if args.require_steady:
             return EXIT_NOT_STEADY
-    residuals = result.diagnostics.compatibility_residuals
-    if residuals and max(abs(r) for r in residuals) > 1e-9:
+    worst = max(map(abs, result.diagnostics.compatibility_residuals),
+                default=0.0)
+    if worst > COMPATIBILITY_WARN_THRESHOLD:
         print("warning: boundary currents are incompatible "
-              f"(max residual {max(abs(r) for r in residuals):.3e})", file=sys.stderr)
+              f"(max residual {worst:.3e})", file=sys.stderr)
     return EXIT_OK
 
 
@@ -265,13 +263,10 @@ def _cmd_check_potential(args) -> int:
     mesh = config.build_mesh()
     model = config.build_model()
     state = initial_temperature(mesh)
-    ghost = None
-    if config.variant.stiffness == "paper_literal":
-        from .temperature import ghost_alpha_left_of
-        ghost = ghost_alpha_left_of(state, mesh, model, config.beta)
-    pot = solve_potential(state.alpha, mesh, model, config.variant,
-                          alpha_ghost_left=ghost)
-    mu = pot.mu
+    ghost = ghost_alpha_left_of(state, mesh, model, config.beta) \
+        if config.variant.stiffness == "paper_literal" else None
+    mu = solve_potential(state.alpha, mesh, model, config.variant,
+                         alpha_ghost_left=ghost)
     chord = mu[0] + (mu[-1] - mu[0]) * mesh.nodes
     deviation = float(np.max(np.abs(mu - chord)))
     residual = check_current_compatibility(state.alpha, model)
@@ -303,9 +298,8 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (SolverError, ModelError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        # not-steady results reaching steady_state_error inside convergence
-        print(f"error: {exc}", file=sys.stderr)
+    except NotSteadyError as exc:  # a convergence level never became steady
+        print(f"not steady: {exc}", file=sys.stderr)
         return EXIT_NOT_STEADY
 
 

@@ -1,7 +1,8 @@
-"""Physics coefficients: k(u), sigma(u), heat-transfer beta and boundary flux data."""
+"""Physics coefficients: k(u), sigma(u) and boundary flux data."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -24,7 +25,6 @@ class CoefficientModel:
 
     thermal_conductivity: Callable
     electrical_conductivity: Callable
-    heat_transfer: float
     flux_left: float
     flux_right: float
     sigma_is_zero: bool = False
@@ -91,8 +91,12 @@ class ModelSpec:
         if missing:
             raise ConfigurationError(
                 f"model kind {self.kind!r} needs parameters {missing}")
+        for name in required:
+            if not math.isfinite(float(self.parameters[name])):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {self.parameters[name]}")
 
-    def build(self, beta: float, flux_left: float, flux_right: float) -> CoefficientModel:
+    def build(self, flux_left: float, flux_right: float) -> CoefficientModel:
         p = self.parameters
         if self.kind == "constant":
             k0, s0 = float(p["k0"]), float(p["sigma0"])
@@ -110,13 +114,14 @@ class ModelSpec:
 
             def s_fn(u, _s0=s0, _lam=lam):
                 den = 1.0 + _lam * np.asarray(u, dtype=float)
-                return _s0 / (den * den)
+                # where den = 0, eval_sigma reports the non-finite value
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    return _s0 / (den * den)
 
             zero = s0 == 0.0
         return CoefficientModel(
             thermal_conductivity=k_fn,
             electrical_conductivity=s_fn,
-            heat_transfer=float(beta),
             flux_left=float(flux_left),
             flux_right=float(flux_right),
             sigma_is_zero=zero,

@@ -40,3 +40,7 @@ class SingularSystemError(SolverError):
 
 class NumericalFailureError(SolverError):
     """NaN/infinity contamination or other numerical breakdown."""
+
+
+class NotSteadyError(ThermistorError, ValueError):
+    """A steady-state result was required but the run never became steady."""

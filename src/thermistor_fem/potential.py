@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientModel, eval_sigma
-from .errors import SingularSystemError
 from .mesh import Mesh
-from .tridiag import TridiagonalSystem, residual_norm, thomas_solve
+from .tridiag import TridiagonalSystem, checked_solve
 
 STIFFNESS_CHOICES = ("paper_literal", "corrected")
 SOURCE_CHOICES = ("paper_literal", "central")
@@ -40,23 +39,6 @@ class SchemeVariant:
 
 CORRECTED = SchemeVariant("corrected", "central")
 PAPER_LITERAL = SchemeVariant("paper_literal", "paper_literal")
-
-
-@dataclass(frozen=True)
-class PotentialState:
-    """Nodal potential coefficients mu_0..mu_N at one time level.
-
-    For the paper_literal variant the unknowns are mu_0..mu_{N-1}; mu_N is
-    reconstructed as h*flux_right + mu_{N-1} and kept in ``mu``, with
-    ``ghost_right`` recording the reconstruction and ``ghost_left`` the
-    eliminated mu_{-1}.  The corrected variant stores the full solved vector
-    and leaves both ghosts None.
-    """
-
-    mu: np.ndarray
-    ghost_left: float | None
-    ghost_right: float | None
-    scheme: SchemeVariant
 
 
 def ghost_potential_left(mu0: float, mu1: float, h: float, flux_left: float) -> float:
@@ -142,31 +124,20 @@ def assemble_potential(alpha: np.ndarray, mesh: Mesh, model: CoefficientModel,
 def solve_potential(alpha: np.ndarray, mesh: Mesh, model: CoefficientModel,
                     variant: SchemeVariant,
                     alpha_ghost_left: float | None = None,
-                    residual_sink: list | None = None) -> PotentialState:
-    """Assemble and solve; returns the full nodal potential.
+                    residual_sink: list | None = None) -> np.ndarray:
+    """Assemble and solve; returns the nodal potential mu_0..mu_N.
 
-    ``residual_sink``, when given, receives the solve's normalised residual
-    max-norm (for run diagnostics).
+    The paper_literal unknowns are mu_0..mu_{N-1}; mu_N is reconstructed by
+    ``ghost_potential_right``.  ``residual_sink`` is passed to
+    ``checked_solve``.
     """
     system = assemble_potential(alpha, mesh, model, variant,
                                 alpha_ghost_left=alpha_ghost_left)
-    try:
-        x = thomas_solve(system)
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            f"potential solve failed: {exc}", row=exc.row) from exc
-    if residual_sink is not None:
-        scale = 1.0 + float(np.max(np.abs(system.rhs)))
-        residual_sink.append(residual_norm(system, x) / scale)
+    mu = checked_solve(system, "potential", residual_sink)
     if variant.stiffness == "corrected":
-        return PotentialState(mu=x, ghost_left=None, ghost_right=None,
-                              scheme=variant)
-    mu_n = ghost_potential_right(float(x[-1]), mesh.h, model.flux_right)
-    mu = np.append(x, mu_n)
-    ghost_left = ghost_potential_left(float(x[0]), float(x[1]), mesh.h,
-                                      model.flux_left)
-    return PotentialState(mu=mu, ghost_left=ghost_left, ghost_right=mu_n,
-                          scheme=variant)
+        return mu
+    return np.append(mu, ghost_potential_right(float(mu[-1]), mesh.h,
+                                               model.flux_right))
 
 
 def check_current_compatibility(alpha: np.ndarray, model: CoefficientModel) -> float:

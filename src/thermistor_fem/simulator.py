@@ -17,11 +17,11 @@ import numpy as np
 
 from . import temperature as temp
 from .coefficients import CoefficientModel, ModelSpec
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, NotSteadyError, SolverError
 from .mesh import Mesh, build_mesh
-from .potential import (CORRECTED, PotentialState, SchemeVariant,
-                        check_current_compatibility, solve_potential)
-from .tridiag import TridiagonalSystem, residual_norm, thomas_solve
+from .potential import (CORRECTED, SchemeVariant, check_current_compatibility,
+                        solve_potential)
+from .tridiag import TridiagonalSystem, checked_solve
 
 COMPATIBILITY_WARN_THRESHOLD = 1e-9
 
@@ -62,7 +62,7 @@ class SimulationConfig:
         return build_mesh(self.n_elements)
 
     def build_model(self) -> CoefficientModel:
-        return self.model.build(self.beta, self.flux_left, self.flux_right)
+        return self.model.build(self.flux_left, self.flux_right)
 
 
 class Snapshot(NamedTuple):
@@ -93,30 +93,30 @@ class SimulationResult:
 def step(state: temp.TemperatureState, config: SimulationConfig,
          mesh: Mesh | None = None, model: CoefficientModel | None = None,
          residual_sink: list | None = None
-         ) -> tuple[temp.TemperatureState, PotentialState]:
+         ) -> tuple[temp.TemperatureState, np.ndarray]:
     """One decoupled step: potential from alpha^n, then temperature advance.
 
+    Returns the new state and the nodal potential mu_0..mu_N it used.
     Solver failures are re-raised with the step index attached.
     """
     mesh = mesh or config.build_mesh()
     model = model or config.build_model()
     index = int(round(state.time / config.tau))
     try:
-        ghost = None
-        if config.variant.stiffness == "paper_literal" \
-                or config.variant.source_quadrature == "paper_literal":
-            ghost = temp.ghost_alpha_left_of(state, mesh, model, config.beta)
-        pot = solve_potential(state.alpha, mesh, model, config.variant,
-                              alpha_ghost_left=ghost,
-                              residual_sink=residual_sink)
-        new_state = temp.solve_temperature(state, pot, mesh, model,
+        # only the literal potential assembly reads the temperature ghost
+        ghost = temp.ghost_alpha_left_of(state, mesh, model, config.beta) \
+            if config.variant.stiffness == "paper_literal" else None
+        mu = solve_potential(state.alpha, mesh, model, config.variant,
+                             alpha_ghost_left=ghost,
+                             residual_sink=residual_sink)
+        new_state = temp.solve_temperature(state, mu, mesh, model,
                                            config.tau, config.beta,
                                            config.variant,
                                            residual_sink=residual_sink)
     except SolverError as exc:
         exc.step = index
         raise
-    return new_state, pot
+    return new_state, mu
 
 
 def _march(config: SimulationConfig, mesh: Mesh, stepper,
@@ -185,21 +185,19 @@ def run(config: SimulationConfig,
         raise ConfigurationError("initial state does not match the mesh")
     # a potential that is no longer solved for: zero without conduction, or
     # the first step's potential when frozen
-    fixed = PotentialState(mu=np.zeros(mesh.n_nodes), ghost_left=None,
-                           ghost_right=None, scheme=config.variant) \
-        if model.sigma_is_zero else None
+    fixed = np.zeros(mesh.n_nodes) if model.sigma_is_zero else None
 
     def advance(state, residual_sink):
         nonlocal fixed
         if fixed is not None:
             return temp.solve_temperature(
                 state, fixed, mesh, model, config.tau, config.beta,
-                config.variant, residual_sink=residual_sink), fixed.mu
-        state, pot = step(state, config, mesh, model,
-                          residual_sink=residual_sink)
+                config.variant, residual_sink=residual_sink), fixed
+        state, mu = step(state, config, mesh, model,
+                         residual_sink=residual_sink)
         if config.freeze_potential_after_first_step:
-            fixed = pot
-        return state, pot.mu
+            fixed = mu
+        return state, mu
 
     return _march(config, mesh, advance, state, model)
 
@@ -264,9 +262,7 @@ def run_reduced(config: SimulationConfig) -> SimulationResult:
         system = TridiagonalSystem(sub=sub, main=main, sup=sup,
                                    rhs=reduced_rhs(state.alpha[:-1], mesh, tau,
                                                    beta, gamma))
-        new01 = thomas_solve(system)
-        scale = 1.0 + float(np.max(np.abs(system.rhs)))
-        residual_sink.append(residual_norm(system, new01) / scale)
+        new01 = checked_solve(system, "reduced temperature", residual_sink)
         # alpha_N reconstructed via the right ghost relation at k = 1
         alpha = np.append(new01, new01[-1] / (1.0 + beta * mesh.h))
         return temp.TemperatureState(alpha=alpha, alpha_prev=state.alpha,
@@ -292,7 +288,7 @@ def steady_state_error(result: SimulationResult, beta: float,
                        gamma: float) -> float:
     """Max nodal deviation of the final profile from the analytic steady state."""
     if not result.steady_reached:
-        raise ValueError("steady_state_error requires a steady result")
+        raise NotSteadyError("steady_state_error requires a steady result")
     exact = analytic_steady_state(result.nodes, beta, gamma)
     return float(np.max(np.abs(result.final_profile - exact)))
 
@@ -306,6 +302,10 @@ def convergence_study(config: SimulationConfig, levels: int
         raise ConfigurationError(
             "the convergence study needs the paper_example model "
             "(analytic oracle)")
+    if config.beta <= 0.0:
+        raise ConfigurationError(
+            f"the convergence study needs beta > 0 (analytic oracle), "
+            f"got {config.beta}")
     gamma = float(config.model.parameters["gamma"])
     out = []
     for i in range(levels):

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientModel, eval_k, eval_sigma
-from .errors import ModelError, NumericalFailureError, SingularSystemError
+from .errors import ModelError
 from .mesh import Mesh
-from .potential import PotentialState, SchemeVariant
-from .tridiag import TridiagonalSystem, residual_norm, thomas_solve
+from .potential import SchemeVariant
+from .tridiag import TridiagonalSystem, checked_solve
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,7 @@ def ghost_alpha_left_of(state: TemperatureState, mesh: Mesh,
                            k0_prev, mesh.h, beta)
 
 
-def joule_source_vector(alpha: np.ndarray, potential: PotentialState,
-                        mesh: Mesh, model: CoefficientModel, tau: float,
+def joule_source_vector(alpha: np.ndarray, mu: np.ndarray, mesh: Mesh, model: CoefficientModel, tau: float,
                         variant: SchemeVariant) -> np.ndarray:
     """Joule source contributions for every row of the variant's layout.
 
@@ -102,7 +101,7 @@ def joule_source_vector(alpha: np.ndarray, potential: PotentialState,
     """
     n = mesh.n_elements
     h = mesh.h
-    mu = np.asarray(potential.mu, dtype=float)
+    mu = np.asarray(mu, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     size = n + 1 if variant.stiffness == "corrected" else n
     s = eval_sigma(model, alpha)
@@ -134,18 +133,18 @@ def joule_source_vector(alpha: np.ndarray, potential: PotentialState,
     return out
 
 
-def source_term(alpha: np.ndarray, potential: PotentialState, j: int,
+def source_term(alpha: np.ndarray, mu: np.ndarray, j: int,
                 mesh: Mesh, model: CoefficientModel, tau: float,
                 variant: SchemeVariant) -> float:
     """Joule source for a single row j of the variant's layout."""
     size = mesh.n_elements + 1 if variant.stiffness == "corrected" else mesh.n_elements
     if not 0 <= j < size:
         raise ValueError(f"row index {j} outside 0..{size - 1}")
-    return float(joule_source_vector(alpha, potential, mesh, model, tau,
+    return float(joule_source_vector(alpha, mu, mesh, model, tau,
                                      variant)[j])
 
 
-def assemble_temperature(state: TemperatureState, potential: PotentialState,
+def assemble_temperature(state: TemperatureState, mu: np.ndarray,
                          mesh: Mesh, model: CoefficientModel, tau: float,
                          beta: float, variant: SchemeVariant) -> TridiagonalSystem:
     """Assemble one backward-Euler step; see the module docstring for the rows."""
@@ -153,7 +152,7 @@ def assemble_temperature(state: TemperatureState, potential: PotentialState,
     h = mesh.h
     alpha = state.alpha
     k = eval_k(model, alpha)
-    src = joule_source_vector(alpha, potential, mesh, model, tau, variant)
+    src = joule_source_vector(alpha, mu, mesh, model, tau, variant)
 
     if variant.stiffness == "corrected":
         k_half = 0.5 * (k[:-1] + k[1:])
@@ -210,25 +209,13 @@ def assemble_temperature(state: TemperatureState, potential: PotentialState,
     return TridiagonalSystem(sub=sub, main=main, sup=sup, rhs=rhs)
 
 
-def solve_temperature(state: TemperatureState, potential: PotentialState,
-                      mesh: Mesh, model: CoefficientModel, tau: float,
-                      beta: float, variant: SchemeVariant,
+def solve_temperature(state: TemperatureState, mu: np.ndarray, mesh: Mesh,
+                      model: CoefficientModel, tau: float, beta: float,
+                      variant: SchemeVariant,
                       residual_sink: list | None = None) -> TemperatureState:
     """Advance one backward-Euler step; returns the state at time + tau."""
-    system = assemble_temperature(state, potential, mesh, model, tau, beta,
-                                  variant)
-    try:
-        x = thomas_solve(system)
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            f"temperature solve failed at t={state.time + tau:g}: {exc}",
-            row=exc.row) from exc
-    if not np.all(np.isfinite(x)):
-        raise NumericalFailureError(
-            f"non-finite temperature at t={state.time + tau:g}")
-    if residual_sink is not None:
-        scale = 1.0 + float(np.max(np.abs(system.rhs)))
-        residual_sink.append(residual_norm(system, x) / scale)
+    system = assemble_temperature(state, mu, mesh, model, tau, beta, variant)
+    x = checked_solve(system, "temperature", residual_sink)
     if variant.stiffness == "corrected":
         alpha_new = x
     else:

@@ -58,6 +58,28 @@ class TridiagonalSystem:
         return full
 
 
+def checked_solve(system: TridiagonalSystem, what: str,
+                  residual_sink: list | None = None) -> np.ndarray:
+    """Solve with the contract every phase of a step shares.
+
+    A singular pivot is re-raised as ``"<what> solve failed: ..."`` with the
+    failing row kept, and a non-finite solution raises NumericalFailureError.
+    ``residual_sink``, when given, receives the residual max-norm scaled by
+    ``1 + max|rhs|`` (for run diagnostics).
+    """
+    try:
+        x = thomas_solve(system)
+    except SingularSystemError as exc:
+        raise SingularSystemError(f"{what} solve failed: {exc}",
+                                  row=exc.row) from exc
+    if not np.isfinite(x).all():
+        raise NumericalFailureError(f"{what} solve failed: non-finite solution")
+    if residual_sink is not None:
+        scale = 1.0 + float(np.max(np.abs(system.rhs)))
+        residual_sink.append(residual_norm(system, x) / scale)
+    return x
+
+
 def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
     """Direct O(m) elimination.  The input system is never mutated.
 

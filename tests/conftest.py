@@ -1,7 +1,6 @@
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -30,22 +29,16 @@ def fig1_config() -> tf.SimulationConfig:
 
 @pytest.fixture
 def unit_sigma_model() -> tf.CoefficientModel:
-    """k = 1, sigma = 1, unit fluxes, beta = 0.2."""
-    return tf.ModelSpec("constant", {"k0": 1.0, "sigma0": 1.0}).build(0.2, 1.0, 1.0)
+    """k = 1, sigma = 1, unit fluxes."""
+    return tf.ModelSpec("constant", {"k0": 1.0, "sigma0": 1.0}).build(1.0, 1.0)
 
 
-def constant_model(k0: float, sigma0: float, beta: float = 0.2,
-                   flux_left: float = 1.0, flux_right: float = 1.0) -> tf.CoefficientModel:
+def constant_model(k0: float, sigma0: float, flux_left: float = 1.0,
+                   flux_right: float = 1.0) -> tf.CoefficientModel:
     return tf.ModelSpec("constant", {"k0": k0, "sigma0": sigma0}).build(
-        beta, flux_left, flux_right)
+        flux_left, flux_right)
 
 
 @pytest.fixture
 def fig1_cfg_path() -> Path:
     return REPO_ROOT / "fig1.cfg"
-
-
-def make_potential(mu: np.ndarray, variant=None) -> tf.PotentialState:
-    """Wrap a raw nodal vector as a PotentialState for source/assembly tests."""
-    return tf.PotentialState(mu=np.asarray(mu, dtype=float), ghost_left=None,
-                             ghost_right=None, scheme=variant or tf.CORRECTED)

@@ -15,7 +15,7 @@ import pytest
 
 import thermistor_fem as tf
 from helpers import random_dominant_system
-from conftest import constant_model, make_potential
+from conftest import constant_model
 
 BETA, GAMMA, TAU = 0.2, 0.1, 0.1
 
@@ -88,7 +88,7 @@ def test_criterion_3_linear_potential_recovery():
         mesh = tf.build_mesh(n)
         model = constant_model(1.0, 1.0)
         pot = tf.solve_potential(np.zeros(n + 1), mesh, model, tf.CORRECTED)
-        worst = max(worst, float(np.max(np.abs((pot.mu - pot.mu[0]) - mesh.nodes))))
+        worst = max(worst, float(np.max(np.abs((pot - pot[0]) - mesh.nodes))))
     ok = worst <= 1e-10
     _report(3, ok, "corrected potential recovers mu_j - mu_0 = x_j for N in {4,16,100}",
             f"max deviation {worst:.3e}")
@@ -100,7 +100,7 @@ def test_criterion_4_benchmark_coefficient_fidelity():
     h = mesh.h
     a1 = h / 6 - TAU / h
     b1 = 2 * h / 3 + 2 * TAU / h
-    model = tf.ModelSpec("paper_example", {"gamma": GAMMA}).build(BETA, 1.0, 1.0)
+    model = tf.ModelSpec("paper_example", {"gamma": GAMMA}).build(1.0, 1.0)
     rng = np.random.default_rng(12)
     alpha = rng.uniform(0.0, 0.3, 101)
     state = tf.TemperatureState(alpha=alpha, alpha_prev=alpha.copy(), time=0.0)
@@ -202,9 +202,9 @@ def test_criterion_7_invariant_suite(fig1_run):
     alpha = rng.uniform(0.0, 0.5, 13)
     mu = rng.uniform(-1.0, 1.0, 13)
     mesh12 = tf.build_mesh(12)
-    base = tf.joule_source_vector(alpha, make_potential(mu), mesh12, model,
+    base = tf.joule_source_vector(alpha, mu, mesh12, model,
                                   TAU, tf.CORRECTED)
-    shifted = tf.joule_source_vector(alpha, make_potential(mu + 0.37), mesh12,
+    shifted = tf.joule_source_vector(alpha, mu + 0.37, mesh12,
                                      model, TAU, tf.CORRECTED)
     checks["gauge_invariance"] = float(np.max(np.abs(shifted - base))) <= 1e-12
 
@@ -219,8 +219,9 @@ def test_criterion_7_invariant_suite(fig1_run):
     pot = tf.solve_potential(np.zeros(17), mesh16, lit_model, tf.PAPER_LITERAL,
                              alpha_ghost_left=0.0)
     checks["ghost_identities"] = (
-        pot.mu[-1] == mesh16.h * 1.3 + pot.mu[-2]
-        and pot.ghost_left == pot.mu[1] - pot.mu[0] - mesh16.h * 0.7)
+        pot[-1] == mesh16.h * 1.3 + pot[-2]
+        and tf.ghost_potential_left(pot[0], pot[1], mesh16.h, 0.7)
+        == pot[1] - pot[0] - mesh16.h * 0.7)
 
     restart = tf.TemperatureState(alpha=fig1_run.final_profile.copy(),
                                   alpha_prev=fig1_run.final_profile.copy(),
@@ -242,14 +243,14 @@ def test_criterion_8_literal_potential_characterisation():
     model = constant_model(1.0, 1.0)
     pot16 = tf.solve_potential(np.zeros(17), mesh16, model, tf.PAPER_LITERAL,
                                alpha_ghost_left=0.0)
-    deviation = float(np.max(np.abs((pot16.mu - pot16.mu[0]) - mesh16.nodes)))
+    deviation = float(np.max(np.abs((pot16 - pot16[0]) - mesh16.nodes)))
     nonlinear_ok = deviation > 0.01
 
     mesh4 = tf.build_mesh(4)
     pot4 = tf.solve_potential(np.zeros(5), mesh4, model, tf.PAPER_LITERAL,
                               alpha_ghost_left=0.0)
-    fixture_ok = (np.allclose(pot4.mu[:4], LITERAL_N4_MU, atol=1e-12)
-                  and abs(pot4.mu[4] - LITERAL_N4_MU_N) <= 1e-12)
+    fixture_ok = (np.allclose(pot4[:4], LITERAL_N4_MU, atol=1e-12)
+                  and abs(pot4[4] - LITERAL_N4_MU_N) <= 1e-12)
     ok = nonlinear_ok and fixture_ok
     _report(8, ok, "literal potential demonstrably non-linear and fixture-pinned",
             f"N=16 deviation {deviation:.4f} > 0.01")

@@ -99,13 +99,12 @@ def test_series_csv_counts_and_header():
         flux_left=0.0, flux_right=0.0, t_max=0.1,
         steady_tolerance=1e-14, record_every=1)
     result = tf.run(config)
-    mesh = config.build_mesh()
     one = tf.SimulationResult(snapshots=result.snapshots[:1],
                               steady_reached=False, steady_time=None,
                               final_profile=result.final_profile,
                               diagnostics=result.diagnostics,
                               nodes=result.nodes)
-    text = write_series_csv(one, mesh)
+    text = write_series_csv(one)
     lines = text.splitlines()
     assert lines[0] == "t,x,u,phi"
     assert len(lines) == 1 + 4
@@ -118,7 +117,7 @@ def test_series_csv_round_trip(fig1_cfg_path, tmp_path):
     config = parse_config(fig1_cfg_path.read_text())
     result = tf.run(config)
     mesh = config.build_mesh()
-    text = write_series_csv(result, mesh)
+    text = write_series_csv(result)
     rows = [line.split(",") for line in text.splitlines()[1:]]
     assert len(rows) == len(result.snapshots) * mesh.n_nodes
     parsed = np.array([[float(v) for v in row] for row in rows])
@@ -154,23 +153,47 @@ def test_cli_outputs_are_deterministic(fig1_cfg_path, tmp_path):
 
 
 # sha256 of the series and profile CSVs, as recorded in CHANGES.md; a change
-# to the solve path or the CSV writers must leave these bytes unchanged
+# to the solve path or the CSV writers must leave these bytes unchanged.  The
+# case name lists the edits to fig1.cfg (see golden_config).
 GOLDEN = {
     "run": ("b807233b6201b80b91076e2d447761318e3e6c0ab8d55eed11b9091bb30bfef9",
             "07a9cc619702fb6498fd92d222ec0f7a1b04a8d101701f4a2df86a7427c483c5"),
     "run-paper": ("44ac30fb1d4507db63637f83822e9342a13e71f1b34ba93c8b186faf568cddf3",
                   "2c5da442382644ac3e902aee326603b04dec823ecd4e3a2673640866de1ebc47"),
+    "run-freeze": ("b807233b6201b80b91076e2d447761318e3e6c0ab8d55eed11b9091bb30bfef9",
+                   "07a9cc619702fb6498fd92d222ec0f7a1b04a8d101701f4a2df86a7427c483c5"),
+    "run-rational": ("a090776cbef43b2c50edb0d55b4e3ac6635d9e393bf4cfbed35b73148fa91201",
+                     "2a19061704dca678d57267796755334b923e218900c4812ac521d0475aa8699d"),
+    "run-rational-freeze": (
+        "c126fdf52e60419347b320d865866c598cc405fff79e9b1ea2d64c78bf677796",
+        "cb6a5e80a77f317e26c872b94b74ad66a2e42a6c2800daa8edcc65a76f516d6e"),
+    "run-rational-paper": (
+        "5a00d58802b2771e9d0d233154442c8b1ad3204a48d7fa90123a4084973dbcaa",
+        "7bf551c2cbe19f4fd6f8f726514f5f282c6c148db73270c8691a1116e50a044c"),
+    "run-sigma0-zero": ("23e9f6f656d9e5345259415c6eeba58e3740c4462a7b22a0e2e3d83c654bae0d",
+                        "7ed7abb5039131cee3e61a5f062972ebeb4c8775df6f57d127e023a54776ab31"),
     "run-reduced": ("fe55ab3bc938e4306f26593df552f6b370b2732008b0f02ad6e0f730744dbc59",
                     "327a5ced7bef1c93182986f2ac9962a04930ee84849ca95c6933672e521ff587"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_cli_csv_outputs_match_golden_hashes(case, fig1_cfg_path, tmp_path):
-    text = fig1_cfg_path.read_text()
-    if case == "run-paper":
+def golden_config(case: str, text: str) -> str:
+    """fig1.cfg with the edits that ``case`` names."""
+    if "rational" in case:
+        text = text.replace("gamma = 0.1", "k0 = 1\nsigma0 = 1\nlambda = 1")
+    if "sigma0-zero" in case:
+        text = text.replace("gamma = 0.1", "k0 = 1\nsigma0 = 0")
+    if "paper" in case:
         text = text.replace("scheme = corrected", "scheme = paper") \
             .replace("source = central", "source = paper")
+    if "freeze" in case:
+        text += "freeze_potential = true\n"
+    return text
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_cli_csv_outputs_match_golden_hashes(case, fig1_cfg_path, tmp_path):
+    text = golden_config(case, fig1_cfg_path.read_text())
     cfg, out, prof = tmp_path / "c.cfg", tmp_path / "s.csv", tmp_path / "p.csv"
     cfg.write_text(text)
     command = "run-reduced" if case == "run-reduced" else "run"
@@ -180,8 +203,9 @@ def test_cli_csv_outputs_match_golden_hashes(case, fig1_cfg_path, tmp_path):
     assert digests == GOLDEN[case]
 
 
-@pytest.mark.parametrize("line", ["beta = inf", "tau = nan", "steady_tol = nan"],
-                         ids=["beta_inf", "tau_nan", "steady_tol_nan"])
+@pytest.mark.parametrize("line", ["beta = inf", "tau = nan", "steady_tol = nan",
+                                  "gamma = nan"],
+                         ids=["beta_inf", "tau_nan", "steady_tol_nan", "gamma_nan"])
 def test_cli_non_finite_value_exits_1(line, tmp_path, capsys):
     key = line.split()[0]
     cfg = tmp_path / "nonfinite.cfg"
@@ -246,6 +270,37 @@ def test_cli_convergence_output_format(tmp_path, capsys):
     assert lines[1].startswith("10,")
     assert lines[2].startswith("20,")
     assert lines[1].endswith(",")  # no order for the first level
+
+
+@pytest.mark.parametrize("edits, code, message", [
+    ({"beta = 0.2": "beta = -5"}, 1, "configuration error: the convergence study needs beta > 0"),
+    ({"beta = 0.2": "beta = 0"}, 1, "configuration error: the convergence study needs beta > 0"),
+    ({"gamma = 0.1": "gamma = -0.1"}, 2, "numerical failure"),
+    ({"t_max = 50": "t_max = 0.2"}, 3, "not steady"),
+], ids=["beta_negative", "beta_zero", "model_error", "not_steady"])
+def test_cli_convergence_exit_codes(edits, code, message, tmp_path, capsys):
+    text = MINIMAL.replace("n_elements = 20", "n_elements = 10")
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text(text)
+    assert run_cli(["convergence", "--config", str(cfg), "--levels", "2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_cli_warns_once_on_incompatible_currents(fig1_cfg_path, tmp_path, capsys):
+    warning = "warning: boundary currents are incompatible"
+    assert run_cli(["run", "--config", str(fig1_cfg_path),
+                    "--out", str(tmp_path / "a.csv")]) == 0
+    assert warning not in capsys.readouterr().err
+    cfg = tmp_path / "flux2.cfg"
+    cfg.write_text(fig1_cfg_path.read_text().replace("flux_right = 1",
+                                                     "flux_right = 2"))
+    assert run_cli(["run", "--config", str(cfg),
+                    "--out", str(tmp_path / "b.csv")]) == 0
+    assert capsys.readouterr().err.count(warning) == 1
 
 
 def test_cli_check_potential(fig1_cfg_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,8 +7,8 @@ from hypothesis import given, strategies as st
 import thermistor_fem as tf
 
 
-def build(kind, params, beta=0.2):
-    return tf.ModelSpec(kind, params).build(beta, 1.0, 1.0)
+def build(kind, params):
+    return tf.ModelSpec(kind, params).build(1.0, 1.0)
 
 
 def test_paper_example_conductivities():
@@ -42,7 +44,7 @@ def test_eval_sigma_rejects_negative():
     model = tf.CoefficientModel(
         thermal_conductivity=lambda u: np.full_like(np.asarray(u, float), 1.0),
         electrical_conductivity=lambda u: np.asarray(u, dtype=float),
-        heat_transfer=0.2, flux_left=1.0, flux_right=1.0)
+        flux_left=1.0, flux_right=1.0)
     assert tf.eval_sigma(model, 0.5) == 0.5
     with pytest.raises(tf.ModelError):
         tf.eval_sigma(model, -0.5)
@@ -52,7 +54,7 @@ def test_eval_rejects_non_finite():
     model = tf.CoefficientModel(
         thermal_conductivity=lambda u: np.full_like(np.asarray(u, float), np.nan),
         electrical_conductivity=lambda u: np.full_like(np.asarray(u, float), np.inf),
-        heat_transfer=0.2, flux_left=1.0, flux_right=1.0)
+        flux_left=1.0, flux_right=1.0)
     with pytest.raises(tf.ModelError):
         tf.eval_k(model, 0.0)
     with pytest.raises(tf.ModelError):
@@ -60,7 +62,12 @@ def test_eval_rejects_non_finite():
 
 
 def test_model_error_message_is_short():
-    nan_sigma = build("paper_example", {"gamma": np.nan})
+    # a non-finite gamma is refused by ModelSpec, so build the model directly
+    nan_sigma = tf.CoefficientModel(
+        thermal_conductivity=lambda u: np.ones_like(np.asarray(u, float)),
+        electrical_conductivity=lambda u: np.full_like(np.asarray(u, float),
+                                                       np.nan),
+        flux_left=1.0, flux_right=1.0)
     with pytest.raises(tf.ModelError) as exc:
         tf.eval_sigma(nan_sigma, np.zeros(1001))
     assert len(str(exc.value)) < 120
@@ -68,7 +75,7 @@ def test_model_error_message_is_short():
     model = tf.CoefficientModel(
         thermal_conductivity=lambda u: 1.0 - np.asarray(u, float),
         electrical_conductivity=lambda u: np.asarray(u, float),
-        heat_transfer=0.2, flux_left=1.0, flux_right=1.0)
+        flux_left=1.0, flux_right=1.0)
     with pytest.raises(tf.ModelError, match="3 of 5 values fail, first at index 2: 0.0"):
         tf.eval_k(model, np.array([-1.0, 0.5, 1.0, 2.0, 3.0]))
     with pytest.raises(tf.ModelError, match="1 of 1 values fail, first at index 0: -2.0"):
@@ -80,6 +87,31 @@ def test_model_spec_validation():
         tf.ModelSpec("nonsense", {})
     with pytest.raises(tf.ConfigurationError):
         tf.ModelSpec("constant", {"k0": 1.0})  # sigma0 missing
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("paper_example", {"gamma": 0.1}),
+    ("constant", {"k0": 1.0, "sigma0": 1.0}),
+    ("rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0}),
+])
+def test_model_spec_rejects_non_finite_parameters(kind, params):
+    for name in params:
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(tf.ConfigurationError, match=f"{name} must be finite"):
+                tf.ModelSpec(kind, {**params, name: value})
+
+
+def test_rational_sigma_pole_raises_model_error_without_warning():
+    model = build("rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tf.ModelError):
+            tf.eval_sigma(model, -1.0)
+        with pytest.raises(tf.ModelError):
+            tf.eval_sigma(model, np.array([0.0, -1.0, 1.0]))
+        zero = build("rational_sigma", {"k0": 1.0, "sigma0": 0.0, "lambda": 1.0})
+        with pytest.raises(tf.ModelError):
+            tf.eval_sigma(zero, -1.0)  # 0 / 0
 
 
 def test_sigma_is_zero_flag():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import thermistor_fem as tf
-from conftest import constant_model, make_potential
+from conftest import constant_model
 
 # Characterisation fixture: the literal potential system at N=4, sigma = 1,
 # unit fluxes, frozen from the dense elimination oracle (also derivable by
@@ -41,8 +41,8 @@ def test_corrected_linear_recovery(n):
     mesh = tf.build_mesh(n)
     model = constant_model(1.0, 1.0)
     pot = tf.solve_potential(np.zeros(n + 1), mesh, model, tf.CORRECTED)
-    assert pot.mu[0] == 0.0  # gauge
-    assert np.max(np.abs(pot.mu - mesh.nodes)) <= 1e-12
+    assert pot[0] == 0.0  # gauge
+    assert np.max(np.abs(pot - mesh.nodes)) <= 1e-12
 
 
 @pytest.mark.parametrize("q", [1.0, 2.5])
@@ -50,7 +50,7 @@ def test_corrected_constant_slope_recovery(q):
     mesh = tf.build_mesh(16)
     model = constant_model(1.0, 3.0, flux_left=q, flux_right=q)
     pot = tf.solve_potential(np.zeros(17), mesh, model, tf.CORRECTED)
-    slopes = np.diff(pot.mu) / mesh.h
+    slopes = np.diff(pot) / mesh.h
     assert np.max(np.abs(slopes - q)) <= 1e-10
 
 
@@ -58,7 +58,7 @@ def test_corrected_zero_flux_zero_gauge():
     mesh = tf.build_mesh(8)
     model = constant_model(1.0, 2.0, flux_left=0.0, flux_right=0.0)
     pot = tf.solve_potential(np.zeros(9), mesh, model, tf.CORRECTED)
-    np.testing.assert_array_equal(pot.mu, np.zeros(9))
+    np.testing.assert_array_equal(pot, np.zeros(9))
 
 
 @pytest.mark.parametrize("variant", [tf.CORRECTED, tf.PAPER_LITERAL])
@@ -75,8 +75,8 @@ def test_literal_fixture_n4():
     model = constant_model(1.0, 1.0)
     pot = tf.solve_potential(np.zeros(5), mesh, model, tf.PAPER_LITERAL,
                              alpha_ghost_left=0.0)
-    np.testing.assert_allclose(pot.mu[:4], LITERAL_N4_MU, atol=1e-12)
-    assert pot.mu[4] == pytest.approx(LITERAL_N4_MU_N, abs=1e-12)
+    np.testing.assert_allclose(pot[:4], LITERAL_N4_MU, atol=1e-12)
+    assert pot[4] == pytest.approx(LITERAL_N4_MU_N, abs=1e-12)
     # cross-check the frozen values against the dense oracle
     system = tf.assemble_potential(np.zeros(5), mesh, model, tf.PAPER_LITERAL,
                                    alpha_ghost_left=0.0)
@@ -89,9 +89,10 @@ def test_literal_ghost_identities_hold_exactly():
     model = constant_model(1.0, 1.0, flux_left=0.7, flux_right=1.3)
     pot = tf.solve_potential(np.zeros(11), mesh, model, tf.PAPER_LITERAL,
                              alpha_ghost_left=0.0)
-    assert pot.mu[-1] == mesh.h * model.flux_right + pot.mu[-2]
-    assert pot.ghost_left == pot.mu[1] - pot.mu[0] - mesh.h * model.flux_left
-    assert pot.ghost_right == pot.mu[-1]
+    assert pot[-1] == mesh.h * model.flux_right + pot[-2]
+    assert tf.ghost_potential_left(pot[0], pot[1], mesh.h, model.flux_left) \
+        == pot[1] - pot[0] - mesh.h * model.flux_left
+    assert pot[-1] == tf.ghost_potential_right(pot[-2], mesh.h, model.flux_right)
 
 
 def test_literal_assembly_needs_ghost():
@@ -115,7 +116,7 @@ def test_current_compatibility_examples():
     varying = tf.CoefficientModel(
         thermal_conductivity=lambda u: np.full_like(np.asarray(u, float), 1.0),
         electrical_conductivity=lambda u: np.asarray(u, dtype=float),
-        heat_transfer=0.2, flux_left=1.0, flux_right=1.0)
+        flux_left=1.0, flux_right=1.0)
     alpha = np.linspace(0.1, 0.2, 5)
     assert tf.check_current_compatibility(alpha, varying) == pytest.approx(0.1)
 
@@ -127,10 +128,10 @@ def test_joule_source_gauge_invariance():
     model = constant_model(1.0, 0.8)
     alpha = rng.uniform(0.0, 0.5, 13)
     mu = rng.uniform(-1.0, 1.0, 13)
-    base = tf.joule_source_vector(alpha, make_potential(mu), mesh, model,
+    base = tf.joule_source_vector(alpha, mu, mesh, model,
                                   0.1, tf.CORRECTED)
     for c in (0.37, -2.0, 10.0):
-        shifted = tf.joule_source_vector(alpha, make_potential(mu + c), mesh,
+        shifted = tf.joule_source_vector(alpha, mu + c, mesh,
                                          model, 0.1, tf.CORRECTED)
         assert np.max(np.abs(shifted - base)) <= 1e-12
 

@@ -58,11 +58,31 @@ def test_run_failure_carries_step_and_diagnostics(driver, model):
     assert isinstance(exc.value.diagnostics, tf.Diagnostics)
 
 
+def test_step_skips_temperature_ghost_for_corrected_stiffness():
+    # only the literal potential assembly reads the left temperature ghost,
+    # whose k evaluation is the one scalar call a corrected step could make
+    scalar_k = []
+
+    def k(u):
+        if np.ndim(u) == 0:
+            scalar_k.append(u)
+        return np.ones_like(np.asarray(u, float))
+
+    model = tf.CoefficientModel(
+        thermal_conductivity=k,
+        electrical_conductivity=lambda u: np.full_like(np.asarray(u, float), 0.1),
+        flux_left=1.0, flux_right=1.0)
+    config = small_config(variant=tf.SchemeVariant("corrected", "paper_literal"))
+    mesh = config.build_mesh()
+    tf.step(tf.initial_temperature(mesh), config, mesh, model)
+    assert scalar_k == []
+
+
 def test_step_benchmark_first_step(fig1_config):
     state = tf.initial_temperature(fig1_config.build_mesh())
     new_state, pot = tf.step(state, fig1_config)
     mesh = fig1_config.build_mesh()
-    assert np.max(np.abs(pot.mu - mesh.nodes)) <= 1e-12  # gauge-pinned linear
+    assert np.max(np.abs(pot - mesh.nodes)) <= 1e-12  # gauge-pinned linear
     assert np.all(new_state.alpha - state.alpha > 0.0)
     assert new_state.time == pytest.approx(0.1)
 
@@ -144,7 +164,7 @@ def test_decoupling_order_is_observable():
     for prev, snap in zip(result.snapshots, result.snapshots[1:]):
         expected = tf.solve_potential(prev.temperature, mesh, model,
                                       config.variant)
-        np.testing.assert_array_equal(snap.potential, expected.mu)
+        np.testing.assert_array_equal(snap.potential, expected)
 
 
 def test_steady_state_idempotence(fig1_config):
@@ -287,7 +307,7 @@ def test_analytic_steady_state_against_finite_difference_oracle():
 def test_steady_state_error_rejects_unsteady():
     config = small_config(t_max=0.1, steady_tolerance=1e-14)
     result = tf.run(config)
-    with pytest.raises(ValueError):
+    with pytest.raises(tf.NotSteadyError):
         tf.steady_state_error(result, BETA, GAMMA)
 
 
@@ -299,6 +319,12 @@ def test_steady_state_error_zero_heating_guard():
     err = tf.steady_state_error(result, BETA, GAMMA)
     assert err == pytest.approx(GAMMA / (2 * BETA) + GAMMA / 8)
     assert err >= GAMMA / (2 * BETA)
+
+
+def test_convergence_study_rejects_nonpositive_beta():
+    for beta in (0.0, -5.0):
+        with pytest.raises(tf.ConfigurationError, match="beta > 0"):
+            tf.convergence_study(small_config(beta=beta), 1)
 
 
 def test_convergence_study_levels():

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 import thermistor_fem as tf
-from conftest import constant_model, make_potential
+from conftest import constant_model
 
 H, TAU, BETA = 0.01, 0.1, 0.2
 A1 = H / 6 - TAU / H          # -9.998333...
 B1 = 2 * H / 3 + 2 * TAU / H  # 20.006666...
 
 
-def paper_example_model(gamma=0.1, beta=BETA):
-    return tf.ModelSpec("paper_example", {"gamma": gamma}).build(beta, 1.0, 1.0)
+def paper_example_model(gamma=0.1):
+    return tf.ModelSpec("paper_example", {"gamma": gamma}).build(1.0, 1.0)
 
 
 def state_from(alpha, alpha_prev=None, time=0.0):
@@ -40,7 +40,7 @@ def test_source_central_linear_potential():
     # mu = x, sigma = gamma: interior rows get gamma*tau*h, boundaries half
     mesh = tf.build_mesh(10)
     model = paper_example_model()
-    pot = make_potential(mesh.nodes)
+    pot = mesh.nodes
     alpha = np.zeros(11)
     for j in range(1, 10):
         val = tf.source_term(alpha, pot, j, mesh, model, TAU, tf.CORRECTED)
@@ -54,7 +54,7 @@ def test_source_constant_potential():
     # constant potential: central source vanishes, the literal form does not
     mesh = tf.build_mesh(8)
     model = constant_model(1.0, 0.5)
-    pot = make_potential(np.full(9, 0.3))
+    pot = np.full(9, 0.3)
     alpha = np.zeros(9)
     central = tf.source_term(alpha, pot, 4, mesh, model, TAU, tf.CORRECTED)
     assert central == 0.0
@@ -67,7 +67,7 @@ def test_source_literal_row0():
     mesh = tf.build_mesh(10)
     model = constant_model(1.0, 0.7)
     mu = np.zeros(11)
-    val = tf.source_term(np.zeros(11), make_potential(mu), 0, mesh, model,
+    val = tf.source_term(np.zeros(11), mu, 0, mesh, model,
                          TAU, tf.PAPER_LITERAL)
     assert val == pytest.approx(TAU * mesh.h * 0.7)
 
@@ -81,9 +81,9 @@ def test_source_vector_matches_scalar_op():
     for variant in (tf.CORRECTED, tf.PAPER_LITERAL,
                     tf.SchemeVariant("paper_literal", "central"),
                     tf.SchemeVariant("corrected", "paper_literal")):
-        vec = tf.joule_source_vector(alpha, make_potential(mu), mesh, model,
+        vec = tf.joule_source_vector(alpha, mu, mesh, model,
                                      TAU, variant)
-        scal = [tf.source_term(alpha, make_potential(mu), j, mesh, model,
+        scal = [tf.source_term(alpha, mu, j, mesh, model,
                                TAU, variant) for j in range(len(vec))]
         np.testing.assert_allclose(vec, scal, atol=0.0)
 
@@ -92,10 +92,10 @@ def test_source_rejects_bad_row():
     mesh = tf.build_mesh(5)
     model = paper_example_model()
     with pytest.raises(ValueError):
-        tf.source_term(np.zeros(6), make_potential(np.zeros(6)), 6, mesh,
+        tf.source_term(np.zeros(6), np.zeros(6), 6, mesh,
                        model, TAU, tf.CORRECTED)
     with pytest.raises(ValueError):
-        tf.source_term(np.zeros(6), make_potential(np.zeros(6)), 5, mesh,
+        tf.source_term(np.zeros(6), np.zeros(6), 5, mesh,
                        model, TAU, tf.PAPER_LITERAL)
 
 
@@ -104,7 +104,7 @@ def test_literal_interior_rows_collapse_to_benchmark_coefficients():
     mesh = tf.build_mesh(100)
     model = paper_example_model()
     state = state_from(np.zeros(101))
-    pot = make_potential(mesh.nodes)
+    pot = mesh.nodes
     system = tf.assemble_temperature(state, pot, mesh, model, TAU, BETA,
                                      tf.PAPER_LITERAL)
     for j in range(1, 99):
@@ -137,7 +137,7 @@ def test_tau_zero_assembly_is_pure_mass_matrix():
     mesh = tf.build_mesh(10)
     model = paper_example_model()
     state = state_from(np.zeros(11))
-    system = tf.assemble_temperature(state, make_potential(mesh.nodes), mesh,
+    system = tf.assemble_temperature(state, mesh.nodes, mesh,
                                      model, 0.0, BETA, tf.CORRECTED)
     h = mesh.h
     const = np.full(11, 0.7)
@@ -151,9 +151,9 @@ def test_tau_zero_assembly_is_pure_mass_matrix():
 def test_constant_state_is_stationary_under_pure_neumann():
     # k = 1, beta = 0, zero source: a constant profile does not move
     mesh = tf.build_mesh(20)
-    model = constant_model(1.0, 0.0, beta=0.0)
+    model = constant_model(1.0, 0.0)
     state = state_from(np.full(21, 0.37))
-    pot = make_potential(np.zeros(21))
+    pot = np.zeros(21)
     new = tf.solve_temperature(state, pot, mesh, model, TAU, 0.0, tf.CORRECTED)
     np.testing.assert_allclose(new.alpha, 0.37, atol=1e-13)
     assert new.time == pytest.approx(TAU)
@@ -171,7 +171,7 @@ def test_lagging_discipline_with_counting_model():
     model = tf.CoefficientModel(
         thermal_conductivity=counting_k,
         electrical_conductivity=lambda u: np.full_like(np.asarray(u, float), 0.1),
-        heat_transfer=BETA, flux_left=1.0, flux_right=1.0)
+        flux_left=1.0, flux_right=1.0)
     mesh = tf.build_mesh(10)
     alpha_now = np.linspace(0.1, 0.2, 11)
     alpha_prev = np.linspace(1.1, 1.2, 11)
@@ -179,7 +179,7 @@ def test_lagging_discipline_with_counting_model():
     ghost_now = tf.ghost_temp_left(alpha_now[1], alpha_now[0], 1.0, mesh.h, BETA)
     allowed = set(np.round(np.concatenate([alpha_now, alpha_prev,
                                            [ghost_now]]), 12))
-    tf.assemble_temperature(state, make_potential(mesh.nodes), mesh, model,
+    tf.assemble_temperature(state, mesh.nodes, mesh, model,
                             TAU, BETA, tf.PAPER_LITERAL)
     seen = set()
     for arr in probed:
@@ -192,7 +192,7 @@ def test_assembly_is_deterministic():
     mesh = tf.build_mesh(30)
     model = paper_example_model()
     state = state_from(rng.uniform(0, 0.3, 31))
-    pot = make_potential(rng.uniform(-1, 1, 31))
+    pot = rng.uniform(-1, 1, 31)
     a = tf.assemble_temperature(state, pot, mesh, model, TAU, BETA, tf.CORRECTED)
     b = tf.assemble_temperature(state, pot, mesh, model, TAU, BETA, tf.CORRECTED)
     for name in ("sub", "main", "sup", "rhs"):
@@ -203,7 +203,7 @@ def test_zero_state_stays_zero_without_source():
     mesh = tf.build_mesh(10)
     model = constant_model(1.0, 0.0)
     state = tf.initial_temperature(mesh)
-    pot = make_potential(np.zeros(11))
+    pot = np.zeros(11)
     for variant in (tf.CORRECTED, tf.PAPER_LITERAL):
         new = tf.solve_temperature(state, pot, mesh, model, TAU, BETA, variant)
         np.testing.assert_array_equal(new.alpha, np.zeros(11))
@@ -242,7 +242,7 @@ def test_literal_solve_writes_back_alpha_n(fig1_config):
 def test_nan_potential_aborts_with_numerical_failure():
     mesh = tf.build_mesh(5)
     model = paper_example_model()
-    bad = make_potential(np.full(6, np.nan))
+    bad = np.full(6, np.nan)
     with pytest.raises(tf.NumericalFailureError):
         tf.assemble_temperature(state_from(np.zeros(6)), bad, mesh, model,
                                 TAU, BETA, tf.CORRECTED)

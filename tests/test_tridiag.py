@@ -52,6 +52,31 @@ def test_zero_pivot_reports_row():
         assert exc.value.row == row, main
 
 
+def test_checked_solve_names_phase_and_keeps_row():
+    s = system([1, 0], [1, 1, 1], [1, 0], np.ones(3))
+    with pytest.raises(tf.SingularSystemError) as exc:
+        tf.checked_solve(s, "potential")
+    assert exc.value.row == 1
+    assert str(exc.value).startswith("potential solve failed: ")
+    assert "row 1" in str(exc.value)
+
+
+def test_checked_solve_rejects_non_finite_solution():
+    # a valid pivot, but the quotient 1e300 / 1e-300 overflows
+    s = system([], [1e-300], [], [1e300])
+    with pytest.raises(tf.NumericalFailureError, match="temperature solve failed"):
+        tf.checked_solve(s, "temperature")
+
+
+def test_checked_solve_records_scaled_residual():
+    rng = np.random.default_rng(8)
+    s = random_dominant_system(rng, 30)
+    sink = []
+    x = tf.checked_solve(s, "temperature", sink)
+    assert np.array_equal(x, tf.thomas_solve(s))
+    assert sink == [tf.residual_norm(s, x) / (1.0 + np.max(np.abs(s.rhs)))]
+
+
 def near_singular_system(rng, size):
     """Small-integer diagonals, so exact zero pivots occur at any row, with
     perturbations on either side of the 1e-14 relative rule."""
