@@ -92,9 +92,16 @@ class ModelSpec:
             raise ConfigurationError(
                 f"model kind {self.kind!r} needs parameters {missing}")
         for name in required:
-            if not math.isfinite(float(self.parameters[name])):
+            value = float(self.parameters[name])
+            if not math.isfinite(value):
                 raise ConfigurationError(
                     f"{name} must be finite, got {self.parameters[name]}")
+            # constant k0, sigma0 and gamma fix the sign of k and sigma, which
+            # eval_k and eval_sigma would otherwise refuse at step 0
+            if name == "k0" and value <= 0.0:
+                raise ConfigurationError(f"k0 must be positive, got {value}")
+            if name in ("sigma0", "gamma") and value < 0.0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
 
     def build(self, flux_left: float, flux_right: float) -> CoefficientModel:
         p = self.parameters
@@ -114,8 +121,10 @@ class ModelSpec:
 
             def s_fn(u, _s0=s0, _lam=lam):
                 den = 1.0 + _lam * np.asarray(u, dtype=float)
-                # where den = 0, eval_sigma reports the non-finite value
-                with np.errstate(divide="ignore", invalid="ignore"):
+                # where den = 0, eval_sigma reports the non-finite value; where
+                # den * den overflows, sigma is 0 and the potential reports it
+                with np.errstate(divide="ignore", invalid="ignore",
+                                 over="ignore"):
                     return _s0 / (den * den)
 
             zero = s0 == 0.0

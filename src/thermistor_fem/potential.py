@@ -3,18 +3,21 @@
 Two stiffness variants exist.  ``corrected`` is the standard P1 Galerkin
 discretisation of (sigma(u) phi_x)_x = 0 with flux boundary data and a
 mu_0 = 0 gauge row; it recovers a linear potential exactly for constant
-sigma.  ``paper_literal`` reproduces the original published row formulas of
-this scheme family verbatim, including their sign inconsistency in the
-interior stencil, and is retained for characterisation only.
+sigma, and its solution is written down from its discrete first integral.
+``paper_literal`` reproduces the original published row formulas of this
+scheme family verbatim, including their sign inconsistency in the interior
+stencil, and is retained for characterisation only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import CoefficientModel, eval_sigma
+from .errors import NumericalFailureError, SingularSystemError
 from .mesh import Mesh
 from .tridiag import TridiagonalSystem, checked_solve
 
@@ -125,19 +128,63 @@ def solve_potential(alpha: np.ndarray, mesh: Mesh, model: CoefficientModel,
                     variant: SchemeVariant,
                     alpha_ghost_left: float | None = None,
                     residual_sink: list | None = None) -> np.ndarray:
-    """Assemble and solve; returns the nodal potential mu_0..mu_N.
+    """Potential at the lagged temperature ``alpha``: mu_0..mu_N.
 
-    The paper_literal unknowns are mu_0..mu_{N-1}; mu_N is reconstructed by
-    ``ghost_potential_right``.  ``residual_sink`` is passed to
-    ``checked_solve``.
+    corrected: the exact solution of the system ``assemble_potential``
+    builds, from its discrete first integral.  Its rows say that the current
+    s_{j+1/2} (mu_{j+1} - mu_j) / h is the same on every element and equals
+    J = sigma(alpha_N) * flux_right, and the gauge row sets mu_0 = 0, so
+        mu = [0, cumsum(h * J / s_half)]
+    with no solve.  This scheme never reads ``flux_left``: where the two
+    boundary currents disagree, ``check_current_compatibility`` measures
+    by how much.  An element with s_{j+1/2} = 0 raises SingularSystemError
+    at row j+1, and a non-finite potential NumericalFailureError.
+    ``residual_sink`` receives the first-integral defect
+    max_j |s_{j+1/2} (mu_{j+1} - mu_j) / h - J| / (1 + |J|).
+
+    paper_literal: the assembled system goes through ``checked_solve``
+    (which also feeds ``residual_sink``); its unknowns are mu_0..mu_{N-1},
+    and mu_N is reconstructed by ``ghost_potential_right``.
     """
+    if variant.stiffness == "corrected":
+        return _first_integral(alpha, mesh, model, residual_sink)
     system = assemble_potential(alpha, mesh, model, variant,
                                 alpha_ghost_left=alpha_ghost_left)
     mu = checked_solve(system, "potential", residual_sink)
-    if variant.stiffness == "corrected":
-        return mu
     return np.append(mu, ghost_potential_right(float(mu[-1]), mesh.h,
                                                model.flux_right))
+
+
+def _first_integral(alpha: np.ndarray, mesh: Mesh, model: CoefficientModel,
+                    residual_sink: list | None) -> np.ndarray:
+    n = mesh.n_elements
+    h = mesh.h
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (n + 1,):
+        raise ValueError(f"alpha must have length {n + 1}, got {alpha.shape}")
+    s = eval_sigma(model, alpha)
+    current = float(s[n]) * model.flux_right
+    # halved before the sum: 0.5 * (a + b) unless that sum would overflow
+    s_half = 0.5 * s[:-1] + 0.5 * s[1:]
+    mu = np.empty(n + 1)
+    mu[0] = 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.cumsum((h * current) / s_half, out=mu[1:])
+    # a non-finite step, from s_half = 0 or an overflow, stays in every
+    # later partial sum, so the last one shows it
+    if not math.isfinite(mu[n]):
+        if (s_half == 0.0).any():
+            row = int(np.argmax(s_half == 0.0)) + 1
+            raise SingularSystemError(
+                f"potential solve failed: zero conductivity on element "
+                f"{row - 1}, so mu_{row} is undetermined", row=row)
+        raise NumericalFailureError(
+            "potential solve failed: non-finite solution")
+    if residual_sink is not None:
+        flux = s_half * (mu[1:] - mu[:-1])  # h times the element current
+        defect = float(np.abs(flux - h * current).max()) / h
+        residual_sink.append(defect / (1.0 + abs(current)))
+    return mu
 
 
 def check_current_compatibility(alpha: np.ndarray, model: CoefficientModel) -> float:

@@ -50,6 +50,9 @@ class SimulationConfig:
                     f"{name} must be finite, got {getattr(self, name)}")
         if self.tau <= 0.0:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
+        # beta < 0 would feed heat in through the boundary
+        if self.beta < 0.0:
+            raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
         if self.t_max < self.tau:
             raise ConfigurationError(
                 f"t_max ({self.t_max}) must be at least one step (tau={self.tau})")

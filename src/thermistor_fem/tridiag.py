@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,6 +13,11 @@ from .errors import NumericalFailureError, SingularSystemError
 # Relative pivot threshold: a pivot smaller than this times the row's largest
 # original coefficient magnitude is treated as structurally singular.
 PIVOT_RTOL = 1e-14
+
+# Rows per block of the blocked substitution.  A solve makes two batched
+# products of (BLOCK x BLOCK) matrices and two scalar passes over the m/BLOCK
+# blocks; the held factorisation takes 2 * BLOCK + 2 floats per row.
+BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -87,17 +93,62 @@ def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
     below 1e-14 of the row's largest original coefficient.  The elimination
     of the matrix is reused while consecutive calls share it exactly, so a
     time loop that alternates two fixed matrices factors each of them once.
+    Both triangular solves run block by block (see ``_substitute``).
     """
-    lower, pivots, upper = _factor(system.sub.tobytes(), system.main.tobytes(),
-                                   system.sup.tobytes())
-    x = []
-    x_prev = 0.0
-    for a, p, r in zip(lower, pivots, system.rhs.tolist()):
-        x_prev = (r - a * x_prev) / p
-        x.append(x_prev)
-    for i in range(len(x) - 2, -1, -1):
-        x_prev = x[i] = x[i] - upper[i] * x_prev
-    return np.array(x)
+    factors = _factor(system.sub.tobytes(), system.main.tobytes(),
+                      system.sup.tobytes())
+    nb, b = factors.lower_carry.shape
+    r = np.zeros(nb * b)
+    r[:factors.size] = system.rhs
+    # an overflow shows as a non-finite solution, which checked_solve reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _substitute(factors.lower_inv, factors.lower_carry,
+                        r.reshape(nb, b), backward=False)
+        x = _substitute(factors.upper_inv, factors.upper_carry, y,
+                        backward=True)
+    return x.reshape(-1)[:factors.size]
+
+
+def _substitute(inverse: np.ndarray, carry: np.ndarray, r: np.ndarray,
+                backward: bool) -> np.ndarray:
+    """One bidiagonal solve by blocks of rows (Wang's partition method).
+
+    Each block is solved with its explicit inverse as if nothing came in
+    from its neighbour, in one batched product.  The value the neighbour
+    reads (a block's last entry going forward, its first going backward)
+    is then carried from block to block by a scalar recurrence, and each
+    block adds its carry vector times the value it received.
+    """
+    local = np.matmul(inverse, r[:, :, None])[:, :, 0]
+    nb = len(local)
+    edge = 0 if backward else -1
+    z, t = local[:, edge].tolist(), carry[:, edge].tolist()
+    into = [0.0] * nb
+    value = 0.0
+    for k in (range(nb - 1, -1, -1) if backward else range(nb)):
+        into[k] = value
+        value = z[k] + t[k] * value
+    return local + carry * np.array(into)[:, None]
+
+
+class _Factors(NamedTuple):
+    """T = L U held as per-block operators.
+
+    L is lower bidiagonal (subdiagonal a_i, pivots p_i) and U unit upper
+    bidiagonal (superdiagonal c_i).  The m rows are cut into blocks of
+    ``b = min(BLOCK, m)`` rows, the last one padded with identity rows.
+    ``lower_inv[k]`` is the inverse of block k's part of L, and
+    ``lower_carry[k]`` is the response of its solution to the previous
+    block's last entry: ``-a_(first row) * lower_inv[k][:, 0]``.
+    ``upper_inv`` and ``upper_carry`` are the same for U, with the carry
+    coming from the next block's first entry.
+    """
+
+    size: int
+    lower_inv: np.ndarray  # (blocks, b, b)
+    lower_carry: np.ndarray  # (blocks, b)
+    upper_inv: np.ndarray
+    upper_carry: np.ndarray
 
 
 # Keyed on the exact bytes of the three diagonals, so a hit returns what a
@@ -105,10 +156,9 @@ def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
 # entries hold the potential and temperature matrices of a coupled step.
 # Exceptions are not cached, so a singular matrix raises on every call.
 @functools.lru_cache(maxsize=2)
-def _factor(sub: bytes, main: bytes, sup: bytes
-            ) -> tuple[tuple, tuple, tuple]:
-    """Forward elimination of T = L U: the subdiagonal, the pivots and the
-    modified superdiagonal, as tuples of Python floats."""
+def _factor(sub: bytes, main: bytes, sup: bytes) -> _Factors:
+    """Forward elimination of T = L U, checked by the pivot rule, and the
+    block operators of both triangular solves."""
     sub, main, sup = (np.frombuffer(b) for b in (sub, main, sup))
     # Python floats: per-element numpy indexing costs more than the arithmetic
     lower = [0.0] + sub.tolist()
@@ -137,7 +187,44 @@ def _factor(sub: bytes, main: bytes, sup: bytes
         row = int(np.argmax(bad))
         raise SingularSystemError(f"zero or near-zero pivot at row {row}",
                                   row=row)
-    return tuple(lower), tuple(pivots), tuple(upper)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _block_operators(lower, pivots, upper)
+
+
+def _block_operators(lower: list, pivots: list, upper: list) -> _Factors:
+    """Invert each block's part of L and U, for all blocks at once.
+
+    Padding rows (a = 0, p = 1, c = 0) follow the last real row, whose c is
+    0, so they neither read from nor feed into the real rows.
+    """
+    m = len(pivots)
+    b = min(BLOCK, m)
+    nb = -(-m // b)
+    pad = nb * b - m
+
+    def by_block(values, fill):
+        # (nb, b): entry [k, i] belongs to row i of block k
+        return np.concatenate((values, np.full(pad, fill))).reshape(nb, b)
+
+    a, p, c = by_block(lower, 0.0), by_block(pivots, 1.0), by_block(upper, 0.0)
+    # L^-1[i, j] = (1 / p_j) * prod_{j < l <= i} (-a_l / p_l), and U read
+    # with its rows and columns reversed is unit lower bidiagonal with
+    # factors -c, so one recurrence down the rows makes every block of both:
+    # row i = row i-1 times the factor of row i, left of the diagonal
+    factor = np.concatenate((-a / p, -c[:, ::-1]))
+    inv = np.zeros((2 * nb, b, b))
+    rows = np.arange(b)
+    inv[:, rows, rows] = np.concatenate((1.0 / p, np.ones((nb, b))))
+    for i in range(1, b):
+        np.multiply(inv[:, i - 1, :i], factor[:, i, None], out=inv[:, i, :i])
+    # copies, so that the solves read contiguous arrays and no view keeps
+    # the work array alive
+    lower_inv = inv[:nb].copy()
+    upper_inv = inv[nb:, ::-1, ::-1].copy()
+    return _Factors(size=m, lower_inv=lower_inv,
+                    lower_carry=-a[:, :1] * lower_inv[:, :, 0],
+                    upper_inv=upper_inv,
+                    upper_carry=-c[:, b - 1:] * upper_inv[:, :, b - 1])
 
 
 def dense_solve_oracle(system: TridiagonalSystem) -> np.ndarray:
@@ -153,7 +240,9 @@ def residual_norm(system: TridiagonalSystem, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (system.size,):
         raise ValueError(f"solution length {x.shape} does not match system size {system.size}")
-    tx = system.main * x
-    tx[1:] += system.sub * x[:-1]
-    tx[:-1] += system.sup * x[1:]
-    return float(np.max(np.abs(tx - system.rhs)))
+    # a solution near the overflow threshold has an infinite residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        tx = system.main * x
+        tx[1:] += system.sub * x[:-1]
+        tx[:-1] += system.sup * x[1:]
+        return float(np.max(np.abs(tx - system.rhs)))

@@ -25,8 +25,9 @@ def random_dominant_system(rng: np.random.Generator, size: int) -> TridiagonalSy
 def reference_thomas(system: TridiagonalSystem) -> np.ndarray:
     """Row-by-row Thomas sweep with the pivot rule checked inside the loop.
 
-    The solver's reference: ``thomas_solve`` must return the same bits and
-    fail at the same row.
+    The solver's reference: ``thomas_solve`` must fail at the same row and
+    agree with it to rounding (its blocked substitution sums in another
+    order).
     """
     # Python floats: per-element numpy indexing costs more than the arithmetic
     lower = [0.0] + system.sub.tolist()
@@ -48,6 +49,29 @@ def reference_thomas(system: TridiagonalSystem) -> np.ndarray:
     for i in range(len(x) - 2, -1, -1):
         x_prev = x[i] = x[i] - c[i] * x_prev
     return np.array(x)
+
+
+def substitution_bound(system: TridiagonalSystem) -> np.ndarray:
+    """eps |U^-1| |L^-1| |rhs|, componentwise, for T = L U without pivoting.
+
+    Rounding in either triangular substitution changes the solution by a
+    small multiple of this, whichever order the sums are taken in; it is
+    what two correct substitutions of the same factorisation can differ by.
+    Dense, so for small systems only.
+    """
+    lower = [0.0] + system.sub.tolist()
+    pivots, upper = [], []
+    c_prev = 0.0
+    for a, b, d in zip(lower, system.main.tolist(), system.sup.tolist() + [0.0]):
+        pivots.append(b - a * c_prev)
+        c_prev = d / pivots[-1]
+        upper.append(c_prev)
+    m = system.size
+    l_mat = np.diag(pivots) + np.diag(system.sub, -1)
+    u_mat = np.eye(m) + np.diag(upper[:-1], 1)
+    return np.finfo(float).eps * (np.abs(np.linalg.inv(u_mat))
+                                  @ (np.abs(np.linalg.inv(l_mat))
+                                     @ np.abs(system.rhs)))
 
 
 def simpson(f, a: float, b: float, panels: int = 64) -> float:

@@ -153,27 +153,29 @@ def test_cli_outputs_are_deterministic(fig1_cfg_path, tmp_path):
 
 
 # sha256 of the series and profile CSVs, as recorded in CHANGES.md; a change
-# to the solve path or the CSV writers must leave these bytes unchanged.  The
-# case name lists the edits to fig1.cfg (see golden_config).
+# to the solve path or the CSV writers must leave these bytes unchanged, or
+# re-pin them with the old and new hashes in CHANGES.md and a bound against
+# the old path (tests/test_solve_path.py).  The case name lists the edits to
+# fig1.cfg (see golden_config).
 GOLDEN = {
-    "run": ("b807233b6201b80b91076e2d447761318e3e6c0ab8d55eed11b9091bb30bfef9",
-            "07a9cc619702fb6498fd92d222ec0f7a1b04a8d101701f4a2df86a7427c483c5"),
-    "run-paper": ("44ac30fb1d4507db63637f83822e9342a13e71f1b34ba93c8b186faf568cddf3",
+    "run": ("52e7a14dbd99cadf125a49593ce08025316a7d1e3b7c236f5aad8f5943cc639a",
+            "c065a720267f591b876782b1d8aa53ddb933f1427dfdc21109721e1dbb94525e"),
+    "run-paper": ("628b1f19ff32c35726df31fd4f8c8d33c3759a5a968332c83e55918caaaf415c",
                   "2c5da442382644ac3e902aee326603b04dec823ecd4e3a2673640866de1ebc47"),
-    "run-freeze": ("b807233b6201b80b91076e2d447761318e3e6c0ab8d55eed11b9091bb30bfef9",
-                   "07a9cc619702fb6498fd92d222ec0f7a1b04a8d101701f4a2df86a7427c483c5"),
-    "run-rational": ("a090776cbef43b2c50edb0d55b4e3ac6635d9e393bf4cfbed35b73148fa91201",
-                     "2a19061704dca678d57267796755334b923e218900c4812ac521d0475aa8699d"),
+    "run-freeze": ("52e7a14dbd99cadf125a49593ce08025316a7d1e3b7c236f5aad8f5943cc639a",
+                   "c065a720267f591b876782b1d8aa53ddb933f1427dfdc21109721e1dbb94525e"),
+    "run-rational": ("c4e3620615dc2fb290a2d31f3065fc179f6442f5a86b7b0cfd841a984787560e",
+                     "eccb310a0fab711fa319be6e78101b0f07c4c5736e7448d9395d88c2f4b0b210"),
     "run-rational-freeze": (
-        "c126fdf52e60419347b320d865866c598cc405fff79e9b1ea2d64c78bf677796",
-        "cb6a5e80a77f317e26c872b94b74ad66a2e42a6c2800daa8edcc65a76f516d6e"),
+        "9a44ae6c5619263c601f4eb26c06d4f139962565d5c791edd0312cb87aad5b59",
+        "c4d0addeab3a0ce42cad2a13982b533f9e64882cf948884a7eefafb9ce37bde0"),
     "run-rational-paper": (
-        "5a00d58802b2771e9d0d233154442c8b1ad3204a48d7fa90123a4084973dbcaa",
+        "0b33681c7bdd6d69d486d7311c114680be8da4fadb2abfe7c2b073ef7b626acc",
         "7bf551c2cbe19f4fd6f8f726514f5f282c6c148db73270c8691a1116e50a044c"),
     "run-sigma0-zero": ("23e9f6f656d9e5345259415c6eeba58e3740c4462a7b22a0e2e3d83c654bae0d",
                         "7ed7abb5039131cee3e61a5f062972ebeb4c8775df6f57d127e023a54776ab31"),
-    "run-reduced": ("fe55ab3bc938e4306f26593df552f6b370b2732008b0f02ad6e0f730744dbc59",
-                    "327a5ced7bef1c93182986f2ac9962a04930ee84849ca95c6933672e521ff587"),
+    "run-reduced": ("ef8a0626573b8a057c87c0fa450ca5f21d52089a1fb865376ea88d26169ce479",
+                    "4b4e663a55f0d4ff9ea95257b83e33b559c18d53ba15860560f15fa3cbb10b5b"),
 }
 
 
@@ -229,15 +231,23 @@ def test_cli_missing_config_exits_1(tmp_path, capsys):
 
 def test_cli_bad_config_exits_1(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(MINIMAL.replace("tau = 0.1", "tau = -1"))
-    assert run_cli(["run", "--config", str(cfg)]) == 1
+    for old, new in (("tau = 0.1", "tau = -1"), ("beta = 0.2", "beta = -5")):
+        cfg.write_text(MINIMAL.replace(old, new))
+        assert run_cli(["run", "--config", str(cfg)]) == 1, new
 
 
 def test_cli_numerical_failure_exits_2(tmp_path, capsys):
+    # beyond the rational_sigma pole 1 + lambda u = 0: with lambda = -1e200,
+    # (1 + lambda u)^2 overflows once the first step has heated the bar, so
+    # sigma is 0 and the next potential is undetermined
     cfg = tmp_path / "badmodel.cfg"
-    cfg.write_text(MINIMAL.replace("gamma = 0.1", "k0 = -1.0") + "sigma0 = 0.5\n")
-    assert run_cli(["run", "--config", str(cfg)]) == 2
-    assert "numerical failure" in capsys.readouterr().err
+    cfg.write_text(MINIMAL.replace("gamma = 0.1", "k0 = 1.0")
+                   + "sigma0 = 0.5\nlambda = -1e200\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: potential solve failed: zero conductivity" in err
 
 
 def test_cli_not_steady_exits_3(tmp_path, capsys):
@@ -273,9 +283,10 @@ def test_cli_convergence_output_format(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edits, code, message", [
-    ({"beta = 0.2": "beta = -5"}, 1, "configuration error: the convergence study needs beta > 0"),
+    ({"beta = 0.2": "beta = -5"}, 1, "configuration error: beta must be >= 0"),
     ({"beta = 0.2": "beta = 0"}, 1, "configuration error: the convergence study needs beta > 0"),
-    ({"gamma = 0.1": "gamma = -0.1"}, 2, "numerical failure"),
+    # the temperature overflows within a few steps
+    ({"gamma = 0.1": "gamma = 1e308"}, 2, "numerical failure: temperature solve failed"),
     ({"t_max = 50": "t_max = 0.2"}, 3, "not steady"),
 ], ids=["beta_negative", "beta_zero", "model_error", "not_steady"])
 def test_cli_convergence_exit_codes(edits, code, message, tmp_path, capsys):
@@ -284,7 +295,9 @@ def test_cli_convergence_exit_codes(edits, code, message, tmp_path, capsys):
         text = text.replace(old, new)
     cfg = tmp_path / "conv.cfg"
     cfg.write_text(text)
-    assert run_cli(["convergence", "--config", str(cfg), "--levels", "2"]) == code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["convergence", "--config", str(cfg), "--levels", "2"]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err

@@ -35,7 +35,11 @@ def test_rational_sigma_values():
 
 
 def test_eval_k_rejects_nonpositive():
-    model = build("constant", {"k0": -1.0, "sigma0": 1.0})
+    # ModelSpec refuses k0 <= 0, so build the model directly
+    model = tf.CoefficientModel(
+        thermal_conductivity=lambda u: np.full_like(np.asarray(u, float), -1.0),
+        electrical_conductivity=lambda u: np.ones_like(np.asarray(u, float)),
+        flux_left=1.0, flux_right=1.0)
     with pytest.raises(tf.ModelError):
         tf.eval_k(model, 0.0)
 
@@ -99,6 +103,18 @@ def test_model_spec_rejects_non_finite_parameters(kind, params):
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(tf.ConfigurationError, match=f"{name} must be finite"):
                 tf.ModelSpec(kind, {**params, name: value})
+    # constant k0, sigma0 and gamma of the wrong sign are refused as well;
+    # sigma0 = 0 and gamma = 0 (no conduction) stay allowed
+    wrong_sign = {"k0": ((0.0, -1.0), "k0 must be positive"),
+                  "sigma0": ((-0.5,), "sigma0 must be >= 0"),
+                  "gamma": ((-0.1,), "gamma must be >= 0")}
+    for name in params:
+        values, message = wrong_sign.get(name, ((), ""))
+        for value in values:
+            with pytest.raises(tf.ConfigurationError, match=message):
+                tf.ModelSpec(kind, {**params, name: value})
+        if name in ("sigma0", "gamma"):
+            assert tf.ModelSpec(kind, {**params, name: 0.0}).parameters[name] == 0.0
 
 
 def test_rational_sigma_pole_raises_model_error_without_warning():

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import thermistor_fem as tf
 from conftest import constant_model
+from helpers import reference_thomas
 
 # Characterisation fixture: the literal potential system at N=4, sigma = 1,
 # unit fluxes, frozen from the dense elimination oracle (also derivable by
@@ -108,6 +111,106 @@ def test_corrected_residual_bound_for_compatible_data():
     system = tf.assemble_potential(np.zeros(33), mesh, model, tf.CORRECTED)
     x = tf.thomas_solve(system)
     assert tf.residual_norm(system, x) <= 1e-10 * (1.0 + np.max(np.abs(system.rhs)))
+
+
+def rational_model(lam, flux_left=1.0, flux_right=1.3):
+    return tf.ModelSpec("rational_sigma", {"k0": 1.0, "sigma0": 0.7,
+                                           "lambda": lam}).build(flux_left,
+                                                                 flux_right)
+
+
+def test_first_integral_solves_the_assembled_system():
+    # measured at N = 1000 over these draws: scaled residual 3.3e-13 and
+    # deviation from the Thomas sweep 5.5e-12 of max|mu| (the system's
+    # rows carry s/h, so both grow with N)
+    rng = np.random.default_rng(30)
+    for n, residual_bound, deviation_bound in ((10, 1e-14, 1e-14),
+                                               (1000, 1e-12, 1e-11)):
+        mesh = tf.build_mesh(n)
+        for lam in (1.0, -0.5, 3.0):
+            model = rational_model(lam)
+            alpha = rng.uniform(0.0, 0.5, n + 1)
+            mu = tf.solve_potential(alpha, mesh, model, tf.CORRECTED)
+            system = tf.assemble_potential(alpha, mesh, model, tf.CORRECTED)
+            scale = 1.0 + np.max(np.abs(system.rhs))
+            assert tf.residual_norm(system, mu) / scale <= residual_bound
+            expected = reference_thomas(system)
+            assert np.max(np.abs(mu - expected)) \
+                <= deviation_bound * np.max(np.abs(expected)), (n, lam)
+
+
+def test_first_integral_defect_goes_to_the_sink():
+    mesh = tf.build_mesh(1000)
+    alpha = np.random.default_rng(31).uniform(0.0, 0.5, 1001)
+    sink = []
+    tf.solve_potential(alpha, mesh, rational_model(1.0), tf.CORRECTED,
+                       residual_sink=sink)
+    assert len(sink) == 1
+    assert 0.0 <= sink[0] <= 1e-13  # measured 5.3e-14
+
+
+def test_corrected_potential_never_reads_flux_left():
+    mesh = tf.build_mesh(50)
+    alpha = np.linspace(0.0, 0.3, 51)
+    mus = [tf.solve_potential(alpha, mesh, rational_model(2.0, flux_left=q),
+                              tf.CORRECTED) for q in (1.3, 0.0, -7.0)]
+    assert all(np.array_equal(mu, mus[0]) for mu in mus[1:])
+    # the disagreement of the two boundary currents is measured instead
+    assert tf.check_current_compatibility(
+        alpha, rational_model(2.0, flux_left=0.0)) > 0.0
+
+
+def test_first_integral_failures_name_row_and_phase():
+    mesh = tf.build_mesh(8)
+    # sigma vanishes at nodes 3 and 4, so element 3 carries no current
+    gap = tf.CoefficientModel(
+        thermal_conductivity=lambda u: np.ones_like(np.asarray(u, float)),
+        electrical_conductivity=lambda u: np.where(np.asarray(u) > 0.5, 0.0, 1.0),
+        flux_left=1.0, flux_right=1.0)
+    alpha = np.zeros(9)
+    alpha[3:5] = 1.0
+    with pytest.raises(tf.SingularSystemError) as exc:
+        tf.solve_potential(alpha, mesh, gap, tf.CORRECTED)
+    assert exc.value.row == 4
+    assert str(exc.value).startswith("potential solve failed: ")
+    # h * J / s_half overflows where sigma is tiny and the current is large
+    steep = tf.CoefficientModel(
+        thermal_conductivity=lambda u: np.ones_like(np.asarray(u, float)),
+        electrical_conductivity=lambda u: np.where(np.asarray(u) > 0.5,
+                                                   1e300, 1e-300),
+        flux_left=1.0, flux_right=1.0)
+    alpha = np.zeros(9)
+    alpha[-1] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tf.NumericalFailureError,
+                           match="potential solve failed: non-finite"):
+            tf.solve_potential(alpha, mesh, steep, tf.CORRECTED)
+
+
+def test_near_zero_conductivity_is_solved_not_refused():
+    # sigma = 1e-20 at nodes 3 and 4, so element 3 conducts 1e-20 as well as
+    # the others: the first integral gives a finite potential with a jump of
+    # h J / 1e-20 there, where the assembled system's pivot rule refuses it
+    mesh = tf.build_mesh(8)
+    thin = tf.CoefficientModel(
+        thermal_conductivity=lambda u: np.ones_like(np.asarray(u, float)),
+        electrical_conductivity=lambda u: np.where(np.asarray(u) > 0.5,
+                                                   1e-20, 1.0),
+        flux_left=1.0, flux_right=1.0)
+    alpha = np.zeros(9)
+    alpha[3:5] = 1.0
+    mu = tf.solve_potential(alpha, mesh, thin, tf.CORRECTED)
+    h = mesh.h
+    assert np.isfinite(mu).all()
+    np.testing.assert_allclose(np.diff(mu[:4]), [h, h, h / (0.5 + 0.5e-20)],
+                               rtol=1e-15)
+    np.testing.assert_allclose(mu[4] - mu[3], h / 1e-20, rtol=1e-15)
+    # the later steps of h or 2h are below the rounding of mu_4 ~ 1.25e19
+    np.testing.assert_allclose(mu[4:], mu[4], rtol=1e-15)
+    system = tf.assemble_potential(alpha, mesh, thin, tf.CORRECTED)
+    with pytest.raises(tf.SingularSystemError):
+        tf.checked_solve(system, "potential")
 
 
 def test_current_compatibility_examples():

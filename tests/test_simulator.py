@@ -32,6 +32,10 @@ def test_config_validation():
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(tf.ConfigurationError, match=name):
                 small_config(**{name: value})
+    # a negative Robin coefficient feeds heat in; beta = 0 is adiabatic
+    with pytest.raises(tf.ConfigurationError, match="beta must be >= 0"):
+        small_config(beta=-5.0)
+    assert small_config(beta=0.0).beta == 0.0
 
 
 def test_step_zero_conductivity_fails_with_step_index():
@@ -176,6 +180,47 @@ def test_steady_state_idempotence(fig1_config):
     again = tf.run(fig1_config, initial_state=restart)
     assert again.steady_reached
     assert again.steady_time == pytest.approx(fig1_config.tau)
+
+
+def test_corrected_rational_run_is_mirror_symmetric():
+    # equal boundary fluxes make the corrected problem symmetric about
+    # x = 1/2; measured max|u_j - u_(N-j)| over all 308 snapshots: 2.7e-13
+    config = small_config(
+        n_elements=1000, steady_tolerance=1e-10,
+        model=tf.ModelSpec("rational_sigma",
+                           {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0}))
+    result = tf.run(config)
+    assert result.steady_reached and len(result.snapshots) > 300
+    defect = max(float(np.max(np.abs(s.temperature - s.temperature[::-1])))
+                 for s in result.snapshots)
+    assert defect <= 1e-12
+
+
+@pytest.mark.parametrize("model", [
+    tf.ModelSpec("paper_example", {"gamma": GAMMA}),
+    tf.ModelSpec("rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0}),
+], ids=["paper_example", "rational_sigma"])
+def test_corrected_step_balances_energy(model):
+    # summing the rows of the corrected temperature system: stiffness rows
+    # sum to zero, the mass matrix to the trapezoid weights, so
+    #   1^T M (a^(n+1) - a^n) = sum(source) - tau beta (a_0^(n+1) + a_N^(n+1))
+    # measured relative defect over these 100 steps: 2.1e-12
+    config = small_config(n_elements=100, model=model)
+    mesh = config.build_mesh()
+    built = config.build_model()
+    weights = np.full(mesh.n_nodes, mesh.h)
+    weights[[0, -1]] = 0.5 * mesh.h
+    state = tf.initial_temperature(mesh)
+    worst = 0.0
+    for _ in range(100):
+        new, mu = tf.step(state, config, mesh, built)
+        source = tf.joule_source_vector(state.alpha, mu, mesh, built,
+                                        config.tau, config.variant)
+        robin = config.tau * config.beta * (new.alpha[0] + new.alpha[-1])
+        defect = weights @ (new.alpha - state.alpha) - (source.sum() - robin)
+        worst = max(worst, abs(defect) / (np.abs(source).sum() + abs(robin)))
+        state = new
+    assert worst <= 5e-12
 
 
 def test_max_change_contracts_after_first_steps(fig1_config):
@@ -323,8 +368,11 @@ def test_steady_state_error_zero_heating_guard():
 
 def test_convergence_study_rejects_nonpositive_beta():
     for beta in (0.0, -5.0):
+        # the config refuses beta < 0 itself, so it is set past validation
+        config = small_config()
+        object.__setattr__(config, "beta", beta)
         with pytest.raises(tf.ConfigurationError, match="beta > 0"):
-            tf.convergence_study(small_config(beta=beta), 1)
+            tf.convergence_study(config, 1)
 
 
 def test_convergence_study_levels():
