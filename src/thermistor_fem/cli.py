@@ -20,7 +20,7 @@ from .errors import (ConfigurationError, ModelError, NotSteadyError,
 from .potential import SchemeVariant, check_current_compatibility, solve_potential
 from .simulator import (COMPATIBILITY_WARN_THRESHOLD, SimulationConfig,
                         SimulationResult, convergence_study, run, run_reduced)
-from .temperature import ghost_alpha_left_of, initial_temperature
+from .temperature import ghost_temp_left, initial_temperature
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -263,7 +263,8 @@ def _cmd_check_potential(args) -> int:
     mesh = config.build_mesh()
     model = config.build_model()
     state = initial_temperature(mesh)
-    ghost = ghost_alpha_left_of(state, mesh, model, config.beta) \
+    ghost = ghost_temp_left(float(state.alpha[1]), float(state.alpha[0]),
+                            model.k, mesh.h, config.beta) \
         if config.variant.stiffness == "paper_literal" else None
     mu = solve_potential(state.alpha, mesh, model, config.variant,
                          alpha_ghost_left=ghost)

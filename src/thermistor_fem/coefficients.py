@@ -1,4 +1,4 @@
-"""Physics coefficients: k(u), sigma(u) and boundary flux data."""
+"""Physics coefficients: the constant k, sigma(u) and boundary flux data."""
 
 from __future__ import annotations
 
@@ -15,26 +15,32 @@ MODEL_KINDS = ("constant", "paper_example", "rational_sigma")
 
 @dataclass(frozen=True)
 class CoefficientModel:
-    """Evaluable physics bundle for one simulation.
+    """Physics bundle for one simulation.
 
-    ``thermal_conductivity`` and ``electrical_conductivity`` map temperature
-    to k(u) > 0 and sigma(u) >= 0; both must broadcast over numpy arrays.
+    ``k`` is the thermal conductivity, a constant: only the electrical
+    conductivity depends on temperature.  It must be positive and finite,
+    which is checked once, here.  ``electrical_conductivity`` maps
+    temperature to sigma(u) >= 0 and must broadcast over numpy arrays.
     ``sigma_is_zero`` marks models with literally no electrical conduction,
     which the driver uses to skip the (singular) potential solve.
     """
 
-    thermal_conductivity: Callable
+    k: float
     electrical_conductivity: Callable
     flux_left: float
     flux_right: float
     sigma_is_zero: bool = False
 
+    def __post_init__(self):
+        if not (math.isfinite(self.k) and self.k > 0.0):
+            raise ModelError(
+                f"thermal conductivity k must be positive and finite, "
+                f"got {self.k!r}")
+
 
 def eval_k(model: CoefficientModel, u):
-    """Thermal conductivity at u; rejects nonpositive or non-finite values."""
-    arr = np.asarray(model.thermal_conductivity(u), dtype=float)
-    _check(arr, arr > 0.0, "thermal conductivity must be positive and finite")
-    return float(arr) if arr.ndim == 0 else arr
+    """Thermal conductivity at u: the constant ``model.k``, shaped like u."""
+    return model.k if np.ndim(u) == 0 else np.full(np.shape(u), model.k)
 
 
 def eval_sigma(model: CoefficientModel, u):
@@ -69,10 +75,10 @@ def validate_physical(beta: float, gamma: float) -> bool:
 class ModelSpec:
     """Declarative model family selection.
 
-    kinds:
-      constant        k(u) = k0, sigma(u) = sigma0
-      paper_example   k(u) = 1,  sigma(u) = gamma   (constant-coefficient benchmark)
-      rational_sigma  k(u) = k0, sigma(u) = sigma0 / (1 + lambda*u)^2
+    Every kind has a constant thermal conductivity k:
+      constant        k = k0, sigma(u) = sigma0
+      paper_example   k = 1,  sigma(u) = gamma   (constant-coefficient benchmark)
+      rational_sigma  k = k0, sigma(u) = sigma0 / (1 + lambda*u)^2
     """
 
     kind: str
@@ -96,8 +102,8 @@ class ModelSpec:
             if not math.isfinite(value):
                 raise ConfigurationError(
                     f"{name} must be finite, got {self.parameters[name]}")
-            # constant k0, sigma0 and gamma fix the sign of k and sigma, which
-            # eval_k and eval_sigma would otherwise refuse at step 0
+            # k0, sigma0 and gamma fix the sign of k and sigma, which the
+            # model or eval_sigma would otherwise refuse
             if name == "k0" and value <= 0.0:
                 raise ConfigurationError(f"k0 must be positive, got {value}")
             if name in ("sigma0", "gamma") and value < 0.0:
@@ -106,18 +112,16 @@ class ModelSpec:
     def build(self, flux_left: float, flux_right: float) -> CoefficientModel:
         p = self.parameters
         if self.kind == "constant":
-            k0, s0 = float(p["k0"]), float(p["sigma0"])
-            k_fn = _const_fn(k0)
+            k, s0 = float(p["k0"]), float(p["sigma0"])
             s_fn = _const_fn(s0)
             zero = s0 == 0.0
         elif self.kind == "paper_example":
             gamma = float(p["gamma"])
-            k_fn = _const_fn(1.0)
+            k = 1.0
             s_fn = _const_fn(gamma)
             zero = gamma == 0.0
         else:  # rational_sigma
-            k0, s0, lam = float(p["k0"]), float(p["sigma0"]), float(p["lambda"])
-            k_fn = _const_fn(k0)
+            k, s0, lam = float(p["k0"]), float(p["sigma0"]), float(p["lambda"])
 
             def s_fn(u, _s0=s0, _lam=lam):
                 den = 1.0 + _lam * np.asarray(u, dtype=float)
@@ -129,7 +133,7 @@ class ModelSpec:
 
             zero = s0 == 0.0
         return CoefficientModel(
-            thermal_conductivity=k_fn,
+            k=k,
             electrical_conductivity=s_fn,
             flux_left=float(flux_left),
             flux_right=float(flux_right),

@@ -193,7 +193,5 @@ def check_current_compatibility(alpha: np.ndarray, model: CoefficientModel) -> f
     Nonzero values mean the two prescribed boundary currents disagree; the
     driver logs a warning above 1e-9 but does not refuse to run.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    s0 = eval_sigma(model, float(alpha[0]))
-    sn = eval_sigma(model, float(alpha[-1]))
+    s0, sn = eval_sigma(model, np.asarray(alpha, dtype=float)[[0, -1]])
     return float(sn * model.flux_right - s0 * model.flux_left)

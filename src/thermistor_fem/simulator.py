@@ -43,6 +43,15 @@ class SimulationConfig:
     freeze_potential_after_first_step: bool = False
 
     def __post_init__(self):
+        for name in ("n_elements", "record_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}")
+        if self.n_elements < 3:
+            raise ConfigurationError(
+                f"n_elements must be >= 3, got {self.n_elements}")
         for name in ("tau", "beta", "t_max", "steady_tolerance", "flux_left",
                      "flux_right"):
             if not math.isfinite(getattr(self, name)):
@@ -107,7 +116,9 @@ def step(state: temp.TemperatureState, config: SimulationConfig,
     index = int(round(state.time / config.tau))
     try:
         # only the literal potential assembly reads the temperature ghost
-        ghost = temp.ghost_alpha_left_of(state, mesh, model, config.beta) \
+        ghost = temp.ghost_temp_left(float(state.alpha[1]),
+                                     float(state.alpha[0]), model.k, mesh.h,
+                                     config.beta) \
             if config.variant.stiffness == "paper_literal" else None
         mu = solve_potential(state.alpha, mesh, model, config.variant,
                              alpha_ghost_left=ghost,
@@ -268,8 +279,7 @@ def run_reduced(config: SimulationConfig) -> SimulationResult:
         new01 = checked_solve(system, "reduced temperature", residual_sink)
         # alpha_N reconstructed via the right ghost relation at k = 1
         alpha = np.append(new01, new01[-1] / (1.0 + beta * mesh.h))
-        return temp.TemperatureState(alpha=alpha, alpha_prev=state.alpha,
-                                     time=state.time + tau), mesh.nodes
+        return temp.TemperatureState(alpha, state.time + tau), mesh.nodes
 
     return _march(config, mesh, advance, temp.initial_temperature(mesh))
 

@@ -1,15 +1,17 @@
 """Backward-Euler temperature step: assembly and solve of one time level.
 
-The nonlinearity is lagged: every k(.) and sigma(.) evaluation uses the
-current level alpha^n or the previous level alpha^{n-1}, never the unknown
-alpha^{n+1}, so each step is a single tridiagonal solve.
+The thermal conductivity k is a constant of the model, so the matrix of a
+step depends only on the mesh, tau, beta and k.  The nonlinearity is in
+sigma alone, and it is lagged: sigma is evaluated at the current level
+alpha^n, never at the unknown alpha^{n+1}, so each step is a single
+tridiagonal solve.
 
 Variant summary (h = mesh step, tau = time step, beta = heat transfer):
 
 corrected (size N+1, unknowns alpha_0..alpha_N)
     interior row j:  mass (h/6, 2h/3, h/6) plus tau/h times the stiffness
     (-k_{j-1/2}, k_{j-1/2}+k_{j+1/2}, -k_{j+1/2}) with arithmetic-mean
-    midpoint conductivities k_{j+1/2} = (k(a_j)+k(a_{j+1}))/2.
+    midpoint conductivities k_{j+1/2} = (k+k)/2.
     boundary rows:  half-hat mass (h/3 diagonal, h/6 off-diagonal),
     one-sided stiffness k_{1/2}/h (resp. k_{N-1/2}/h) and the weak-form
     Robin term tau*beta added to the diagonal.
@@ -17,13 +19,11 @@ corrected (size N+1, unknowns alpha_0..alpha_N)
 
 paper_literal (size N, unknowns alpha_0..alpha_{N-1})
     the original published rows, kept verbatim: generic interior row with
-    the diagonal conductivity pair (k(a_{j+1})+k(a_{j-1})), and boundary
-    rows obtained by eliminating the ghosts
+    the diagonal conductivity pair k(a_{j+1})+k(a_{j-1}), which with the
+    constant k is k+k, and boundary rows obtained by eliminating the ghosts
         alpha_{-1}^m = alpha_1^m + (h*beta/k - 1) * alpha_0^m
         alpha_N^m    = k/(beta*h + k) * alpha_{N-1}^m
-    where k is evaluated at the previous level inside right-hand-side
-    reconstructions and at the current level elsewhere.  alpha_N is written
-    back after the solve via the same relation.
+    alpha_N is written back after the solve via the same relation.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientModel, eval_k, eval_sigma
+from .coefficients import CoefficientModel, eval_sigma
 from .errors import ModelError
 from .mesh import Mesh
 from .potential import SchemeVariant
@@ -41,48 +41,34 @@ from .tridiag import TridiagonalSystem, checked_solve
 
 @dataclass(frozen=True)
 class TemperatureState:
-    """Nodal temperature coefficients at one time level.
-
-    ``alpha_prev`` is kept because the ghost eliminations evaluate k at the
-    previous level.  At t = 0 both vectors are identically zero.
-    """
+    """Nodal temperature coefficients at one time level."""
 
     alpha: np.ndarray
-    alpha_prev: np.ndarray
     time: float
 
 
 def initial_temperature(mesh: Mesh) -> TemperatureState:
-    """Zero initial condition, with alpha^{-1} taken equal to alpha^0."""
-    zero = np.zeros(mesh.n_nodes)
-    return TemperatureState(alpha=zero, alpha_prev=zero.copy(), time=0.0)
+    """Zero initial condition."""
+    return TemperatureState(alpha=np.zeros(mesh.n_nodes), time=0.0)
 
 
-def ghost_temp_left(alpha1: float, alpha0: float, k_at_prev_alpha0: float,
+def ghost_temp_left(alpha1: float, alpha0: float, k: float,
                     h: float, beta: float) -> float:
     """Eliminated left ghost: alpha_{-1} = alpha_1 + (h*beta/k - 1)*alpha_0."""
-    if k_at_prev_alpha0 <= 0.0:
-        raise ModelError(f"k must be positive, got {k_at_prev_alpha0}")
+    if k <= 0.0:
+        raise ModelError(f"k must be positive, got {k}")
     if h <= 0.0:
         raise ValueError("h must be positive")
-    return alpha1 + (h * beta / k_at_prev_alpha0 - 1.0) * alpha0
+    return alpha1 + (h * beta / k - 1.0) * alpha0
 
 
-def ghost_temp_right(alpha_last: float, k_at_prev_alphaN: float,
+def ghost_temp_right(alpha_last: float, k: float,
                      h: float, beta: float) -> float:
     """Right boundary value: alpha_N = k/(beta*h + k) * alpha_{N-1}."""
-    den = beta * h + k_at_prev_alphaN
+    den = beta * h + k
     if den <= 0.0:
         raise ModelError(f"degenerate denominator beta*h + k = {den}")
-    return k_at_prev_alphaN / den * alpha_last
-
-
-def ghost_alpha_left_of(state: TemperatureState, mesh: Mesh,
-                        model: CoefficientModel, beta: float) -> float:
-    """Left temperature ghost of the current level, alpha_{-1}^n."""
-    k0_prev = eval_k(model, float(state.alpha_prev[0]))
-    return ghost_temp_left(float(state.alpha[1]), float(state.alpha[0]),
-                           k0_prev, mesh.h, beta)
+    return k / den * alpha_last
 
 
 def joule_source_vector(alpha: np.ndarray, mu: np.ndarray, mesh: Mesh, model: CoefficientModel, tau: float,
@@ -151,17 +137,17 @@ def assemble_temperature(state: TemperatureState, mu: np.ndarray,
     n = mesh.n_elements
     h = mesh.h
     alpha = state.alpha
-    k = eval_k(model, alpha)
+    k = model.k
     src = joule_source_vector(alpha, mu, mesh, model, tau, variant)
 
     if variant.stiffness == "corrected":
-        k_half = 0.5 * (k[:-1] + k[1:])
+        k_half = 0.5 * (k + k)
         sub = np.full(n, h / 6.0) - tau * k_half / h
         sup = np.full(n, h / 6.0) - tau * k_half / h
         main = np.full(n + 1, 2.0 * h / 3.0)
-        main[1:n] += tau * (k_half[:-1] + k_half[1:]) / h
-        main[0] = h / 3.0 + tau * k_half[0] / h + tau * beta
-        main[n] = h / 3.0 + tau * k_half[n - 1] / h + tau * beta
+        main[1:n] += tau * (k_half + k_half) / h
+        main[0] = h / 3.0 + tau * k_half / h + tau * beta
+        main[n] = h / 3.0 + tau * k_half / h + tau * beta
         rhs = np.empty(n + 1)
         rhs[1:n] = (h / 6.0) * alpha[:-2] + (2.0 * h / 3.0) * alpha[1:-1] \
             + (h / 6.0) * alpha[2:]
@@ -170,41 +156,35 @@ def assemble_temperature(state: TemperatureState, mu: np.ndarray,
         rhs += src
         return TridiagonalSystem(sub=sub, main=main, sup=sup, rhs=rhs)
 
-    # paper_literal: unknowns alpha_0..alpha_{N-1}
-    k0_now = float(k[0])
-    ghost_now = ghost_temp_left(float(alpha[1]), float(alpha[0]), k0_now, h, beta)
-    k_ghost = eval_k(model, ghost_now)
-    k0_prev = eval_k(model, float(state.alpha_prev[0]))
-    kn_prev = eval_k(model, float(state.alpha_prev[n]))
-    kn_now = float(k[n])
-
+    # paper_literal: unknowns alpha_0..alpha_{N-1}; each conductivity of the
+    # published rows, k(a_j), k(a_{-1}) or k(a_N) at either level, is k
     sub = np.empty(n - 1)
     sup = np.empty(n - 1)
     main = np.empty(n)
     rhs = np.empty(n)
 
     j = np.arange(1, n - 1)
-    sub[j - 1] = h / 6.0 - (tau / (2.0 * h)) * (k[j] + k[j - 1])
-    main[j] = 2.0 * h / 3.0 + (tau / h) * (k[j + 1] + k[j - 1])
-    sup[j] = h / 6.0 - (tau / (2.0 * h)) * (k[j + 1] + k[j])
+    sub[j - 1] = h / 6.0 - (tau / (2.0 * h)) * (k + k)
+    main[j] = 2.0 * h / 3.0 + (tau / h) * (k + k)
+    sup[j] = h / 6.0 - (tau / (2.0 * h)) * (k + k)
     rhs[j] = (h / 6.0) * alpha[j - 1] + (2.0 * h / 3.0) * alpha[j] \
         + (h / 6.0) * alpha[j + 1] + src[j]
 
-    a = h / 6.0 - (tau / (2.0 * h)) * (k0_now + k_ghost)
-    b = 2.0 * h / 3.0 + (tau / h) * (float(k[1]) + k_ghost)
-    c = h / 6.0 - (tau / (2.0 * h)) * (float(k[1]) + k0_now)
-    main[0] = a * (beta * h / k0_now - 1.0) + b - tau * beta
+    a = h / 6.0 - (tau / (2.0 * h)) * (k + k)
+    b = 2.0 * h / 3.0 + (tau / h) * (k + k)
+    c = h / 6.0 - (tau / (2.0 * h)) * (k + k)
+    main[0] = a * (beta * h / k - 1.0) + b - tau * beta
     sup[0] = a + c
-    rhs[0] = (h / 2.0) * (1.0 + h * beta / (3.0 * k0_prev)) * alpha[0] \
+    rhs[0] = (h / 2.0) * (1.0 + h * beta / (3.0 * k)) * alpha[0] \
         + (h / 3.0) * alpha[1] + src[0]
 
-    d = h / 6.0 - (tau / (2.0 * h)) * (float(k[n - 1]) + float(k[n - 2]))
-    e = 2.0 * h / 3.0 + (tau / h) * (kn_now + float(k[n - 2]))
-    f = h / 6.0 - (tau / (2.0 * h)) * (kn_now + float(k[n - 1]))
+    d = h / 6.0 - (tau / (2.0 * h)) * (k + k)
+    e = 2.0 * h / 3.0 + (tau / h) * (k + k)
+    f = h / 6.0 - (tau / (2.0 * h)) * (k + k)
     sub[n - 2] = d
-    main[n - 1] = e + kn_now / (beta * h + kn_now) * f
+    main[n - 1] = e + k / (beta * h + k) * f
     rhs[n - 1] = (h / 6.0) * alpha[n - 2] \
-        + (h / 6.0) * (4.0 + kn_prev / (beta * h + kn_prev)) * alpha[n - 1] \
+        + (h / 6.0) * (4.0 + k / (beta * h + k)) * alpha[n - 1] \
         + src[n - 1]
     return TridiagonalSystem(sub=sub, main=main, sup=sup, rhs=rhs)
 
@@ -219,9 +199,6 @@ def solve_temperature(state: TemperatureState, mu: np.ndarray, mesh: Mesh,
     if variant.stiffness == "corrected":
         alpha_new = x
     else:
-        kn_now = eval_k(model, float(state.alpha[mesh.n_elements]))
         alpha_new = np.append(
-            x, ghost_temp_right(float(x[-1]), kn_now, mesh.h, beta))
-    return TemperatureState(alpha=alpha_new,
-                            alpha_prev=state.alpha.copy(),
-                            time=state.time + tau)
+            x, ghost_temp_right(float(x[-1]), model.k, mesh.h, beta))
+    return TemperatureState(alpha=alpha_new, time=state.time + tau)

@@ -103,7 +103,7 @@ def test_criterion_4_benchmark_coefficient_fidelity():
     model = tf.ModelSpec("paper_example", {"gamma": GAMMA}).build(1.0, 1.0)
     rng = np.random.default_rng(12)
     alpha = rng.uniform(0.0, 0.3, 101)
-    state = tf.TemperatureState(alpha=alpha, alpha_prev=alpha.copy(), time=0.0)
+    state = tf.TemperatureState(alpha=alpha, time=0.0)
     pot = tf.solve_potential(alpha, mesh, model, tf.CORRECTED)
     variant = tf.SchemeVariant("paper_literal", "paper_literal")
     system = tf.assemble_temperature(state, pot, mesh, model, TAU, BETA, variant)
@@ -224,7 +224,6 @@ def test_criterion_7_invariant_suite(fig1_run):
         == pot[1] - pot[0] - mesh16.h * 0.7)
 
     restart = tf.TemperatureState(alpha=fig1_run.final_profile.copy(),
-                                  alpha_prev=fig1_run.final_profile.copy(),
                                   time=0.0)
     again = tf.run(FIG1, initial_state=restart)
     checks["steady_idempotence"] = (again.steady_reached

@@ -13,7 +13,7 @@ def build(kind, params):
 
 def test_paper_example_conductivities():
     model = build("paper_example", {"gamma": 0.1})
-    assert tf.eval_k(model, 0.7) == pytest.approx(1.0, abs=0.0)
+    assert model.k == 1.0
     assert tf.eval_sigma(model, 123.4) == pytest.approx(0.1, abs=0.0)
     u = np.linspace(-2, 5, 17)
     np.testing.assert_array_equal(tf.eval_k(model, u), np.ones(17))
@@ -22,31 +22,32 @@ def test_paper_example_conductivities():
 
 def test_constant_model():
     model = build("constant", {"k0": 2.0, "sigma0": 0.5})
-    assert tf.eval_k(model, -3.0) == 2.0
+    assert model.k == 2.0
     assert tf.eval_sigma(model, 9.9) == 0.5
 
 
 def test_rational_sigma_values():
     model = build("rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0})
-    assert tf.eval_k(model, 5.0) == 1.0
+    assert model.k == 1.0
     assert tf.eval_sigma(model, 1.0) == pytest.approx(0.25)
     flat = build("rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": 0.0})
     assert tf.eval_sigma(flat, 17.0) == pytest.approx(1.0)
 
 
-def test_eval_k_rejects_nonpositive():
-    # ModelSpec refuses k0 <= 0, so build the model directly
-    model = tf.CoefficientModel(
-        thermal_conductivity=lambda u: np.full_like(np.asarray(u, float), -1.0),
-        electrical_conductivity=lambda u: np.ones_like(np.asarray(u, float)),
-        flux_left=1.0, flux_right=1.0)
-    with pytest.raises(tf.ModelError):
-        tf.eval_k(model, 0.0)
+def test_model_rejects_nonpositive_or_non_finite_k():
+    # ModelSpec refuses such a k0, so build the model directly
+    for value in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(tf.ModelError, match="k must be positive"):
+            tf.CoefficientModel(
+                k=value,
+                electrical_conductivity=lambda u: np.ones_like(
+                    np.asarray(u, float)),
+                flux_left=1.0, flux_right=1.0)
 
 
 def test_eval_sigma_rejects_negative():
     model = tf.CoefficientModel(
-        thermal_conductivity=lambda u: np.full_like(np.asarray(u, float), 1.0),
+        k=1.0,
         electrical_conductivity=lambda u: np.asarray(u, dtype=float),
         flux_left=1.0, flux_right=1.0)
     assert tf.eval_sigma(model, 0.5) == 0.5
@@ -55,12 +56,11 @@ def test_eval_sigma_rejects_negative():
 
 
 def test_eval_rejects_non_finite():
+    # a non-finite k is refused when the model is built (test above)
     model = tf.CoefficientModel(
-        thermal_conductivity=lambda u: np.full_like(np.asarray(u, float), np.nan),
+        k=1.0,
         electrical_conductivity=lambda u: np.full_like(np.asarray(u, float), np.inf),
         flux_left=1.0, flux_right=1.0)
-    with pytest.raises(tf.ModelError):
-        tf.eval_k(model, 0.0)
     with pytest.raises(tf.ModelError):
         tf.eval_sigma(model, 0.0)
 
@@ -68,7 +68,7 @@ def test_eval_rejects_non_finite():
 def test_model_error_message_is_short():
     # a non-finite gamma is refused by ModelSpec, so build the model directly
     nan_sigma = tf.CoefficientModel(
-        thermal_conductivity=lambda u: np.ones_like(np.asarray(u, float)),
+        k=1.0,
         electrical_conductivity=lambda u: np.full_like(np.asarray(u, float),
                                                        np.nan),
         flux_left=1.0, flux_right=1.0)
@@ -77,13 +77,13 @@ def test_model_error_message_is_short():
     assert len(str(exc.value)) < 120
     assert "1001 of 1001" in str(exc.value) and "index 0: nan" in str(exc.value)
     model = tf.CoefficientModel(
-        thermal_conductivity=lambda u: 1.0 - np.asarray(u, float),
-        electrical_conductivity=lambda u: np.asarray(u, float),
+        k=1.0,
+        electrical_conductivity=lambda u: 1.0 - np.asarray(u, float),
         flux_left=1.0, flux_right=1.0)
-    with pytest.raises(tf.ModelError, match="3 of 5 values fail, first at index 2: 0.0"):
-        tf.eval_k(model, np.array([-1.0, 0.5, 1.0, 2.0, 3.0]))
+    with pytest.raises(tf.ModelError, match="2 of 5 values fail, first at index 3: -1.0"):
+        tf.eval_sigma(model, np.array([-1.0, 0.5, 1.0, 2.0, 3.0]))
     with pytest.raises(tf.ModelError, match="1 of 1 values fail, first at index 0: -2.0"):
-        tf.eval_sigma(model, -2.0)
+        tf.eval_sigma(model, 3.0)
 
 
 def test_model_spec_validation():

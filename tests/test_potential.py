@@ -164,7 +164,7 @@ def test_first_integral_failures_name_row_and_phase():
     mesh = tf.build_mesh(8)
     # sigma vanishes at nodes 3 and 4, so element 3 carries no current
     gap = tf.CoefficientModel(
-        thermal_conductivity=lambda u: np.ones_like(np.asarray(u, float)),
+        k=1.0,
         electrical_conductivity=lambda u: np.where(np.asarray(u) > 0.5, 0.0, 1.0),
         flux_left=1.0, flux_right=1.0)
     alpha = np.zeros(9)
@@ -175,7 +175,7 @@ def test_first_integral_failures_name_row_and_phase():
     assert str(exc.value).startswith("potential solve failed: ")
     # h * J / s_half overflows where sigma is tiny and the current is large
     steep = tf.CoefficientModel(
-        thermal_conductivity=lambda u: np.ones_like(np.asarray(u, float)),
+        k=1.0,
         electrical_conductivity=lambda u: np.where(np.asarray(u) > 0.5,
                                                    1e300, 1e-300),
         flux_left=1.0, flux_right=1.0)
@@ -194,7 +194,7 @@ def test_near_zero_conductivity_is_solved_not_refused():
     # h J / 1e-20 there, where the assembled system's pivot rule refuses it
     mesh = tf.build_mesh(8)
     thin = tf.CoefficientModel(
-        thermal_conductivity=lambda u: np.ones_like(np.asarray(u, float)),
+        k=1.0,
         electrical_conductivity=lambda u: np.where(np.asarray(u) > 0.5,
                                                    1e-20, 1.0),
         flux_left=1.0, flux_right=1.0)
@@ -217,7 +217,7 @@ def test_current_compatibility_examples():
     model = constant_model(1.0, 0.7)
     assert tf.check_current_compatibility(np.zeros(5), model) == 0.0
     varying = tf.CoefficientModel(
-        thermal_conductivity=lambda u: np.full_like(np.asarray(u, float), 1.0),
+        k=1.0,
         electrical_conductivity=lambda u: np.asarray(u, dtype=float),
         flux_left=1.0, flux_right=1.0)
     alpha = np.linspace(0.1, 0.2, 5)

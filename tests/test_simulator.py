@@ -32,6 +32,17 @@ def test_config_validation():
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(tf.ConfigurationError, match=name):
                 small_config(**{name: value})
+    # counts must be integers; a float or bool count is refused up front
+    # instead of failing inside numpy later
+    for name in ("n_elements", "record_every"):
+        for value in (100.0, 2.5, True, "20", None):
+            with pytest.raises(tf.ConfigurationError,
+                               match=f"{name} must be an integer"):
+                small_config(**{name: value})
+    for value in (2, 0, -4):
+        with pytest.raises(tf.ConfigurationError, match="n_elements must be >= 3"):
+            small_config(n_elements=value)
+    assert small_config(n_elements=np.int64(3)).n_elements == 3
     # a negative Robin coefficient feeds heat in; beta = 0 is adiabatic
     with pytest.raises(tf.ConfigurationError, match="beta must be >= 0"):
         small_config(beta=-5.0)
@@ -62,26 +73,6 @@ def test_run_failure_carries_step_and_diagnostics(driver, model):
     assert isinstance(exc.value.diagnostics, tf.Diagnostics)
 
 
-def test_step_skips_temperature_ghost_for_corrected_stiffness():
-    # only the literal potential assembly reads the left temperature ghost,
-    # whose k evaluation is the one scalar call a corrected step could make
-    scalar_k = []
-
-    def k(u):
-        if np.ndim(u) == 0:
-            scalar_k.append(u)
-        return np.ones_like(np.asarray(u, float))
-
-    model = tf.CoefficientModel(
-        thermal_conductivity=k,
-        electrical_conductivity=lambda u: np.full_like(np.asarray(u, float), 0.1),
-        flux_left=1.0, flux_right=1.0)
-    config = small_config(variant=tf.SchemeVariant("corrected", "paper_literal"))
-    mesh = config.build_mesh()
-    tf.step(tf.initial_temperature(mesh), config, mesh, model)
-    assert scalar_k == []
-
-
 def test_step_benchmark_first_step(fig1_config):
     state = tf.initial_temperature(fig1_config.build_mesh())
     new_state, pot = tf.step(state, fig1_config)
@@ -100,7 +91,7 @@ def test_two_frozen_steps_replay_against_dense_oracle():
     pot = tf.solve_potential(state.alpha, mesh, model, config.variant)
     x1 = tf.dense_solve_oracle(tf.assemble_temperature(
         state, pot, mesh, model, config.tau, config.beta, config.variant))
-    state1 = tf.TemperatureState(alpha=x1, alpha_prev=state.alpha, time=0.1)
+    state1 = tf.TemperatureState(alpha=x1, time=0.1)
     x2 = tf.dense_solve_oracle(tf.assemble_temperature(
         state1, pot, mesh, model, config.tau, config.beta, config.variant))
     np.testing.assert_allclose(result.snapshots[1].temperature, x1, atol=1e-10)
@@ -175,7 +166,6 @@ def test_steady_state_idempotence(fig1_config):
     result = tf.run(fig1_config)
     assert result.steady_reached
     restart = tf.TemperatureState(alpha=result.final_profile.copy(),
-                                  alpha_prev=result.final_profile.copy(),
                                   time=0.0)
     again = tf.run(fig1_config, initial_state=restart)
     assert again.steady_reached
@@ -242,6 +232,25 @@ def test_solver_residuals_collected(fig1_config):
     # one potential and one temperature residual per step
     assert len(result.diagnostics.solver_residuals) == 2 * len(result.diagnostics.max_change)
     assert max(result.diagnostics.solver_residuals) <= 1e-10
+
+
+@pytest.mark.parametrize("driver, overrides, misses", [
+    (tf.run, {}, 1),
+    (tf.run, {"model": tf.ModelSpec("rational_sigma", {
+        "k0": 1.0, "sigma0": 1.0, "lambda": 1.0})}, 1),
+    (tf.run_reduced, {}, 1),
+    # constant sigma: the literal potential matrix is fixed as well
+    (tf.run, {"variant": tf.SchemeVariant("paper_literal", "central")}, 2),
+], ids=["fig1", "rational_sigma", "reduced", "fig1_paper"])
+def test_run_factors_each_fixed_matrix_once(fig1_config, driver, overrides,
+                                            misses):
+    # k is constant, so the temperature matrix never changes within a run
+    config = dataclasses.replace(fig1_config, **overrides)
+    tf.tridiag._factor.cache_clear()
+    before = tf.tridiag._factor.cache_info().misses
+    result = driver(config)
+    assert len(result.diagnostics.max_change) > 10
+    assert tf.tridiag._factor.cache_info().misses - before == misses
 
 
 def test_freeze_potential_flag_matches_unfrozen_for_constant_sigma():

@@ -13,10 +13,8 @@ def paper_example_model(gamma=0.1):
     return tf.ModelSpec("paper_example", {"gamma": gamma}).build(1.0, 1.0)
 
 
-def state_from(alpha, alpha_prev=None, time=0.0):
-    alpha = np.asarray(alpha, dtype=float)
-    prev = alpha.copy() if alpha_prev is None else np.asarray(alpha_prev, float)
-    return tf.TemperatureState(alpha=alpha, alpha_prev=prev, time=time)
+def state_from(alpha, time=0.0):
+    return tf.TemperatureState(alpha=np.asarray(alpha, dtype=float), time=time)
 
 
 def test_ghost_temp_left_example():
@@ -157,34 +155,6 @@ def test_constant_state_is_stationary_under_pure_neumann():
     new = tf.solve_temperature(state, pot, mesh, model, TAU, 0.0, tf.CORRECTED)
     np.testing.assert_allclose(new.alpha, 0.37, atol=1e-13)
     assert new.time == pytest.approx(TAU)
-    np.testing.assert_array_equal(new.alpha_prev, state.alpha)
-
-
-def test_lagging_discipline_with_counting_model():
-    # every k(.) evaluation must use alpha^n or alpha^{n-1} values only
-    probed = []
-
-    def counting_k(u):
-        probed.append(np.copy(u))
-        return np.full_like(np.asarray(u, float), 1.0)
-
-    model = tf.CoefficientModel(
-        thermal_conductivity=counting_k,
-        electrical_conductivity=lambda u: np.full_like(np.asarray(u, float), 0.1),
-        flux_left=1.0, flux_right=1.0)
-    mesh = tf.build_mesh(10)
-    alpha_now = np.linspace(0.1, 0.2, 11)
-    alpha_prev = np.linspace(1.1, 1.2, 11)
-    state = state_from(alpha_now, alpha_prev)
-    ghost_now = tf.ghost_temp_left(alpha_now[1], alpha_now[0], 1.0, mesh.h, BETA)
-    allowed = set(np.round(np.concatenate([alpha_now, alpha_prev,
-                                           [ghost_now]]), 12))
-    tf.assemble_temperature(state, mesh.nodes, mesh, model,
-                            TAU, BETA, tf.PAPER_LITERAL)
-    seen = set()
-    for arr in probed:
-        seen.update(np.round(np.atleast_1d(arr), 12).tolist())
-    assert seen <= allowed
 
 
 def test_assembly_is_deterministic():
@@ -233,8 +203,7 @@ def test_literal_solve_writes_back_alpha_n(fig1_config):
     new = tf.solve_temperature(state, pot, mesh, model, fig1_config.tau,
                                fig1_config.beta,
                                tf.SchemeVariant("paper_literal", "central"))
-    k_now = tf.eval_k(model, state.alpha[-1])
-    expected = tf.ghost_temp_right(new.alpha[-2], k_now, mesh.h,
+    expected = tf.ghost_temp_right(new.alpha[-2], model.k, mesh.h,
                                    fig1_config.beta)
     assert new.alpha[-1] == expected
 
