@@ -21,7 +21,7 @@ from .simulator import (Diagnostics, SimulationConfig, SimulationResult,
 from .temperature import (TemperatureState, assemble_temperature,
                           ghost_temp_left, ghost_temp_right,
                           initial_temperature, joule_source_vector,
-                          solve_temperature, source_term)
+                          solve_temperature)
 from .tridiag import (TridiagonalSystem, checked_solve, dense_solve_oracle,
                       residual_norm, thomas_solve)
 
@@ -70,7 +70,6 @@ __all__ = [
     "run_reduced",
     "solve_potential",
     "solve_temperature",
-    "source_term",
     "steady_state_error",
     "step",
     "thomas_solve",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,17 +18,35 @@ import numpy as np
 from .coefficients import ModelSpec, validate_physical
 from .errors import (ConfigurationError, ModelError, NotSteadyError,
                      SolverError)
-from .potential import SchemeVariant, check_current_compatibility, solve_potential
-from .simulator import (COMPATIBILITY_WARN_THRESHOLD, SimulationConfig,
-                        SimulationResult, convergence_study, run, run_reduced)
-from .temperature import ghost_temp_left, initial_temperature
+from .potential import SchemeVariant, check_current_compatibility
+from .simulator import (SimulationConfig, SimulationResult, convergence_study,
+                        run, run_reduced, step)
+from .temperature import initial_temperature
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_NOT_STEADY = 3
 
-_SCALAR_KEYS = {
+
+def _choice(**tokens: str):
+    """Parser of a value that must be one of ``tokens``; returns its meaning."""
+    def parse(value: str) -> str:
+        if value not in tokens:
+            raise ValueError(f"expected one of {tuple(tokens)}")
+        return tokens[value]
+    return parse
+
+
+def _boolean(value: str) -> bool:
+    low = value.lower()
+    if low not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
+        raise ValueError("expected a boolean")
+    return low in ("true", "1", "yes", "on")
+
+
+# key -> parser of its value, which raises ValueError on a bad value
+_REQUIRED = {
     "n_elements": int,
     "tau": float,
     "t_max": float,
@@ -37,14 +56,13 @@ _SCALAR_KEYS = {
     "steady_tol": float,
     "record_every": int,
 }
-_MODEL_KEYS = ("gamma", "k0", "sigma0", "lambda")
-_ENUM_KEYS = {
-    "scheme": ("paper", "corrected"),
-    "source": ("paper", "central"),
+_KEYS = {
+    **_REQUIRED,
+    **dict.fromkeys(("gamma", "k0", "sigma0", "lambda"), float),
+    "scheme": _choice(paper="paper_literal", corrected="corrected"),
+    "source": _choice(paper="paper_literal", central="central"),
+    "freeze_potential": _boolean,
 }
-_BOOL_KEYS = ("freeze_potential",)
-_ALL_KEYS = set(_SCALAR_KEYS) | set(_MODEL_KEYS) | set(_ENUM_KEYS) | set(_BOOL_KEYS)
-_REQUIRED = set(_SCALAR_KEYS)
 
 
 def parse_config(text: str) -> SimulationConfig:
@@ -68,25 +86,25 @@ def parse_config(text: str) -> SimulationConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigurationError(
                 f"line {lineno}: duplicate key {key!r} (first set on line {lines[key]})")
         lines[key] = lineno
-        values[key] = _parse_value(key, value, lineno)
+        try:
+            values[key] = _KEYS[key](value)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"line {lineno}: cannot parse {key} = {value!r} ({exc})") from exc
 
-    missing = sorted(_REQUIRED - set(values))
+    missing = sorted(_REQUIRED.keys() - values.keys())
     if missing:
         raise ConfigurationError(f"missing required key {missing[0]!r}")
     model = _infer_model(values)
 
-    scheme = values.get("scheme", "corrected")
-    source = values.get("source", "central")
-    variant = SchemeVariant(
-        stiffness="paper_literal" if scheme == "paper" else "corrected",
-        source_quadrature="paper_literal" if source == "paper" else "central",
-    )
+    variant = SchemeVariant(stiffness=values.get("scheme", "corrected"),
+                            source_quadrature=values.get("source", "central"))
     config = SimulationConfig(
         n_elements=values["n_elements"],
         tau=values["tau"],
@@ -109,29 +127,6 @@ def parse_config(text: str) -> SimulationConfig:
     return config
 
 
-def _parse_value(key: str, value: str, lineno: int):
-    try:
-        if key in _SCALAR_KEYS:
-            return _SCALAR_KEYS[key](value)
-        if key in _MODEL_KEYS:
-            return float(value)
-        if key in _ENUM_KEYS:
-            if value not in _ENUM_KEYS[key]:
-                raise ValueError(f"expected one of {_ENUM_KEYS[key]}")
-            return value
-        if key in _BOOL_KEYS:
-            low = value.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError("expected a boolean")
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"line {lineno}: cannot parse {key} = {value!r} ({exc})") from exc
-    raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-
-
 def _infer_model(values: dict) -> ModelSpec:
     has_gamma = "gamma" in values
     has_ks = "k0" in values or "sigma0" in values
@@ -145,12 +140,9 @@ def _infer_model(values: dict) -> ModelSpec:
     if has_ks:
         if "k0" not in values or "sigma0" not in values:
             raise ConfigurationError("constant-family models need both k0 and sigma0")
-        if "lambda" in values:
-            return ModelSpec("rational_sigma", {"k0": values["k0"],
-                                                "sigma0": values["sigma0"],
-                                                "lambda": values["lambda"]})
-        return ModelSpec("constant", {"k0": values["k0"],
-                                      "sigma0": values["sigma0"]})
+        kind = "rational_sigma" if "lambda" in values else "constant"
+        return ModelSpec(kind, {key: values[key] for key in
+                                ("k0", "sigma0", "lambda") if key in values})
     raise ConfigurationError(
         "missing model keys: provide gamma, or k0 and sigma0")
 
@@ -187,7 +179,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="1D coupled thermistor simulator (Galerkin P1, backward Euler)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p):
+    # the drivers are read from this module when the parser is built, so a
+    # patched ``run`` or ``run_reduced`` is the one that runs
+    for name, driver, text in (
+            ("run", run, "run the coupled solver"),
+            ("run-reduced", run_reduced,
+             "run the reduced constant-coefficient scheme")):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=_cmd_run, driver=driver)
         p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", help="write the t,x,u,phi series CSV here "
                                      "(default: stdout)")
@@ -195,17 +194,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--require-steady", action="store_true",
                        help="exit with status 3 if no steady state was reached")
 
-    add_run_flags(sub.add_parser("run", help="run the coupled solver"))
-    add_run_flags(sub.add_parser("run-reduced",
-                                 help="run the reduced constant-coefficient scheme"))
-
     conv = sub.add_parser("convergence",
                           help="steady-state error at N, 2N, 4N, ... vs the analytic oracle")
+    conv.set_defaults(handler=_cmd_convergence)
     conv.add_argument("--config", required=True)
     conv.add_argument("--levels", type=int, required=True)
 
     chk = sub.add_parser("check-potential",
                          help="solve one potential system from the zero state")
+    chk.set_defaults(handler=_cmd_check_potential)
     chk.add_argument("--config", required=True)
     return parser
 
@@ -217,17 +214,14 @@ def _load_config(path: str) -> SimulationConfig:
     return parse_config(p.read_text())
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_run(args, reduced: bool) -> int:
+def _cmd_run(args) -> int:
     config = _load_config(args.config)
-    result = run_reduced(config) if reduced else run(config)
-    _emit(write_series_csv(result), args.out)
+    result = args.driver(config)
+    series = write_series_csv(result)
+    if args.out:
+        Path(args.out).write_text(series)
+    else:
+        sys.stdout.write(series)
     if args.profile:
         Path(args.profile).write_text(write_profile_csv(result))
     if result.steady_reached:
@@ -236,11 +230,6 @@ def _cmd_run(args, reduced: bool) -> int:
         print(f"no steady state before t_max={config.t_max:g}", file=sys.stderr)
         if args.require_steady:
             return EXIT_NOT_STEADY
-    worst = max(map(abs, result.diagnostics.compatibility_residuals),
-                default=0.0)
-    if worst > COMPATIBILITY_WARN_THRESHOLD:
-        print("warning: boundary currents are incompatible "
-              f"(max residual {worst:.3e})", file=sys.stderr)
     return EXIT_OK
 
 
@@ -263,11 +252,8 @@ def _cmd_check_potential(args) -> int:
     mesh = config.build_mesh()
     model = config.build_model()
     state = initial_temperature(mesh)
-    ghost = ghost_temp_left(float(state.alpha[1]), float(state.alpha[0]),
-                            model.k, mesh.h, config.beta) \
-        if config.variant.stiffness == "paper_literal" else None
-    mu = solve_potential(state.alpha, mesh, model, config.variant,
-                         alpha_ghost_left=ghost)
+    # the potential of run's first step; its temperature advance is unused
+    _, mu = step(state, config, mesh, model)
     chord = mu[0] + (mu[-1] - mu[0]) * mesh.nodes
     deviation = float(np.max(np.abs(mu - chord)))
     residual = check_current_compatibility(state.alpha, model)
@@ -283,25 +269,25 @@ def run_cli(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on --help and usage errors
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
-    try:
-        if args.command == "run":
-            return _cmd_run(args, reduced=False)
-        if args.command == "run-reduced":
-            return _cmd_run(args, reduced=True)
-        if args.command == "convergence":
-            return _cmd_convergence(args)
-        if args.command == "check-potential":
-            return _cmd_check_potential(args)
-        raise ConfigurationError(f"unknown command {args.command!r}")
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SolverError, ModelError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except NotSteadyError as exc:  # a convergence level never became steady
-        print(f"not steady: {exc}", file=sys.stderr)
-        return EXIT_NOT_STEADY
+    # library warnings (incompatible boundary currents) follow the command's
+    # own messages, whatever its exit code; other categories keep the
+    # caller's filters, so a RuntimeWarning made an error stays one
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            code = args.handler(args)
+        except ConfigurationError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            code = EXIT_CONFIG
+        except (SolverError, ModelError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            code = EXIT_NUMERICAL
+        except NotSteadyError as exc:  # a convergence level never became steady
+            print(f"not steady: {exc}", file=sys.stderr)
+            code = EXIT_NOT_STEADY
+    for record in caught:
+        print(f"warning: {record.message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

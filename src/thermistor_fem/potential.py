@@ -190,8 +190,8 @@ def _first_integral(alpha: np.ndarray, mesh: Mesh, model: CoefficientModel,
 def check_current_compatibility(alpha: np.ndarray, model: CoefficientModel) -> float:
     """Solvability residual of the flux data: sigma(alpha_N)*flux_right - sigma(alpha_0)*flux_left.
 
-    Nonzero values mean the two prescribed boundary currents disagree; the
-    driver logs a warning above 1e-9 but does not refuse to run.
+    Nonzero values mean the two prescribed boundary currents disagree; run()
+    warns above 1e-9 but does not refuse to run.
     """
     s0, sn = eval_sigma(model, np.asarray(alpha, dtype=float)[[0, -1]])
     return float(sn * model.flux_right - s0 * model.flux_left)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -24,6 +25,8 @@ from .potential import (CORRECTED, SchemeVariant, check_current_compatibility,
 from .tridiag import TridiagonalSystem, checked_solve
 
 COMPATIBILITY_WARN_THRESHOLD = 1e-9
+# the held block operators of a run take about 528 bytes per node, 0.5 GB here
+MAX_ELEMENTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,9 @@ class SimulationConfig:
         if self.n_elements < 3:
             raise ConfigurationError(
                 f"n_elements must be >= 3, got {self.n_elements}")
+        if self.n_elements > MAX_ELEMENTS:
+            raise ConfigurationError(
+                f"n_elements must be <= {MAX_ELEMENTS}, got {self.n_elements}")
         for name in ("tau", "beta", "t_max", "steady_tolerance", "flux_left",
                      "flux_right"):
             if not math.isfinite(getattr(self, name)):
@@ -189,7 +195,9 @@ def run(config: SimulationConfig,
 
     Snapshots are recorded at t = 0, every ``record_every`` steps, and at the
     final state.  Models with no electrical conduction skip the (singular)
-    potential solve; their source is identically zero.
+    potential solve; their source is identically zero.  A UserWarning
+    reports boundary currents that disagree (check_current_compatibility
+    above COMPATIBILITY_WARN_THRESHOLD at some step).
     """
     mesh = config.build_mesh()
     model = config.build_model()
@@ -213,7 +221,13 @@ def run(config: SimulationConfig,
             fixed = mu
         return state, mu
 
-    return _march(config, mesh, advance, state, model)
+    result = _march(config, mesh, advance, state, model)
+    worst = max(map(abs, result.diagnostics.compatibility_residuals),
+                default=0.0)
+    if worst > COMPATIBILITY_WARN_THRESHOLD:
+        warnings.warn("boundary currents are incompatible "
+                      f"(max residual {worst:.3e})", stacklevel=2)
+    return result
 
 
 def reduced_system_rows(mesh: Mesh, tau: float, beta: float
@@ -245,13 +259,15 @@ def reduced_rhs(alpha01: np.ndarray, mesh: Mesh, tau: float, beta: float,
     h = mesh.h
     n = mesh.n_elements
     rhs = np.empty(n)
-    rhs[1:-1] = (h / 6.0) * alpha01[:-2] + (2.0 * h / 3.0) * alpha01[1:-1] \
-        + (h / 6.0) * alpha01[2:]
-    rhs[0] = (h / 2.0) * (1.0 + beta * h / 3.0) * alpha01[0] \
-        + (h / 3.0) * alpha01[1]
-    rhs[-1] = (h / 6.0) * alpha01[-2] \
-        + (h / 6.0) * (4.0 + 1.0 / (1.0 + beta * h)) * alpha01[-1]
-    return rhs + gamma * tau * h
+    # a non-finite entry is reported by the solve as a NumericalFailureError
+    with np.errstate(invalid="ignore", over="ignore"):
+        rhs[1:-1] = (h / 6.0) * alpha01[:-2] \
+            + (2.0 * h / 3.0) * alpha01[1:-1] + (h / 6.0) * alpha01[2:]
+        rhs[0] = (h / 2.0) * (1.0 + beta * h / 3.0) * alpha01[0] \
+            + (h / 3.0) * alpha01[1]
+        rhs[-1] = (h / 6.0) * alpha01[-2] \
+            + (h / 6.0) * (4.0 + 1.0 / (1.0 + beta * h)) * alpha01[-1]
+        return rhs + gamma * tau * h
 
 
 def run_reduced(config: SimulationConfig) -> SimulationResult:
@@ -311,6 +327,12 @@ def convergence_study(config: SimulationConfig, levels: int
     """Run N, 2N, 4N, ... and return (n_elements, steady error) per level."""
     if levels < 1:
         raise ConfigurationError("levels must be >= 1")
+    # N * 2**(levels - 1) <= MAX_ELEMENTS, without forming 2**levels
+    max_levels = (MAX_ELEMENTS // config.n_elements).bit_length()
+    if levels > max_levels:
+        raise ConfigurationError(
+            f"levels = {levels} would refine n_elements = {config.n_elements} "
+            f"past {MAX_ELEMENTS}; at most {max_levels} levels")
     if config.model.kind != "paper_example":
         raise ConfigurationError(
             "the convergence study needs the paper_example model "

@@ -119,17 +119,6 @@ def joule_source_vector(alpha: np.ndarray, mu: np.ndarray, mesh: Mesh, model: Co
     return out
 
 
-def source_term(alpha: np.ndarray, mu: np.ndarray, j: int,
-                mesh: Mesh, model: CoefficientModel, tau: float,
-                variant: SchemeVariant) -> float:
-    """Joule source for a single row j of the variant's layout."""
-    size = mesh.n_elements + 1 if variant.stiffness == "corrected" else mesh.n_elements
-    if not 0 <= j < size:
-        raise ValueError(f"row index {j} outside 0..{size - 1}")
-    return float(joule_source_vector(alpha, mu, mesh, model, tau,
-                                     variant)[j])
-
-
 def assemble_temperature(state: TemperatureState, mu: np.ndarray,
                          mesh: Mesh, model: CoefficientModel, tau: float,
                          beta: float, variant: SchemeVariant) -> TridiagonalSystem:

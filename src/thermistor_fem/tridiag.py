@@ -152,9 +152,11 @@ class _Factors(NamedTuple):
 
 
 # Keyed on the exact bytes of the three diagonals, so a hit returns what a
-# fresh factorisation would: the cache changes no result, only its cost.  Two
-# entries hold the potential and temperature matrices of a coupled step.
-# Exceptions are not cached, so a singular matrix raises on every call.
+# fresh factorisation would: the cache changes no result, only its cost.  A
+# corrected or reduced run holds one entry, its temperature matrix (the
+# corrected potential is solved without a matrix); the second entry holds the
+# paper_literal potential matrix next to it.  Exceptions are not cached, so a
+# singular matrix raises on every call.
 @functools.lru_cache(maxsize=2)
 def _factor(sub: bytes, main: bytes, sup: bytes) -> _Factors:
     """Forward elimination of T = L U, checked by the pivot rule, and the

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import warnings
 
@@ -314,6 +315,13 @@ def test_cli_warns_once_on_incompatible_currents(fig1_cfg_path, tmp_path, capsys
     assert run_cli(["run", "--config", str(cfg),
                     "--out", str(tmp_path / "b.csv")]) == 0
     assert capsys.readouterr().err.count(warning) == 1
+    # the warning follows the command's own message, whatever the exit code
+    cfg.write_text(cfg.read_text().replace("t_max = 200", "t_max = 1"))
+    assert run_cli(["run", "--config", str(cfg), "--require-steady",
+                    "--out", str(tmp_path / "c.csv")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "no steady state before t_max=1"
+    assert err[1].startswith(warning) and len(err) == 2
 
 
 def test_cli_check_potential(fig1_cfg_path, capsys):
@@ -324,6 +332,22 @@ def test_cli_check_potential(fig1_cfg_path, capsys):
     deviation, residual = (float(v) for v in lines[1].split(","))
     assert deviation <= 1e-12
     assert residual == 0.0
+
+
+@pytest.mark.parametrize("scheme", ["corrected", "paper"])
+def test_cli_check_potential_is_runs_first_potential(scheme, fig1_cfg_path,
+                                                      tmp_path, capsys):
+    text = fig1_cfg_path.read_text().replace("scheme = corrected",
+                                             f"scheme = {scheme}")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    config = parse_config(text)
+    first = tf.run(dataclasses.replace(config, record_every=1, t_max=config.tau))
+    mu = first.snapshots[1].potential
+    chord = mu[0] + (mu[-1] - mu[0]) * first.nodes
+    d = float(np.max(np.abs(mu - chord)))
+    assert run_cli(["check-potential", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[0] == f"{d:.12e}"
 
 
 def test_cli_check_potential_literal_scheme(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,11 @@ def test_config_validation():
         with pytest.raises(tf.ConfigurationError, match="n_elements must be >= 3"):
             small_config(n_elements=value)
     assert small_config(n_elements=np.int64(3)).n_elements == 3
+    # refused before any allocation; no mesh is built at the bound here
+    with pytest.raises(tf.ConfigurationError,
+                       match="n_elements must be <= 1000000"):
+        small_config(n_elements=10**6 + 1)
+    assert small_config(n_elements=10**6).n_elements == 10**6
     # a negative Robin coefficient feeds heat in; beta = 0 is adiabatic
     with pytest.raises(tf.ConfigurationError, match="beta must be >= 0"):
         small_config(beta=-5.0)
@@ -253,6 +259,15 @@ def test_run_factors_each_fixed_matrix_once(fig1_config, driver, overrides,
     assert tf.tridiag._factor.cache_info().misses - before == misses
 
 
+def test_run_warns_on_incompatible_boundary_currents(fig1_config):
+    # the corrected potential cannot carry both fluxes when they differ
+    with pytest.warns(UserWarning, match="boundary currents are incompatible"):
+        tf.run(dataclasses.replace(fig1_config, flux_right=2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tf.run(fig1_config)
+
+
 def test_freeze_potential_flag_matches_unfrozen_for_constant_sigma():
     frozen = tf.run(small_config(freeze_potential_after_first_step=True))
     live = tf.run(small_config())
@@ -382,6 +397,16 @@ def test_convergence_study_rejects_nonpositive_beta():
         object.__setattr__(config, "beta", beta)
         with pytest.raises(tf.ConfigurationError, match="beta > 0"):
             tf.convergence_study(config, 1)
+
+
+def test_convergence_study_refuses_levels_past_the_element_bound():
+    # refused before any level runs, without forming 2**levels
+    for n_elements, levels, allowed in ((100, 15, 14), (100, 10**9, 14),
+                                        (10**6 // 2 + 1, 2, 1)):
+        config = small_config(n_elements=n_elements)
+        with pytest.raises(tf.ConfigurationError,
+                           match=f"past 1000000; at most {allowed} levels"):
+            tf.convergence_study(config, levels)
 
 
 def test_convergence_study_levels():

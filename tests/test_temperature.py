@@ -39,13 +39,12 @@ def test_source_central_linear_potential():
     mesh = tf.build_mesh(10)
     model = paper_example_model()
     pot = mesh.nodes
-    alpha = np.zeros(11)
+    src = tf.joule_source_vector(np.zeros(11), pot, mesh, model, TAU,
+                                 tf.CORRECTED)
     for j in range(1, 10):
-        val = tf.source_term(alpha, pot, j, mesh, model, TAU, tf.CORRECTED)
-        assert val == pytest.approx(0.1 * TAU * mesh.h, rel=1e-13)
+        assert src[j] == pytest.approx(0.1 * TAU * mesh.h, rel=1e-13)
     for j in (0, 10):
-        val = tf.source_term(alpha, pot, j, mesh, model, TAU, tf.CORRECTED)
-        assert val == pytest.approx(0.05 * TAU * mesh.h, rel=1e-13)
+        assert src[j] == pytest.approx(0.05 * TAU * mesh.h, rel=1e-13)
 
 
 def test_source_constant_potential():
@@ -54,9 +53,11 @@ def test_source_constant_potential():
     model = constant_model(1.0, 0.5)
     pot = np.full(9, 0.3)
     alpha = np.zeros(9)
-    central = tf.source_term(alpha, pot, 4, mesh, model, TAU, tf.CORRECTED)
+    central = tf.joule_source_vector(alpha, pot, mesh, model, TAU,
+                                     tf.CORRECTED)[4]
     assert central == 0.0
-    literal = tf.source_term(alpha, pot, 4, mesh, model, TAU, tf.PAPER_LITERAL)
+    literal = tf.joule_source_vector(alpha, pot, mesh, model, TAU,
+                                     tf.PAPER_LITERAL)[4]
     assert literal == pytest.approx((TAU / mesh.h) * 0.5 * 0.3**2)
 
 
@@ -65,36 +66,9 @@ def test_source_literal_row0():
     mesh = tf.build_mesh(10)
     model = constant_model(1.0, 0.7)
     mu = np.zeros(11)
-    val = tf.source_term(np.zeros(11), mu, 0, mesh, model,
-                         TAU, tf.PAPER_LITERAL)
+    val = tf.joule_source_vector(np.zeros(11), mu, mesh, model, TAU,
+                                 tf.PAPER_LITERAL)[0]
     assert val == pytest.approx(TAU * mesh.h * 0.7)
-
-
-def test_source_vector_matches_scalar_op():
-    rng = np.random.default_rng(9)
-    mesh = tf.build_mesh(12)
-    model = paper_example_model()
-    alpha = rng.uniform(0, 0.3, 13)
-    mu = rng.uniform(-1, 1, 13)
-    for variant in (tf.CORRECTED, tf.PAPER_LITERAL,
-                    tf.SchemeVariant("paper_literal", "central"),
-                    tf.SchemeVariant("corrected", "paper_literal")):
-        vec = tf.joule_source_vector(alpha, mu, mesh, model,
-                                     TAU, variant)
-        scal = [tf.source_term(alpha, mu, j, mesh, model,
-                               TAU, variant) for j in range(len(vec))]
-        np.testing.assert_allclose(vec, scal, atol=0.0)
-
-
-def test_source_rejects_bad_row():
-    mesh = tf.build_mesh(5)
-    model = paper_example_model()
-    with pytest.raises(ValueError):
-        tf.source_term(np.zeros(6), np.zeros(6), 6, mesh,
-                       model, TAU, tf.CORRECTED)
-    with pytest.raises(ValueError):
-        tf.source_term(np.zeros(6), np.zeros(6), 5, mesh,
-                       model, TAU, tf.PAPER_LITERAL)
 
 
 def test_literal_interior_rows_collapse_to_benchmark_coefficients():
