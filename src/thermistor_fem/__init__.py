@@ -18,12 +18,13 @@ from .potential import (CORRECTED, PAPER_LITERAL, SchemeVariant,
 from .simulator import (Diagnostics, SimulationConfig, SimulationResult,
                         Snapshot, analytic_steady_state, convergence_study,
                         run, run_reduced, steady_state_error, step)
-from .temperature import (TemperatureState, assemble_temperature,
+from .temperature import (TemperatureOperator, TemperatureState,
+                          assemble_temperature,
                           ghost_temp_left, ghost_temp_right,
                           initial_temperature, joule_source_vector,
                           solve_temperature)
-from .tridiag import (TridiagonalSystem, checked_solve, dense_solve_oracle,
-                      residual_norm, thomas_solve)
+from .tridiag import (HeldFactorisation, TridiagonalSystem, checked_solve,
+                      dense_solve_oracle, residual_norm, thomas_solve)
 
 __version__ = "0.1.0"
 
@@ -33,6 +34,7 @@ __all__ = [
     "CoefficientModel",
     "ConfigurationError",
     "Diagnostics",
+    "HeldFactorisation",
     "Mesh",
     "ModelError",
     "ModelSpec",
@@ -44,6 +46,7 @@ __all__ = [
     "SingularSystemError",
     "Snapshot",
     "SolverError",
+    "TemperatureOperator",
     "TemperatureState",
     "ThermistorError",
     "TridiagonalSystem",

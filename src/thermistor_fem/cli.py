@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import ModelSpec, validate_physical
+from .coefficients import ModelSpec, eval_sigma, validate_physical
 from .errors import (ConfigurationError, ModelError, NotSteadyError,
                      SolverError)
 from .potential import SchemeVariant, check_current_compatibility
@@ -256,7 +256,8 @@ def _cmd_check_potential(args) -> int:
     _, mu = step(state, config, mesh, model)
     chord = mu[0] + (mu[-1] - mu[0]) * mesh.nodes
     deviation = float(np.max(np.abs(mu - chord)))
-    residual = check_current_compatibility(state.alpha, model)
+    residual = check_current_compatibility(eval_sigma(model, state.alpha),
+                                           model)
     sys.stdout.write("max_deviation_from_linear,compatibility_residual\n"
                      f"{deviation:.12e},{residual:.12e}\n")
     return EXIT_OK

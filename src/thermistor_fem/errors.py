@@ -12,7 +12,12 @@ class ConfigurationError(ThermistorError):
 
 
 class ModelError(ThermistorError):
-    """A coefficient model produced an unphysical value (k <= 0, sigma < 0, non-finite)."""
+    """A coefficient model produced an unphysical value (k <= 0, sigma < 0,
+    non-finite).  Raised inside a run's time loop, it carries ``step`` and
+    ``diagnostics`` as a SolverError does; elsewhere both stay None."""
+
+    step = None
+    diagnostics = None
 
 
 class SolverError(ThermistorError):

@@ -4,6 +4,9 @@ Two stiffness variants exist.  ``corrected`` is the standard P1 Galerkin
 discretisation of (sigma(u) phi_x)_x = 0 with flux boundary data and a
 mu_0 = 0 gauge row; it recovers a linear potential exactly for constant
 sigma, and its solution is written down from its discrete first integral.
+Every function here reads the temperature only through the nodal
+conductivities sigma(alpha_j), which a step evaluates once and shares with
+the Joule source.
 ``paper_literal`` reproduces the original published row formulas of this
 scheme family verbatim, including their sign inconsistency in the interior
 stencil, and is retained for characterisation only.
@@ -16,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientModel, eval_sigma
+from .coefficients import CoefficientModel
 from .errors import NumericalFailureError, SingularSystemError
 from .mesh import Mesh
-from .tridiag import TridiagonalSystem, checked_solve
+from .tridiag import HeldFactorisation, TridiagonalSystem, checked_solve
 
 STIFFNESS_CHOICES = ("paper_literal", "corrected")
 SOURCE_CHOICES = ("paper_literal", "central")
@@ -58,16 +61,18 @@ def ghost_potential_right(mu_last: float, h: float, flux_right: float) -> float:
     return h * flux_right + mu_last
 
 
-def assemble_potential(alpha: np.ndarray, mesh: Mesh, model: CoefficientModel,
+def assemble_potential(sigma: np.ndarray, mesh: Mesh, model: CoefficientModel,
                        variant: SchemeVariant,
-                       alpha_ghost_left: float | None = None) -> TridiagonalSystem:
-    """Assemble the potential system from the lagged temperature ``alpha``.
+                       sigma_ghost_left: float | None = None) -> TridiagonalSystem:
+    """Assemble the potential system from ``sigma``, sigma at the lagged
+    temperature alpha^n; s_j below is sigma_j and s(-1) ``sigma_ghost_left``,
+    sigma at the left temperature ghost.
 
     corrected (size N+1, unknowns mu_0..mu_N), rows scaled by 1/h:
         row 0      replaced by the gauge row mu_0 = 0
         row j      -s_{j-1/2} mu_{j-1} + (s_{j-1/2}+s_{j+1/2}) mu_j - s_{j+1/2} mu_{j+1} = 0
-        row N      s_{N-1/2} (mu_N - mu_{N-1}) = h * sigma(alpha_N) * flux_right
-    with s_{j+1/2} = (sigma(alpha_j) + sigma(alpha_{j+1})) / 2.
+        row N      s_{N-1/2} (mu_N - mu_{N-1}) = h * s_N * flux_right
+    with s_{j+1/2} = (s_j + s_{j+1}) / 2.
 
     paper_literal (size N, unknowns mu_0..mu_{N-1}), rows kept verbatim:
         row 0      (s0 + 3*s(-1) + 2*s1) mu_0 - (s(-1) + 2*s0 + s1) mu_1
@@ -82,10 +87,7 @@ def assemble_potential(alpha: np.ndarray, mesh: Mesh, model: CoefficientModel,
     """
     n = mesh.n_elements
     h = mesh.h
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (n + 1,):
-        raise ValueError(f"alpha must have length {n + 1}, got {alpha.shape}")
-    s = eval_sigma(model, alpha)
+    s = _nodal(sigma, mesh)
 
     if variant.stiffness == "corrected":
         s_half = 0.5 * (s[:-1] + s[1:])
@@ -104,9 +106,10 @@ def assemble_potential(alpha: np.ndarray, mesh: Mesh, model: CoefficientModel,
         rhs[0] = 0.0
         return TridiagonalSystem(sub=sub, main=main, sup=sup, rhs=rhs)
 
-    if alpha_ghost_left is None:
-        raise ValueError("paper_literal assembly needs the left temperature ghost")
-    s_ghost = eval_sigma(model, float(alpha_ghost_left))
+    if sigma_ghost_left is None:
+        raise ValueError("paper_literal assembly needs sigma at the left "
+                         "temperature ghost")
+    s_ghost = float(sigma_ghost_left)
     sub = np.zeros(n - 1)
     sup = np.zeros(n - 1)
     main = np.zeros(n)
@@ -124,16 +127,17 @@ def assemble_potential(alpha: np.ndarray, mesh: Mesh, model: CoefficientModel,
     return TridiagonalSystem(sub=sub, main=main, sup=sup, rhs=rhs)
 
 
-def solve_potential(alpha: np.ndarray, mesh: Mesh, model: CoefficientModel,
+def solve_potential(sigma: np.ndarray, mesh: Mesh, model: CoefficientModel,
                     variant: SchemeVariant,
-                    alpha_ghost_left: float | None = None,
-                    residual_sink: list | None = None) -> np.ndarray:
-    """Potential at the lagged temperature ``alpha``: mu_0..mu_N.
+                    sigma_ghost_left: float | None = None,
+                    residual_sink: list | None = None,
+                    held: HeldFactorisation | None = None) -> np.ndarray:
+    """Potential mu_0..mu_N for ``sigma``, sigma at the lagged temperature.
 
     corrected: the exact solution of the system ``assemble_potential``
     builds, from its discrete first integral.  Its rows say that the current
     s_{j+1/2} (mu_{j+1} - mu_j) / h is the same on every element and equals
-    J = sigma(alpha_N) * flux_right, and the gauge row sets mu_0 = 0, so
+    J = sigma_N * flux_right, and the gauge row sets mu_0 = 0, so
         mu = [0, cumsum(h * J / s_half)]
     with no solve.  This scheme never reads ``flux_left``: where the two
     boundary currents disagree, ``check_current_compatibility`` measures
@@ -143,26 +147,31 @@ def solve_potential(alpha: np.ndarray, mesh: Mesh, model: CoefficientModel,
     max_j |s_{j+1/2} (mu_{j+1} - mu_j) / h - J| / (1 + |J|).
 
     paper_literal: the assembled system goes through ``checked_solve``
-    (which also feeds ``residual_sink``); its unknowns are mu_0..mu_{N-1},
-    and mu_N is reconstructed by ``ghost_potential_right``.
+    (which also feeds ``residual_sink``, and solves with ``held``, the
+    factorisation a run holds for this matrix); its unknowns are
+    mu_0..mu_{N-1}, and mu_N is reconstructed by ``ghost_potential_right``.
     """
     if variant.stiffness == "corrected":
-        return _first_integral(alpha, mesh, model, residual_sink)
-    system = assemble_potential(alpha, mesh, model, variant,
-                                alpha_ghost_left=alpha_ghost_left)
-    mu = checked_solve(system, "potential", residual_sink)
+        return _first_integral(sigma, mesh, model, residual_sink)
+    system = assemble_potential(sigma, mesh, model, variant,
+                                sigma_ghost_left=sigma_ghost_left)
+    mu = checked_solve(system, "potential", residual_sink, held)
     return np.append(mu, ghost_potential_right(float(mu[-1]), mesh.h,
                                                model.flux_right))
 
 
-def _first_integral(alpha: np.ndarray, mesh: Mesh, model: CoefficientModel,
+def _nodal(sigma: np.ndarray, mesh: Mesh) -> np.ndarray:
+    s = np.asarray(sigma, dtype=float)
+    if s.shape != (mesh.n_nodes,):
+        raise ValueError(f"sigma must have length {mesh.n_nodes}, got {s.shape}")
+    return s
+
+
+def _first_integral(sigma: np.ndarray, mesh: Mesh, model: CoefficientModel,
                     residual_sink: list | None) -> np.ndarray:
     n = mesh.n_elements
     h = mesh.h
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (n + 1,):
-        raise ValueError(f"alpha must have length {n + 1}, got {alpha.shape}")
-    s = eval_sigma(model, alpha)
+    s = _nodal(sigma, mesh)
     current = float(s[n]) * model.flux_right
     # halved before the sum: 0.5 * (a + b) unless that sum would overflow
     s_half = 0.5 * s[:-1] + 0.5 * s[1:]
@@ -187,11 +196,11 @@ def _first_integral(alpha: np.ndarray, mesh: Mesh, model: CoefficientModel,
     return mu
 
 
-def check_current_compatibility(alpha: np.ndarray, model: CoefficientModel) -> float:
-    """Solvability residual of the flux data: sigma(alpha_N)*flux_right - sigma(alpha_0)*flux_left.
+def check_current_compatibility(sigma: np.ndarray, model: CoefficientModel) -> float:
+    """Solvability residual of the flux data: sigma_N*flux_right - sigma_0*flux_left,
+    read from the nodal conductivities ``sigma``.
 
     Nonzero values mean the two prescribed boundary currents disagree; run()
     warns above 1e-9 but does not refuse to run.
     """
-    s0, sn = eval_sigma(model, np.asarray(alpha, dtype=float)[[0, -1]])
-    return float(sn * model.flux_right - s0 * model.flux_left)
+    return float(sigma[-1] * model.flux_right - sigma[0] * model.flux_left)

@@ -17,12 +17,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import temperature as temp
-from .coefficients import CoefficientModel, ModelSpec
-from .errors import ConfigurationError, NotSteadyError, SolverError
+from .coefficients import CoefficientModel, ModelSpec, eval_sigma
+from .errors import ConfigurationError, ModelError, NotSteadyError, SolverError
 from .mesh import Mesh, build_mesh
 from .potential import (CORRECTED, SchemeVariant, check_current_compatibility,
                         solve_potential)
-from .tridiag import TridiagonalSystem, checked_solve
+from .tridiag import HeldFactorisation, TridiagonalSystem, checked_solve
 
 COMPATIBILITY_WARN_THRESHOLD = 1e-9
 # the held block operators of a run take about 528 bytes per node, 0.5 GB here
@@ -115,42 +115,64 @@ def step(state: temp.TemperatureState, config: SimulationConfig,
     """One decoupled step: potential from alpha^n, then temperature advance.
 
     Returns the new state and the nodal potential mu_0..mu_N it used.
-    Solver failures are re-raised with the step index attached.
+    Solver and model failures are re-raised with the step index attached.
     """
     mesh = mesh or config.build_mesh()
     model = model or config.build_model()
-    index = int(round(state.time / config.tau))
     try:
-        # only the literal potential assembly reads the temperature ghost
-        ghost = temp.ghost_temp_left(float(state.alpha[1]),
-                                     float(state.alpha[0]), model.k, mesh.h,
-                                     config.beta) \
-            if config.variant.stiffness == "paper_literal" else None
-        mu = solve_potential(state.alpha, mesh, model, config.variant,
-                             alpha_ghost_left=ghost,
-                             residual_sink=residual_sink)
-        new_state = temp.solve_temperature(state, mu, mesh, model,
-                                           config.tau, config.beta,
-                                           config.variant,
-                                           residual_sink=residual_sink)
-    except SolverError as exc:
-        exc.step = index
+        new_state, mu, _ = _coupled(config, mesh, model)(state, residual_sink)
+    except (SolverError, ModelError) as exc:
+        exc.step = int(round(state.time / config.tau))
         raise
     return new_state, mu
 
 
-def _march(config: SimulationConfig, mesh: Mesh, stepper,
-           state: temp.TemperatureState,
-           model: CoefficientModel | None = None) -> SimulationResult:
-    """Advance ``stepper`` on the t0 + n*tau grid until steady or t_max.
+def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel,
+             potential: np.ndarray | None = None, freeze: bool = False):
+    """A run's coupled stepper, for ``_march``, holding the temperature
+    operator and the paper_literal potential factorisation.
 
-    ``stepper(state, residual_sink)`` returns the next state and the nodal
-    potential it used, and appends its solves' residuals to the sink.
-    Snapshots are recorded at t0, every ``record_every`` steps, and at the
-    final state.  The boundary-current compatibility of each step's starting
-    state is recorded when ``model`` is given and is 0 otherwise.  A
-    SolverError leaves with the failing step's index and the diagnostics
-    collected so far.
+    Each step evaluates sigma at alpha^n once, for the potential, the Joule
+    source and the compatibility residual.  ``potential`` replaces the
+    potential solve; ``freeze`` keeps the first potential solved.
+    """
+    operator = temp.TemperatureOperator(mesh, model, config.tau, config.beta,
+                                        config.variant)
+    held = HeldFactorisation()
+    literal = config.variant.stiffness == "paper_literal"
+
+    def advance(state, residual_sink):
+        nonlocal potential
+        sigma = eval_sigma(model, state.alpha)
+        mu = potential
+        if mu is None:
+            # only the literal potential reads sigma at the temperature ghost
+            ghost = eval_sigma(model, temp.ghost_temp_left(
+                float(state.alpha[1]), float(state.alpha[0]), model.k,
+                mesh.h, config.beta)) if literal else None
+            mu = solve_potential(sigma, mesh, model, config.variant,
+                                 sigma_ghost_left=ghost,
+                                 residual_sink=residual_sink, held=held)
+            if freeze:
+                potential = mu
+        new_state = temp.solve_temperature(state, sigma, mu, operator,
+                                           residual_sink)
+        return new_state, mu, check_current_compatibility(sigma, model)
+
+    return advance
+
+
+def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
+           state: temp.TemperatureState) -> SimulationResult:
+    """Advance the stepper ``make_stepper()`` builds, on the t0 + n*tau grid,
+    until steady or t_max.
+
+    ``stepper(state, residual_sink)`` returns the next state, the potential
+    it used and its starting state's compatibility residual, and appends its
+    solves' residuals to the sink.  Snapshots are recorded at t0, every
+    ``record_every`` steps, and at the final state.  A SolverError or
+    ModelError, building the stepper (step 0) included, leaves with the
+    failing step's index and the diagnostics collected so far.
     """
     diag = Diagnostics()
     snapshots = [Snapshot(state.time, state.alpha.copy(), mesh.nodes.copy())]
@@ -159,24 +181,23 @@ def _march(config: SimulationConfig, mesh: Mesh, stepper,
     t0 = state.time
     n = 0
     try:
+        stepper = make_stepper()
         while (n + 1) * config.tau + t0 <= config.t_max * (1.0 + 1e-12):
             prev_alpha = state.alpha
-            state, mu = stepper(state, diag.solver_residuals)
+            state, mu, compatibility = stepper(state, diag.solver_residuals)
             n += 1
             # keep times on the exact t0 + n*tau grid instead of accumulating
             state = dataclasses.replace(state, time=t0 + n * config.tau)
             change = float(np.max(np.abs(state.alpha - prev_alpha)))
             diag.max_change.append(change)
-            diag.compatibility_residuals.append(
-                0.0 if model is None
-                else check_current_compatibility(prev_alpha, model))
+            diag.compatibility_residuals.append(compatibility)
             if n % config.record_every == 0:
                 snapshots.append(Snapshot(state.time, state.alpha.copy(),
                                           mu.copy()))
             if change / config.tau < config.steady_tolerance:
                 steady_time = state.time
                 break
-    except SolverError as exc:
+    except (SolverError, ModelError) as exc:
         exc.step = n
         exc.diagnostics = diag
         raise
@@ -205,23 +226,11 @@ def run(config: SimulationConfig,
         else temp.initial_temperature(mesh)
     if state.alpha.shape != (mesh.n_nodes,):
         raise ConfigurationError("initial state does not match the mesh")
-    # a potential that is no longer solved for: zero without conduction, or
-    # the first step's potential when frozen
-    fixed = np.zeros(mesh.n_nodes) if model.sigma_is_zero else None
-
-    def advance(state, residual_sink):
-        nonlocal fixed
-        if fixed is not None:
-            return temp.solve_temperature(
-                state, fixed, mesh, model, config.tau, config.beta,
-                config.variant, residual_sink=residual_sink), fixed
-        state, mu = step(state, config, mesh, model,
-                         residual_sink=residual_sink)
-        if config.freeze_potential_after_first_step:
-            fixed = mu
-        return state, mu
-
-    result = _march(config, mesh, advance, state, model)
+    # without conduction the potential is zero and never solved for
+    zero = np.zeros(mesh.n_nodes) if model.sigma_is_zero else None
+    result = _march(config, mesh, lambda: _coupled(
+        config, mesh, model, potential=zero,
+        freeze=config.freeze_potential_after_first_step), state)
     worst = max(map(abs, result.diagnostics.compatibility_residuals),
                 default=0.0)
     if worst > COMPATIBILITY_WARN_THRESHOLD:
@@ -285,19 +294,26 @@ def run_reduced(config: SimulationConfig) -> SimulationResult:
     gamma = float(config.model.parameters["gamma"])
     mesh = config.build_mesh()
     tau, beta = config.tau, config.beta
-    sub, main, sup = reduced_system_rows(mesh, tau, beta)
 
-    def advance(state, residual_sink):
-        # the unknowns are alpha_0..alpha_{N-1}; alpha_N is not one of them
-        system = TridiagonalSystem(sub=sub, main=main, sup=sup,
-                                   rhs=reduced_rhs(state.alpha[:-1], mesh, tau,
-                                                   beta, gamma))
-        new01 = checked_solve(system, "reduced temperature", residual_sink)
-        # alpha_N reconstructed via the right ghost relation at k = 1
-        alpha = np.append(new01, new01[-1] / (1.0 + beta * mesh.h))
-        return temp.TemperatureState(alpha, state.time + tau), mesh.nodes
+    def reduced():
+        matrix = TridiagonalSystem(*reduced_system_rows(mesh, tau, beta),
+                                   rhs=np.zeros(mesh.n_elements))
+        held = HeldFactorisation()
 
-    return _march(config, mesh, advance, temp.initial_temperature(mesh))
+        def advance(state, residual_sink):
+            # the unknowns are alpha_0..alpha_{N-1}; alpha_N is not one of them
+            system = matrix.with_rhs(reduced_rhs(state.alpha[:-1], mesh, tau,
+                                                 beta, gamma))
+            new01 = checked_solve(system, "reduced temperature",
+                                  residual_sink, held)
+            # alpha_N reconstructed via the right ghost relation at k = 1
+            alpha = np.append(new01, new01[-1] / (1.0 + beta * mesh.h))
+            return (temp.TemperatureState(alpha, state.time + tau),
+                    mesh.nodes, 0.0)
+
+        return advance
+
+    return _march(config, mesh, reduced, temp.initial_temperature(mesh))
 
 
 def analytic_steady_state(x, beta: float, gamma: float):

@@ -4,7 +4,8 @@ The thermal conductivity k is a constant of the model, so the matrix of a
 step depends only on the mesh, tau, beta and k.  The nonlinearity is in
 sigma alone, and it is lagged: sigma is evaluated at the current level
 alpha^n, never at the unknown alpha^{n+1}, so each step is a single
-tridiagonal solve.
+tridiagonal solve.  A run builds and factors its matrix once
+(``TemperatureOperator``); a step builds only its right-hand side.
 
 Variant summary (h = mesh step, tau = time step, beta = heat transfer):
 
@@ -36,7 +37,7 @@ from .coefficients import CoefficientModel, eval_sigma
 from .errors import ModelError
 from .mesh import Mesh
 from .potential import SchemeVariant
-from .tridiag import TridiagonalSystem, checked_solve
+from .tridiag import HeldFactorisation, TridiagonalSystem, checked_solve
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,18 @@ def ghost_temp_right(alpha_last: float, k: float,
     return k / den * alpha_last
 
 
-def joule_source_vector(alpha: np.ndarray, mu: np.ndarray, mesh: Mesh, model: CoefficientModel, tau: float,
+def joule_source_vector(sigma: np.ndarray, mu: np.ndarray, mesh: Mesh,
+                        model: CoefficientModel, tau: float,
                         variant: SchemeVariant) -> np.ndarray:
     """Joule source contributions for every row of the variant's layout.
 
-    central quadrature: tau * h * sigma(a_j) * g_j^2 with the centred
+    ``sigma`` holds the nodal conductivities sigma(alpha_j) of the step.
+
+    central quadrature: tau * h * sigma_j * g_j^2 with the centred
     gradient g_j = (mu_{j+1}-mu_{j-1})/(2h) on interior rows; boundary rows
     use the one-sided gradient and the half support weight tau*h/2.
 
-    paper_literal quadrature: (tau/h) * sigma(a_j) * (-mu_{j-1}+mu_j+mu_{j+1})^2
+    paper_literal quadrature: (tau/h) * sigma_j * (-mu_{j-1}+mu_j+mu_{j+1})^2
     on generic rows, with the ghost-eliminated boundary forms
     (2 mu_0 + h*flux_left)^2 and (2 mu_{N-1} - mu_{N-2} + h*flux_right)^2.
     This expression is not gauge invariant; that is a property of the
@@ -88,23 +92,23 @@ def joule_source_vector(alpha: np.ndarray, mu: np.ndarray, mesh: Mesh, model: Co
     n = mesh.n_elements
     h = mesh.h
     mu = np.asarray(mu, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
+    s = np.asarray(sigma, dtype=float)
     size = n + 1 if variant.stiffness == "corrected" else n
-    s = eval_sigma(model, alpha)
-    out = np.empty(size)
 
     if variant.source_quadrature == "central":
         grad = np.empty(n + 1)
         grad[0] = (mu[1] - mu[0]) / h
         grad[n] = (mu[n] - mu[n - 1]) / h
         grad[1:n] = (mu[2:] - mu[:-2]) / (2.0 * h)
-        weight = np.full(n + 1, h)
-        weight[0] = 0.5 * h
-        weight[n] = 0.5 * h
-        full = tau * weight * s * grad * grad
+        full = tau * h * s * grad * grad
+        # the half support weight; halving is exact, so this is the value
+        # of tau * (h / 2) * s * g * g
+        full[0] *= 0.5
+        full[n] *= 0.5
         return full[:size]
 
     # paper_literal quadrature
+    out = np.empty(size)
     out[0] = (tau / h) * s[0] * (2.0 * mu[0] + h * model.flux_left) ** 2
     inner = np.arange(1, size - 1)
     out[inner] = (tau / h) * s[inner] * (-mu[inner - 1] + mu[inner] + mu[inner + 1]) ** 2
@@ -123,71 +127,84 @@ def assemble_temperature(state: TemperatureState, mu: np.ndarray,
                          mesh: Mesh, model: CoefficientModel, tau: float,
                          beta: float, variant: SchemeVariant) -> TridiagonalSystem:
     """Assemble one backward-Euler step; see the module docstring for the rows."""
-    n = mesh.n_elements
-    h = mesh.h
-    alpha = state.alpha
-    k = model.k
-    src = joule_source_vector(alpha, mu, mesh, model, tau, variant)
+    op = TemperatureOperator(mesh, model, tau, beta, variant)
+    return op.matrix.with_rhs(
+        op.rhs(state.alpha, eval_sigma(model, state.alpha), mu))
 
-    if variant.stiffness == "corrected":
-        k_half = 0.5 * (k + k)
-        sub = np.full(n, h / 6.0) - tau * k_half / h
-        sup = np.full(n, h / 6.0) - tau * k_half / h
-        main = np.full(n + 1, 2.0 * h / 3.0)
-        main[1:n] += tau * (k_half + k_half) / h
-        main[0] = h / 3.0 + tau * k_half / h + tau * beta
-        main[n] = h / 3.0 + tau * k_half / h + tau * beta
-        rhs = np.empty(n + 1)
-        rhs[1:n] = (h / 6.0) * alpha[:-2] + (2.0 * h / 3.0) * alpha[1:-1] \
-            + (h / 6.0) * alpha[2:]
-        rhs[0] = (h / 3.0) * alpha[0] + (h / 6.0) * alpha[1]
-        rhs[n] = (h / 6.0) * alpha[n - 1] + (h / 3.0) * alpha[n]
+
+class TemperatureOperator:
+    """The rows of a backward-Euler step, built and checked once, and their
+    held factorisation.
+
+    The rows depend only on the mesh, tau, beta and the constant k, so a
+    run builds them once and each step builds only its right-hand side.
+    """
+
+    def __init__(self, mesh: Mesh, model: CoefficientModel, tau: float,
+                 beta: float, variant: SchemeVariant):
+        self.mesh, self.model, self.variant = mesh, model, variant
+        self.tau, self.beta = tau, beta
+        n, h, k = mesh.n_elements, mesh.h, model.k
+        if variant.stiffness == "corrected":
+            k_half = 0.5 * (k + k)
+            sub = np.full(n, h / 6.0) - tau * k_half / h
+            sup = np.full(n, h / 6.0) - tau * k_half / h
+            main = np.full(n + 1, 2.0 * h / 3.0)
+            main[1:n] += tau * (k_half + k_half) / h
+            main[0] = h / 3.0 + tau * k_half / h + tau * beta
+            main[n] = h / 3.0 + tau * k_half / h + tau * beta
+        else:
+            # paper_literal: unknowns alpha_0..alpha_{N-1}; each conductivity
+            # of the published rows, k(a_j), k(a_{-1}) or k(a_N) at either
+            # level, is k
+            a = c = h / 6.0 - (tau / (2.0 * h)) * (k + k)
+            b = 2.0 * h / 3.0 + (tau / h) * (k + k)
+            sub = np.full(n - 1, a)
+            sup = np.full(n - 1, c)
+            main = np.full(n, b)
+            main[0] = a * (beta * h / k - 1.0) + b - tau * beta
+            sup[0] = a + c
+            main[n - 1] = b + k / (beta * h + k) * c
+        self.matrix = TridiagonalSystem(sub, main, sup, np.zeros(main.shape))
+        self.held = HeldFactorisation()
+
+    def rhs(self, alpha: np.ndarray, sigma: np.ndarray,
+            mu: np.ndarray) -> np.ndarray:
+        """Mass times alpha^n plus the Joule source of ``sigma`` and ``mu``."""
+        n, h, k, beta = self.mesh.n_elements, self.mesh.h, self.model.k, self.beta
+        src = joule_source_vector(sigma, mu, self.mesh, self.model, self.tau,
+                                  self.variant)
+        size = src.shape[0]
+        rhs = np.empty(size)
+        rhs[1:size - 1] = (h / 6.0) * alpha[:size - 2] \
+            + (2.0 * h / 3.0) * alpha[1:size - 1] + (h / 6.0) * alpha[2:size]
+        if self.variant.stiffness == "corrected":
+            rhs[0] = (h / 3.0) * alpha[0] + (h / 6.0) * alpha[1]
+            rhs[n] = (h / 6.0) * alpha[n - 1] + (h / 3.0) * alpha[n]
+        else:
+            rhs[0] = (h / 2.0) * (1.0 + h * beta / (3.0 * k)) * alpha[0] \
+                + (h / 3.0) * alpha[1]
+            rhs[n - 1] = (h / 6.0) * alpha[n - 2] \
+                + (h / 6.0) * (4.0 + k / (beta * h + k)) * alpha[n - 1]
         rhs += src
-        return TridiagonalSystem(sub=sub, main=main, sup=sup, rhs=rhs)
-
-    # paper_literal: unknowns alpha_0..alpha_{N-1}; each conductivity of the
-    # published rows, k(a_j), k(a_{-1}) or k(a_N) at either level, is k
-    sub = np.empty(n - 1)
-    sup = np.empty(n - 1)
-    main = np.empty(n)
-    rhs = np.empty(n)
-
-    j = np.arange(1, n - 1)
-    sub[j - 1] = h / 6.0 - (tau / (2.0 * h)) * (k + k)
-    main[j] = 2.0 * h / 3.0 + (tau / h) * (k + k)
-    sup[j] = h / 6.0 - (tau / (2.0 * h)) * (k + k)
-    rhs[j] = (h / 6.0) * alpha[j - 1] + (2.0 * h / 3.0) * alpha[j] \
-        + (h / 6.0) * alpha[j + 1] + src[j]
-
-    a = h / 6.0 - (tau / (2.0 * h)) * (k + k)
-    b = 2.0 * h / 3.0 + (tau / h) * (k + k)
-    c = h / 6.0 - (tau / (2.0 * h)) * (k + k)
-    main[0] = a * (beta * h / k - 1.0) + b - tau * beta
-    sup[0] = a + c
-    rhs[0] = (h / 2.0) * (1.0 + h * beta / (3.0 * k)) * alpha[0] \
-        + (h / 3.0) * alpha[1] + src[0]
-
-    d = h / 6.0 - (tau / (2.0 * h)) * (k + k)
-    e = 2.0 * h / 3.0 + (tau / h) * (k + k)
-    f = h / 6.0 - (tau / (2.0 * h)) * (k + k)
-    sub[n - 2] = d
-    main[n - 1] = e + k / (beta * h + k) * f
-    rhs[n - 1] = (h / 6.0) * alpha[n - 2] \
-        + (h / 6.0) * (4.0 + k / (beta * h + k)) * alpha[n - 1] \
-        + src[n - 1]
-    return TridiagonalSystem(sub=sub, main=main, sup=sup, rhs=rhs)
+        return rhs
 
 
-def solve_temperature(state: TemperatureState, mu: np.ndarray, mesh: Mesh,
-                      model: CoefficientModel, tau: float, beta: float,
-                      variant: SchemeVariant,
+def solve_temperature(state: TemperatureState, sigma: np.ndarray,
+                      mu: np.ndarray, operator: TemperatureOperator,
                       residual_sink: list | None = None) -> TemperatureState:
-    """Advance one backward-Euler step; returns the state at time + tau."""
-    system = assemble_temperature(state, mu, mesh, model, tau, beta, variant)
-    x = checked_solve(system, "temperature", residual_sink)
-    if variant.stiffness == "corrected":
+    """Advance one backward-Euler step; returns the state at time + tau.
+
+    ``sigma`` is sigma(alpha^n) at the nodes and ``mu`` the step's potential;
+    the system is ``assemble_temperature``'s, solved with ``operator``'s rows
+    and held factorisation.
+    """
+    op = operator
+    system = op.matrix.with_rhs(op.rhs(state.alpha, sigma, mu))
+    x = checked_solve(system, "temperature", residual_sink, op.held)
+    if op.variant.stiffness == "corrected":
         alpha_new = x
     else:
         alpha_new = np.append(
-            x, ghost_temp_right(float(x[-1]), model.k, mesh.h, beta))
-    return TemperatureState(alpha=alpha_new, time=state.time + tau)
+            x, ghost_temp_right(float(x[-1]), op.model.k, op.mesh.h, op.beta))
+    return TemperatureState(alpha=alpha_new, time=state.time + op.tau)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,7 +24,8 @@ class TridiagonalSystem:
     """One linear system T x = rhs with T tridiagonal.
 
     ``sub`` and ``sup`` have length m-1 for a system of size m.  All arrays
-    are normalised to float64 and must be finite.
+    are normalised to float64 and must be finite, and are not changed in
+    place once the system is built.
     """
 
     sub: np.ndarray
@@ -49,6 +49,18 @@ class TridiagonalSystem:
             if not np.isfinite(getattr(self, name)).all():
                 raise NumericalFailureError(f"non-finite entries in {name}")
 
+    def with_rhs(self, rhs: np.ndarray) -> TridiagonalSystem:
+        """The same matrix, checked when it was built, and the same arrays,
+        with another right-hand side; only ``rhs`` is checked."""
+        rhs = np.ascontiguousarray(rhs, dtype=float)
+        if rhs.shape != self.rhs.shape:
+            raise ValueError(f"rhs must have length {self.size}, got {rhs.shape}")
+        if not np.isfinite(rhs).all():
+            raise NumericalFailureError("non-finite entries in rhs")
+        new = object.__new__(TridiagonalSystem)
+        new.__dict__.update(self.__dict__, rhs=rhs)
+        return new
+
     @property
     def size(self) -> int:
         return self.main.shape[0]
@@ -65,16 +77,18 @@ class TridiagonalSystem:
 
 
 def checked_solve(system: TridiagonalSystem, what: str,
-                  residual_sink: list | None = None) -> np.ndarray:
+                  residual_sink: list | None = None,
+                  held: HeldFactorisation | None = None) -> np.ndarray:
     """Solve with the contract every phase of a step shares.
 
     A singular pivot is re-raised as ``"<what> solve failed: ..."`` with the
     failing row kept, and a non-finite solution raises NumericalFailureError.
     ``residual_sink``, when given, receives the residual max-norm scaled by
-    ``1 + max|rhs|`` (for run diagnostics).
+    ``1 + max|rhs|`` (for run diagnostics).  ``held`` is passed on to
+    ``thomas_solve``.
     """
     try:
-        x = thomas_solve(system)
+        x = thomas_solve(system, held)
     except SingularSystemError as exc:
         raise SingularSystemError(f"{what} solve failed: {exc}",
                                   row=exc.row) from exc
@@ -86,17 +100,17 @@ def checked_solve(system: TridiagonalSystem, what: str,
     return x
 
 
-def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
+def thomas_solve(system: TridiagonalSystem,
+                 held: HeldFactorisation | None = None) -> np.ndarray:
     """Direct O(m) elimination.  The input system is never mutated.
 
     Raises SingularSystemError (carrying the failing row) when a pivot falls
-    below 1e-14 of the row's largest original coefficient.  The elimination
-    of the matrix is reused while consecutive calls share it exactly, so a
-    time loop that alternates two fixed matrices factors each of them once.
+    below 1e-14 of the row's largest original coefficient.  Without ``held``
+    the matrix is factored for this solve alone; with it, the factorisation
+    that the owner of the matrix holds is used (see ``HeldFactorisation``).
     Both triangular solves run block by block (see ``_substitute``).
     """
-    factors = _factor(system.sub.tobytes(), system.main.tobytes(),
-                      system.sup.tobytes())
+    factors = (held or HeldFactorisation()).factors(system)
     nb, b = factors.lower_carry.shape
     r = np.zeros(nb * b)
     r[:factors.size] = system.rhs
@@ -151,17 +165,30 @@ class _Factors(NamedTuple):
     upper_carry: np.ndarray
 
 
-# Keyed on the exact bytes of the three diagonals, so a hit returns what a
-# fresh factorisation would: the cache changes no result, only its cost.  A
-# corrected or reduced run holds one entry, its temperature matrix (the
-# corrected potential is solved without a matrix); the second entry holds the
-# paper_literal potential matrix next to it.  Exceptions are not cached, so a
-# singular matrix raises on every call.
-@functools.lru_cache(maxsize=2)
-def _factor(sub: bytes, main: bytes, sup: bytes) -> _Factors:
+class HeldFactorisation:
+    """The factorisation of a matrix, held by whoever owns the matrix.
+
+    ``factors(system)`` factors anew only when the diagonals differ from the
+    held ones, so an owner whose matrix never changes factors it once; the
+    held arrays themselves (``TridiagonalSystem.with_rhs``) are not compared,
+    as a system's arrays are never changed in place.  Holding changes no
+    result, only its cost.  A singular matrix is not held.
+    """
+
+    _matrix = (None, None, None)
+    _factors = None
+
+    def factors(self, system: TridiagonalSystem) -> _Factors:
+        matrix = (system.sub, system.main, system.sup)
+        if not all(new is old or np.array_equal(new, old)
+                   for new, old in zip(matrix, self._matrix)):
+            self._factors, self._matrix = _factor(*matrix), matrix
+        return self._factors
+
+
+def _factor(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> _Factors:
     """Forward elimination of T = L U, checked by the pivot rule, and the
     block operators of both triangular solves."""
-    sub, main, sup = (np.frombuffer(b) for b in (sub, main, sup))
     # Python floats: per-element numpy indexing costs more than the arithmetic
     lower = [0.0] + sub.tolist()
     pivots = []

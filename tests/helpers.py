@@ -5,8 +5,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from thermistor_fem import SingularSystemError, TridiagonalSystem
+from thermistor_fem import SingularSystemError, TridiagonalSystem, tridiag
 from thermistor_fem.tridiag import PIVOT_RTOL
+
+
+def count_factorisations(monkeypatch) -> list:
+    """Record every factorisation made from now on, one entry each: the
+    size of the matrix factored."""
+    calls = []
+    factor = tridiag._factor
+
+    def counted(sub, main, sup):
+        calls.append(len(main))
+        return factor(sub, main, sup)
+
+    monkeypatch.setattr(tridiag, "_factor", counted)
+    return calls
 
 
 def random_dominant_system(rng: np.random.Generator, size: int) -> TridiagonalSystem:

@@ -87,7 +87,8 @@ def test_criterion_3_linear_potential_recovery():
     for n in (4, 16, 100):
         mesh = tf.build_mesh(n)
         model = constant_model(1.0, 1.0)
-        pot = tf.solve_potential(np.zeros(n + 1), mesh, model, tf.CORRECTED)
+        pot = tf.solve_potential(tf.eval_sigma(model, np.zeros(n + 1)), mesh,
+                                 model, tf.CORRECTED)
         worst = max(worst, float(np.max(np.abs((pot - pot[0]) - mesh.nodes))))
     ok = worst <= 1e-10
     _report(3, ok, "corrected potential recovers mu_j - mu_0 = x_j for N in {4,16,100}",
@@ -104,7 +105,8 @@ def test_criterion_4_benchmark_coefficient_fidelity():
     rng = np.random.default_rng(12)
     alpha = rng.uniform(0.0, 0.3, 101)
     state = tf.TemperatureState(alpha=alpha, time=0.0)
-    pot = tf.solve_potential(alpha, mesh, model, tf.CORRECTED)
+    sigma = tf.eval_sigma(model, alpha)
+    pot = tf.solve_potential(sigma, mesh, model, tf.CORRECTED)
     variant = tf.SchemeVariant("paper_literal", "paper_literal")
     system = tf.assemble_temperature(state, pot, mesh, model, TAU, BETA, variant)
 
@@ -117,7 +119,7 @@ def test_criterion_4_benchmark_coefficient_fidelity():
                  and abs(b1 - 20.006667) <= 1e-5)
 
     # boundary rows, symbol for symbol at k = 1
-    src = tf.joule_source_vector(alpha, pot, mesh, model, TAU, variant)
+    src = tf.joule_source_vector(sigma, pot, mesh, model, TAU, variant)
     row0_ok = (
         math.isclose(system.main[0], a1 * (BETA * h - 1) + b1 - TAU * BETA,
                      rel_tol=1e-14)
@@ -199,12 +201,12 @@ def test_criterion_7_invariant_suite(fig1_run):
 
     rng = np.random.default_rng(77)
     model = constant_model(1.0, 0.8)
-    alpha = rng.uniform(0.0, 0.5, 13)
+    sigma = tf.eval_sigma(model, rng.uniform(0.0, 0.5, 13))
     mu = rng.uniform(-1.0, 1.0, 13)
     mesh12 = tf.build_mesh(12)
-    base = tf.joule_source_vector(alpha, mu, mesh12, model,
+    base = tf.joule_source_vector(sigma, mu, mesh12, model,
                                   TAU, tf.CORRECTED)
-    shifted = tf.joule_source_vector(alpha, mu + 0.37, mesh12,
+    shifted = tf.joule_source_vector(sigma, mu + 0.37, mesh12,
                                      model, TAU, tf.CORRECTED)
     checks["gauge_invariance"] = float(np.max(np.abs(shifted - base))) <= 1e-12
 
@@ -216,8 +218,8 @@ def test_criterion_7_invariant_suite(fig1_run):
 
     mesh16 = tf.build_mesh(16)
     lit_model = constant_model(1.0, 1.0, flux_left=0.7, flux_right=1.3)
-    pot = tf.solve_potential(np.zeros(17), mesh16, lit_model, tf.PAPER_LITERAL,
-                             alpha_ghost_left=0.0)
+    pot = tf.solve_potential(np.ones(17), mesh16, lit_model, tf.PAPER_LITERAL,
+                             sigma_ghost_left=1.0)
     checks["ghost_identities"] = (
         pot[-1] == mesh16.h * 1.3 + pot[-2]
         and tf.ghost_potential_left(pot[0], pot[1], mesh16.h, 0.7)
@@ -240,14 +242,14 @@ def test_criterion_8_literal_potential_characterisation():
 
     mesh16 = tf.build_mesh(16)
     model = constant_model(1.0, 1.0)
-    pot16 = tf.solve_potential(np.zeros(17), mesh16, model, tf.PAPER_LITERAL,
-                               alpha_ghost_left=0.0)
+    pot16 = tf.solve_potential(np.ones(17), mesh16, model, tf.PAPER_LITERAL,
+                               sigma_ghost_left=1.0)
     deviation = float(np.max(np.abs((pot16 - pot16[0]) - mesh16.nodes)))
     nonlinear_ok = deviation > 0.01
 
     mesh4 = tf.build_mesh(4)
-    pot4 = tf.solve_potential(np.zeros(5), mesh4, model, tf.PAPER_LITERAL,
-                              alpha_ghost_left=0.0)
+    pot4 = tf.solve_potential(np.ones(5), mesh4, model, tf.PAPER_LITERAL,
+                              sigma_ghost_left=1.0)
     fixture_ok = (np.allclose(pot4[:4], LITERAL_N4_MU, atol=1e-12)
                   and abs(pot4[4] - LITERAL_N4_MU_N) <= 1e-12)
     ok = nonlinear_ok and fixture_ok

@@ -32,8 +32,8 @@ def test_literal_row0_constant_sigma():
     # sigma = 1, h = 0.25, flux_left = 1: row 0 reads 6*mu_0 - 4*mu_1 = -1
     mesh = tf.build_mesh(4)
     model = constant_model(1.0, 1.0)
-    system = tf.assemble_potential(np.zeros(5), mesh, model, tf.PAPER_LITERAL,
-                                   alpha_ghost_left=0.0)
+    system = tf.assemble_potential(np.ones(5), mesh, model, tf.PAPER_LITERAL,
+                                   sigma_ghost_left=1.0)
     assert system.main[0] == pytest.approx(6.0)
     assert system.sup[0] == pytest.approx(-4.0)
     assert system.rhs[0] == pytest.approx(-1.0)
@@ -43,7 +43,8 @@ def test_literal_row0_constant_sigma():
 def test_corrected_linear_recovery(n):
     mesh = tf.build_mesh(n)
     model = constant_model(1.0, 1.0)
-    pot = tf.solve_potential(np.zeros(n + 1), mesh, model, tf.CORRECTED)
+    pot = tf.solve_potential(tf.eval_sigma(model, np.zeros(n + 1)), mesh,
+                             model, tf.CORRECTED)
     assert pot[0] == 0.0  # gauge
     assert np.max(np.abs(pot - mesh.nodes)) <= 1e-12
 
@@ -52,7 +53,8 @@ def test_corrected_linear_recovery(n):
 def test_corrected_constant_slope_recovery(q):
     mesh = tf.build_mesh(16)
     model = constant_model(1.0, 3.0, flux_left=q, flux_right=q)
-    pot = tf.solve_potential(np.zeros(17), mesh, model, tf.CORRECTED)
+    pot = tf.solve_potential(tf.eval_sigma(model, np.zeros(17)), mesh, model,
+                             tf.CORRECTED)
     slopes = np.diff(pot) / mesh.h
     assert np.max(np.abs(slopes - q)) <= 1e-10
 
@@ -60,7 +62,8 @@ def test_corrected_constant_slope_recovery(q):
 def test_corrected_zero_flux_zero_gauge():
     mesh = tf.build_mesh(8)
     model = constant_model(1.0, 2.0, flux_left=0.0, flux_right=0.0)
-    pot = tf.solve_potential(np.zeros(9), mesh, model, tf.CORRECTED)
+    pot = tf.solve_potential(tf.eval_sigma(model, np.zeros(9)), mesh, model,
+                             tf.CORRECTED)
     np.testing.assert_array_equal(pot, np.zeros(9))
 
 
@@ -69,20 +72,20 @@ def test_zero_conductivity_is_singular(variant):
     mesh = tf.build_mesh(6)
     model = constant_model(1.0, 0.0)
     with pytest.raises(tf.SingularSystemError):
-        tf.solve_potential(np.zeros(7), mesh, model, variant,
-                           alpha_ghost_left=0.0)
+        tf.solve_potential(tf.eval_sigma(model, np.zeros(7)), mesh, model,
+                           variant, sigma_ghost_left=0.0)
 
 
 def test_literal_fixture_n4():
     mesh = tf.build_mesh(4)
     model = constant_model(1.0, 1.0)
-    pot = tf.solve_potential(np.zeros(5), mesh, model, tf.PAPER_LITERAL,
-                             alpha_ghost_left=0.0)
+    pot = tf.solve_potential(np.ones(5), mesh, model, tf.PAPER_LITERAL,
+                             sigma_ghost_left=1.0)
     np.testing.assert_allclose(pot[:4], LITERAL_N4_MU, atol=1e-12)
     assert pot[4] == pytest.approx(LITERAL_N4_MU_N, abs=1e-12)
     # cross-check the frozen values against the dense oracle
-    system = tf.assemble_potential(np.zeros(5), mesh, model, tf.PAPER_LITERAL,
-                                   alpha_ghost_left=0.0)
+    system = tf.assemble_potential(np.ones(5), mesh, model, tf.PAPER_LITERAL,
+                                   sigma_ghost_left=1.0)
     np.testing.assert_allclose(tf.dense_solve_oracle(system), LITERAL_N4_MU,
                                atol=1e-12)
 
@@ -90,8 +93,8 @@ def test_literal_fixture_n4():
 def test_literal_ghost_identities_hold_exactly():
     mesh = tf.build_mesh(10)
     model = constant_model(1.0, 1.0, flux_left=0.7, flux_right=1.3)
-    pot = tf.solve_potential(np.zeros(11), mesh, model, tf.PAPER_LITERAL,
-                             alpha_ghost_left=0.0)
+    pot = tf.solve_potential(np.ones(11), mesh, model, tf.PAPER_LITERAL,
+                             sigma_ghost_left=1.0)
     assert pot[-1] == mesh.h * model.flux_right + pot[-2]
     assert tf.ghost_potential_left(pot[0], pot[1], mesh.h, model.flux_left) \
         == pot[1] - pot[0] - mesh.h * model.flux_left
@@ -102,13 +105,13 @@ def test_literal_assembly_needs_ghost():
     mesh = tf.build_mesh(4)
     model = constant_model(1.0, 1.0)
     with pytest.raises(ValueError):
-        tf.assemble_potential(np.zeros(5), mesh, model, tf.PAPER_LITERAL)
+        tf.assemble_potential(np.ones(5), mesh, model, tf.PAPER_LITERAL)
 
 
 def test_corrected_residual_bound_for_compatible_data():
     mesh = tf.build_mesh(32)
     model = constant_model(1.0, 2.0)
-    system = tf.assemble_potential(np.zeros(33), mesh, model, tf.CORRECTED)
+    system = tf.assemble_potential(np.full(33, 2.0), mesh, model, tf.CORRECTED)
     x = tf.thomas_solve(system)
     assert tf.residual_norm(system, x) <= 1e-10 * (1.0 + np.max(np.abs(system.rhs)))
 
@@ -129,9 +132,9 @@ def test_first_integral_solves_the_assembled_system():
         mesh = tf.build_mesh(n)
         for lam in (1.0, -0.5, 3.0):
             model = rational_model(lam)
-            alpha = rng.uniform(0.0, 0.5, n + 1)
-            mu = tf.solve_potential(alpha, mesh, model, tf.CORRECTED)
-            system = tf.assemble_potential(alpha, mesh, model, tf.CORRECTED)
+            sigma = tf.eval_sigma(model, rng.uniform(0.0, 0.5, n + 1))
+            mu = tf.solve_potential(sigma, mesh, model, tf.CORRECTED)
+            system = tf.assemble_potential(sigma, mesh, model, tf.CORRECTED)
             scale = 1.0 + np.max(np.abs(system.rhs))
             assert tf.residual_norm(system, mu) / scale <= residual_bound
             expected = reference_thomas(system)
@@ -142,8 +145,9 @@ def test_first_integral_solves_the_assembled_system():
 def test_first_integral_defect_goes_to_the_sink():
     mesh = tf.build_mesh(1000)
     alpha = np.random.default_rng(31).uniform(0.0, 0.5, 1001)
+    model = rational_model(1.0)
     sink = []
-    tf.solve_potential(alpha, mesh, rational_model(1.0), tf.CORRECTED,
+    tf.solve_potential(tf.eval_sigma(model, alpha), mesh, model, tf.CORRECTED,
                        residual_sink=sink)
     assert len(sink) == 1
     assert 0.0 <= sink[0] <= 1e-13  # measured 5.3e-14
@@ -152,12 +156,13 @@ def test_first_integral_defect_goes_to_the_sink():
 def test_corrected_potential_never_reads_flux_left():
     mesh = tf.build_mesh(50)
     alpha = np.linspace(0.0, 0.3, 51)
-    mus = [tf.solve_potential(alpha, mesh, rational_model(2.0, flux_left=q),
-                              tf.CORRECTED) for q in (1.3, 0.0, -7.0)]
+    models = [rational_model(2.0, flux_left=q) for q in (1.3, 0.0, -7.0)]
+    mus = [tf.solve_potential(tf.eval_sigma(m, alpha), mesh, m, tf.CORRECTED)
+           for m in models]
     assert all(np.array_equal(mu, mus[0]) for mu in mus[1:])
     # the disagreement of the two boundary currents is measured instead
-    assert tf.check_current_compatibility(
-        alpha, rational_model(2.0, flux_left=0.0)) > 0.0
+    assert tf.check_current_compatibility(tf.eval_sigma(models[1], alpha),
+                                          models[1]) > 0.0
 
 
 def test_first_integral_failures_name_row_and_phase():
@@ -170,7 +175,7 @@ def test_first_integral_failures_name_row_and_phase():
     alpha = np.zeros(9)
     alpha[3:5] = 1.0
     with pytest.raises(tf.SingularSystemError) as exc:
-        tf.solve_potential(alpha, mesh, gap, tf.CORRECTED)
+        tf.solve_potential(tf.eval_sigma(gap, alpha), mesh, gap, tf.CORRECTED)
     assert exc.value.row == 4
     assert str(exc.value).startswith("potential solve failed: ")
     # h * J / s_half overflows where sigma is tiny and the current is large
@@ -185,7 +190,8 @@ def test_first_integral_failures_name_row_and_phase():
         warnings.simplefilter("error")
         with pytest.raises(tf.NumericalFailureError,
                            match="potential solve failed: non-finite"):
-            tf.solve_potential(alpha, mesh, steep, tf.CORRECTED)
+            tf.solve_potential(tf.eval_sigma(steep, alpha), mesh, steep,
+                               tf.CORRECTED)
 
 
 def test_near_zero_conductivity_is_solved_not_refused():
@@ -200,7 +206,8 @@ def test_near_zero_conductivity_is_solved_not_refused():
         flux_left=1.0, flux_right=1.0)
     alpha = np.zeros(9)
     alpha[3:5] = 1.0
-    mu = tf.solve_potential(alpha, mesh, thin, tf.CORRECTED)
+    sigma = tf.eval_sigma(thin, alpha)
+    mu = tf.solve_potential(sigma, mesh, thin, tf.CORRECTED)
     h = mesh.h
     assert np.isfinite(mu).all()
     np.testing.assert_allclose(np.diff(mu[:4]), [h, h, h / (0.5 + 0.5e-20)],
@@ -208,20 +215,22 @@ def test_near_zero_conductivity_is_solved_not_refused():
     np.testing.assert_allclose(mu[4] - mu[3], h / 1e-20, rtol=1e-15)
     # the later steps of h or 2h are below the rounding of mu_4 ~ 1.25e19
     np.testing.assert_allclose(mu[4:], mu[4], rtol=1e-15)
-    system = tf.assemble_potential(alpha, mesh, thin, tf.CORRECTED)
+    system = tf.assemble_potential(sigma, mesh, thin, tf.CORRECTED)
     with pytest.raises(tf.SingularSystemError):
         tf.checked_solve(system, "potential")
 
 
 def test_current_compatibility_examples():
     model = constant_model(1.0, 0.7)
-    assert tf.check_current_compatibility(np.zeros(5), model) == 0.0
+    assert tf.check_current_compatibility(
+        tf.eval_sigma(model, np.zeros(5)), model) == 0.0
     varying = tf.CoefficientModel(
         k=1.0,
         electrical_conductivity=lambda u: np.asarray(u, dtype=float),
         flux_left=1.0, flux_right=1.0)
     alpha = np.linspace(0.1, 0.2, 5)
-    assert tf.check_current_compatibility(alpha, varying) == pytest.approx(0.1)
+    assert tf.check_current_compatibility(
+        tf.eval_sigma(varying, alpha), varying) == pytest.approx(0.1)
 
 
 def test_joule_source_gauge_invariance():
@@ -229,12 +238,12 @@ def test_joule_source_gauge_invariance():
     rng = np.random.default_rng(5)
     mesh = tf.build_mesh(12)
     model = constant_model(1.0, 0.8)
-    alpha = rng.uniform(0.0, 0.5, 13)
+    sigma = tf.eval_sigma(model, rng.uniform(0.0, 0.5, 13))
     mu = rng.uniform(-1.0, 1.0, 13)
-    base = tf.joule_source_vector(alpha, mu, mesh, model,
+    base = tf.joule_source_vector(sigma, mu, mesh, model,
                                   0.1, tf.CORRECTED)
     for c in (0.37, -2.0, 10.0):
-        shifted = tf.joule_source_vector(alpha, mu + c, mesh,
+        shifted = tf.joule_source_vector(sigma, mu + c, mesh,
                                          model, 0.1, tf.CORRECTED)
         assert np.max(np.abs(shifted - base)) <= 1e-12
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import thermistor_fem as tf
+from helpers import count_factorisations
+from thermistor_fem.cli import run_cli
 
 BETA, GAMMA = 0.2, 0.1
 
@@ -94,7 +96,8 @@ def test_two_frozen_steps_replay_against_dense_oracle():
     mesh = config.build_mesh()
     model = config.build_model()
     state = tf.initial_temperature(mesh)
-    pot = tf.solve_potential(state.alpha, mesh, model, config.variant)
+    pot = tf.solve_potential(tf.eval_sigma(model, state.alpha), mesh, model,
+                             config.variant)
     x1 = tf.dense_solve_oracle(tf.assemble_temperature(
         state, pot, mesh, model, config.tau, config.beta, config.variant))
     state1 = tf.TemperatureState(alpha=x1, time=0.1)
@@ -163,8 +166,8 @@ def test_decoupling_order_is_observable():
     mesh = config.build_mesh()
     model = config.build_model()
     for prev, snap in zip(result.snapshots, result.snapshots[1:]):
-        expected = tf.solve_potential(prev.temperature, mesh, model,
-                                      config.variant)
+        expected = tf.solve_potential(tf.eval_sigma(model, prev.temperature),
+                                      mesh, model, config.variant)
         np.testing.assert_array_equal(snap.potential, expected)
 
 
@@ -210,8 +213,9 @@ def test_corrected_step_balances_energy(model):
     worst = 0.0
     for _ in range(100):
         new, mu = tf.step(state, config, mesh, built)
-        source = tf.joule_source_vector(state.alpha, mu, mesh, built,
-                                        config.tau, config.variant)
+        source = tf.joule_source_vector(tf.eval_sigma(built, state.alpha), mu,
+                                        mesh, built, config.tau,
+                                        config.variant)
         robin = config.tau * config.beta * (new.alpha[0] + new.alpha[-1])
         defect = weights @ (new.alpha - state.alpha) - (source.sum() - robin)
         worst = max(worst, abs(defect) / (np.abs(source).sum() + abs(robin)))
@@ -240,7 +244,7 @@ def test_solver_residuals_collected(fig1_config):
     assert max(result.diagnostics.solver_residuals) <= 1e-10
 
 
-@pytest.mark.parametrize("driver, overrides, misses", [
+@pytest.mark.parametrize("driver, overrides, factorisations", [
     (tf.run, {}, 1),
     (tf.run, {"model": tf.ModelSpec("rational_sigma", {
         "k0": 1.0, "sigma0": 1.0, "lambda": 1.0})}, 1),
@@ -249,14 +253,102 @@ def test_solver_residuals_collected(fig1_config):
     (tf.run, {"variant": tf.SchemeVariant("paper_literal", "central")}, 2),
 ], ids=["fig1", "rational_sigma", "reduced", "fig1_paper"])
 def test_run_factors_each_fixed_matrix_once(fig1_config, driver, overrides,
-                                            misses):
+                                            factorisations, monkeypatch):
     # k is constant, so the temperature matrix never changes within a run
     config = dataclasses.replace(fig1_config, **overrides)
-    tf.tridiag._factor.cache_clear()
-    before = tf.tridiag._factor.cache_info().misses
+    calls = count_factorisations(monkeypatch)
     result = driver(config)
     assert len(result.diagnostics.max_change) > 10
-    assert tf.tridiag._factor.cache_info().misses - before == misses
+    assert len(calls) == factorisations
+
+
+def wrap_sigma(monkeypatch, wrap):
+    """Build every model with its sigma callable passed through ``wrap``."""
+    build = tf.ModelSpec.build
+
+    def wrapped(spec, flux_left, flux_right):
+        model = build(spec, flux_left, flux_right)
+        return dataclasses.replace(
+            model, electrical_conductivity=wrap(model.electrical_conductivity))
+
+    monkeypatch.setattr(tf.ModelSpec, "build", wrapped)
+
+
+RATIONAL = tf.ModelSpec("rational_sigma",
+                        {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0})
+
+
+@pytest.mark.parametrize("overrides, ghost", [
+    ({}, 0),
+    ({"freeze_potential_after_first_step": True}, 0),
+    ({"model": RATIONAL}, 0),
+    ({"model": RATIONAL, "freeze_potential_after_first_step": True}, 0),
+    # the literal potential also reads sigma at the temperature ghost
+    ({"variant": tf.PAPER_LITERAL}, 1),
+], ids=["fig1", "fig1_frozen", "rational_sigma", "rational_sigma_frozen",
+        "fig1_paper"])
+def test_sigma_is_evaluated_once_per_step(fig1_config, overrides, ghost,
+                                          monkeypatch):
+    # the potential, the Joule source and the compatibility residual share
+    # one evaluation of sigma at alpha^n
+    shapes = []
+
+    def counted(sigma):
+        def fn(u):
+            shapes.append(np.shape(u))
+            return sigma(u)
+        return fn
+
+    wrap_sigma(monkeypatch, counted)
+    config = dataclasses.replace(fig1_config, **overrides)
+    result = tf.run(config)
+    steps = len(result.diagnostics.max_change)
+    assert steps > 10
+    assert shapes.count((config.n_elements + 1,)) == steps
+    assert shapes.count(()) == ghost * steps
+    assert len(shapes) == (1 + ghost) * steps
+    # a residual per solve: a frozen run solves one potential in all
+    potentials = 1 if config.freeze_potential_after_first_step else steps
+    assert len(result.diagnostics.solver_residuals) == steps + potentials
+    assert len(result.diagnostics.compatibility_residuals) == steps
+
+
+def test_model_failure_in_the_loop_carries_step_and_diagnostics(
+        fig1_config, fig1_cfg_path, monkeypatch, capsys):
+    # sigma turns NaN once the bar warms past 0.05, some steps into the run
+    wrap_sigma(monkeypatch, lambda sigma: lambda u: np.where(
+        np.asarray(u) > 0.05, np.nan, sigma(u)))
+    with pytest.raises(tf.ModelError) as exc:
+        tf.run(fig1_config)
+    assert isinstance(exc.value.diagnostics, tf.Diagnostics)
+    assert exc.value.step == len(exc.value.diagnostics.max_change) > 0
+    assert run_cli(["run", "--config", str(fig1_cfg_path)]) == 2
+    assert "numerical failure: electrical conductivity" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:boundary currents are incompatible")
+@pytest.mark.parametrize("variant", [tf.CORRECTED, tf.PAPER_LITERAL],
+                         ids=["corrected", "paper_literal"])
+def test_run_steps_replay_against_fresh_assembly(variant):
+    # each step solved against the run's held factorisation gives the bits
+    # of assembling the step afresh and factoring it for one solve
+    config = small_config(
+        variant=variant, t_max=0.5, steady_tolerance=1e-14,
+        model=tf.ModelSpec("rational_sigma",
+                           {"k0": 1.0, "sigma0": 0.5, "lambda": 2.0}))
+    result = tf.run(config)
+    mesh = config.build_mesh()
+    model = config.build_model()
+    assert len(result.snapshots) == 6
+    for prev, snap in zip(result.snapshots, result.snapshots[1:]):
+        state = tf.TemperatureState(alpha=prev.temperature, time=prev.time)
+        x = tf.thomas_solve(tf.assemble_temperature(
+            state, snap.potential, mesh, model, config.tau, config.beta,
+            variant))
+        if variant.stiffness == "paper_literal":
+            x = np.append(x, tf.ghost_temp_right(float(x[-1]), model.k,
+                                                 mesh.h, config.beta))
+        np.testing.assert_array_equal(snap.temperature, x)
 
 
 def test_run_warns_on_incompatible_boundary_currents(fig1_config):

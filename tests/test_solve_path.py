@@ -27,10 +27,10 @@ RATIONAL = dataclasses.replace(
                        {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0}))
 
 
-def assembled_potential(alpha, mesh, model, variant, alpha_ghost_left=None,
-                        residual_sink=None):
-    system = tf.assemble_potential(alpha, mesh, model, variant,
-                                   alpha_ghost_left=alpha_ghost_left)
+def assembled_potential(sigma, mesh, model, variant, sigma_ghost_left=None,
+                        residual_sink=None, held=None):
+    system = tf.assemble_potential(sigma, mesh, model, variant,
+                                   sigma_ghost_left=sigma_ghost_left)
     mu = tf.checked_solve(system, "potential", residual_sink)
     if variant.stiffness == "corrected":
         return mu
@@ -41,7 +41,8 @@ def assembled_potential(alpha, mesh, model, variant, alpha_ghost_left=None,
 def run_both(config, monkeypatch):
     new = tf.run(config)
     with monkeypatch.context() as m:
-        m.setattr(tf.tridiag, "thomas_solve", reference_thomas)
+        m.setattr(tf.tridiag, "thomas_solve",
+                  lambda system, held=None: reference_thomas(system))
         m.setattr(simulator, "solve_potential", assembled_potential)
         old = tf.run(config)
     return new, old

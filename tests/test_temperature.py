@@ -39,7 +39,7 @@ def test_source_central_linear_potential():
     mesh = tf.build_mesh(10)
     model = paper_example_model()
     pot = mesh.nodes
-    src = tf.joule_source_vector(np.zeros(11), pot, mesh, model, TAU,
+    src = tf.joule_source_vector(np.full(11, 0.1), pot, mesh, model, TAU,
                                  tf.CORRECTED)
     for j in range(1, 10):
         assert src[j] == pytest.approx(0.1 * TAU * mesh.h, rel=1e-13)
@@ -52,11 +52,11 @@ def test_source_constant_potential():
     mesh = tf.build_mesh(8)
     model = constant_model(1.0, 0.5)
     pot = np.full(9, 0.3)
-    alpha = np.zeros(9)
-    central = tf.joule_source_vector(alpha, pot, mesh, model, TAU,
+    sigma = np.full(9, 0.5)
+    central = tf.joule_source_vector(sigma, pot, mesh, model, TAU,
                                      tf.CORRECTED)[4]
     assert central == 0.0
-    literal = tf.joule_source_vector(alpha, pot, mesh, model, TAU,
+    literal = tf.joule_source_vector(sigma, pot, mesh, model, TAU,
                                      tf.PAPER_LITERAL)[4]
     assert literal == pytest.approx((TAU / mesh.h) * 0.5 * 0.3**2)
 
@@ -66,7 +66,7 @@ def test_source_literal_row0():
     mesh = tf.build_mesh(10)
     model = constant_model(1.0, 0.7)
     mu = np.zeros(11)
-    val = tf.joule_source_vector(np.zeros(11), mu, mesh, model, TAU,
+    val = tf.joule_source_vector(np.full(11, 0.7), mu, mesh, model, TAU,
                                  tf.PAPER_LITERAL)[0]
     assert val == pytest.approx(TAU * mesh.h * 0.7)
 
@@ -93,7 +93,8 @@ def test_literal_and_corrected_interior_rows_agree_at_constant_k():
     model = paper_example_model()
     alpha = rng.uniform(0, 0.3, 101)
     state = state_from(alpha)
-    pot = tf.solve_potential(alpha, mesh, model, tf.CORRECTED)
+    pot = tf.solve_potential(tf.eval_sigma(model, alpha), mesh, model,
+                             tf.CORRECTED)
     lit = tf.assemble_temperature(state, pot, mesh, model, TAU, BETA,
                                   tf.SchemeVariant("paper_literal", "central"))
     cor = tf.assemble_temperature(state, pot, mesh, model, TAU, BETA,
@@ -126,7 +127,8 @@ def test_constant_state_is_stationary_under_pure_neumann():
     model = constant_model(1.0, 0.0)
     state = state_from(np.full(21, 0.37))
     pot = np.zeros(21)
-    new = tf.solve_temperature(state, pot, mesh, model, TAU, 0.0, tf.CORRECTED)
+    new = tf.solve_temperature(state, np.zeros(21), pot, tf.TemperatureOperator(
+        mesh, model, TAU, 0.0, tf.CORRECTED))
     np.testing.assert_allclose(new.alpha, 0.37, atol=1e-13)
     assert new.time == pytest.approx(TAU)
 
@@ -149,7 +151,9 @@ def test_zero_state_stays_zero_without_source():
     state = tf.initial_temperature(mesh)
     pot = np.zeros(11)
     for variant in (tf.CORRECTED, tf.PAPER_LITERAL):
-        new = tf.solve_temperature(state, pot, mesh, model, TAU, BETA, variant)
+        new = tf.solve_temperature(state, np.zeros(11), pot,
+                                   tf.TemperatureOperator(mesh, model, TAU,
+                                                          BETA, variant))
         np.testing.assert_array_equal(new.alpha, np.zeros(11))
 
 
@@ -157,12 +161,13 @@ def test_first_step_positive_and_matches_dense_oracle(fig1_config):
     mesh = fig1_config.build_mesh()
     model = fig1_config.build_model()
     state = tf.initial_temperature(mesh)
-    pot = tf.solve_potential(state.alpha, mesh, model, tf.CORRECTED)
+    sigma = tf.eval_sigma(model, state.alpha)
+    pot = tf.solve_potential(sigma, mesh, model, tf.CORRECTED)
     system = tf.assemble_temperature(state, pot, mesh, model,
                                      fig1_config.tau, fig1_config.beta,
                                      tf.CORRECTED)
-    new = tf.solve_temperature(state, pot, mesh, model, fig1_config.tau,
-                               fig1_config.beta, tf.CORRECTED)
+    new = tf.solve_temperature(state, sigma, pot, tf.TemperatureOperator(
+        mesh, model, fig1_config.tau, fig1_config.beta, tf.CORRECTED))
     assert np.all(new.alpha[1:-1] > 0.0)
     np.testing.assert_allclose(new.alpha, tf.dense_solve_oracle(system),
                                atol=1e-13)
@@ -173,10 +178,11 @@ def test_literal_solve_writes_back_alpha_n(fig1_config):
     model = fig1_config.build_model()
     rng = np.random.default_rng(4)
     state = state_from(rng.uniform(0, 0.3, 101))
-    pot = tf.solve_potential(state.alpha, mesh, model, tf.CORRECTED)
-    new = tf.solve_temperature(state, pot, mesh, model, fig1_config.tau,
-                               fig1_config.beta,
-                               tf.SchemeVariant("paper_literal", "central"))
+    sigma = tf.eval_sigma(model, state.alpha)
+    pot = tf.solve_potential(sigma, mesh, model, tf.CORRECTED)
+    new = tf.solve_temperature(state, sigma, pot, tf.TemperatureOperator(
+        mesh, model, fig1_config.tau, fig1_config.beta,
+        tf.SchemeVariant("paper_literal", "central")))
     expected = tf.ghost_temp_right(new.alpha[-2], model.k, mesh.h,
                                    fig1_config.beta)
     assert new.alpha[-1] == expected
@@ -189,3 +195,28 @@ def test_nan_potential_aborts_with_numerical_failure():
     with pytest.raises(tf.NumericalFailureError):
         tf.assemble_temperature(state_from(np.zeros(6)), bad, mesh, model,
                                 TAU, BETA, tf.CORRECTED)
+
+
+@pytest.mark.parametrize("variant", [
+    tf.CORRECTED, tf.PAPER_LITERAL,
+    tf.SchemeVariant("paper_literal", "central"),
+    tf.SchemeVariant("corrected", "paper_literal"),
+], ids=["corrected", "paper_literal", "literal_central", "corrected_literal"])
+def test_held_operator_matches_assembly(variant):
+    # the rows a run holds and the right-hand side it builds per step are
+    # those of assemble_temperature, bit for bit
+    rng = np.random.default_rng(41)
+    mesh = tf.build_mesh(40)
+    model = tf.ModelSpec("rational_sigma", {"k0": 1.3, "sigma0": 0.7,
+                                            "lambda": 2.0}).build(1.0, 0.8)
+    held = tf.TemperatureOperator(mesh, model, TAU, BETA, variant)
+    for _ in range(5):
+        alpha = rng.uniform(0.0, 0.5, 41)
+        mu = rng.uniform(-1.0, 1.0, 41)
+        oracle = tf.assemble_temperature(state_from(alpha), mu, mesh, model,
+                                         TAU, BETA, variant)
+        rhs = held.rhs(alpha, tf.eval_sigma(model, alpha), mu)
+        np.testing.assert_array_equal(rhs, oracle.rhs)
+        for name in ("sub", "main", "sup"):
+            np.testing.assert_array_equal(getattr(held.matrix, name),
+                                          getattr(oracle, name))

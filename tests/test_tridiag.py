@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermistor_fem as tf
-from helpers import (random_dominant_system, reference_thomas,
-                     substitution_bound)
+from helpers import (count_factorisations, random_dominant_system,
+                     reference_thomas, substitution_bound)
 
 
 def system(sub, main, sup, rhs):
@@ -136,29 +136,39 @@ def test_near_singular_systems_fail_at_reference_row():
     assert 300 < len(rows) < 2700 and max(rows) >= 4
 
 
-def test_factorisation_reused_for_new_rhs():
+def test_factorisation_reused_for_new_rhs(monkeypatch):
+    # the held factorisation serves the same matrix whether it comes back as
+    # the same arrays (with_rhs) or as equal copies
     rng = np.random.default_rng(22)
     s = random_dominant_system(rng, 300)
-    tf.thomas_solve(s)
-    hits = tf.tridiag._factor.cache_info().hits
+    held = tf.HeldFactorisation()
+    calls = count_factorisations(monkeypatch)
+    assert_matches_reference(s, tf.thomas_solve(s, held))
     for _ in range(3):
-        s = tf.TridiagonalSystem(sub=s.sub, main=s.main, sup=s.sup,
+        s = s.with_rhs(rng.uniform(-5.0, 5.0, 300))
+        assert_matches_reference(s, tf.thomas_solve(s, held))
+        s = tf.TridiagonalSystem(sub=s.sub.copy(), main=s.main.copy(),
+                                 sup=s.sup.copy(),
                                  rhs=rng.uniform(-5.0, 5.0, 300))
-        assert_matches_reference(s, tf.thomas_solve(s))
-    assert tf.tridiag._factor.cache_info().hits == hits + 3
+        assert_matches_reference(s, tf.thomas_solve(s, held))
+    assert calls == [300]
 
 
-def test_cached_solve_equals_fresh_factorisation():
-    # the block operators are built with the factorisation, so a cache hit
-    # returns the bits a fresh factorisation gives
+def test_cached_solve_equals_fresh_factorisation(monkeypatch):
+    # the block operators are built with the factorisation, so a held
+    # factorisation returns the bits a fresh one gives
     rng = np.random.default_rng(25)
     for size in (5, 101, 1001):
         s = random_dominant_system(rng, size)
-        tf.tridiag._factor.cache_clear()
         fresh = tf.thomas_solve(s)
-        hits = tf.tridiag._factor.cache_info().hits
-        assert np.array_equal(tf.thomas_solve(s), fresh), size
-        assert tf.tridiag._factor.cache_info().hits == hits + 1
+        held = tf.HeldFactorisation()
+        tf.thomas_solve(s, held)
+        with monkeypatch.context() as m:
+            calls = count_factorisations(m)
+            assert np.array_equal(tf.thomas_solve(s, held), fresh), size
+            assert np.array_equal(tf.checked_solve(s, "test", held=held),
+                                  fresh), size
+        assert calls == [], size
 
 
 def test_held_factorisation_grows_linearly():
@@ -168,8 +178,7 @@ def test_held_factorisation_grows_linearly():
     m = 100_000
     main = np.full(m, 4.0)
     off = np.full(m - 1, -1.0)
-    held = tf.tridiag._factor.__wrapped__(off.tobytes(), main.tobytes(),
-                                          off.tobytes())
+    held = tf.tridiag._factor(off, main, off)
     nbytes = sum(a.nbytes for a in held if isinstance(a, np.ndarray))
     assert held.lower_inv.shape[1] == tf.tridiag.BLOCK
     assert nbytes <= 8 * (2 * tf.tridiag.BLOCK + 2) * (m + tf.tridiag.BLOCK)
@@ -187,22 +196,22 @@ def test_singular_matrix_raises_on_every_call():
     assert_matches_reference(s, tf.thomas_solve(s))
 
 
-def test_alternating_matrices_beyond_cache_size_stay_exact():
-    # three matrices in turn evict each other from a two-entry cache; every
-    # solve gives the bits of a solve from a fresh factorisation
+def test_alternating_matrices_beyond_cache_size_stay_exact(monkeypatch):
+    # three matrices in turn through one held factorisation: each change of
+    # matrix is factored anew, and every solve gives the bits of a solve
+    # from a fresh factorisation
     rng = np.random.default_rng(24)
     matrices = [random_dominant_system(rng, 50) for _ in range(3)]
     systems = [tf.TridiagonalSystem(sub=m.sub, main=m.main, sup=m.sup,
                                     rhs=rng.uniform(-5.0, 5.0, 50))
                for m in matrices * 4]
-    fresh = []
-    for s in systems:
-        tf.tridiag._factor.cache_clear()
-        fresh.append(tf.thomas_solve(s))
+    fresh = [tf.thomas_solve(s) for s in systems]
+    held = tf.HeldFactorisation()
+    calls = count_factorisations(monkeypatch)
     for s, expected in zip(systems, fresh):
-        assert np.array_equal(tf.thomas_solve(s), expected)
+        assert np.array_equal(tf.thomas_solve(s, held), expected)
         assert_matches_reference(s, expected)
-    assert tf.tridiag._factor.cache_info().hits == 0
+    assert len(calls) == len(systems)
 
 
 def test_import_loads_only_numpy_outside_stdlib():
