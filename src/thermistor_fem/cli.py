@@ -151,26 +151,32 @@ def write_series_csv(result: SimulationResult) -> str:
     """Long-format time series: header ``t,x,u,phi``, time-major rows.
 
     Numbers are written with 13 significant digits so the file parses back
-    losslessly to well within one unit in the 12th digit.
+    losslessly to well within one unit in the 12th digit.  A snapshot is one
+    ``%`` against a row template holding the formatted x column; phi is
+    formatted again only when its bits differ from the previous snapshot's
+    (so -0.0 after 0.0 is written as such).
     """
     if not result.snapshots:
         raise ValueError("result has no snapshots")
-    # Python floats format faster than numpy scalars, with the same digits
     x = [f"{xj:.12e}" for xj in result.nodes.tolist()]
-    lines = ["t,x,u,phi"]
+    template = "".join(f"%s,{xj},%.12e,%s\n" for xj in x)
+    vals = [None] * (3 * len(x))  # t, u, phi per row
+    parts = ["t,x,u,phi\n"]
+    phi_bits = None
     for snap in result.snapshots:
-        t = f"{snap.time:.12e}"
-        lines.extend(f"{t},{xj},{uj:.12e},{pj:.12e}" for xj, uj, pj in
-                     zip(x, snap.temperature.tolist(), snap.potential.tolist()))
-    return "\n".join(lines) + "\n"
+        vals[0::3] = [f"{snap.time:.12e}"] * len(x)
+        vals[1::3] = snap.temperature.tolist()
+        if snap.potential.tobytes() != phi_bits:
+            phi_bits = snap.potential.tobytes()
+            vals[2::3] = [f"{pj:.12e}" for pj in snap.potential.tolist()]
+        parts.append(template % tuple(vals))
+    return "".join(parts)
 
 
 def write_profile_csv(result: SimulationResult) -> str:
     """Final profile: header ``x,u`` plus one row per node."""
-    lines = ["x,u"]
-    lines.extend(f"{xj:.12e},{uj:.12e}" for xj, uj in
-                 zip(result.nodes.tolist(), result.final_profile.tolist()))
-    return "\n".join(lines) + "\n"
+    return "x,u\n" + "".join(f"{xj:.12e},{uj:.12e}\n" for xj, uj in
+                             zip(result.nodes.tolist(), result.final_profile.tolist()))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -219,11 +225,12 @@ def _cmd_run(args) -> int:
     result = args.driver(config)
     series = write_series_csv(result)
     if args.out:
-        Path(args.out).write_text(series)
+        Path(args.out).write_text(series, encoding="utf-8", newline="\n")
     else:
         sys.stdout.write(series)
     if args.profile:
-        Path(args.profile).write_text(write_profile_csv(result))
+        Path(args.profile).write_text(write_profile_csv(result),
+                                      encoding="utf-8", newline="\n")
     if result.steady_reached:
         print(f"steady state reached at t={result.steady_time:g}", file=sys.stderr)
     else:

@@ -187,7 +187,7 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
             state, mu, compatibility = stepper(state, diag.solver_residuals)
             n += 1
             # keep times on the exact t0 + n*tau grid instead of accumulating
-            state = dataclasses.replace(state, time=t0 + n * config.tau)
+            state = temp.TemperatureState(state.alpha, t0 + n * config.tau)
             change = float(np.max(np.abs(state.alpha - prev_alpha)))
             diag.max_change.append(change)
             diag.compatibility_residuals.append(compatibility)

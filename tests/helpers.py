@@ -1,5 +1,5 @@
 """Shared test utilities: random system generators, the reference Thomas
-sweep and quadrature oracles."""
+sweep, the reference series CSV writer and quadrature oracles."""
 
 from __future__ import annotations
 
@@ -96,3 +96,19 @@ def simpson(f, a: float, b: float, panels: int = 64) -> float:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float((b - a) / (6.0 * panels) * np.sum(w * y))
+
+
+def reference_series_csv(result) -> str:
+    """Row-by-row series CSV writer, every number formatted in its own row.
+
+    ``write_series_csv`` must produce exactly these bytes.
+    """
+    if not result.snapshots:
+        raise ValueError("result has no snapshots")
+    x = [f"{xj:.12e}" for xj in result.nodes.tolist()]
+    lines = ["t,x,u,phi"]
+    for snap in result.snapshots:
+        t = f"{snap.time:.12e}"
+        lines.extend(f"{t},{xj},{uj:.12e},{pj:.12e}" for xj, uj, pj in
+                     zip(x, snap.temperature.tolist(), snap.potential.tolist()))
+    return "\n".join(lines) + "\n"

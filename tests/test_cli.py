@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
 import thermistor_fem as tf
+from helpers import reference_series_csv
 from thermistor_fem.cli import (parse_config, run_cli, write_profile_csv,
                                 write_series_csv)
 
@@ -204,6 +206,88 @@ def test_cli_csv_outputs_match_golden_hashes(case, fig1_cfg_path, tmp_path):
                     "--profile", str(prof)]) == 0
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, prof))
     assert digests == GOLDEN[case]
+
+
+def test_cli_files_hold_the_writers_bytes(fig1_cfg_path, tmp_path):
+    out, prof = tmp_path / "s.csv", tmp_path / "p.csv"
+    assert run_cli(["run", "--config", str(fig1_cfg_path), "--out", str(out),
+                    "--profile", str(prof)]) == 0
+    result = tf.run(parse_config(fig1_cfg_path.read_text()))
+    for path, text in ((out, write_series_csv(result)),
+                       (prof, write_profile_csv(result))):
+        same = path.read_bytes() == text.encode()  # no multi-MB pytest diff
+        assert same, path.name
+
+
+def hand_built(nodes, snapshots) -> tf.SimulationResult:
+    """A result holding ``snapshots``, given as (t, u, phi) triples."""
+    snaps = [tf.Snapshot(t, np.array(u, dtype=float), np.array(phi, dtype=float))
+             for t, u, phi in snapshots]
+    return tf.SimulationResult(snapshots=snaps, steady_reached=False,
+                               steady_time=None,
+                               final_profile=snaps[-1].temperature,
+                               diagnostics=tf.Diagnostics(),
+                               nodes=np.array(nodes, dtype=float))
+
+
+NODES = [0.0, 0.25, 0.5, 0.75, 1.0]
+U = [0.0, 0.1, 0.2, 0.3, 0.4]
+# written as 5.000000000000e-01, and one ulp up as 5.000000000001e-01
+HALFWAY = 0.50000000000005
+PHI_A = [0.0, 0.25, HALFWAY, 0.75, 1.0]
+PHI_B = [0.0, 0.3, 0.5, 0.7, 1.0]
+PHI_A_ZERO = [0.0, 0.25, 0.0, 0.75, 1.0]
+PHI_A_NEG_ZERO = [0.0, 0.25, -0.0, 0.75, 1.0]
+PHI_A_ULP = [0.0, 0.25, np.nextafter(HALFWAY, 1.0), 0.75, 1.0]
+# subnormal, tiny, huge, negative zero and a 13-digit rounding carry
+EXTREMES = [5e-324, 1e-300, 1e300, -0.0, 0.99999999999995]
+
+
+def first_difference(got: str, want: str):
+    """(line index, got line, wanted line) of the first line that differs,
+    newline included, or None; pytest's diff of two large texts takes
+    minutes."""
+    for i, pair in enumerate(itertools.zip_longest(
+            got.splitlines(keepends=True), want.splitlines(keepends=True))):
+        if pair[0] != pair[1]:
+            return (i, *pair)
+    return None
+
+
+def phi_sequence(*phis):
+    return hand_built(NODES, [(0.1 * i, U, phi) for i, phi in enumerate(phis)])
+
+
+WRITER_CASES = {
+    "a-b-a": lambda: phi_sequence(PHI_A, PHI_A, PHI_B, PHI_B, PHI_A, PHI_A),
+    "signed-zero": lambda: phi_sequence(PHI_A_ZERO, PHI_A_ZERO, PHI_A_NEG_ZERO,
+                                        PHI_A_NEG_ZERO, PHI_A_ZERO),
+    "one-ulp": lambda: phi_sequence(PHI_A, PHI_A, PHI_A_ULP, PHI_A_ULP, PHI_A),
+    "extremes": lambda: hand_built(NODES, [
+        (t, np.roll(EXTREMES, i), np.roll(EXTREMES, -i))
+        for i, t in enumerate(EXTREMES + [-t for t in EXTREMES])]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_series_writer_matches_reference_writer(case):
+    result = WRITER_CASES[case]()
+    assert first_difference(write_series_csv(result),
+                            reference_series_csv(result)) is None
+
+
+@pytest.mark.parametrize("case, phi_repeats", [("run", True),
+                                               ("run-rational", False)])
+def test_series_writer_matches_reference_on_runs(case, phi_repeats,
+                                                 fig1_cfg_path):
+    # constant sigma repeats the potential bit for bit; rational sigma does not
+    text = golden_config(case, fig1_cfg_path.read_text())
+    result = tf.run(parse_config(text.replace("record_every = 10",
+                                              "record_every = 1")))
+    bits = [s.potential.tobytes() for s in result.snapshots]
+    assert any(a == b for a, b in zip(bits, bits[1:])) == phi_repeats
+    assert first_difference(write_series_csv(result),
+                            reference_series_csv(result)) is None
 
 
 @pytest.mark.parametrize("line", ["beta = inf", "tau = nan", "steady_tol = nan",

@@ -143,6 +143,22 @@ def test_snapshot_times_and_final_block():
                                       result.final_profile, driver.__name__)
 
 
+def test_snapshot_times_are_exact_grid_points():
+    # each time is t0 + n*tau computed afresh, never a running sum of tau,
+    # which drifts from it in the last bits within a few steps
+    config = small_config(record_every=7, t_max=50.0)
+    start = tf.TemperatureState(np.zeros(config.n_elements + 1), 0.3)
+    for driver, kwargs, t0 in ((tf.run, {}, 0.0), (tf.run_reduced, {}, 0.0),
+                               (tf.run, {"initial_state": start}, 0.3)):
+        result = driver(config, **kwargs)
+        steps = len(result.diagnostics.max_change)
+        recorded = list(range(0, steps + 1, config.record_every))
+        if recorded[-1] != steps:
+            recorded.append(steps)
+        assert [s.time for s in result.snapshots] \
+            == [t0 + n * config.tau for n in recorded], driver.__name__
+
+
 def test_record_every_does_not_change_final_state():
     r1 = tf.run(small_config(record_every=1))
     r10 = tf.run(small_config(record_every=10))
