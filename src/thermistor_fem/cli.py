@@ -217,7 +217,19 @@ def _load_config(path: str) -> SimulationConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigurationError(f"config file not found: {path}")
-    return parse_config(p.read_text())
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+    return parse_config(text)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_run(args) -> int:
@@ -225,12 +237,11 @@ def _cmd_run(args) -> int:
     result = args.driver(config)
     series = write_series_csv(result)
     if args.out:
-        Path(args.out).write_text(series, encoding="utf-8", newline="\n")
+        _write(args.out, series)
     else:
         sys.stdout.write(series)
     if args.profile:
-        Path(args.profile).write_text(write_profile_csv(result),
-                                      encoding="utf-8", newline="\n")
+        _write(args.profile, write_profile_csv(result))
     if result.steady_reached:
         print(f"steady state reached at t={result.steady_time:g}", file=sys.stderr)
     else:
@@ -288,7 +299,8 @@ def run_cli(argv: list[str] | None = None) -> int:
             print(f"configuration error: {exc}", file=sys.stderr)
             code = EXIT_CONFIG
         except (SolverError, ModelError) as exc:
-            print(f"numerical failure: {exc}", file=sys.stderr)
+            at = "" if exc.step is None else f" (step {exc.step})"
+            print(f"numerical failure: {exc}{at}", file=sys.stderr)
             code = EXIT_NUMERICAL
         except NotSteadyError as exc:  # a convergence level never became steady
             print(f"not steady: {exc}", file=sys.stderr)

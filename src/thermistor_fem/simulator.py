@@ -20,9 +20,9 @@ from . import temperature as temp
 from .coefficients import CoefficientModel, ModelSpec, eval_sigma
 from .errors import ConfigurationError, ModelError, NotSteadyError, SolverError
 from .mesh import Mesh, build_mesh
-from .potential import (CORRECTED, SchemeVariant, check_current_compatibility,
-                        solve_potential)
-from .tridiag import HeldFactorisation, TridiagonalSystem, checked_solve
+from .potential import (CORRECTED, PAPER_LITERAL, SchemeVariant,
+                        check_current_compatibility, solve_potential)
+from .tridiag import HeldFactorisation
 
 COMPATIBILITY_WARN_THRESHOLD = 1e-9
 # the held block operators of a run take about 528 bytes per node, 0.5 GB here
@@ -239,53 +239,14 @@ def run(config: SimulationConfig,
     return result
 
 
-def reduced_system_rows(mesh: Mesh, tau: float, beta: float
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constant matrix rows of the reduced benchmark scheme (k=1, phi=x).
-
-    With a1 = h/6 - tau/h and b1 = 2h/3 + 2 tau/h the rows are
-        row 0:    (a1*(beta*h - 1) + b1 - tau*beta, 2*a1)
-        interior: (a1, b1, a1)
-        row N-1:  (a1, b1 + a1/(beta*h + 1))
-    over the unknowns alpha_0..alpha_{N-1}.
-    """
-    h = mesh.h
-    n = mesh.n_elements
-    a1 = h / 6.0 - tau / h
-    b1 = 2.0 * h / 3.0 + 2.0 * tau / h
-    sub = np.full(n - 1, a1)
-    sup = np.full(n - 1, a1)
-    main = np.full(n, b1)
-    main[0] = a1 * (beta * h - 1.0) + b1 - tau * beta
-    sup[0] = 2.0 * a1
-    main[n - 1] = b1 + a1 / (beta * h + 1.0)
-    return sub, main, sup
-
-
-def reduced_rhs(alpha01: np.ndarray, mesh: Mesh, tau: float, beta: float,
-                gamma: float) -> np.ndarray:
-    """Right-hand side of the reduced scheme for the current level alpha01."""
-    h = mesh.h
-    n = mesh.n_elements
-    rhs = np.empty(n)
-    # a non-finite entry is reported by the solve as a NumericalFailureError
-    with np.errstate(invalid="ignore", over="ignore"):
-        rhs[1:-1] = (h / 6.0) * alpha01[:-2] \
-            + (2.0 * h / 3.0) * alpha01[1:-1] + (h / 6.0) * alpha01[2:]
-        rhs[0] = (h / 2.0) * (1.0 + beta * h / 3.0) * alpha01[0] \
-            + (h / 3.0) * alpha01[1]
-        rhs[-1] = (h / 6.0) * alpha01[-2] \
-            + (h / 6.0) * (4.0 + 1.0 / (1.0 + beta * h)) * alpha01[-1]
-        return rhs + gamma * tau * h
-
-
 def run_reduced(config: SimulationConfig) -> SimulationResult:
     """Run the reduced benchmark scheme: no potential solve, phi = x exactly.
 
-    Only the constant-coefficient benchmark model is admissible.  The row
-    formulas are kept verbatim from the published reduction, including the
-    left-boundary closure; see run() with the corrected variant for the
-    weak-form treatment.
+    Only the constant-coefficient benchmark model is admissible.  Its step
+    is the paper_literal temperature step at k = 1 with the uniform source
+    gamma*tau*h in place of the Joule source, so the rows are the published
+    reduction, left-boundary closure included; see run() with the corrected
+    variant for the weak-form treatment.
     """
     if config.model.kind != "paper_example":
         raise ConfigurationError(
@@ -293,22 +254,16 @@ def run_reduced(config: SimulationConfig) -> SimulationResult:
             f"(got {config.model.kind!r})")
     gamma = float(config.model.parameters["gamma"])
     mesh = config.build_mesh()
-    tau, beta = config.tau, config.beta
+    src = np.full(mesh.n_elements, gamma * config.tau * mesh.h)
 
     def reduced():
-        matrix = TridiagonalSystem(*reduced_system_rows(mesh, tau, beta),
-                                   rhs=np.zeros(mesh.n_elements))
-        held = HeldFactorisation()
+        operator = temp.TemperatureOperator(
+            mesh, config.build_model(), config.tau, config.beta, PAPER_LITERAL)
 
         def advance(state, residual_sink):
-            # the unknowns are alpha_0..alpha_{N-1}; alpha_N is not one of them
-            system = matrix.with_rhs(reduced_rhs(state.alpha[:-1], mesh, tau,
-                                                 beta, gamma))
-            new01 = checked_solve(system, "reduced temperature",
-                                  residual_sink, held)
-            # alpha_N reconstructed via the right ghost relation at k = 1
-            alpha = np.append(new01, new01[-1] / (1.0 + beta * mesh.h))
-            return (temp.TemperatureState(alpha, state.time + tau),
+            alpha = operator.advance(operator.mass(state.alpha) + src,
+                                     residual_sink, "reduced temperature")
+            return (temp.TemperatureState(alpha, state.time + config.tau),
                     mesh.nodes, 0.0)
 
         return advance

@@ -5,7 +5,10 @@ step depends only on the mesh, tau, beta and k.  The nonlinearity is in
 sigma alone, and it is lagged: sigma is evaluated at the current level
 alpha^n, never at the unknown alpha^{n+1}, so each step is a single
 tridiagonal solve.  A run builds and factors its matrix once
-(``TemperatureOperator``); a step builds only its right-hand side.
+(``TemperatureOperator``); a step builds only its right-hand side and
+solves it with ``TemperatureOperator.advance``.  The reduced benchmark
+scheme (``run_reduced``) is the paper_literal step at k = 1 with the
+uniform source gamma*tau*h in place of the Joule source.
 
 Variant summary (h = mesh step, tau = time step, beta = heat transfer):
 
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientModel, eval_sigma
-from .errors import ModelError
+from .errors import ModelError, NumericalFailureError
 from .mesh import Mesh
 from .potential import SchemeVariant
 from .tridiag import HeldFactorisation, TridiagonalSystem, checked_solve
@@ -168,13 +171,10 @@ class TemperatureOperator:
         self.matrix = TridiagonalSystem(sub, main, sup, np.zeros(main.shape))
         self.held = HeldFactorisation()
 
-    def rhs(self, alpha: np.ndarray, sigma: np.ndarray,
-            mu: np.ndarray) -> np.ndarray:
-        """Mass times alpha^n plus the Joule source of ``sigma`` and ``mu``."""
+    def mass(self, alpha: np.ndarray) -> np.ndarray:
+        """Mass rows times alpha^n: the right-hand side before any source."""
         n, h, k, beta = self.mesh.n_elements, self.mesh.h, self.model.k, self.beta
-        src = joule_source_vector(sigma, mu, self.mesh, self.model, self.tau,
-                                  self.variant)
-        size = src.shape[0]
+        size = self.matrix.size
         rhs = np.empty(size)
         rhs[1:size - 1] = (h / 6.0) * alpha[:size - 2] \
             + (2.0 * h / 3.0) * alpha[1:size - 1] + (h / 6.0) * alpha[2:size]
@@ -186,8 +186,32 @@ class TemperatureOperator:
                 + (h / 3.0) * alpha[1]
             rhs[n - 1] = (h / 6.0) * alpha[n - 2] \
                 + (h / 6.0) * (4.0 + k / (beta * h + k)) * alpha[n - 1]
-        rhs += src
         return rhs
+
+    def rhs(self, alpha: np.ndarray, sigma: np.ndarray,
+            mu: np.ndarray) -> np.ndarray:
+        """Mass times alpha^n plus the Joule source of ``sigma`` and ``mu``."""
+        rhs = self.mass(alpha)
+        # an overflow shows as a non-finite rhs, which advance reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs += joule_source_vector(sigma, mu, self.mesh, self.model,
+                                       self.tau, self.variant)
+        return rhs
+
+    def advance(self, rhs: np.ndarray, residual_sink: list | None = None,
+                what: str = "temperature") -> np.ndarray:
+        """alpha^{n+1} for ``rhs`` by the held factorisation, with alpha_N
+        written back for paper_literal.  Failures, a non-finite ``rhs``
+        included, raise as ``"<what> solve failed: ..."``."""
+        try:
+            system = self.matrix.with_rhs(rhs)
+        except NumericalFailureError as exc:
+            raise NumericalFailureError(f"{what} solve failed: {exc}") from exc
+        x = checked_solve(system, what, residual_sink, self.held)
+        if self.variant.stiffness == "corrected":
+            return x
+        k, h = self.model.k, self.mesh.h
+        return np.append(x, ghost_temp_right(float(x[-1]), k, h, self.beta))
 
 
 def solve_temperature(state: TemperatureState, sigma: np.ndarray,
@@ -199,12 +223,6 @@ def solve_temperature(state: TemperatureState, sigma: np.ndarray,
     the system is ``assemble_temperature``'s, solved with ``operator``'s rows
     and held factorisation.
     """
-    op = operator
-    system = op.matrix.with_rhs(op.rhs(state.alpha, sigma, mu))
-    x = checked_solve(system, "temperature", residual_sink, op.held)
-    if op.variant.stiffness == "corrected":
-        alpha_new = x
-    else:
-        alpha_new = np.append(
-            x, ghost_temp_right(float(x[-1]), op.model.k, op.mesh.h, op.beta))
-    return TemperatureState(alpha=alpha_new, time=state.time + op.tau)
+    alpha = operator.advance(operator.rhs(state.alpha, sigma, mu),
+                             residual_sink)
+    return TemperatureState(alpha=alpha, time=state.time + operator.tau)

@@ -177,8 +177,8 @@ GOLDEN = {
         "7bf551c2cbe19f4fd6f8f726514f5f282c6c148db73270c8691a1116e50a044c"),
     "run-sigma0-zero": ("23e9f6f656d9e5345259415c6eeba58e3740c4462a7b22a0e2e3d83c654bae0d",
                         "7ed7abb5039131cee3e61a5f062972ebeb4c8775df6f57d127e023a54776ab31"),
-    "run-reduced": ("ef8a0626573b8a057c87c0fa450ca5f21d52089a1fb865376ea88d26169ce479",
-                    "4b4e663a55f0d4ff9ea95257b83e33b559c18d53ba15860560f15fa3cbb10b5b"),
+    "run-reduced": ("4616af8f1cf8ad5f6ab97c9862475afd9f2da2348a580ee83e1d60d5b768a873",
+                    "bc7c87c7e4783910de2af9cea4ba1e063e13253d96a35e28865d5b6821d52304"),
 }
 
 
@@ -314,6 +314,29 @@ def test_cli_missing_config_exits_1(tmp_path, capsys):
     assert "not found" in captured.err
 
 
+@pytest.mark.parametrize("case", ["config_not_utf8", "out_missing_dir",
+                                  "profile_missing_dir"])
+def test_cli_unreadable_or_unwritable_path_exits_1(case, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(MINIMAL)
+    out = tmp_path / "s.csv"
+    bad = tmp_path / "no_such_dir" / "x.csv"
+    if case == "config_not_utf8":
+        bad = cfg
+        cfg.write_bytes(MINIMAL.encode() + "# r\u00e9sum\u00e9\n".encode("latin-1"))
+    argv = ["run", "--config", str(cfg), "--out", str(out)]
+    if case == "out_missing_dir":
+        argv[-1] = str(bad)
+    if case == "profile_missing_dir":
+        argv += ["--profile", str(bad)]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert str(bad) in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_cli_bad_config_exits_1(tmp_path):
     cfg = tmp_path / "bad.cfg"
     for old, new in (("tau = 0.1", "tau = -1"), ("beta = 0.2", "beta = -5")):
@@ -333,6 +356,21 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
         assert run_cli(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "numerical failure: potential solve failed: zero conductivity" in err
+    assert err.rstrip().endswith("(step 1)")
+
+
+def test_cli_overflowing_source_names_its_phase(tmp_path, capsys):
+    # fluxes of 1e160 square past the float range in the Joule source
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(MINIMAL.replace("gamma = 0.1", "k0 = 1\nsigma0 = 1")
+                   .replace("flux_left = 1", "flux_left = 1e160")
+                   .replace("flux_right = 1", "flux_right = 1e160"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "temperature solve failed: non-finite" in err
+    assert "warning: overflow" not in err
 
 
 def test_cli_not_steady_exits_3(tmp_path, capsys):

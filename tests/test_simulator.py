@@ -415,20 +415,44 @@ def test_reduced_interior_rows_match_corrected_assembly(fig1_config):
     # On the same state the interior row equations of the reduced scheme and
     # the corrected coupled scheme coincide: same (a1, b1, a1) triple, same
     # mass + gamma*tau*h right-hand side.  (Their boundary closures differ.)
-    from thermistor_fem.simulator import reduced_rhs, reduced_system_rows
-
+    # The reduced step is the paper_literal operator at k = 1 with the
+    # uniform source gamma*tau*h, as run_reduced takes it.
     mesh = fig1_config.build_mesh()
     model = fig1_config.build_model()
-    n = mesh.n_elements
-    sub, main, sup = reduced_system_rows(mesh, fig1_config.tau, fig1_config.beta)
+    n, h = mesh.n_elements, mesh.h
+    tau, beta = fig1_config.tau, fig1_config.beta
+    assert model.k == 1.0
+    reduced = tf.TemperatureOperator(mesh, model, tau, beta, tf.PAPER_LITERAL)
+    sub, main, sup = reduced.matrix.sub, reduced.matrix.main, reduced.matrix.sup
+    # the published reduction, written out; the operator may differ by 1 ulp
+    a1 = h / 6.0 - tau / h
+    b1 = 2.0 * h / 3.0 + 2.0 * tau / h
+    np.testing.assert_array_max_ulp(sub, np.full(n - 1, a1), maxulp=1)
+    np.testing.assert_array_max_ulp(sup[1:], np.full(n - 2, a1), maxulp=1)
+    np.testing.assert_array_max_ulp(main[1:n - 1], np.full(n - 2, b1), maxulp=1)
+    np.testing.assert_array_max_ulp(
+        main[[0, n - 1]], [a1 * (beta * h - 1.0) + b1 - tau * beta,
+                           b1 + a1 / (beta * h + 1.0)], maxulp=1)
+    np.testing.assert_array_max_ulp(sup[0], 2.0 * a1, maxulp=1)
     state = tf.initial_temperature(mesh)
     for _ in range(5):
         state, pot = tf.step(state, fig1_config)
         system = tf.assemble_temperature(state, pot, mesh, model,
-                                         fig1_config.tau, fig1_config.beta,
-                                         tf.CORRECTED)
-        rhs_red = reduced_rhs(state.alpha[:n], mesh, fig1_config.tau,
-                              fig1_config.beta, GAMMA)
+                                         tau, beta, tf.CORRECTED)
+        a = state.alpha
+        rhs_red = reduced.mass(a) + GAMMA * tau * h
+        published = np.empty(n)
+        published[1:-1] = (h / 6.0) * a[:n - 2] + (2.0 * h / 3.0) * a[1:n - 1] \
+            + (h / 6.0) * a[2:n]
+        published[0] = (h / 2.0) * (1.0 + beta * h / 3.0) * a[0] \
+            + (h / 3.0) * a[1]
+        published[-1] = (h / 6.0) * a[n - 2] \
+            + (h / 6.0) * (4.0 + 1.0 / (1.0 + beta * h)) * a[n - 1]
+        np.testing.assert_array_max_ulp(rhs_red, published + GAMMA * tau * h,
+                                        maxulp=1)
+        new = reduced.advance(rhs_red)
+        np.testing.assert_array_max_ulp(new[n], new[n - 1] / (1.0 + beta * h),
+                                        maxulp=1)
         for j in range(1, n - 1):
             assert system.sub[j - 1] == pytest.approx(sub[j - 1], abs=1e-14)
             assert system.main[j] == pytest.approx(main[j], abs=1e-14)
