@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -16,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .coefficients import ModelSpec, eval_sigma, validate_physical
-from .errors import (ConfigurationError, ModelError, NotSteadyError,
-                     SolverError)
+from .errors import ConfigurationError, NotSteadyError, StepFailure
 from .potential import SchemeVariant, check_current_compatibility
 from .simulator import (SimulationConfig, SimulationResult, convergence_study,
                         run, run_reduced, step)
@@ -234,6 +234,9 @@ def _write(path: str, text: str) -> None:
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
+    for path in filter(None, (args.out, args.profile)):  # before the run
+        if not os.access(Path(path).parent, os.W_OK | os.X_OK):
+            raise ConfigurationError(f"cannot write {path}: no writable directory")
     result = args.driver(config)
     series = write_series_csv(result)
     if args.out:
@@ -298,7 +301,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         except ConfigurationError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             code = EXIT_CONFIG
-        except (SolverError, ModelError) as exc:
+        except StepFailure as exc:
             at = "" if exc.step is None else f" (step {exc.step})"
             print(f"numerical failure: {exc}{at}", file=sys.stderr)
             code = EXIT_NUMERICAL

@@ -11,35 +11,28 @@ class ConfigurationError(ThermistorError):
     """Invalid run parameters, mesh sizes, or configuration files."""
 
 
-class ModelError(ThermistorError):
-    """A coefficient model produced an unphysical value (k <= 0, sigma < 0,
-    non-finite).  Raised inside a run's time loop, it carries ``step`` and
-    ``diagnostics`` as a SolverError does; elsewhere both stay None."""
+class StepFailure(ThermistorError):
+    """Base for the failures of a time step, in a model or a solve.  Raised
+    inside a run's time loop, it carries ``step``, the failing step's index,
+    and ``diagnostics``, the run's series up to it; elsewhere both are None."""
 
     step = None
     diagnostics = None
 
 
-class SolverError(ThermistorError):
-    """Base for failures inside a linear solve or a time step.
+class ModelError(StepFailure):
+    """A coefficient model gave an unphysical value: k <= 0, sigma < 0 or non-finite."""
 
-    ``step`` is the index of the failing time step and ``diagnostics`` the
-    run's series up to it; the simulation driver fills both in when the
-    failure occurred inside its time loop.  Both stay None for standalone
-    solves.
-    """
 
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
-        self.diagnostics = None
+class SolverError(StepFailure):
+    """Base for failures inside a linear solve or a time step."""
 
 
 class SingularSystemError(SolverError):
     """Zero or near-zero pivot during elimination; ``row`` is the failing row."""
 
-    def __init__(self, message: str, row: int | None = None, step: int | None = None):
-        super().__init__(message, step=step)
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
         self.row = row
 
 

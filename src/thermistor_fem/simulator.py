@@ -18,7 +18,7 @@ import numpy as np
 
 from . import temperature as temp
 from .coefficients import CoefficientModel, ModelSpec, eval_sigma
-from .errors import ConfigurationError, ModelError, NotSteadyError, SolverError
+from .errors import ConfigurationError, NotSteadyError, StepFailure
 from .mesh import Mesh, build_mesh
 from .potential import (CORRECTED, PAPER_LITERAL, SchemeVariant,
                         check_current_compatibility, solve_potential)
@@ -114,17 +114,27 @@ def step(state: temp.TemperatureState, config: SimulationConfig,
          ) -> tuple[temp.TemperatureState, np.ndarray]:
     """One decoupled step: potential from alpha^n, then temperature advance.
 
-    Returns the new state and the nodal potential mu_0..mu_N it used.
-    Solver and model failures are re-raised with the step index attached.
+    Returns the new state and the nodal potential mu_0..mu_N it used.  A
+    bad state is refused as in run(); failures carry the step index.
     """
     mesh = mesh or config.build_mesh()
     model = model or config.build_model()
+    _check_state(state, mesh)
     try:
         new_state, mu, _ = _coupled(config, mesh, model)(state, residual_sink)
-    except (SolverError, ModelError) as exc:
+    except StepFailure as exc:
         exc.step = int(round(state.time / config.tau))
         raise
     return new_state, mu
+
+
+def _check_state(state: temp.TemperatureState, mesh: Mesh) -> None:
+    """Refuse a starting state that does not fit ``mesh`` or is not finite."""
+    if np.shape(state.alpha) != (mesh.n_nodes,):
+        raise ConfigurationError("initial state does not match the mesh")
+    bad = np.flatnonzero(~np.isfinite(state.alpha))
+    if bad.size:
+        raise ConfigurationError(f"initial state is not finite at node {bad[0]}")
 
 
 def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel,
@@ -197,7 +207,7 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
             if change / config.tau < config.steady_tolerance:
                 steady_time = state.time
                 break
-    except (SolverError, ModelError) as exc:
+    except StepFailure as exc:
         exc.step = n
         exc.diagnostics = diag
         raise
@@ -215,17 +225,16 @@ def run(config: SimulationConfig,
     """Iterate until the per-unit-time max-norm change drops below tolerance.
 
     Snapshots are recorded at t = 0, every ``record_every`` steps, and at the
-    final state.  Models with no electrical conduction skip the (singular)
-    potential solve; their source is identically zero.  A UserWarning
-    reports boundary currents that disagree (check_current_compatibility
-    above COMPATIBILITY_WARN_THRESHOLD at some step).
+    final state.  An initial state that does not fit the mesh or is not
+    finite is a ConfigurationError.  Models with no electrical conduction
+    skip the (singular) potential solve; their source is identically zero.
+    A UserWarning reports boundary currents that disagree
+    (check_current_compatibility above COMPATIBILITY_WARN_THRESHOLD at some step).
     """
     mesh = config.build_mesh()
     model = config.build_model()
-    state = initial_state if initial_state is not None \
-        else temp.initial_temperature(mesh)
-    if state.alpha.shape != (mesh.n_nodes,):
-        raise ConfigurationError("initial state does not match the mesh")
+    state = initial_state or temp.initial_temperature(mesh)
+    _check_state(state, mesh)
     # without conduction the potential is zero and never solved for
     zero = np.zeros(mesh.n_nodes) if model.sigma_is_zero else None
     result = _march(config, mesh, lambda: _coupled(

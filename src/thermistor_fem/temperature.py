@@ -13,13 +13,11 @@ uniform source gamma*tau*h in place of the Joule source.
 Variant summary (h = mesh step, tau = time step, beta = heat transfer):
 
 corrected (size N+1, unknowns alpha_0..alpha_N)
-    interior row j:  mass (h/6, 2h/3, h/6) plus tau/h times the stiffness
-    (-k_{j-1/2}, k_{j-1/2}+k_{j+1/2}, -k_{j+1/2}) with arithmetic-mean
-    midpoint conductivities k_{j+1/2} = (k+k)/2.
-    boundary rows:  half-hat mass (h/3 diagonal, h/6 off-diagonal),
-    one-sided stiffness k_{1/2}/h (resp. k_{N-1/2}/h) and the weak-form
-    Robin term tau*beta added to the diagonal.
-    rhs: mass times alpha^n plus the Joule source row integral.
+    rows M + tau K, with M the P1 mass rows (half-hat rows at the ends) and
+    K the stiffness (-k_{j-1/2}, k_{j-1/2}+k_{j+1/2}, -k_{j+1/2}) / h with
+    arithmetic-mean midpoint conductivities k_{j+1/2} = (k+k)/2, one-sided
+    at the ends, where the weak-form Robin term beta adds to the diagonal.
+    rhs: M alpha^n plus the Joule source row integral.
 
 paper_literal (size N, unknowns alpha_0..alpha_{N-1})
     the original published rows, kept verbatim: generic interior row with
@@ -38,7 +36,7 @@ import numpy as np
 
 from .coefficients import CoefficientModel, eval_sigma
 from .errors import ModelError, NumericalFailureError
-from .mesh import Mesh
+from .mesh import Mesh, mass_row
 from .potential import SchemeVariant
 from .tridiag import HeldFactorisation, TridiagonalSystem, checked_solve
 
@@ -136,8 +134,9 @@ def assemble_temperature(state: TemperatureState, mu: np.ndarray,
 
 
 class TemperatureOperator:
-    """The rows of a backward-Euler step, built and checked once, and their
-    held factorisation.
+    """The rows of a backward-Euler step, M + tau K in ``matrix`` and M in
+    ``mass_matrix`` (whose ``rhs`` is unused), built and checked once, and
+    the held factorisation of ``matrix``.
 
     The rows depend only on the mesh, tau, beta and the constant k, so a
     run builds them once and each step builds only its right-hand side.
@@ -148,18 +147,24 @@ class TemperatureOperator:
         self.mesh, self.model, self.variant = mesh, model, variant
         self.tau, self.beta = tau, beta
         n, h, k = mesh.n_elements, mesh.h, model.k
+        size = n + 1 if variant.stiffness == "corrected" else n
+        below, diag, above = mass_row(mesh, 1)
+        m_sub, m_sup = np.full(size - 1, below), np.full(size - 1, above)
+        m_main = np.full(size, diag)
         if variant.stiffness == "corrected":
+            m_main[0] = m_main[n] = h / 3.0  # half-hat rows
             k_half = 0.5 * (k + k)
-            sub = np.full(n, h / 6.0) - tau * k_half / h
-            sup = np.full(n, h / 6.0) - tau * k_half / h
-            main = np.full(n + 1, 2.0 * h / 3.0)
-            main[1:n] += tau * (k_half + k_half) / h
-            main[0] = h / 3.0 + tau * k_half / h + tau * beta
-            main[n] = h / 3.0 + tau * k_half / h + tau * beta
+            sub = m_sub - tau * k_half / h
+            sup = m_sup - tau * k_half / h
+            main = m_main + tau * (k_half + k_half) / h
+            main[[0, n]] = m_main[[0, n]] + tau * k_half / h + tau * beta
         else:
-            # paper_literal: unknowns alpha_0..alpha_{N-1}; each conductivity
-            # of the published rows, k(a_j), k(a_{-1}) or k(a_N) at either
-            # level, is k
+            # paper_literal: unknowns alpha_0..alpha_{N-1}; end rows from the ghosts
+            m_main[0] = (h / 2.0) * (1.0 + h * beta / (3.0 * k))
+            m_sup[0] = h / 3.0
+            m_main[n - 1] = (h / 6.0) * (4.0 + k / (beta * h + k))
+            # each conductivity of the published rows, k(a_j), k(a_{-1}) or
+            # k(a_N) at either level, is k
             a = c = h / 6.0 - (tau / (2.0 * h)) * (k + k)
             b = 2.0 * h / 3.0 + (tau / h) * (k + k)
             sub = np.full(n - 1, a)
@@ -168,25 +173,13 @@ class TemperatureOperator:
             main[0] = a * (beta * h / k - 1.0) + b - tau * beta
             sup[0] = a + c
             main[n - 1] = b + k / (beta * h + k) * c
-        self.matrix = TridiagonalSystem(sub, main, sup, np.zeros(main.shape))
+        self.mass_matrix = TridiagonalSystem(m_sub, m_main, m_sup, np.zeros(size))
+        self.matrix = TridiagonalSystem(sub, main, sup, np.zeros(size))
         self.held = HeldFactorisation()
 
     def mass(self, alpha: np.ndarray) -> np.ndarray:
         """Mass rows times alpha^n: the right-hand side before any source."""
-        n, h, k, beta = self.mesh.n_elements, self.mesh.h, self.model.k, self.beta
-        size = self.matrix.size
-        rhs = np.empty(size)
-        rhs[1:size - 1] = (h / 6.0) * alpha[:size - 2] \
-            + (2.0 * h / 3.0) * alpha[1:size - 1] + (h / 6.0) * alpha[2:size]
-        if self.variant.stiffness == "corrected":
-            rhs[0] = (h / 3.0) * alpha[0] + (h / 6.0) * alpha[1]
-            rhs[n] = (h / 6.0) * alpha[n - 1] + (h / 3.0) * alpha[n]
-        else:
-            rhs[0] = (h / 2.0) * (1.0 + h * beta / (3.0 * k)) * alpha[0] \
-                + (h / 3.0) * alpha[1]
-            rhs[n - 1] = (h / 6.0) * alpha[n - 2] \
-                + (h / 6.0) * (4.0 + k / (beta * h + k)) * alpha[n - 1]
-        return rhs
+        return self.mass_matrix.matvec(alpha[:self.matrix.size])
 
     def rhs(self, alpha: np.ndarray, sigma: np.ndarray,
             mu: np.ndarray) -> np.ndarray:

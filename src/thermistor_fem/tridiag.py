@@ -65,14 +65,18 @@ class TridiagonalSystem:
     def size(self) -> int:
         return self.main.shape[0]
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """The product T x, by three numpy slice operations."""
+        tx = self.main * x
+        tx[1:] += self.sub * x[:-1]
+        tx[:-1] += self.sup * x[1:]
+        return tx
+
     def dense(self) -> np.ndarray:
         """Dense copy of the matrix, for oracles and inspection."""
-        m = self.size
-        full = np.zeros((m, m))
-        full[np.arange(m), np.arange(m)] = self.main
-        if m > 1:
-            full[np.arange(1, m), np.arange(m - 1)] = self.sub
-            full[np.arange(m - 1), np.arange(1, m)] = self.sup
+        full = np.diag(self.main)
+        full.flat[self.size::self.size + 1] = self.sub  # entries (i + 1, i)
+        full.flat[1::self.size + 1] = self.sup  # entries (i, i + 1)
         return full
 
 
@@ -271,7 +275,4 @@ def residual_norm(system: TridiagonalSystem, x: np.ndarray) -> float:
         raise ValueError(f"solution length {x.shape} does not match system size {system.size}")
     # a solution near the overflow threshold has an infinite residual
     with np.errstate(over="ignore", invalid="ignore"):
-        tx = system.main * x
-        tx[1:] += system.sub * x[:-1]
-        tx[:-1] += system.sup * x[1:]
-        return float(np.max(np.abs(tx - system.rhs)))
+        return float(np.max(np.abs(system.matvec(x) - system.rhs)))

@@ -8,6 +8,7 @@ import pytest
 
 import thermistor_fem as tf
 from helpers import reference_series_csv
+from thermistor_fem import cli
 from thermistor_fem.cli import (parse_config, run_cli, write_profile_csv,
                                 write_series_csv)
 
@@ -114,6 +115,8 @@ def test_series_csv_counts_and_header():
     assert text.endswith("\n")
     # zero run: every temperature entry parses back to exactly 0.0
     assert all(float(line.split(",")[2]) == 0.0 for line in lines[1:])
+    with pytest.raises(ValueError, match="no snapshots"):
+        write_series_csv(dataclasses.replace(one, snapshots=[]))
 
 
 def test_series_csv_round_trip(fig1_cfg_path, tmp_path):
@@ -316,7 +319,8 @@ def test_cli_missing_config_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["config_not_utf8", "out_missing_dir",
                                   "profile_missing_dir"])
-def test_cli_unreadable_or_unwritable_path_exits_1(case, tmp_path, capsys):
+def test_cli_unreadable_or_unwritable_path_exits_1(case, tmp_path, capsys,
+                                                  monkeypatch):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(MINIMAL)
     out = tmp_path / "s.csv"
@@ -329,19 +333,38 @@ def test_cli_unreadable_or_unwritable_path_exits_1(case, tmp_path, capsys):
         argv[-1] = str(bad)
     if case == "profile_missing_dir":
         argv += ["--profile", str(bad)]
+    calls = []
+    # refused before the run: it never starts and no file is written
+    monkeypatch.setattr(cli, "run", lambda config: calls.append(config))
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("configuration error: ")
     assert str(bad) in captured.err
     assert len(captured.err.splitlines()) == 1
+    assert calls == []
+    assert not out.exists()
 
 
-def test_cli_bad_config_exits_1(tmp_path):
+def test_cli_bad_config_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    for old, new in (("tau = 0.1", "tau = -1"), ("beta = 0.2", "beta = -5")):
+    gamma = "gamma = 0.1"
+    for old, new, message in (
+            ("tau = 0.1", "tau = -1", "tau must be positive"),
+            ("beta = 0.2", "beta = -5", "beta must be >= 0"),
+            ("tau = 0.1", "tau 0.1", "line 3: expected 'key = value'"),
+            (gamma, gamma + "\nlambda = 1", "lambda is not a parameter"),
+            (gamma, "k0 = 1", "need both k0 and sigma0"),
+            (gamma, "sigma0 = 1", "need both k0 and sigma0"),
+            (gamma, "", "missing model keys"),
+            (gamma, gamma + "\nscheme = literal", "cannot parse scheme"),
+            (gamma, gamma + "\nsource = centre", "cannot parse source"),
+            (gamma, gamma + "\nfreeze_potential = maybe",
+             "expected a boolean")):
         cfg.write_text(MINIMAL.replace(old, new))
         assert run_cli(["run", "--config", str(cfg)]) == 1, new
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err, new
 
 
 def test_cli_numerical_failure_exits_2(tmp_path, capsys):
@@ -411,7 +434,10 @@ def test_cli_convergence_output_format(tmp_path, capsys):
     # the temperature overflows within a few steps
     ({"gamma = 0.1": "gamma = 1e308"}, 2, "numerical failure: temperature solve failed"),
     ({"t_max = 50": "t_max = 0.2"}, 3, "not steady"),
-], ids=["beta_negative", "beta_zero", "model_error", "not_steady"])
+    ({"gamma = 0.1": "k0 = 1\nsigma0 = 1"}, 1,
+     "configuration error: the convergence study needs the paper_example model"),
+], ids=["beta_negative", "beta_zero", "model_error", "not_steady",
+        "not_paper_example"])
 def test_cli_convergence_exit_codes(edits, code, message, tmp_path, capsys):
     text = MINIMAL.replace("n_elements = 20", "n_elements = 10")
     for old, new in edits.items():

@@ -76,6 +76,14 @@ def test_zero_conductivity_is_singular(variant):
                            variant, sigma_ghost_left=0.0)
 
 
+@pytest.mark.parametrize("variant", [tf.CORRECTED, tf.PAPER_LITERAL])
+def test_sigma_of_the_wrong_length_is_refused(variant):
+    mesh = tf.build_mesh(6)
+    with pytest.raises(ValueError, match="sigma must have length 7"):
+        tf.solve_potential(np.ones(6), mesh, constant_model(1.0, 1.0),
+                           variant, sigma_ghost_left=1.0)
+
+
 def test_literal_fixture_n4():
     mesh = tf.build_mesh(4)
     model = constant_model(1.0, 1.0)

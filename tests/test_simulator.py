@@ -65,6 +65,24 @@ def test_step_zero_conductivity_fails_with_step_index():
     assert exc.value.step == 0
 
 
+@pytest.mark.parametrize("model", [
+    tf.ModelSpec("paper_example", {"gamma": GAMMA}),
+    tf.ModelSpec("rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0}),
+], ids=["paper_example", "rational_sigma"])
+def test_bad_starting_state_is_a_configuration_error(model):
+    config = small_config(model=model)
+    n = config.n_elements + 1
+    alpha = np.zeros(n)
+    alpha[3] = np.nan
+    for bad, message in ((np.zeros(n - 1), "initial state does not match"),
+                         (alpha, "initial state is not finite at node 3")):
+        state = tf.TemperatureState(alpha=bad, time=0.0)
+        for call in (lambda: tf.run(config, state),
+                     lambda: tf.step(state, config)):
+            with pytest.raises(tf.ConfigurationError, match=message):
+                call()
+
+
 @pytest.mark.parametrize("driver, model", [
     (tf.run, tf.ModelSpec("paper_example", {"gamma": GAMMA})),
     (tf.run, tf.ModelSpec("constant", {"k0": 1.0, "sigma0": 0.0})),
@@ -539,6 +557,11 @@ def test_convergence_study_refuses_levels_past_the_element_bound():
         with pytest.raises(tf.ConfigurationError,
                            match=f"past 1000000; at most {allowed} levels"):
             tf.convergence_study(config, levels)
+
+
+def test_convergence_study_needs_a_level():
+    with pytest.raises(tf.ConfigurationError, match="levels must be >= 1"):
+        tf.convergence_study(small_config(), 0)
 
 
 def test_convergence_study_levels():

@@ -220,3 +220,58 @@ def test_held_operator_matches_assembly(variant):
         for name in ("sub", "main", "sup"):
             np.testing.assert_array_equal(getattr(held.matrix, name),
                                           getattr(oracle, name))
+
+
+@pytest.mark.parametrize("n", [3, 4, 100, 1001])
+@pytest.mark.parametrize("variant", [tf.CORRECTED, tf.PAPER_LITERAL],
+                         ids=["corrected", "paper_literal"])
+def test_held_mass_rows_are_the_published_ones(variant, n):
+    # M is stated once, in mass_matrix: its rows are the published mass
+    # rows, its product is the slice formulas the right-hand side was built
+    # from, and the corrected step rows built from it keep their bits.  With
+    # this k and beta, summing the corrected diagonal in another order
+    # changes its bits at some n.
+    mesh = tf.build_mesh(n)
+    h, k, beta = mesh.h, 2.9, 1.7
+    op = tf.TemperatureOperator(mesh, constant_model(k, 0.7), TAU, beta,
+                                variant)
+    literal = variant.stiffness == "paper_literal"
+    size = n if literal else n + 1
+    if literal:
+        first = ((h / 2.0) * (1.0 + h * beta / (3.0 * k)), h / 3.0)
+        last = (h / 6.0, (h / 6.0) * (4.0 + k / (beta * h + k)))
+    else:
+        first, last = (h / 3.0, h / 6.0), (h / 6.0, h / 3.0)
+    published = np.zeros((size, size))
+    for j in range(1, size - 1):
+        published[j, j - 1:j + 2] = (h / 6.0, 2.0 * h / 3.0, h / 6.0)
+    published[0, :2] = first
+    published[-1, -2:] = last
+    np.testing.assert_array_equal(op.mass_matrix.dense(), published)
+
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        alpha = rng.standard_normal(n + 1) * 10.0 ** rng.uniform(-4, 4, n + 1)
+        a = alpha[:size]
+        slices = np.empty(size)
+        slices[1:-1] = (h / 6.0) * a[:-2] + (2.0 * h / 3.0) * a[1:-1] \
+            + (h / 6.0) * a[2:]
+        if literal:
+            slices[0] = (h / 2.0) * (1.0 + h * beta / (3.0 * k)) * a[0] \
+                + (h / 3.0) * a[1]
+            slices[-1] = (h / 6.0) * a[-2] \
+                + (h / 6.0) * (4.0 + k / (beta * h + k)) * a[-1]
+        else:
+            slices[0] = (h / 3.0) * a[0] + (h / 6.0) * a[1]
+            slices[-1] = (h / 6.0) * a[-2] + (h / 3.0) * a[-1]
+        np.testing.assert_array_equal(op.mass(alpha), slices)
+
+    if not literal:
+        k_half = 0.5 * (k + k)
+        main = np.full(n + 1, 2.0 * h / 3.0)
+        main[1:n] += TAU * (k_half + k_half) / h
+        main[0] = main[n] = h / 3.0 + TAU * k_half / h + TAU * beta
+        off = np.full(n, h / 6.0) - TAU * k_half / h
+        np.testing.assert_array_equal(op.matrix.main, main)
+        np.testing.assert_array_equal(op.matrix.sub, off)
+        np.testing.assert_array_equal(op.matrix.sup, off)

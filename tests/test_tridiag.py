@@ -245,6 +245,22 @@ def test_thomas_does_not_mutate_input():
 def test_rejects_length_mismatch():
     with pytest.raises(ValueError):
         system([1, 2], [1, 1], [0], [1, 1])
+    with pytest.raises(ValueError, match="size must be >= 1"):
+        system([], [], [], [])
+    with pytest.raises(ValueError, match="rhs must have length 2"):
+        system([0], [1, 1], [0], [1, 1, 1])
+    with pytest.raises(ValueError, match="rhs must have length 2"):
+        system([0], [1, 1], [0], [1, 1]).with_rhs(np.ones(3))
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_matvec_is_the_dense_product(size):
+    rng = np.random.default_rng(size)
+    s = system(rng.standard_normal(size - 1), rng.standard_normal(size),
+               rng.standard_normal(size - 1), np.zeros(size))
+    x = rng.standard_normal(size)
+    np.testing.assert_allclose(s.matvec(x), s.dense() @ x, rtol=1e-14,
+                               atol=1e-15)
 
 
 def test_rejects_non_finite():
