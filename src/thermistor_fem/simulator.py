@@ -25,7 +25,7 @@ from .potential import (CORRECTED, PAPER_LITERAL, SchemeVariant,
 from .tridiag import HeldFactorisation
 
 COMPATIBILITY_WARN_THRESHOLD = 1e-9
-# the held block operators of a run take about 528 bytes per node, 0.5 GB here
+# the held block operators of a run take about 272 bytes per node, 0.27 GB here
 MAX_ELEMENTS = 10**6
 
 
@@ -115,7 +115,10 @@ def step(state: temp.TemperatureState, config: SimulationConfig,
     """One decoupled step: potential from alpha^n, then temperature advance.
 
     Returns the new state and the nodal potential mu_0..mu_N it used.  A
-    bad state is refused as in run(); failures carry the step index.
+    bad state is refused as in run(); failures carry the step index.  Each
+    call builds and factors the temperature rows anew: 1.2 ms per call
+    against 0.2 ms per step inside run, for rational_sigma at N = 1000 on a
+    2-CPU host.  Advance a state through many steps with run.
     """
     mesh = mesh or config.build_mesh()
     model = model or config.build_model()

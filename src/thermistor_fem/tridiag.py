@@ -13,9 +13,9 @@ from .errors import NumericalFailureError, SingularSystemError
 # original coefficient magnitude is treated as structurally singular.
 PIVOT_RTOL = 1e-14
 
-# Rows per block of the blocked substitution.  A solve makes two batched
-# products of (BLOCK x BLOCK) matrices and two scalar passes over the m/BLOCK
-# blocks; the held factorisation takes 2 * BLOCK + 2 floats per row.
+# Rows per block of the blocked substitution.  A solve makes one batched
+# product of (BLOCK x BLOCK) matrices and two scalar passes over the m/BLOCK
+# blocks; the held factorisation takes BLOCK + 2 floats per row.
 BLOCK = 32
 
 
@@ -112,41 +112,39 @@ def thomas_solve(system: TridiagonalSystem,
     below 1e-14 of the row's largest original coefficient.  Without ``held``
     the matrix is factored for this solve alone; with it, the factorisation
     that the owner of the matrix holds is used (see ``HeldFactorisation``).
-    Both triangular solves run block by block (see ``_substitute``).
+
+    Both triangular solves run block by block in one pass (Wang's partition
+    method).  One batched product solves every block as if nothing came in
+    from its neighbours.  Two scalar passes over the blocks then carry the
+    values the neighbours read: going forward, the last entry ``e`` of L's
+    solution, and going backward, the first entry ``f`` of the solution.
+    Each block finally adds its carry vectors times the values it received
+    (see ``_Factors``).
     """
     factors = (held or HeldFactorisation()).factors(system)
-    nb, b = factors.lower_carry.shape
-    r = np.zeros(nb * b)
-    r[:factors.size] = system.rhs
+    nb, b = factors.upper_carry.shape
+    r = np.zeros((nb, b, 1))
+    r.reshape(-1)[:factors.size] = system.rhs
     # an overflow shows as a non-finite solution, which checked_solve reports
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _substitute(factors.lower_inv, factors.lower_carry,
-                        r.reshape(nb, b), backward=False)
-        x = _substitute(factors.upper_inv, factors.upper_carry, y,
-                        backward=True)
+        local = np.matmul(factors.inverse, r)[:, :, 0]
+        z, t = local[:, -1].tolist(), factors.lower_carry[:, -1].tolist()
+        into = [0.0] * nb  # e of the previous block
+        e = 0.0
+        for k in range(nb):
+            into[k] = e
+            e = z[k] + t[k] * e
+        w = local[:, 0].tolist()
+        g = factors.lower_carry[:, 0].tolist()
+        u = factors.upper_carry[:, 0].tolist()
+        back = [0.0] * nb  # f of the next block
+        f = 0.0
+        for k in range(nb - 1, -1, -1):
+            back[k] = f
+            f = w[k] + g[k] * into[k] + u[k] * f
+        x = (local + factors.lower_carry * np.array(into)[:, None]
+             + factors.upper_carry * np.array(back)[:, None])
     return x.reshape(-1)[:factors.size]
-
-
-def _substitute(inverse: np.ndarray, carry: np.ndarray, r: np.ndarray,
-                backward: bool) -> np.ndarray:
-    """One bidiagonal solve by blocks of rows (Wang's partition method).
-
-    Each block is solved with its explicit inverse as if nothing came in
-    from its neighbour, in one batched product.  The value the neighbour
-    reads (a block's last entry going forward, its first going backward)
-    is then carried from block to block by a scalar recurrence, and each
-    block adds its carry vector times the value it received.
-    """
-    local = np.matmul(inverse, r[:, :, None])[:, :, 0]
-    nb = len(local)
-    edge = 0 if backward else -1
-    z, t = local[:, edge].tolist(), carry[:, edge].tolist()
-    into = [0.0] * nb
-    value = 0.0
-    for k in (range(nb - 1, -1, -1) if backward else range(nb)):
-        into[k] = value
-        value = z[k] + t[k] * value
-    return local + carry * np.array(into)[:, None]
 
 
 class _Factors(NamedTuple):
@@ -155,18 +153,21 @@ class _Factors(NamedTuple):
     L is lower bidiagonal (subdiagonal a_i, pivots p_i) and U unit upper
     bidiagonal (superdiagonal c_i).  The m rows are cut into blocks of
     ``b = min(BLOCK, m)`` rows, the last one padded with identity rows.
-    ``lower_inv[k]`` is the inverse of block k's part of L, and
-    ``lower_carry[k]`` is the response of its solution to the previous
-    block's last entry: ``-a_(first row) * lower_inv[k][:, 0]``.
-    ``upper_inv`` and ``upper_carry`` are the same for U, with the carry
-    coming from the next block's first entry.
+    Block k of L's solution is ``L_k^-1 r_k + l_k e``, where e is the last
+    entry of L's solution in block k-1 and ``l_k = -a_(first row) *
+    L_k^-1[:, 0]``.  Block k of the solution is ``U_k^-1 y_k + u_k f``,
+    where f is the first entry of the solution in block k+1 and
+    ``u_k = -c_(last row) * U_k^-1[:, b-1]``.  Together,
+    ``x_k = G_k r_k + (U_k^-1 l_k) e + u_k f`` with ``G_k = U_k^-1 L_k^-1``.
+    The last row of U_k^-1 is that of the identity, so the last entries of
+    ``G_k r_k`` and ``U_k^-1 l_k`` are those of ``L_k^-1 r_k`` and ``l_k``,
+    which the forward pass reads.
     """
 
     size: int
-    lower_inv: np.ndarray  # (blocks, b, b)
-    lower_carry: np.ndarray  # (blocks, b)
-    upper_inv: np.ndarray
-    upper_carry: np.ndarray
+    inverse: np.ndarray  # (blocks, b, b): G_k
+    lower_carry: np.ndarray  # (blocks, b): U_k^-1 l_k
+    upper_carry: np.ndarray  # (blocks, b): u_k
 
 
 class HeldFactorisation:
@@ -192,7 +193,7 @@ class HeldFactorisation:
 
 def _factor(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> _Factors:
     """Forward elimination of T = L U, checked by the pivot rule, and the
-    block operators of both triangular solves."""
+    block operators of the solve."""
     # Python floats: per-element numpy indexing costs more than the arithmetic
     lower = [0.0] + sub.tolist()
     pivots = []
@@ -225,7 +226,8 @@ def _factor(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> _Factors:
 
 
 def _block_operators(lower: list, pivots: list, upper: list) -> _Factors:
-    """Invert each block's part of L and U, for all blocks at once.
+    """Invert each block's part of L and U, for all blocks at once, and
+    multiply the inverses.
 
     Padding rows (a = 0, p = 1, c = 0) follow the last real row, whose c is
     0, so they neither read from nor feed into the real rows.
@@ -250,13 +252,10 @@ def _block_operators(lower: list, pivots: list, upper: list) -> _Factors:
     inv[:, rows, rows] = np.concatenate((1.0 / p, np.ones((nb, b))))
     for i in range(1, b):
         np.multiply(inv[:, i - 1, :i], factor[:, i, None], out=inv[:, i, :i])
-    # copies, so that the solves read contiguous arrays and no view keeps
-    # the work array alive
-    lower_inv = inv[:nb].copy()
-    upper_inv = inv[nb:, ::-1, ::-1].copy()
-    return _Factors(size=m, lower_inv=lower_inv,
-                    lower_carry=-a[:, :1] * lower_inv[:, :, 0],
-                    upper_inv=upper_inv,
+    upper_inv = inv[nb:, ::-1, ::-1]
+    inverse = np.matmul(upper_inv, inv[:nb])
+    return _Factors(size=m, inverse=inverse,
+                    lower_carry=-a[:, :1] * inverse[:, :, 0],
                     upper_carry=-c[:, b - 1:] * upper_inv[:, :, b - 1])
 
 

@@ -164,16 +164,16 @@ def test_cli_outputs_are_deterministic(fig1_cfg_path, tmp_path):
 # the old path (tests/test_solve_path.py).  The case name lists the edits to
 # fig1.cfg (see golden_config).
 GOLDEN = {
-    "run": ("52e7a14dbd99cadf125a49593ce08025316a7d1e3b7c236f5aad8f5943cc639a",
+    "run": ("c8346eb9b8b7c5c05d65f4c00ecc2ee84f41b9c7858d370e63a049441c205cbe",
             "c065a720267f591b876782b1d8aa53ddb933f1427dfdc21109721e1dbb94525e"),
-    "run-paper": ("628b1f19ff32c35726df31fd4f8c8d33c3759a5a968332c83e55918caaaf415c",
+    "run-paper": ("14998d2b8c796884609e39798f9f0f1d29533fae09e7313fb13e4d47602cf8e3",
                   "2c5da442382644ac3e902aee326603b04dec823ecd4e3a2673640866de1ebc47"),
-    "run-freeze": ("52e7a14dbd99cadf125a49593ce08025316a7d1e3b7c236f5aad8f5943cc639a",
+    "run-freeze": ("c8346eb9b8b7c5c05d65f4c00ecc2ee84f41b9c7858d370e63a049441c205cbe",
                    "c065a720267f591b876782b1d8aa53ddb933f1427dfdc21109721e1dbb94525e"),
-    "run-rational": ("c4e3620615dc2fb290a2d31f3065fc179f6442f5a86b7b0cfd841a984787560e",
+    "run-rational": ("97e3eb8240ad896b44425d0b231ca5d7470cefef779b1c73fd75e36d46999137",
                      "eccb310a0fab711fa319be6e78101b0f07c4c5736e7448d9395d88c2f4b0b210"),
     "run-rational-freeze": (
-        "9a44ae6c5619263c601f4eb26c06d4f139962565d5c791edd0312cb87aad5b59",
+        "70867f61fb3cbd44f21c81ced0e556906476dde985948eaf34ad88e1ce51fb58",
         "c4d0addeab3a0ce42cad2a13982b533f9e64882cf948884a7eefafb9ce37bde0"),
     "run-rational-paper": (
         "0b33681c7bdd6d69d486d7311c114680be8da4fadb2abfe7c2b073ef7b626acc",
