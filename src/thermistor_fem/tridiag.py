@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -55,11 +57,19 @@ class TridiagonalSystem:
         rhs = np.ascontiguousarray(rhs, dtype=float)
         if rhs.shape != self.rhs.shape:
             raise ValueError(f"rhs must have length {self.size}, got {rhs.shape}")
-        if not np.isfinite(rhs).all():
+        # max|rhs| is NaN or inf exactly when an entry is, and it is kept
+        # as the residual's scale
+        peak = float(np.abs(rhs).max())
+        if not math.isfinite(peak):
             raise NumericalFailureError("non-finite entries in rhs")
         new = object.__new__(TridiagonalSystem)
-        new.__dict__.update(self.__dict__, rhs=rhs)
+        new.__dict__.update(self.__dict__, rhs=rhs, _rhs_peak=peak)
         return new
+
+    @cached_property
+    def _rhs_peak(self) -> float:
+        """max|rhs|, which ``with_rhs`` takes when it checks the rhs."""
+        return float(np.abs(self.rhs).max())
 
     @property
     def size(self) -> int:
@@ -96,11 +106,15 @@ def checked_solve(system: TridiagonalSystem, what: str,
     except SingularSystemError as exc:
         raise SingularSystemError(f"{what} solve failed: {exc}",
                                   row=exc.row) from exc
-    if not np.isfinite(x).all():
+    residual = None if residual_sink is None else residual_norm(system, x)
+    # a non-finite x_i makes row i of T x - rhs non-finite (main_i x_i is
+    # inf or NaN, and no addend brings that back), so a finite residual
+    # shows a finite x; a finite x with an overflowed residual is recorded
+    if (residual is None or not math.isfinite(residual)) \
+            and not np.isfinite(x).all():
         raise NumericalFailureError(f"{what} solve failed: non-finite solution")
     if residual_sink is not None:
-        scale = 1.0 + float(np.max(np.abs(system.rhs)))
-        residual_sink.append(residual_norm(system, x) / scale)
+        residual_sink.append(residual / (1.0 + system._rhs_peak))
     return x
 
 
@@ -128,15 +142,13 @@ def thomas_solve(system: TridiagonalSystem,
     # an overflow shows as a non-finite solution, which checked_solve reports
     with np.errstate(over="ignore", invalid="ignore"):
         local = np.matmul(factors.inverse, r)[:, :, 0]
-        z, t = local[:, -1].tolist(), factors.lower_carry[:, -1].tolist()
+        z, t = local[:, -1].tolist(), factors.lower_last
         into = [0.0] * nb  # e of the previous block
         e = 0.0
         for k in range(nb):
             into[k] = e
             e = z[k] + t[k] * e
-        w = local[:, 0].tolist()
-        g = factors.lower_carry[:, 0].tolist()
-        u = factors.upper_carry[:, 0].tolist()
+        w, g, u = local[:, 0].tolist(), factors.lower_first, factors.upper_first
         back = [0.0] * nb  # f of the next block
         f = 0.0
         for k in range(nb - 1, -1, -1):
@@ -161,13 +173,17 @@ class _Factors(NamedTuple):
     ``x_k = G_k r_k + (U_k^-1 l_k) e + u_k f`` with ``G_k = U_k^-1 L_k^-1``.
     The last row of U_k^-1 is that of the identity, so the last entries of
     ``G_k r_k`` and ``U_k^-1 l_k`` are those of ``L_k^-1 r_k`` and ``l_k``,
-    which the forward pass reads.
+    which the forward pass reads.  The carry entries the scalar passes
+    read are held as Python floats.
     """
 
     size: int
     inverse: np.ndarray  # (blocks, b, b): G_k
     lower_carry: np.ndarray  # (blocks, b): U_k^-1 l_k
     upper_carry: np.ndarray  # (blocks, b): u_k
+    lower_last: list  # lower_carry[:, -1]
+    lower_first: list  # lower_carry[:, 0]
+    upper_first: list  # upper_carry[:, 0]
 
 
 class HeldFactorisation:
@@ -254,9 +270,13 @@ def _block_operators(lower: list, pivots: list, upper: list) -> _Factors:
         np.multiply(inv[:, i - 1, :i], factor[:, i, None], out=inv[:, i, :i])
     upper_inv = inv[nb:, ::-1, ::-1]
     inverse = np.matmul(upper_inv, inv[:nb])
-    return _Factors(size=m, inverse=inverse,
-                    lower_carry=-a[:, :1] * inverse[:, :, 0],
-                    upper_carry=-c[:, b - 1:] * upper_inv[:, :, b - 1])
+    lower_carry = -a[:, :1] * inverse[:, :, 0]
+    upper_carry = -c[:, b - 1:] * upper_inv[:, :, b - 1]
+    return _Factors(size=m, inverse=inverse, lower_carry=lower_carry,
+                    upper_carry=upper_carry,
+                    lower_last=lower_carry[:, -1].tolist(),
+                    lower_first=lower_carry[:, 0].tolist(),
+                    upper_first=upper_carry[:, 0].tolist())
 
 
 def dense_solve_oracle(system: TridiagonalSystem) -> np.ndarray:
@@ -268,10 +288,12 @@ def dense_solve_oracle(system: TridiagonalSystem) -> np.ndarray:
 
 
 def residual_norm(system: TridiagonalSystem, x: np.ndarray) -> float:
-    """Max-norm of T x - rhs."""
+    """Max-norm of T x - rhs, formed in place in the product's array."""
     x = np.asarray(x, dtype=float)
     if x.shape != (system.size,):
         raise ValueError(f"solution length {x.shape} does not match system size {system.size}")
     # a solution near the overflow threshold has an infinite residual
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.abs(system.matvec(x) - system.rhs)))
+        tx = system.matvec(x)
+        tx -= system.rhs
+        return float(np.abs(tx, out=tx).max())

@@ -1,11 +1,13 @@
 """Shared test utilities: random system generators, the reference Thomas
-sweep, the reference series CSV writer and quadrature oracles."""
+sweep and checked solve, the reference series CSV writer and quadrature
+oracles."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from thermistor_fem import SingularSystemError, TridiagonalSystem, tridiag
+from thermistor_fem import (NumericalFailureError, SingularSystemError,
+                            TridiagonalSystem, tridiag)
 from thermistor_fem.tridiag import PIVOT_RTOL
 
 
@@ -63,6 +65,33 @@ def reference_thomas(system: TridiagonalSystem) -> np.ndarray:
     for i in range(len(x) - 2, -1, -1):
         x_prev = x[i] = x[i] - c[i] * x_prev
     return np.array(x)
+
+
+def reference_checked_solve(system: TridiagonalSystem, what: str,
+                            residual_sink: list | None = None,
+                            held=None) -> np.ndarray:
+    """``tridiag.checked_solve`` as it was before its checks were fused: a
+    finiteness scan of the solution on every solve, and the residual scale
+    and norm taken by their own reductions.  The fused checks must record
+    exactly these residuals.
+    """
+    try:
+        x = tridiag.thomas_solve(system, held)
+    except SingularSystemError as exc:
+        raise SingularSystemError(f"{what} solve failed: {exc}",
+                                  row=exc.row) from exc
+    if not np.isfinite(x).all():
+        raise NumericalFailureError(f"{what} solve failed: non-finite solution")
+    if residual_sink is not None:
+        scale = 1.0 + float(np.max(np.abs(system.rhs)))
+        residual_sink.append(reference_residual_norm(system, x) / scale)
+    return x
+
+
+def reference_residual_norm(system: TridiagonalSystem, x: np.ndarray) -> float:
+    """Max-norm of T x - rhs from fresh temporaries."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(system.matvec(x) - system.rhs)))
 
 
 def substitution_bound(system: TridiagonalSystem) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 
 import thermistor_fem as tf
 import thermistor_fem.simulator as simulator
-from helpers import reference_thomas
+from helpers import reference_checked_solve, reference_thomas
 
 FIG1 = tf.SimulationConfig(
     n_elements=100, tau=0.1, beta=0.2,
@@ -87,3 +87,26 @@ def test_run_reduced_matches_replaced_path(config, profile_bound,
     profile, potential = deviations(new, old)
     assert profile <= profile_bound
     assert potential == 0.0
+
+
+# checked_solve checks the rhs and the solution with one reduction each and
+# forms the residual in place; the checks are unchanged and so is every
+# number a run records
+@pytest.mark.filterwarnings("ignore:boundary currents are incompatible")
+@pytest.mark.parametrize("driver, config", [
+    (tf.run, FIG1),
+    (tf.run, RATIONAL),
+    (tf.run, dataclasses.replace(RATIONAL, variant=tf.PAPER_LITERAL)),
+    (tf.run_reduced, dataclasses.replace(FIG1, n_elements=2000, tau=0.05)),
+], ids=["fig1", "rational_n1000", "literal_rational_n1000", "reduced_n2000"])
+def test_fused_checks_record_the_same_run(driver, config, monkeypatch):
+    new = driver(config)
+    with monkeypatch.context() as m:
+        for module in (tf.temperature, tf.potential):
+            m.setattr(module, "checked_solve", reference_checked_solve)
+        old = driver(config)
+    assert new.diagnostics.solver_residuals == old.diagnostics.solver_residuals
+    # equal lists: the same steps, each with the same change
+    assert new.diagnostics.max_change == old.diagnostics.max_change
+    assert new.steady_time == old.steady_time
+    np.testing.assert_array_equal(new.final_profile, old.final_profile)

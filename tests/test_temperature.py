@@ -197,6 +197,19 @@ def test_nan_potential_aborts_with_numerical_failure():
                                 TAU, BETA, tf.CORRECTED)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rhs_names_the_phase(bad):
+    op = tf.TemperatureOperator(tf.build_mesh(40), paper_example_model(),
+                                TAU, BETA, tf.CORRECTED)
+    rhs = np.ones(41)
+    rhs[33] = bad
+    sink = []
+    with pytest.raises(tf.NumericalFailureError) as exc:
+        op.advance(rhs, sink)
+    assert str(exc.value) == "temperature solve failed: non-finite entries in rhs"
+    assert sink == []
+
+
 @pytest.mark.parametrize("variant", [
     tf.CORRECTED, tf.PAPER_LITERAL,
     tf.SchemeVariant("paper_literal", "central"),

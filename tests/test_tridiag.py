@@ -73,6 +73,39 @@ def test_checked_solve_rejects_non_finite_solution():
             tf.checked_solve(s, "temperature")
 
 
+def overflowing_row(size, row):
+    """Diagonal system whose solution overflows at ``row`` alone."""
+    main, rhs = np.ones(size), np.ones(size)
+    main[row], rhs[row] = 1e-300, 1e300
+    return system(np.zeros(size - 1), main, np.zeros(size - 1), rhs)
+
+
+@pytest.mark.parametrize("s", [overflowing_row(1, 0), overflowing_row(100, 70)],
+                         ids=["size1", "size100"])
+def test_checked_solve_with_sink_rejects_non_finite_solution(s):
+    # the residual is what shows the overflow; nothing is recorded
+    sink = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tf.NumericalFailureError,
+                           match="temperature solve failed: non-finite solution"):
+            tf.checked_solve(s, "temperature", sink)
+    assert sink == []
+
+
+def test_checked_solve_records_overflowed_residual_of_finite_solution():
+    # x = 1e108 * (1, 1, -1) is finite, but row 1 of T x sums
+    # 1e308 + 1e308 before the -1e308 that brings it back
+    s = system(np.array([1.0, 0.25]) * 1e200, np.array([1.0, 1.0, 1.0]) * 1e200,
+               np.array([0.5, 1.0]) * 1e200, [1.5e308, 1e308, -0.75e308])
+    sink = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = tf.checked_solve(s, "temperature", sink)
+    assert np.isfinite(x).all()
+    assert sink == [np.inf]
+
+
 def test_checked_solve_records_scaled_residual():
     rng = np.random.default_rng(8)
     s = random_dominant_system(rng, 30)
