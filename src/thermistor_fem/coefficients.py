@@ -75,7 +75,9 @@ def validate_physical(beta: float, gamma: float) -> bool:
 class ModelSpec:
     """Declarative model family selection.
 
-    Every kind has a constant thermal conductivity k:
+    A kind takes exactly the parameters it reads; a missing or an unknown
+    one is a ConfigurationError.  Every kind has a constant thermal
+    conductivity k:
       constant        k = k0, sigma(u) = sigma0
       paper_example   k = 1,  sigma(u) = gamma   (constant-coefficient benchmark)
       rational_sigma  k = k0, sigma(u) = sigma0 / (1 + lambda*u)^2
@@ -97,6 +99,11 @@ class ModelSpec:
         if missing:
             raise ConfigurationError(
                 f"model kind {self.kind!r} needs parameters {missing}")
+        # a key the kind does not read would be dropped without a word
+        unknown = [p for p in self.parameters if p not in required]
+        if unknown:
+            raise ConfigurationError(
+                f"model kind {self.kind!r} does not read parameters {unknown}")
         for name in required:
             value = float(self.parameters[name])
             if not math.isfinite(value):

@@ -124,7 +124,8 @@ def step(state: temp.TemperatureState, config: SimulationConfig,
     model = model or config.build_model()
     _check_state(state, mesh)
     try:
-        new_state, mu, _ = _coupled(config, mesh, model)(state, residual_sink)
+        new_state, mu, _ = _coupled(config, mesh, model)(
+            state, [] if residual_sink is None else residual_sink)
     except StepFailure as exc:
         exc.step = int(round(state.time / config.tau))
         raise
@@ -143,34 +144,58 @@ def _check_state(state: temp.TemperatureState, mesh: Mesh) -> None:
 def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel,
              potential: np.ndarray | None = None, freeze: bool = False):
     """A run's coupled stepper, for ``_march``, holding the temperature
-    operator and the paper_literal potential factorisation.
+    operator, the paper_literal potential factorisation and what a step
+    derives from sigma.
 
-    Each step evaluates sigma at alpha^n once, for the potential, the Joule
-    source and the compatibility residual.  ``potential`` replaces the
-    potential solve; ``freeze`` keeps the first potential solved.
+    Each step evaluates sigma at alpha^n once, and the paper_literal
+    potential also sigma at the left temperature ghost.  The potential, its
+    residual record, the Joule source and the compatibility residual depend
+    on these values alone, so they are rebuilt only when a bit of them
+    changes: the key is sigma's bytes and the ghost's hex form, which keep
+    -0.0 apart from 0.0.  A step that finds them held appends the held
+    potential residual to the sink, as a new solve would.  ``potential``
+    replaces the potential solve; ``freeze`` keeps the first potential
+    solved, whose residual is recorded once.
     """
     operator = temp.TemperatureOperator(mesh, model, config.tau, config.beta,
                                         config.variant)
     held = HeldFactorisation()
     literal = config.variant.stiffness == "paper_literal"
+    key = mu = record = source = compatibility = None
 
     def advance(state, residual_sink):
-        nonlocal potential
+        nonlocal potential, key, mu, record, source, compatibility
         sigma = eval_sigma(model, state.alpha)
-        mu = potential
-        if mu is None:
+        step_key = sigma.tobytes()
+        ghost = None
+        if literal and potential is None:
             # only the literal potential reads sigma at the temperature ghost
             ghost = eval_sigma(model, temp.ghost_temp_left(
                 float(state.alpha[1]), float(state.alpha[0]), model.k,
-                mesh.h, config.beta)) if literal else None
-            mu = solve_potential(sigma, mesh, model, config.variant,
-                                 sigma_ghost_left=ghost,
-                                 residual_sink=residual_sink, held=held)
-            if freeze:
-                potential = mu
-        new_state = temp.solve_temperature(state, sigma, mu, operator,
-                                           residual_sink)
-        return new_state, mu, check_current_compatibility(sigma, model)
+                mesh.h, config.beta))
+            step_key = (step_key, ghost.hex())
+        if step_key != key:
+            mu, record, source = potential, [], None
+            if mu is None:
+                mu = solve_potential(sigma, mesh, model, config.variant,
+                                     sigma_ghost_left=ghost,
+                                     residual_sink=record, held=held)
+            compatibility = check_current_compatibility(sigma, model)
+            key = step_key
+            if freeze and potential is None:
+                # the next step solves no potential, so it records none
+                potential, key = mu, None
+        residual_sink += record
+        rhs = operator.mass(state.alpha)
+        # an overflow shows as a non-finite rhs, which advance reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            if source is None:
+                source = temp.joule_source_vector(sigma, mu, mesh, model,
+                                                  config.tau, config.variant)
+            rhs += source
+        alpha = operator.advance(rhs, residual_sink)
+        return (temp.TemperatureState(alpha, state.time + config.tau), mu,
+                compatibility)
 
     return advance
 

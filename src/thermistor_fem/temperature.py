@@ -5,8 +5,11 @@ step depends only on the mesh, tau, beta and k.  The nonlinearity is in
 sigma alone, and it is lagged: sigma is evaluated at the current level
 alpha^n, never at the unknown alpha^{n+1}, so each step is a single
 tridiagonal solve.  A run builds and factors its matrix once
-(``TemperatureOperator``); a step builds only its right-hand side and
-solves it with ``TemperatureOperator.advance``.  The reduced benchmark
+(``TemperatureOperator``).  A step's right-hand side is the mass rows times
+alpha^n, ``TemperatureOperator.mass``, plus a source; the run's stepper
+builds the Joule source only when sigma(alpha^n) changes and solves with
+``TemperatureOperator.advance``.  ``rhs`` and ``solve_temperature`` build
+the source afresh, for a single step.  The reduced benchmark
 scheme (``run_reduced``) is the paper_literal step at k = 1 with the
 uniform source gamma*tau*h in place of the Joule source.
 

@@ -1,14 +1,20 @@
 """Shared test utilities: random system generators, the reference Thomas
-sweep and checked solve, the reference series CSV writer and quadrature
-oracles."""
+sweep and checked solve, the reference coupled stepper, the reference series
+CSV writer and quadrature oracles."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from thermistor_fem import (NumericalFailureError, SingularSystemError,
-                            TridiagonalSystem, tridiag)
-from thermistor_fem.tridiag import PIVOT_RTOL
+from thermistor_fem import (ModelSpec, NumericalFailureError,
+                            SingularSystemError, TridiagonalSystem, tridiag)
+from thermistor_fem import temperature as temp
+from thermistor_fem.coefficients import eval_sigma
+from thermistor_fem.potential import (check_current_compatibility,
+                                      solve_potential)
+from thermistor_fem.tridiag import PIVOT_RTOL, HeldFactorisation
 
 
 def count_factorisations(monkeypatch) -> list:
@@ -23,6 +29,18 @@ def count_factorisations(monkeypatch) -> list:
 
     monkeypatch.setattr(tridiag, "_factor", counted)
     return calls
+
+
+def wrap_sigma(monkeypatch, wrap):
+    """Build every model with its sigma callable passed through ``wrap``."""
+    build = ModelSpec.build
+
+    def wrapped(spec, flux_left, flux_right):
+        model = build(spec, flux_left, flux_right)
+        return dataclasses.replace(
+            model, electrical_conductivity=wrap(model.electrical_conductivity))
+
+    monkeypatch.setattr(ModelSpec, "build", wrapped)
 
 
 def random_dominant_system(rng: np.random.Generator, size: int) -> TridiagonalSystem:
@@ -141,3 +159,35 @@ def reference_series_csv(result) -> str:
         lines.extend(f"{t},{xj},{uj:.12e},{pj:.12e}" for xj, uj, pj in
                      zip(x, snap.temperature.tolist(), snap.potential.tolist()))
     return "\n".join(lines) + "\n"
+
+
+def reference_coupled(config, mesh, model, potential=None, freeze=False):
+    """``simulator._coupled`` as it was before a step held what it derives
+    from sigma: every step solves the potential, builds the Joule source and
+    takes the compatibility residual anew.  A run through the held stepper
+    must record exactly what a run through this one records.
+    """
+    operator = temp.TemperatureOperator(mesh, model, config.tau, config.beta,
+                                        config.variant)
+    held = HeldFactorisation()
+    literal = config.variant.stiffness == "paper_literal"
+
+    def advance(state, residual_sink):
+        nonlocal potential
+        sigma = eval_sigma(model, state.alpha)
+        mu = potential
+        if mu is None:
+            # only the literal potential reads sigma at the temperature ghost
+            ghost = eval_sigma(model, temp.ghost_temp_left(
+                float(state.alpha[1]), float(state.alpha[0]), model.k,
+                mesh.h, config.beta)) if literal else None
+            mu = solve_potential(sigma, mesh, model, config.variant,
+                                 sigma_ghost_left=ghost,
+                                 residual_sink=residual_sink, held=held)
+            if freeze:
+                potential = mu
+        new_state = temp.solve_temperature(state, sigma, mu, operator,
+                                           residual_sink)
+        return new_state, mu, check_current_compatibility(sigma, model)
+
+    return advance

@@ -93,6 +93,23 @@ def test_model_spec_validation():
         tf.ModelSpec("constant", {"k0": 1.0})  # sigma0 missing
 
 
+@pytest.mark.parametrize("kind, params, extra", [
+    ("paper_example", {"gamma": 0.1}, "k0"),
+    ("paper_example", {"gamma": 0.1}, "sigma0"),
+    ("constant", {"k0": 1.0, "sigma0": 1.0}, "lambda"),
+    ("constant", {"k0": 1.0, "sigma0": 1.0}, "gamma"),
+    ("rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0}, "gamma"),
+    ("rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0}, "lamda"),
+])
+def test_model_spec_refuses_parameters_the_kind_does_not_read(kind, params,
+                                                              extra):
+    # such a key used to be dropped: paper_example with k0 = 3 built k = 1
+    message = f"{kind!r} does not read parameters \\['{extra}'\\]"
+    with pytest.raises(tf.ConfigurationError, match=message):
+        tf.ModelSpec(kind, {**params, extra: 3.0})
+    assert tf.ModelSpec(kind, params).parameters == params
+
+
 @pytest.mark.parametrize("kind, params", [
     ("paper_example", {"gamma": 0.1}),
     ("constant", {"k0": 1.0, "sigma0": 1.0}),

@@ -15,7 +15,8 @@ import pytest
 
 import thermistor_fem as tf
 import thermistor_fem.simulator as simulator
-from helpers import reference_checked_solve, reference_thomas
+from helpers import (reference_checked_solve, reference_coupled,
+                     reference_thomas, wrap_sigma)
 
 FIG1 = tf.SimulationConfig(
     n_elements=100, tau=0.1, beta=0.2,
@@ -110,3 +111,118 @@ def test_fused_checks_record_the_same_run(driver, config, monkeypatch):
     assert new.diagnostics.max_change == old.diagnostics.max_change
     assert new.steady_time == old.steady_time
     np.testing.assert_array_equal(new.final_profile, old.final_profile)
+
+
+# A run's stepper holds the potential, its residual record, the Joule source
+# and the compatibility residual while sigma(alpha^n) keeps its bits, where
+# ``reference_coupled`` builds them again every step.  The runs are the same.
+CONSTANT = dataclasses.replace(
+    FIG1, model=tf.ModelSpec("constant", {"k0": 1.0, "sigma0": 0.3}))
+HELD_CASES = {
+    "fig1": FIG1,
+    "fig1_paper_literal": dataclasses.replace(FIG1, variant=tf.PAPER_LITERAL),
+    "fig1_paper_source": dataclasses.replace(
+        FIG1, variant=tf.SchemeVariant("corrected", "paper_literal")),
+    "fig1_frozen": dataclasses.replace(
+        FIG1, freeze_potential_after_first_step=True),
+    "fig1_flux_right_2": dataclasses.replace(FIG1, flux_right=2.0),
+    "constant_sigma0_0.3": CONSTANT,
+    "constant_sigma0_0": dataclasses.replace(
+        CONSTANT, model=tf.ModelSpec("constant", {"k0": 1.0, "sigma0": 0.0})),
+    "rational_n1000": RATIONAL,
+    "rational_n1000_frozen": dataclasses.replace(
+        RATIONAL, freeze_potential_after_first_step=True),
+    "literal_rational_n100": dataclasses.replace(
+        RATIONAL, n_elements=100, variant=tf.PAPER_LITERAL),
+}
+
+
+def run_reference(config, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "_coupled", reference_coupled)
+        return tf.run(config)
+
+
+def assert_same_run(new, old):
+    assert new.steady_time == old.steady_time
+    assert len(new.snapshots) == len(old.snapshots)
+    for a, b in zip(new.snapshots, old.snapshots):
+        assert a.time == b.time
+        assert a.temperature.tobytes() == b.temperature.tobytes()
+        assert a.potential.tobytes() == b.potential.tobytes()
+    assert new.final_profile.tobytes() == old.final_profile.tobytes()
+    for name in ("max_change", "compatibility_residuals", "solver_residuals"):
+        assert getattr(new.diagnostics, name) == getattr(old.diagnostics, name)
+
+
+@pytest.mark.filterwarnings("ignore:boundary currents are incompatible")
+@pytest.mark.parametrize("config", HELD_CASES.values(), ids=HELD_CASES.keys())
+def test_held_coupling_records_the_same_run(config, monkeypatch):
+    assert_same_run(tf.run(config), run_reference(config, monkeypatch))
+
+
+def count_rebuilds(monkeypatch) -> dict:
+    """Count the potentials solved and the Joule sources built by a run."""
+    calls = {"solve_potential": 0, "joule_source_vector": 0}
+    for module, name in ((simulator, "solve_potential"),
+                         (tf.temperature, "joule_source_vector")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("config, per_step", [(FIG1, False),
+                                              (RATIONAL, True)],
+                         ids=["fig1", "rational_n1000"])
+def test_step_rebuilds_only_when_sigma_changes(config, per_step, monkeypatch):
+    # fig1's sigma is gamma at every step; rational sigma moves with alpha
+    calls = count_rebuilds(monkeypatch)
+    steps = len(tf.run(config).diagnostics.max_change)
+    assert steps > 200
+    expected = steps if per_step else 1
+    assert calls == {"solve_potential": expected,
+                     "joule_source_vector": expected}
+
+
+@pytest.mark.filterwarnings("ignore:boundary currents are incompatible")
+@pytest.mark.parametrize("variant, warm, ghost_only", [
+    (tf.CORRECTED, 0.05, False),
+    # the literal scheme's fig1 bar warms to 0.0063 only
+    (tf.PAPER_LITERAL, 0.003, False),
+    # its temperature ghost warms from 0 to 6.4e-5 while nodal sigma stays
+    (tf.PAPER_LITERAL, 3e-5, True),
+], ids=["corrected", "paper_literal", "paper_literal_ghost"])
+def test_step_rebuilds_from_the_step_sigma_changes(variant, warm, ghost_only,
+                                                   monkeypatch):
+    # sigma stays gamma until the bar (or only the ghost) warms past
+    # ``warm``, and is then scaled point by point, so runs of held steps
+    # alternate with rebuilds
+    seen = []
+
+    def scaled(sigma):
+        def fn(u):
+            warmed = np.asarray(u) > warm
+            if ghost_only and np.ndim(u):
+                warmed = False
+            s = np.where(warmed, 1.5 * sigma(u), sigma(u))
+            seen.append(s.tobytes())
+            return s
+        return fn
+
+    wrap_sigma(monkeypatch, scaled)
+    config = dataclasses.replace(FIG1, variant=variant)
+    calls = count_rebuilds(monkeypatch)
+    new = tf.run(config)
+    # one key per step: sigma's bytes, and the literal ghost's
+    per_step = 2 if variant == tf.PAPER_LITERAL else 1
+    keys = list(zip(*[iter(seen)] * per_step))
+    changes = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+    assert len(keys) == len(new.diagnostics.max_change)
+    assert 1 < changes < len(keys) // 2
+    assert calls == {"solve_potential": changes,
+                     "joule_source_vector": changes}
+    monkeypatch.undo()
+    wrap_sigma(monkeypatch, scaled)
+    assert_same_run(new, run_reference(config, monkeypatch))
