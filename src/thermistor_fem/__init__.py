@@ -23,8 +23,8 @@ from .temperature import (TemperatureOperator, TemperatureState,
                           ghost_temp_left, ghost_temp_right,
                           initial_temperature, joule_source_vector,
                           solve_temperature)
-from .tridiag import (HeldFactorisation, TridiagonalSystem, checked_solve,
-                      dense_solve_oracle, residual_norm, thomas_solve)
+from .tridiag import (TridiagonalSystem, checked_solve, dense_solve_oracle,
+                      residual_norm, thomas_solve)
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "CoefficientModel",
     "ConfigurationError",
     "Diagnostics",
-    "HeldFactorisation",
     "Mesh",
     "ModelError",
     "ModelSpec",

@@ -80,7 +80,8 @@ class ModelSpec:
     conductivity k:
       constant        k = k0, sigma(u) = sigma0
       paper_example   k = 1,  sigma(u) = gamma   (constant-coefficient benchmark)
-      rational_sigma  k = k0, sigma(u) = sigma0 / (1 + lambda*u)^2
+      rational_sigma  k = k0, sigma(u) = sigma0 / (1 + lambda*u)^2, and a u
+                      at or past its pole 1 + lambda*u = 0 is a ModelError
     """
 
     kind: str
@@ -131,11 +132,19 @@ class ModelSpec:
             k, s0, lam = float(p["k0"]), float(p["sigma0"]), float(p["lambda"])
 
             def s_fn(u, _s0=s0, _lam=lam):
-                den = 1.0 + _lam * np.asarray(u, dtype=float)
-                # where den = 0, eval_sigma reports the non-finite value; where
-                # den * den overflows, sigma is 0 and the potential reports it
-                with np.errstate(divide="ignore", invalid="ignore",
-                                 over="ignore"):
+                u = np.asarray(u, dtype=float)
+                den = 1.0 + _lam * u
+                # past the pole den = 0, den^2 grows again and a run across it
+                # would settle on a spurious steady state; NaN is not past it
+                past = den <= 0.0
+                if past.any():
+                    first = int(np.argmax(past))
+                    node = "" if u.ndim == 0 else f" at node {first}"
+                    raise ModelError(
+                        f"u = {float(u.flat[first])!r}{node} is at or past "
+                        f"the pole u = {-1.0 / _lam!r} of rational_sigma")
+                # where den * den overflows, the potential reports sigma = 0
+                with np.errstate(over="ignore"):
                     return _s0 / (den * den)
 
             zero = s0 == 0.0

@@ -21,7 +21,8 @@ class StepFailure(ThermistorError):
 
 
 class ModelError(StepFailure):
-    """A coefficient model gave an unphysical value: k <= 0, sigma < 0 or non-finite."""
+    """A coefficient model gave an unphysical value (k <= 0, sigma < 0 or
+    non-finite) or was evaluated outside its range."""
 
 
 class SolverError(StepFailure):

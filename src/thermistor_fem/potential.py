@@ -22,7 +22,7 @@ import numpy as np
 from .coefficients import CoefficientModel
 from .errors import NumericalFailureError, SingularSystemError
 from .mesh import Mesh
-from .tridiag import HeldFactorisation, TridiagonalSystem, checked_solve
+from .tridiag import TridiagonalSystem, checked_solve
 
 STIFFNESS_CHOICES = ("paper_literal", "corrected")
 SOURCE_CHOICES = ("paper_literal", "central")
@@ -130,8 +130,7 @@ def assemble_potential(sigma: np.ndarray, mesh: Mesh, model: CoefficientModel,
 def solve_potential(sigma: np.ndarray, mesh: Mesh, model: CoefficientModel,
                     variant: SchemeVariant,
                     sigma_ghost_left: float | None = None,
-                    residual_sink: list | None = None,
-                    held: HeldFactorisation | None = None) -> np.ndarray:
+                    residual_sink: list | None = None) -> np.ndarray:
     """Potential mu_0..mu_N for ``sigma``, sigma at the lagged temperature.
 
     corrected: the exact solution of the system ``assemble_potential``
@@ -146,16 +145,16 @@ def solve_potential(sigma: np.ndarray, mesh: Mesh, model: CoefficientModel,
     ``residual_sink`` receives the first-integral defect
     max_j |s_{j+1/2} (mu_{j+1} - mu_j) / h - J| / (1 + |J|).
 
-    paper_literal: the assembled system goes through ``checked_solve``
-    (which also feeds ``residual_sink``, and solves with ``held``, the
-    factorisation a run holds for this matrix); its unknowns are
-    mu_0..mu_{N-1}, and mu_N is reconstructed by ``ghost_potential_right``.
+    paper_literal: the assembled system goes through ``checked_solve``,
+    which factors it for this solve alone (the matrix changes whenever sigma
+    does) and also feeds ``residual_sink``; its unknowns are mu_0..mu_{N-1},
+    and mu_N is reconstructed by ``ghost_potential_right``.
     """
     if variant.stiffness == "corrected":
         return _first_integral(sigma, mesh, model, residual_sink)
     system = assemble_potential(sigma, mesh, model, variant,
                                 sigma_ghost_left=sigma_ghost_left)
-    mu = checked_solve(system, "potential", residual_sink, held)
+    mu = checked_solve(system, "potential", residual_sink)
     return np.append(mu, ghost_potential_right(float(mu[-1]), mesh.h,
                                                model.flux_right))
 

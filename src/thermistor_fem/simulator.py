@@ -22,10 +22,9 @@ from .errors import ConfigurationError, NotSteadyError, StepFailure
 from .mesh import Mesh, build_mesh
 from .potential import (CORRECTED, PAPER_LITERAL, SchemeVariant,
                         check_current_compatibility, solve_potential)
-from .tridiag import HeldFactorisation
 
 COMPATIBILITY_WARN_THRESHOLD = 1e-9
-# the held block operators of a run take about 275 bytes per node, 0.28 GB here
+# the factors a run holds take about 275 bytes per node, 0.28 GB here
 MAX_ELEMENTS = 10**6
 
 
@@ -144,8 +143,7 @@ def _check_state(state: temp.TemperatureState, mesh: Mesh) -> None:
 def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel,
              potential: np.ndarray | None = None, freeze: bool = False):
     """A run's coupled stepper, for ``_march``, holding the temperature
-    operator, the paper_literal potential factorisation and what a step
-    derives from sigma.
+    operator, which holds its factors, and what a step derives from sigma.
 
     Each step evaluates sigma at alpha^n once, and the paper_literal
     potential also sigma at the left temperature ghost.  The potential, its
@@ -159,7 +157,6 @@ def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel,
     """
     operator = temp.TemperatureOperator(mesh, model, config.tau, config.beta,
                                         config.variant)
-    held = HeldFactorisation()
     literal = config.variant.stiffness == "paper_literal"
     key = mu = record = source = compatibility = None
 
@@ -179,7 +176,7 @@ def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel,
             if mu is None:
                 mu = solve_potential(sigma, mesh, model, config.variant,
                                      sigma_ghost_left=ghost,
-                                     residual_sink=record, held=held)
+                                     residual_sink=record)
             compatibility = check_current_compatibility(sigma, model)
             key = step_key
             if freeze and potential is None:
@@ -295,11 +292,12 @@ def run_reduced(config: SimulationConfig) -> SimulationResult:
 
     def reduced():
         operator = temp.TemperatureOperator(
-            mesh, config.build_model(), config.tau, config.beta, PAPER_LITERAL)
+            mesh, config.build_model(), config.tau, config.beta, PAPER_LITERAL,
+            "reduced temperature")
 
         def advance(state, residual_sink):
             alpha = operator.advance(operator.mass(state.alpha) + src,
-                                     residual_sink, "reduced temperature")
+                                     residual_sink)
             return (temp.TemperatureState(alpha, state.time + config.tau),
                     mesh.nodes, 0.0)
 

@@ -4,14 +4,14 @@ The thermal conductivity k is a constant of the model, so the matrix of a
 step depends only on the mesh, tau, beta and k.  The nonlinearity is in
 sigma alone, and it is lagged: sigma is evaluated at the current level
 alpha^n, never at the unknown alpha^{n+1}, so each step is a single
-tridiagonal solve.  A run builds and factors its matrix once
-(``TemperatureOperator``).  A step's right-hand side is the mass rows times
-alpha^n, ``TemperatureOperator.mass``, plus a source; the run's stepper
-builds the Joule source only when sigma(alpha^n) changes and solves with
-``TemperatureOperator.advance``.  ``rhs`` and ``solve_temperature`` build
-the source afresh, for a single step.  The reduced benchmark
-scheme (``run_reduced``) is the paper_literal step at k = 1 with the
-uniform source gamma*tau*h in place of the Joule source.
+tridiagonal solve.  A ``TemperatureOperator`` factors that matrix once and
+holds the factors, the package's only held factorisation.  A step's
+right-hand side is the mass rows times alpha^n, ``TemperatureOperator.mass``,
+plus a source; the run's stepper builds the Joule source only when
+sigma(alpha^n) changes and solves with ``TemperatureOperator.advance``.
+``rhs`` and ``solve_temperature`` build the source afresh, for one step.
+The reduced benchmark scheme (``run_reduced``) is the paper_literal step at
+k = 1 with the uniform source gamma*tau*h in place of the Joule source.
 
 Variant summary (h = mesh step, tau = time step, beta = heat transfer):
 
@@ -37,11 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tridiag
 from .coefficients import CoefficientModel, eval_sigma
-from .errors import ModelError, NumericalFailureError
+from .errors import ModelError, NumericalFailureError, SolverError
 from .mesh import Mesh, mass_row
 from .potential import SchemeVariant
-from .tridiag import HeldFactorisation, TridiagonalSystem, checked_solve
+from .tridiag import TridiagonalSystem, checked_solve
 
 
 @dataclass(frozen=True)
@@ -138,17 +139,17 @@ def assemble_temperature(state: TemperatureState, mu: np.ndarray,
 
 class TemperatureOperator:
     """The rows of a backward-Euler step, M + tau K in ``matrix`` and M in
-    ``mass_matrix`` (whose ``rhs`` is unused), built and checked once, and
-    the held factorisation of ``matrix``.
-
-    The rows depend only on the mesh, tau, beta and the constant k, so a
-    run builds them once and each step builds only its right-hand side.
+    ``mass_matrix`` (whose ``rhs`` is unused), built and checked once, here,
+    and factored once, by the first ``advance``: they depend only on the
+    mesh, tau, beta and the constant k.  Every failure, of the rows or of a
+    step, reads ``"<what> solve failed: ..."``.
     """
 
     def __init__(self, mesh: Mesh, model: CoefficientModel, tau: float,
-                 beta: float, variant: SchemeVariant):
+                 beta: float, variant: SchemeVariant,
+                 what: str = "temperature"):
         self.mesh, self.model, self.variant = mesh, model, variant
-        self.tau, self.beta = tau, beta
+        self.tau, self.beta, self.what = tau, beta, what
         n, h, k = mesh.n_elements, mesh.h, model.k
         size = n + 1 if variant.stiffness == "corrected" else n
         below, diag, above = mass_row(mesh, 1)
@@ -176,9 +177,14 @@ class TemperatureOperator:
             main[0] = a * (beta * h / k - 1.0) + b - tau * beta
             sup[0] = a + c
             main[n - 1] = b + k / (beta * h + k) * c
-        self.mass_matrix = TridiagonalSystem(m_sub, m_main, m_sup, np.zeros(size))
-        self.matrix = TridiagonalSystem(sub, main, sup, np.zeros(size))
-        self.held = HeldFactorisation()
+        zeros = np.zeros(size)
+        self._factors = None
+        try:
+            self.mass_matrix = TridiagonalSystem(m_sub, m_main, m_sup, zeros)
+            self.matrix = TridiagonalSystem(sub, main, sup, zeros)
+        except NumericalFailureError as exc:
+            exc.args = (f"{what} solve failed: {exc}",)
+            raise
 
     def mass(self, alpha: np.ndarray) -> np.ndarray:
         """Mass rows times alpha^n: the right-hand side before any source."""
@@ -194,16 +200,21 @@ class TemperatureOperator:
                                        self.tau, self.variant)
         return rhs
 
-    def advance(self, rhs: np.ndarray, residual_sink: list | None = None,
-                what: str = "temperature") -> np.ndarray:
-        """alpha^{n+1} for ``rhs`` by the held factorisation, with alpha_N
-        written back for paper_literal.  Failures, a non-finite ``rhs``
-        included, raise as ``"<what> solve failed: ..."``."""
+    def advance(self, rhs: np.ndarray,
+                residual_sink: list | None = None) -> np.ndarray:
+        """alpha^{n+1} for ``rhs`` by the held factors, with alpha_N written
+        back for paper_literal.  Failures, a non-finite ``rhs`` or singular
+        rows included, raise as ``"<what> solve failed: ..."``."""
         try:
             system = self.matrix.with_rhs(rhs)
-        except NumericalFailureError as exc:
-            raise NumericalFailureError(f"{what} solve failed: {exc}") from exc
-        x = checked_solve(system, what, residual_sink, self.held)
+            if self._factors is None:  # made here, so assembly factors none
+                self._factors = tridiag._factor(system.sub, system.main,
+                                                system.sup)
+        except SolverError as exc:
+            # named in place, so a singular pivot keeps its row
+            exc.args = (f"{self.what} solve failed: {exc}",)
+            raise
+        x = checked_solve(system, self.what, residual_sink, self._factors)
         if self.variant.stiffness == "corrected":
             return x
         k, h = self.model.k, self.mesh.h
@@ -217,7 +228,7 @@ def solve_temperature(state: TemperatureState, sigma: np.ndarray,
 
     ``sigma`` is sigma(alpha^n) at the nodes and ``mu`` the step's potential;
     the system is ``assemble_temperature``'s, solved with ``operator``'s rows
-    and held factorisation.
+    and factors.
     """
     alpha = operator.advance(operator.rhs(state.alpha, sigma, mu),
                              residual_sink)

@@ -17,7 +17,7 @@ PIVOT_RTOL = 1e-14
 
 # Rows per block of the blocked substitution.  A solve makes one batched
 # product of (BLOCK x BLOCK) matrices and two scalar passes over the m/BLOCK
-# blocks; the held factorisation takes BLOCK + 2 floats per row.
+# blocks; a factorisation takes BLOCK + 2 floats per row.
 BLOCK = 32
 
 
@@ -92,17 +92,17 @@ class TridiagonalSystem:
 
 def checked_solve(system: TridiagonalSystem, what: str,
                   residual_sink: list | None = None,
-                  held: HeldFactorisation | None = None) -> np.ndarray:
+                  factors: _Factors | None = None) -> np.ndarray:
     """Solve with the contract every phase of a step shares.
 
     A singular pivot is re-raised as ``"<what> solve failed: ..."`` with the
     failing row kept, and a non-finite solution raises NumericalFailureError.
     ``residual_sink``, when given, receives the residual max-norm scaled by
-    ``1 + max|rhs|`` (for run diagnostics).  ``held`` is passed on to
+    ``1 + max|rhs|`` (for run diagnostics).  ``factors`` is passed on to
     ``thomas_solve``.
     """
     try:
-        x = thomas_solve(system, held)
+        x = thomas_solve(system, factors)
     except SingularSystemError as exc:
         raise SingularSystemError(f"{what} solve failed: {exc}",
                                   row=exc.row) from exc
@@ -119,13 +119,13 @@ def checked_solve(system: TridiagonalSystem, what: str,
 
 
 def thomas_solve(system: TridiagonalSystem,
-                 held: HeldFactorisation | None = None) -> np.ndarray:
+                 factors: _Factors | None = None) -> np.ndarray:
     """Direct O(m) elimination.  The input system is never mutated.
 
     Raises SingularSystemError (carrying the failing row) when a pivot falls
-    below 1e-14 of the row's largest original coefficient.  Without ``held``
-    the matrix is factored for this solve alone; with it, the factorisation
-    that the owner of the matrix holds is used (see ``HeldFactorisation``).
+    below 1e-14 of the row's largest original coefficient.  The matrix is
+    factored for this solve alone, unless its owner passes the ``factors``
+    it holds (``TemperatureOperator`` does); both give the same bits.
 
     Both triangular solves run block by block in one pass (Wang's partition
     method).  One batched product solves every block as if nothing came in
@@ -135,7 +135,8 @@ def thomas_solve(system: TridiagonalSystem,
     Each block finally adds its carry vectors times the values it received
     (see ``_Factors``).
     """
-    factors = (held or HeldFactorisation()).factors(system)
+    if factors is None:
+        factors = _factor(system.sub, system.main, system.sup)
     nb, b = factors.upper_carry.shape
     r = np.zeros((nb, b, 1))
     r.reshape(-1)[:factors.size] = system.rhs
@@ -184,27 +185,6 @@ class _Factors(NamedTuple):
     lower_last: list  # lower_carry[:, -1]
     lower_first: list  # lower_carry[:, 0]
     upper_first: list  # upper_carry[:, 0]
-
-
-class HeldFactorisation:
-    """The factorisation of a matrix, held by whoever owns the matrix.
-
-    ``factors(system)`` factors anew only when the diagonals differ from the
-    held ones, so an owner whose matrix never changes factors it once; the
-    held arrays themselves (``TridiagonalSystem.with_rhs``) are not compared,
-    as a system's arrays are never changed in place.  Holding changes no
-    result, only its cost.  A singular matrix is not held.
-    """
-
-    _matrix = (None, None, None)
-    _factors = None
-
-    def factors(self, system: TridiagonalSystem) -> _Factors:
-        matrix = (system.sub, system.main, system.sup)
-        if not all(new is old or np.array_equal(new, old)
-                   for new, old in zip(matrix, self._matrix)):
-            self._factors, self._matrix = _factor(*matrix), matrix
-        return self._factors
 
 
 def _factor(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> _Factors:

@@ -14,7 +14,7 @@ from thermistor_fem import temperature as temp
 from thermistor_fem.coefficients import eval_sigma
 from thermistor_fem.potential import (check_current_compatibility,
                                       solve_potential)
-from thermistor_fem.tridiag import PIVOT_RTOL, HeldFactorisation
+from thermistor_fem.tridiag import PIVOT_RTOL
 
 
 def count_factorisations(monkeypatch) -> list:
@@ -87,14 +87,14 @@ def reference_thomas(system: TridiagonalSystem) -> np.ndarray:
 
 def reference_checked_solve(system: TridiagonalSystem, what: str,
                             residual_sink: list | None = None,
-                            held=None) -> np.ndarray:
+                            factors=None) -> np.ndarray:
     """``tridiag.checked_solve`` as it was before its checks were fused: a
     finiteness scan of the solution on every solve, and the residual scale
     and norm taken by their own reductions.  The fused checks must record
     exactly these residuals.
     """
     try:
-        x = tridiag.thomas_solve(system, held)
+        x = tridiag.thomas_solve(system, factors)
     except SingularSystemError as exc:
         raise SingularSystemError(f"{what} solve failed: {exc}",
                                   row=exc.row) from exc
@@ -169,7 +169,6 @@ def reference_coupled(config, mesh, model, potential=None, freeze=False):
     """
     operator = temp.TemperatureOperator(mesh, model, config.tau, config.beta,
                                         config.variant)
-    held = HeldFactorisation()
     literal = config.variant.stiffness == "paper_literal"
 
     def advance(state, residual_sink):
@@ -183,7 +182,7 @@ def reference_coupled(config, mesh, model, potential=None, freeze=False):
                 mesh.h, config.beta)) if literal else None
             mu = solve_potential(sigma, mesh, model, config.variant,
                                  sigma_ghost_left=ghost,
-                                 residual_sink=residual_sink, held=held)
+                                 residual_sink=residual_sink)
             if freeze:
                 potential = mu
         new_state = temp.solve_temperature(state, sigma, mu, operator,

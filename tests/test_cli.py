@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -368,9 +369,9 @@ def test_cli_bad_config_exits_1(tmp_path, capsys):
 
 
 def test_cli_numerical_failure_exits_2(tmp_path, capsys):
-    # beyond the rational_sigma pole 1 + lambda u = 0: with lambda = -1e200,
-    # (1 + lambda u)^2 overflows once the first step has heated the bar, so
-    # sigma is 0 and the next potential is undetermined
+    # beyond the rational_sigma pole 1 + lambda u = 0: with lambda = -1e200
+    # the pole is at u = 1e-200, which the first step's heating passes, so
+    # the second step's sigma is refused
     cfg = tmp_path / "badmodel.cfg"
     cfg.write_text(MINIMAL.replace("gamma = 0.1", "k0 = 1.0")
                    + "sigma0 = 0.5\nlambda = -1e200\n")
@@ -378,8 +379,64 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
         warnings.simplefilter("error")
         assert run_cli(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "numerical failure: potential solve failed: zero conductivity" in err
+    assert "numerical failure: u = " in err
+    assert "is at or past the pole u = 1e-200 of rational_sigma" in err
     assert err.rstrip().endswith("(step 1)")
+
+
+def ntc_config(tmp_path, flux):
+    """The NTC case: sigma = 1 / (1 - u/2)^2 rises with u up to its pole at
+    u = 2; with equal fluxes above about 0.35 no steady state lies below it."""
+    cfg = tmp_path / f"ntc_{flux}.cfg"
+    cfg.write_text(MINIMAL.replace("gamma = 0.1", "k0 = 1\nsigma0 = 1\n"
+                                   "lambda = -0.5")
+                   .replace("t_max = 50", "t_max = 200")
+                   .replace("flux_left = 1", f"flux_left = {flux}")
+                   .replace("flux_right = 1", f"flux_right = {flux}"))
+    return cfg
+
+
+def test_cli_ntc_runaway_fails_at_the_pole(tmp_path, capsys):
+    # below the fold the run settles under the pole; above it a step jumps
+    # past the pole, where (1 - u/2)^2 grows again and the run would settle
+    # on a spurious steady state
+    assert run_cli(["run", "--config", str(ntc_config(tmp_path, 0.3))]) == 0
+    assert "steady state reached" in capsys.readouterr().err
+    for flux in (0.5, 1.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["run", "--config",
+                            str(ntc_config(tmp_path, flux))]) == 2
+        err = capsys.readouterr().err.rstrip()
+        assert "numerical failure: u = " in err, flux
+        assert "is at or past the pole u = 2.0 of rational_sigma" in err, flux
+        assert re.search(r"\(step [1-9][0-9]*\)$", err), flux
+
+
+# tau = 1e307 overflows the stiffness rows; at h = 0.1, k = 1 and tau = 0.1
+# this beta zeroes the literal row 0 pivot a (beta h / k - 1) + b - tau beta
+@pytest.mark.parametrize("edits, message", [
+    ({"tau = 0.1 ": "tau = 1e307 ", "t_max = 50": "t_max = 1e307"},
+     "solve failed: non-finite entries in sub (step 0)"),
+    ({"n_elements = 20": "n_elements = 10",
+      "beta = 0.2": "beta = 15.378151260504202\nscheme = paper"},
+     "solve failed: zero or near-zero pivot at row 0 (step 0)"),
+], ids=["non_finite_rows", "singular_literal_rows"])
+@pytest.mark.parametrize("command, phase", [
+    ("run", "temperature"), ("run-reduced", "reduced temperature"),
+], ids=["run", "run_reduced"])
+def test_cli_operator_build_failure_names_its_phase(command, phase, edits,
+                                                    message, tmp_path,
+                                                    capsys):
+    text = MINIMAL
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "bad_rows.cfg"
+    cfg.write_text(text)
+    assert run_cli([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: {phase} {message}\n"
 
 
 def test_cli_overflowing_source_names_its_phase(tmp_path, capsys):

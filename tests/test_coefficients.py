@@ -147,6 +147,25 @@ def test_rational_sigma_pole_raises_model_error_without_warning():
             tf.eval_sigma(zero, -1.0)  # 0 / 0
 
 
+def test_rational_sigma_refuses_a_state_at_or_past_its_pole():
+    # for lambda < 0 the pole u = -1/lambda is a positive temperature; past
+    # it (1 + lambda u)^2 grows again, so sigma would read finite and small
+    model = build("rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": -0.5})
+    below = np.nextafter(2.0, 0.0)
+    assert np.isfinite(tf.eval_sigma(model, np.array([0.0, 1.0, below]))).all()
+    with pytest.raises(tf.ModelError, match=r"^u = 2\.0 at node 2 is at or "
+                       r"past the pole u = 2\.0 of rational_sigma$"):
+        tf.eval_sigma(model, np.array([0.0, 1.0, 2.0, 3.0]))
+    # a scalar, such as the literal scheme's left ghost temperature, has no
+    # node to name
+    with pytest.raises(tf.ModelError,
+                       match=r"^u = 3\.5 is at or past the pole u = 2\.0 "):
+        tf.eval_sigma(model, 3.5)
+    # a NaN state is not past the pole; the finiteness check names it
+    with pytest.raises(tf.ModelError, match="must be >= 0 and finite"):
+        tf.eval_sigma(model, np.array([0.0, np.nan]))
+
+
 def test_sigma_is_zero_flag():
     assert build("constant", {"k0": 1.0, "sigma0": 0.0}).sigma_is_zero
     assert build("paper_example", {"gamma": 0.0}).sigma_is_zero

@@ -278,6 +278,7 @@ def test_solver_residuals_collected(fig1_config):
     assert max(result.diagnostics.solver_residuals) <= 1e-10
 
 
+@pytest.mark.filterwarnings("ignore:boundary currents are incompatible")
 @pytest.mark.parametrize("driver, overrides, factorisations", [
     (tf.run, {}, 1),
     (tf.run, {"model": tf.ModelSpec("rational_sigma", {
@@ -285,15 +286,22 @@ def test_solver_residuals_collected(fig1_config):
     (tf.run_reduced, {}, 1),
     # constant sigma: the literal potential matrix is fixed as well
     (tf.run, {"variant": tf.SchemeVariant("paper_literal", "central")}, 2),
-], ids=["fig1", "rational_sigma", "reduced", "fig1_paper"])
+    # sigma moves every step, and the literal potential matrix with it, so
+    # each step factors that matrix for its one solve (None: 1 + steps)
+    (tf.run, {"variant": tf.PAPER_LITERAL, "model": tf.ModelSpec(
+        "rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0})}, None),
+], ids=["fig1", "rational_sigma", "reduced", "fig1_paper",
+        "rational_sigma_paper"])
 def test_run_factors_each_fixed_matrix_once(fig1_config, driver, overrides,
                                             factorisations, monkeypatch):
     # k is constant, so the temperature matrix never changes within a run
     config = dataclasses.replace(fig1_config, **overrides)
     calls = count_factorisations(monkeypatch)
     result = driver(config)
-    assert len(result.diagnostics.max_change) > 10
-    assert len(calls) == factorisations
+    steps = len(result.diagnostics.max_change)
+    assert steps > 10
+    assert len(calls) == (1 + steps if factorisations is None
+                          else factorisations)
 
 
 RATIONAL = tf.ModelSpec("rational_sigma",
@@ -346,6 +354,21 @@ def test_model_failure_in_the_loop_carries_step_and_diagnostics(
     assert exc.value.step == len(exc.value.diagnostics.max_change) > 0
     assert run_cli(["run", "--config", str(fig1_cfg_path)]) == 2
     assert "numerical failure: electrical conductivity" in capsys.readouterr().err
+
+
+def test_ntc_runaway_fails_at_the_pole_instead_of_settling(fig1_config):
+    # sigma = 1 / (1 - u/2)^2 rises with u up to its pole at u = 2: below
+    # fluxes of about 0.35 the bar settles under it, above them there is no
+    # admissible steady state, and a step jumps past the pole
+    ntc = dataclasses.replace(fig1_config, model=tf.ModelSpec(
+        "rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": -0.5}))
+    result = tf.run(dataclasses.replace(ntc, flux_left=0.3, flux_right=0.3))
+    assert result.steady_reached
+    assert result.final_profile.max() < 0.33
+    for flux in (0.5, 1.0):
+        with pytest.raises(tf.ModelError, match="past the pole u = 2.0") as exc:
+            tf.run(dataclasses.replace(ntc, flux_left=flux, flux_right=flux))
+        assert exc.value.step == len(exc.value.diagnostics.max_change) > 0
 
 
 @pytest.mark.filterwarnings("ignore:boundary currents are incompatible")

@@ -29,7 +29,7 @@ RATIONAL = dataclasses.replace(
 
 
 def assembled_potential(sigma, mesh, model, variant, sigma_ghost_left=None,
-                        residual_sink=None, held=None):
+                        residual_sink=None):
     system = tf.assemble_potential(sigma, mesh, model, variant,
                                    sigma_ghost_left=sigma_ghost_left)
     mu = tf.checked_solve(system, "potential", residual_sink)
@@ -43,7 +43,7 @@ def run_both(config, monkeypatch):
     new = tf.run(config)
     with monkeypatch.context() as m:
         m.setattr(tf.tridiag, "thomas_solve",
-                  lambda system, held=None: reference_thomas(system))
+                  lambda system, factors=None: reference_thomas(system))
         m.setattr(simulator, "solve_potential", assembled_potential)
         old = tf.run(config)
     return new, old
@@ -83,7 +83,7 @@ def test_run_reduced_matches_replaced_path(config, profile_bound,
                                            monkeypatch):
     new = tf.run_reduced(config)
     monkeypatch.setattr(tf.tridiag, "thomas_solve",
-                        lambda system, held=None: reference_thomas(system))
+                        lambda system, factors=None: reference_thomas(system))
     old = tf.run_reduced(config)
     profile, potential = deviations(new, old)
     assert profile <= profile_bound

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -214,39 +215,33 @@ def one_near_singular_row(rng, size):
     return system(sub * scale, main * scale, sup * scale, s.rhs)
 
 
-def test_factorisation_reused_for_new_rhs(monkeypatch):
-    # the held factorisation serves the same matrix whether it comes back as
-    # the same arrays (with_rhs) or as equal copies
-    rng = np.random.default_rng(22)
-    s = random_dominant_system(rng, 300)
-    held = tf.HeldFactorisation()
-    calls = count_factorisations(monkeypatch)
-    assert_matches_reference(s, tf.thomas_solve(s, held))
-    for _ in range(3):
-        s = s.with_rhs(rng.uniform(-5.0, 5.0, 300))
-        assert_matches_reference(s, tf.thomas_solve(s, held))
-        s = tf.TridiagonalSystem(sub=s.sub.copy(), main=s.main.copy(),
-                                 sup=s.sup.copy(),
-                                 rhs=rng.uniform(-5.0, 5.0, 300))
-        assert_matches_reference(s, tf.thomas_solve(s, held))
-    assert calls == [300]
-
-
 def test_cached_solve_equals_fresh_factorisation(monkeypatch):
-    # the block operators are built with the factorisation, so a held
-    # factorisation returns the bits a fresh one gives
+    # a temperature operator factors its rows once, at its first advance,
+    # and the block operators are built with the factorisation, so each
+    # advance returns the bits (and records the residual) of a solve that
+    # factors the same system afresh
     rng = np.random.default_rng(25)
-    for size in (5, 101, 1001):
-        s = random_dominant_system(rng, size)
-        fresh = tf.thomas_solve(s)
-        held = tf.HeldFactorisation()
-        tf.thomas_solve(s, held)
+    model = tf.ModelSpec("constant", {"k0": 1.3, "sigma0": 0.7}).build(1, 1)
+    for variant, n in itertools.product((tf.CORRECTED, tf.PAPER_LITERAL),
+                                        (4, 100, 1000)):
+        case = (variant.stiffness, n)
         with monkeypatch.context() as m:
             calls = count_factorisations(m)
-            assert np.array_equal(tf.thomas_solve(s, held), fresh), size
-            assert np.array_equal(tf.checked_solve(s, "test", held=held),
-                                  fresh), size
-        assert calls == [], size
+            op = tf.TemperatureOperator(tf.build_mesh(n), model, 0.1, 0.2,
+                                        variant)
+            size = op.matrix.size
+            assert calls == [], case
+            for _ in range(3):
+                rhs = rng.uniform(-5.0, 5.0, size)
+                held_sink, fresh_sink = [], []
+                held = op.advance(rhs, held_sink)[:size]
+                assert calls == [size], case
+                fresh = tf.checked_solve(op.matrix.with_rhs(rhs),
+                                         "temperature", fresh_sink)
+                assert calls == [size, size], case
+                calls.pop()
+                assert held.tobytes() == fresh.tobytes(), case
+                assert held_sink == fresh_sink, case
 
 
 def test_held_factorisation_grows_linearly():
@@ -273,24 +268,6 @@ def test_singular_matrix_raises_on_every_call():
         assert exc.value.row == 1
     s = random_dominant_system(rng, 40)
     assert_matches_reference(s, tf.thomas_solve(s))
-
-
-def test_alternating_matrices_beyond_cache_size_stay_exact(monkeypatch):
-    # three matrices in turn through one held factorisation: each change of
-    # matrix is factored anew, and every solve gives the bits of a solve
-    # from a fresh factorisation
-    rng = np.random.default_rng(24)
-    matrices = [random_dominant_system(rng, 50) for _ in range(3)]
-    systems = [tf.TridiagonalSystem(sub=m.sub, main=m.main, sup=m.sup,
-                                    rhs=rng.uniform(-5.0, 5.0, 50))
-               for m in matrices * 4]
-    fresh = [tf.thomas_solve(s) for s in systems]
-    held = tf.HeldFactorisation()
-    calls = count_factorisations(monkeypatch)
-    for s, expected in zip(systems, fresh):
-        assert np.array_equal(tf.thomas_solve(s, held), expected)
-        assert_matches_reference(s, expected)
-    assert len(calls) == len(systems)
 
 
 def test_import_loads_only_numpy_outside_stdlib():
