@@ -1,8 +1,10 @@
 """Command-line front end: config parsing, CSV export, verification subcommands.
 
 Machine-readable data goes to stdout or to files; human-readable messages go
-to stderr.  Exit codes: 0 success, 1 configuration error, 2 numerical
-failure, 3 steady state not reached where required.
+to stderr.  The series CSV is formatted by numpy a block of snapshots at a
+time (``_cells``, byte-equal to ``"%.12e"``) and streamed to its file or to
+stdout as each block is made.  Exit codes: 0 success, 1 configuration error,
+2 numerical failure, 3 steady state not reached where required.
 """
 
 from __future__ import annotations
@@ -147,30 +149,118 @@ def _infer_model(values: dict) -> ModelSpec:
         "missing model keys: provide gamma, or k0 and sigma0")
 
 
-def write_series_csv(result: SimulationResult) -> str:
+# one "%.12e" cell and its separator, NUL-padded; the widest is
+# "-1.000000000000e-300,"
+_CELL = 21
+# snapshots per series block hold about this many rows (at least one snapshot)
+_BLOCK_ROWS = 12_000
+# 10**k for k <= 22, each exactly representable
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+
+
+def _fast_cells(v: np.ndarray, sep: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """``("%.12e" % v).encode() + sep`` as NUL-padded uint8 rows of ``_CELL``
+    bytes, right where the returned mask is True.
+
+    With e = floor(log10|v|) in [-10, 34], q = |v| * 10**(12 - e) is one
+    correctly rounded product (or quotient) by an exact power of ten, so
+    below 2**44 it is within 2**-10 of the exact scaled value.  Where
+    1e12 <= q < 1e13 and frac(q) is more than 2**-9 from one half, rint(q)
+    is the exact value's correctly rounded 13 digits (1e13 carries into
+    e + 1), whichever side of a power of ten a log10 off by one puts q.  Zero
+    is digit 0 and exponent 0.  Near ties, subnormals, three-digit exponents
+    and non-finite values are left out of the mask.
+    """
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.floor(np.log10(a))
+        fast = (e >= -10) & (e <= 34)
+        e = np.where(fast, e, 0.0).astype(np.int64)
+        s = 12 - e
+        q = np.where(s >= 0, a * _POW10[np.maximum(s, 0)],
+                     a / _POW10[np.maximum(-s, 0)])
+        fast &= (q >= 1e12) & (q < 1e13) \
+            & (np.abs(q - np.floor(q) - 0.5) > 2.0 ** -9)
+        fast |= a == 0.0
+        r = np.rint(np.where(fast, q, 0.0)).astype(np.int64)
+    carry = r == 10 ** 13
+    r[carry] = 10 ** 12
+    e += carry
+    digits = np.empty((v.size, 13), np.uint8)
+    for col in range(12, -1, -1):  # scalar divisors: a divisor array is 4x slower
+        rest = r // 10
+        digits[:, col] = r - 10 * rest
+        r = rest
+    digits += ord("0")
+    cells = np.empty((v.size, _CELL), np.uint8)
+    cells[:, 0] = np.where(np.signbit(v), ord("-"), 0)
+    cells[:, 1] = digits[:, 0]
+    cells[:, 2] = ord(".")
+    cells[:, 3:15] = digits[:, 1:]
+    cells[:, 15] = ord("e")
+    cells[:, 16] = np.where(e < 0, ord("-"), ord("+"))
+    cells[:, 17] = np.abs(e) // 10 + ord("0")
+    cells[:, 18] = np.abs(e) % 10 + ord("0")
+    cells[:, 19] = ord(sep)
+    cells[:, 20] = 0
+    return cells, fast
+
+
+def _cells(values, sep: bytes) -> np.ndarray:
+    """``("%.12e" % v).encode() + sep`` for each v, as NUL-padded V21 cells:
+    ``_fast_cells`` where it is exact, Python's own ``%`` elsewhere."""
+    v = np.asarray(values, dtype=float).ravel()
+    cells, fast = _fast_cells(v, sep)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells[slow] = np.array(
+            [("%.12e" % vj).encode() + sep for vj in v[slow].tolist()],
+            dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
+    return cells.view(f"V{_CELL}").ravel()
+
+
+def write_series_csv(result: SimulationResult, out=None) -> str | None:
     """Long-format time series: header ``t,x,u,phi``, time-major rows.
 
-    Numbers are written with 13 significant digits so the file parses back
-    losslessly to well within one unit in the 12th digit.  A snapshot is one
-    ``%`` against a row template holding the formatted x column; phi is
-    formatted again only when its bits differ from the previous snapshot's
-    (so -0.0 after 0.0 is written as such).
+    Numbers are written as ``"%.12e"``, 13 significant digits, so the file
+    parses back losslessly to well within one unit in the 12th digit.  The
+    text is built in blocks of whole snapshots (about ``_BLOCK_ROWS`` rows),
+    each formatted by ``_cells`` and written to the text stream ``out`` as it
+    is made; without ``out`` the whole text is returned.  The x cells are
+    formatted once per result and t once per snapshot; phi is formatted again
+    only when its bits differ from the previous snapshot's (so -0.0 after
+    0.0 is written as such).
     """
     if not result.snapshots:
         raise ValueError("result has no snapshots")
-    x = [f"{xj:.12e}" for xj in result.nodes.tolist()]
-    template = "".join(f"%s,{xj},%.12e,%s\n" for xj in x)
-    vals = [None] * (3 * len(x))  # t, u, phi per row
-    parts = ["t,x,u,phi\n"]
+    parts: list[str] = []
+    write = parts.append if out is None else out.write
+    write("t,x,u,phi\n")
+    x = _cells(result.nodes, b",")
+    per_block = max(1, _BLOCK_ROWS // x.size)
+    held = np.zeros((1, x.size), x.dtype)  # phi cells of the last snapshot
     phi_bits = None
-    for snap in result.snapshots:
-        vals[0::3] = [f"{snap.time:.12e}"] * len(x)
-        vals[1::3] = snap.temperature.tolist()
-        if snap.potential.tobytes() != phi_bits:
-            phi_bits = snap.potential.tobytes()
-            vals[2::3] = [f"{pj:.12e}" for pj in snap.potential.tolist()]
-        parts.append(template % tuple(vals))
-    return "".join(parts)
+    for start in range(0, len(result.snapshots), per_block):
+        block = result.snapshots[start:start + per_block]
+        fresh, which = [], []
+        for snap in block:
+            bits = snap.potential.tobytes()
+            if bits != phi_bits:
+                phi_bits = bits
+                fresh.append(snap.potential)
+            which.append(len(fresh))  # 0 is the held row
+        held = held[-1:]
+        if fresh:
+            held = np.concatenate((held, _cells(
+                np.concatenate(fresh), b"\n").reshape(len(fresh), x.size)))
+        rows = np.empty((len(block), x.size, 4), x.dtype)
+        rows[:, :, 0] = _cells([snap.time for snap in block], b",")[:, None]
+        rows[:, :, 1] = x
+        rows[:, :, 2] = _cells(np.concatenate(
+            [snap.temperature for snap in block]), b",").reshape(len(block), -1)
+        rows[:, :, 3] = held[which]
+        write(rows.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(parts) if out is None else None
 
 
 def write_profile_csv(result: SimulationResult) -> str:
@@ -224,9 +314,11 @@ def _load_config(path: str) -> SimulationConfig:
     return parse_config(text)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, write) -> None:
+    """Open ``path`` as UTF-8 text with ``\\n`` line ends and ``write(stream)``."""
     try:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as stream:
+            write(stream)
     except OSError as exc:
         raise ConfigurationError(
             f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -238,13 +330,13 @@ def _cmd_run(args) -> int:
         if not os.access(Path(path).parent, os.W_OK | os.X_OK):
             raise ConfigurationError(f"cannot write {path}: no writable directory")
     result = args.driver(config)
-    series = write_series_csv(result)
     if args.out:
-        _write(args.out, series)
+        _write(args.out, lambda stream: write_series_csv(result, stream))
     else:
-        sys.stdout.write(series)
+        write_series_csv(result, sys.stdout)
     if args.profile:
-        _write(args.profile, write_profile_csv(result))
+        _write(args.profile,
+               lambda stream: stream.write(write_profile_csv(result)))
     if result.steady_reached:
         print(f"steady state reached at t={result.steady_time:g}", file=sys.stderr)
     else:

@@ -205,7 +205,8 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
     ``stepper(state, residual_sink)`` returns the next state, the potential
     it used and its starting state's compatibility residual, and appends its
     solves' residuals to the sink.  Snapshots are recorded at t0, every
-    ``record_every`` steps, and at the final state.  A SolverError or
+    ``record_every`` steps, and at the final state; the snapshots of one
+    potential object share one read-only copy of it.  A SolverError or
     ModelError, building the stepper (step 0) included, leaves with the
     failing step's index and the diagnostics collected so far.
     """
@@ -213,6 +214,16 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
     snapshots = [Snapshot(state.time, state.alpha.copy(), mesh.nodes.copy())]
     steady_time = None
     mu = mesh.nodes
+    held = None  # (potential, its read-only copy)
+
+    def record(state):
+        nonlocal held
+        if held is None or held[0] is not mu:
+            copy = mu.copy()
+            copy.flags.writeable = False
+            held = (mu, copy)
+        snapshots.append(Snapshot(state.time, state.alpha.copy(), held[1]))
+
     t0 = state.time
     n = 0
     try:
@@ -227,8 +238,7 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
             diag.max_change.append(change)
             diag.compatibility_residuals.append(compatibility)
             if n % config.record_every == 0:
-                snapshots.append(Snapshot(state.time, state.alpha.copy(),
-                                          mu.copy()))
+                record(state)
             if change / config.tau < config.steady_tolerance:
                 steady_time = state.time
                 break
@@ -237,7 +247,7 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
         exc.diagnostics = diag
         raise
     if snapshots[-1].time != state.time:
-        snapshots.append(Snapshot(state.time, state.alpha.copy(), mu.copy()))
+        record(state)
     return SimulationResult(snapshots=snapshots,
                             steady_reached=steady_time is not None,
                             steady_time=steady_time,

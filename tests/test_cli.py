@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import itertools
 import re
 import warnings
@@ -292,6 +293,43 @@ def test_series_writer_matches_reference_on_runs(case, phi_repeats,
     assert any(a == b for a, b in zip(bits, bits[1:])) == phi_repeats
     assert first_difference(write_series_csv(result),
                             reference_series_csv(result)) is None
+
+
+@pytest.mark.parametrize("block_rows", [1, 10, 15, 35, 10 ** 6])
+def test_streamed_blocks_write_the_returned_text(block_rows, monkeypatch):
+    # 1, 2, 3, 7 and all snapshots of 5 nodes per block: block edges fall
+    # before, inside and after runs of a repeated phi
+    for case, make in sorted(WRITER_CASES.items()):
+        result = make()
+        whole = write_series_csv(result)
+        stream = io.StringIO()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_BLOCK_ROWS", block_rows)
+            assert write_series_csv(result, stream) is None
+        assert stream.getvalue() == whole, case
+
+
+def test_cli_streams_the_same_bytes_to_stdout_and_to_out(fig1_cfg_path,
+                                                         tmp_path,
+                                                         capsysbinary):
+    out = tmp_path / "s.csv"
+    assert run_cli(["run", "--config", str(fig1_cfg_path), "--out", str(out)]) == 0
+    assert run_cli(["run", "--config", str(fig1_cfg_path)]) == 0
+    same = capsysbinary.readouterr().out == out.read_bytes()
+    assert same  # no multi-MB pytest diff
+
+
+def test_cli_out_naming_a_directory_exits_1(fig1_cfg_path, tmp_path, capsys):
+    # the directory passes the check made before the run; opening it fails
+    folder, prof = tmp_path / "series", tmp_path / "p.csv"
+    folder.mkdir()
+    assert run_cli(["run", "--config", str(fig1_cfg_path), "--out", str(folder),
+                    "--profile", str(prof)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: cannot write {folder}")
+    assert len(captured.err.splitlines()) == 1
+    assert not prof.exists()
 
 
 @pytest.mark.parametrize("line", ["beta = inf", "tau = nan", "steady_tol = nan",

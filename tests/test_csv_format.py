@@ -1,0 +1,119 @@
+"""The series CSV's vectorised ``%.12e`` formatter against Python's own ``%``.
+
+``cli._cells`` must give, for every double, the bytes of ``"%.12e" % v``
+followed by its separator; ``cli._fast_cells`` is its numpy path, which must
+leave near ties and values outside its exponent range to the fallback.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermistor_fem import cli
+
+
+def formatted(values, sep=b",") -> list[str]:
+    """The text of each cell ``cli._cells`` makes, its NUL padding dropped."""
+    return [cell.tobytes().replace(b"\0", b"").decode("ascii")
+            for cell in cli._cells(np.array(values, dtype=float), sep)]
+
+
+def expected(values, sep=",") -> list[str]:
+    return ["%.12e" % v + sep for v in np.array(values, dtype=float).tolist()]
+
+
+def around(values) -> list[float]:
+    """Each value and its neighbours one ulp below and above."""
+    return [w for v in values for w in (np.nextafter(v, -np.inf), v,
+                                        np.nextafter(v, np.inf))]
+
+
+def exact_ties() -> list[float]:
+    """Doubles whose exact decimal form has 14 significant digits ending in
+    5, so the 13th digit is a tie for ``%.12e`` (rounded half to even)."""
+    ties = []
+    for e in range(-3, 13):
+        # m / 2**k, k >= 1, has exactly k decimals, the last a 5 for odd m
+        k = 13 - e
+        lo = int(np.ceil(10.0 ** e * 2 ** k)) | 1
+        ties += [m / 2 ** k for m in (lo, lo + 2, lo + 4, 3 * lo | 1)]
+    # integers: 14 significant digits ending in 5, then zeros
+    ties += [float(n) for n in (10000000000005, 12345678901235,
+                                10000000000015 * 10, 99999999999995,
+                                31415926535895 * 10 ** 3)]
+    return ties
+
+
+ties = exact_ties()
+powers = [float(f"1e{k}") for k in range(-12, 41)]
+carries = [float(f"9.9999999999995e{k}") for k in range(-12, 41)]
+extremes = [1e300, -1e300, 5e-324, -1e-300, 0.0, -0.0, 2.2250738585072014e-308]
+
+
+def test_tie_values_are_ties():
+    # each tie needs one more digit than %.12e writes, and that digit is a 5
+    for v in ties:
+        digits = f"{v:.14e}".split("e")[0].replace(".", "").lstrip("-")
+        assert digits[13] == "5" and digits[14] == "0", v
+
+
+@pytest.mark.parametrize("values", [around(ties), around(powers),
+                                    around(carries), around(extremes)],
+                         ids=["ties", "powers", "carries", "extremes"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_hand_picked_values_match_python(values, sign):
+    values = [sign * v for v in values]
+    assert formatted(values) == expected(values)
+
+
+def test_fallback_is_taken_on_ties_and_outside_the_exponent_range():
+    v = np.array(ties + [-t for t in ties])
+    _, fast = cli._fast_cells(v, b",")
+    assert not fast.any()
+    _, fast = cli._fast_cells(np.array([1e-11, 1e35, 1e300, 5e-324]), b",")
+    assert not fast.any()
+    # everyday values take the numpy path, zeros of both signs included
+    v = np.array([0.0, -0.0, 0.2625, 1.0, 0.1, 1e-10, 9.5e34, -3.25])
+    _, fast = cli._fast_cells(v, b",")
+    assert fast.all()
+    grid = np.linspace(-2.0, 2.0, 10001)
+    assert cli._fast_cells(grid, b",")[1].mean() > 0.99
+
+
+def test_carry_moves_into_the_next_exponent():
+    assert formatted([9.99999999999996e4], b"\n") == ["1.000000000000e+05\n"]
+    assert formatted([9.99999999999996e34]) == ["1.000000000000e+35,"]
+
+
+def test_non_finite_values_fall_back_to_python():
+    values = [np.nan, np.inf, -np.inf]
+    assert formatted(values) == expected(values)
+
+
+def doubles_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=64))
+def test_every_finite_double_matches_python(values):
+    assert formatted(values) == expected(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1).map(doubles_from_bits)
+                .filter(np.isfinite), min_size=1, max_size=64))
+def test_uniform_bit_patterns_match_python(values):
+    # every exponent equally likely, where st.floats favours special values
+    assert formatted(values, b"\n") == expected(values, "\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-11, 1e36), min_size=1, max_size=64))
+def test_values_in_the_fast_range_match_python(values):
+    values += [-v for v in values]
+    assert formatted(values) == expected(values)

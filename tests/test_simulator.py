@@ -190,6 +190,22 @@ def test_initial_snapshot_potential_is_identity_profile():
                                   config.build_mesh().nodes)
 
 
+def test_snapshots_share_one_read_only_copy_of_a_held_potential(fig1_config):
+    # constant sigma holds the potential from the first step on
+    result = tf.run(fig1_config)
+    first = result.snapshots[1].potential
+    assert len(result.snapshots) > 100
+    assert all(s.potential is first for s in result.snapshots[1:])
+    assert result.snapshots[0].potential is not first
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 1.0
+    # a potential that changes every step gets a copy of its own each time
+    result = tf.run(small_config(model=tf.ModelSpec(
+        "rational_sigma", {"k0": 1.0, "sigma0": 0.5, "lambda": 2.0}), t_max=0.5))
+    ids = {id(s.potential) for s in result.snapshots}
+    assert len(ids) == len(result.snapshots)
+
+
 def test_decoupling_order_is_observable():
     # stored potentials must come from the stored state's predecessor
     config = small_config(
