@@ -44,21 +44,20 @@ def eval_k(model: CoefficientModel, u):
 
 
 def eval_sigma(model: CoefficientModel, u):
-    """Electrical conductivity at u; rejects negative or non-finite values."""
+    """Electrical conductivity at u; rejects negative or non-finite values.
+
+    min >= 0 and max < inf hold exactly when every value is finite and
+    >= 0: a NaN makes both reductions NaN, and -0.0 passes as 0.0 does.
+    """
     arr = np.asarray(model.electrical_conductivity(u), dtype=float)
-    _check(arr, arr >= 0.0, "electrical conductivity must be >= 0 and finite")
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
+        bad = np.flatnonzero(~((arr >= 0.0) & np.isfinite(arr)))
+        first = int(bad[0])
+        raise ModelError(
+            "electrical conductivity must be >= 0 and finite; "
+            f"{bad.size} of {arr.size} values fail, first at index {first}: "
+            f"{float(arr.flat[first])!r}")
     return float(arr) if arr.ndim == 0 else arr
-
-
-def _check(arr: np.ndarray, ok: np.ndarray, requirement: str) -> None:
-    """Raise a ModelError unless every entry is finite and ok; the message
-    gives the count of failing entries and the first one, not the array."""
-    if np.isfinite(arr).all() and ok.all():
-        return
-    bad = np.flatnonzero(~(ok & np.isfinite(arr)))
-    first = int(bad[0])
-    raise ModelError(f"{requirement}; {bad.size} of {arr.size} values fail, "
-                     f"first at index {first}: {float(arr.flat[first])!r}")
 
 
 def validate_physical(beta: float, gamma: float) -> bool:

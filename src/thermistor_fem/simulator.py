@@ -24,7 +24,8 @@ from .potential import (CORRECTED, PAPER_LITERAL, SchemeVariant,
                         check_current_compatibility, solve_potential)
 
 COMPATIBILITY_WARN_THRESHOLD = 1e-9
-# the factors a run holds take about 275 bytes per node, 0.28 GB here
+# the factors a run holds, with the work arrays of their solves, take
+# about 315 bytes per node, 0.32 GB here
 MAX_ELEMENTS = 10**6
 
 
@@ -115,20 +116,20 @@ def step(state: temp.TemperatureState, config: SimulationConfig,
 
     Returns the new state and the nodal potential mu_0..mu_N it used.  A
     bad state is refused as in run(); failures carry the step index.  Each
-    call builds and factors the temperature rows anew: 1.2 ms per call
-    against 0.2 ms per step inside run, for rational_sigma at N = 1000 on a
+    call builds and factors the temperature rows anew: 0.8 ms per call
+    against 0.12 ms per step inside run, for rational_sigma at N = 1000 on a
     2-CPU host.  Advance a state through many steps with run.
     """
     mesh = mesh or config.build_mesh()
     model = model or config.build_model()
     _check_state(state, mesh)
     try:
-        new_state, mu, _ = _coupled(config, mesh, model)(
+        alpha, mu, _ = _coupled(config, mesh, model)(
             state, [] if residual_sink is None else residual_sink)
     except StepFailure as exc:
         exc.step = int(round(state.time / config.tau))
         raise
-    return new_state, mu
+    return temp.TemperatureState(alpha, state.time + config.tau), mu
 
 
 def _check_state(state: temp.TemperatureState, mesh: Mesh) -> None:
@@ -183,15 +184,9 @@ def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel,
                 # the next step solves no potential, so it records none
                 potential, key = mu, None
         residual_sink += record
-        rhs = operator.mass(state.alpha)
-        # an overflow shows as a non-finite rhs, which advance reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            if source is None:
-                source = temp.joule_source_vector(sigma, mu, mesh, model,
-                                                  config.tau, config.variant)
-            rhs += source
-        alpha = operator.advance(rhs, residual_sink)
-        return (temp.TemperatureState(alpha, state.time + config.tau), mu,
+        if source is None:
+            source = operator.source(sigma, mu)
+        return (operator.advance(state.alpha, source, residual_sink), mu,
                 compatibility)
 
     return advance
@@ -202,11 +197,11 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
     """Advance the stepper ``make_stepper()`` builds, on the t0 + n*tau grid,
     until steady or t_max.
 
-    ``stepper(state, residual_sink)`` returns the next state, the potential
-    it used and its starting state's compatibility residual, and appends its
-    solves' residuals to the sink.  Snapshots are recorded at t0, every
-    ``record_every`` steps, and at the final state; the snapshots of one
-    potential object share one read-only copy of it.  A SolverError or
+    ``stepper(state, residual_sink)`` returns the next level alpha^{n+1},
+    the potential it used and its starting state's compatibility residual,
+    and appends its solves' residuals to the sink.  Snapshots are recorded
+    at t0, every ``record_every`` steps, and at the final state; the
+    snapshots of one potential object share one read-only copy of it.  A SolverError or
     ModelError, building the stepper (step 0) included, leaves with the
     failing step's index and the diagnostics collected so far.
     """
@@ -226,15 +221,17 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
 
     t0 = state.time
     n = 0
+    diff = np.empty(mesh.n_nodes)  # alpha^{n+1} - alpha^n, for the change
     try:
         stepper = make_stepper()
         while (n + 1) * config.tau + t0 <= config.t_max * (1.0 + 1e-12):
             prev_alpha = state.alpha
-            state, mu, compatibility = stepper(state, diag.solver_residuals)
+            alpha, mu, compatibility = stepper(state, diag.solver_residuals)
             n += 1
             # keep times on the exact t0 + n*tau grid instead of accumulating
-            state = temp.TemperatureState(state.alpha, t0 + n * config.tau)
-            change = float(np.abs(state.alpha - prev_alpha).max())
+            state = temp.TemperatureState(alpha, t0 + n * config.tau)
+            np.subtract(alpha, prev_alpha, out=diff)
+            change = float(np.abs(diff, out=diff).max())
             diag.max_change.append(change)
             diag.compatibility_residuals.append(compatibility)
             if n % config.record_every == 0:
@@ -306,9 +303,7 @@ def run_reduced(config: SimulationConfig) -> SimulationResult:
             "reduced temperature")
 
         def advance(state, residual_sink):
-            alpha = operator.advance(operator.mass(state.alpha) + src,
-                                     residual_sink)
-            return (temp.TemperatureState(alpha, state.time + config.tau),
+            return (operator.advance(state.alpha, src, residual_sink),
                     mesh.nodes, 0.0)
 
         return advance

@@ -190,23 +190,34 @@ class TemperatureOperator:
         """Mass rows times alpha^n: the right-hand side before any source."""
         return self.mass_matrix.matvec(alpha[:self.matrix.size])
 
+    # an overflow shows as a non-finite rhs, which advance reports
+    @np.errstate(over="ignore", invalid="ignore")
+    def source(self, sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """The Joule source of ``sigma`` and ``mu`` in this step's rows."""
+        return joule_source_vector(sigma, mu, self.mesh, self.model,
+                                   self.tau, self.variant)
+
     def rhs(self, alpha: np.ndarray, sigma: np.ndarray,
             mu: np.ndarray) -> np.ndarray:
         """Mass times alpha^n plus the Joule source of ``sigma`` and ``mu``."""
+        return self._rhs(alpha, self.source(sigma, mu))
+
+    # an overflow shows as a non-finite rhs, which advance reports
+    @np.errstate(over="ignore", invalid="ignore")
+    def _rhs(self, alpha: np.ndarray, source) -> np.ndarray:
         rhs = self.mass(alpha)
-        # an overflow shows as a non-finite rhs, which advance reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs += joule_source_vector(sigma, mu, self.mesh, self.model,
-                                       self.tau, self.variant)
+        rhs += source
         return rhs
 
-    def advance(self, rhs: np.ndarray,
+    def advance(self, alpha: np.ndarray, source,
                 residual_sink: list | None = None) -> np.ndarray:
-        """alpha^{n+1} for ``rhs`` by the held factors, with alpha_N written
-        back for paper_literal.  Failures, a non-finite ``rhs`` or singular
-        rows included, raise as ``"<what> solve failed: ..."``."""
+        """alpha^{n+1} from alpha^n = ``alpha`` and the step's ``source``,
+        solved by the held factors, with alpha_N written back for
+        paper_literal.  The right-hand side is ``mass(alpha)`` with the
+        source added in place.  Failures, a non-finite right-hand side or
+        singular rows included, raise as ``"<what> solve failed: ..."``."""
         try:
-            system = self.matrix.with_rhs(rhs)
+            system = self.matrix.with_rhs(self._rhs(alpha, source))
             if self._factors is None:  # made here, so assembly factors none
                 self._factors = tridiag._factor(system.sub, system.main,
                                                 system.sup)
@@ -230,6 +241,6 @@ def solve_temperature(state: TemperatureState, sigma: np.ndarray,
     the system is ``assemble_temperature``'s, solved with ``operator``'s rows
     and factors.
     """
-    alpha = operator.advance(operator.rhs(state.alpha, sigma, mu),
+    alpha = operator.advance(state.alpha, operator.source(sigma, mu),
                              residual_sink)
     return TemperatureState(alpha=alpha, time=state.time + operator.tau)

@@ -77,10 +77,7 @@ class TridiagonalSystem:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """The product T x, by three numpy slice operations."""
-        tx = self.main * x
-        tx[1:] += self.sub * x[:-1]
-        tx[:-1] += self.sup * x[1:]
-        return tx
+        return _product(self, x, np.empty(self.size))
 
     def dense(self) -> np.ndarray:
         """Dense copy of the matrix, for oracles and inspection."""
@@ -90,6 +87,8 @@ class TridiagonalSystem:
         return full
 
 
+# an overflow shows as a non-finite solution or residual
+@np.errstate(over="ignore", invalid="ignore")
 def checked_solve(system: TridiagonalSystem, what: str,
                   residual_sink: list | None = None,
                   factors: _Factors | None = None) -> np.ndarray:
@@ -98,15 +97,23 @@ def checked_solve(system: TridiagonalSystem, what: str,
     A singular pivot is re-raised as ``"<what> solve failed: ..."`` with the
     failing row kept, and a non-finite solution raises NumericalFailureError.
     ``residual_sink``, when given, receives the residual max-norm scaled by
-    ``1 + max|rhs|`` (for run diagnostics).  ``factors`` is passed on to
-    ``thomas_solve``.
+    ``1 + max|rhs|`` (for run diagnostics), formed in the factors' residual
+    array.  ``factors`` are the held ones of ``system``'s matrix; without
+    them the matrix is factored for this solve alone.  The solve and the
+    residual run with overflow and invalid operations ignored.
     """
     try:
+        if factors is None:
+            factors = _factor(system.sub, system.main, system.sup)
         x = thomas_solve(system, factors)
     except SingularSystemError as exc:
         raise SingularSystemError(f"{what} solve failed: {exc}",
                                   row=exc.row) from exc
-    residual = None if residual_sink is None else residual_norm(system, x)
+    residual = None
+    if residual_sink is not None:
+        res = _product(system, x, factors.residual)
+        res -= system.rhs
+        residual = float(np.abs(res, res).max())
     # a non-finite x_i makes row i of T x - rhs non-finite (main_i x_i is
     # inf or NaN, and no addend brings that back), so a finite residual
     # shows a finite x; a finite x with an overflowed residual is recorded
@@ -124,8 +131,12 @@ def thomas_solve(system: TridiagonalSystem,
 
     Raises SingularSystemError (carrying the failing row) when a pivot falls
     below 1e-14 of the row's largest original coefficient.  The matrix is
-    factored for this solve alone, unless its owner passes the ``factors``
-    it holds (``TemperatureOperator`` does); both give the same bits.
+    factored for this solve alone, unless the caller passes the ``factors``
+    held for it (``TemperatureOperator`` holds them); both give the same
+    bits.  The solve works in the arrays held with its factors and returns
+    a fresh array.  It runs in the caller's floating-point error state, so
+    an overflow gives a non-finite solution and numpy's RuntimeWarning,
+    unless the caller silences it as ``checked_solve`` does.
 
     Both triangular solves run block by block in one pass (Wang's partition
     method).  One batched product solves every block as if nothing came in
@@ -137,31 +148,32 @@ def thomas_solve(system: TridiagonalSystem,
     """
     if factors is None:
         factors = _factor(system.sub, system.main, system.sup)
-    nb, b = factors.upper_carry.shape
-    r = np.zeros((nb, b, 1))
-    r.reshape(-1)[:factors.size] = system.rhs
-    # an overflow shows as a non-finite solution, which checked_solve reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        local = np.matmul(factors.inverse, r)[:, :, 0]
-        z, t = local[:, -1].tolist(), factors.lower_last
-        into = [0.0] * nb  # e of the previous block
-        e = 0.0
-        for k in range(nb):
-            into[k] = e
-            e = z[k] + t[k] * e
-        w, g, u = local[:, 0].tolist(), factors.lower_first, factors.upper_first
-        back = [0.0] * nb  # f of the next block
-        f = 0.0
-        for k in range(nb - 1, -1, -1):
-            back[k] = f
-            f = w[k] + g[k] * into[k] + u[k] * f
-        x = (local + factors.lower_carry * np.array(into)[:, None]
-             + factors.upper_carry * np.array(back)[:, None])
+    factors.rhs_in[:] = system.rhs
+    np.matmul(factors.inverse, factors.padded, out=factors.product)
+    local = factors.local
+    z, t = local[:, -1].tolist(), factors.lower_last
+    nb = len(z)
+    into = [0.0] * nb  # e of the previous block
+    e = 0.0
+    for k in range(nb):
+        into[k] = e
+        e = z[k] + t[k] * e
+    w, g, u = local[:, 0].tolist(), factors.lower_first, factors.upper_first
+    back = [0.0] * nb  # f of the next block
+    f = 0.0
+    for k in range(nb - 1, -1, -1):
+        back[k] = f
+        f = w[k] + g[k] * into[k] + u[k] * f
+    carry = np.multiply(factors.carries, np.array((into, back))[:, :, None],
+                        out=factors.carry)
+    x = local + carry[0]
+    x += carry[1]
     return x.reshape(-1)[:factors.size]
 
 
 class _Factors(NamedTuple):
-    """T = L U held as per-block operators.
+    """T = L U held as per-block operators, with the work arrays of its
+    solves.
 
     L is lower bidiagonal (subdiagonal a_i, pivots p_i) and U unit upper
     bidiagonal (superdiagonal c_i).  The m rows are cut into blocks of
@@ -176,15 +188,23 @@ class _Factors(NamedTuple):
     ``G_k r_k`` and ``U_k^-1 l_k`` are those of ``L_k^-1 r_k`` and ``l_k``,
     which the forward pass reads.  The carry entries the scalar passes
     read are held as Python floats.
+
+    A solve overwrites the work arrays, so one set of factors serves one
+    solve at a time; nothing a solve returns is a view of them.
     """
 
     size: int
     inverse: np.ndarray  # (blocks, b, b): G_k
-    lower_carry: np.ndarray  # (blocks, b): U_k^-1 l_k
-    upper_carry: np.ndarray  # (blocks, b): u_k
-    lower_last: list  # lower_carry[:, -1]
-    lower_first: list  # lower_carry[:, 0]
-    upper_first: list  # upper_carry[:, 0]
+    carries: np.ndarray  # (2, blocks, b): U_k^-1 l_k, then u_k
+    lower_last: list  # carries[0, :, -1]
+    lower_first: list  # carries[0, :, 0]
+    upper_first: list  # carries[1, :, 0]
+    padded: np.ndarray  # (blocks, b, 1): the rhs r_k, its padding kept 0
+    rhs_in: np.ndarray  # padded's first m entries, where the rhs is copied
+    product: np.ndarray  # (blocks, b, 1): G_k r_k
+    local: np.ndarray  # product as (blocks, b)
+    carry: np.ndarray  # (2, blocks, b): the carries times e and f
+    residual: np.ndarray  # (m,): T x - rhs
 
 
 def _factor(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> _Factors:
@@ -250,13 +270,16 @@ def _block_operators(lower: list, pivots: list, upper: list) -> _Factors:
         np.multiply(inv[:, i - 1, :i], factor[:, i, None], out=inv[:, i, :i])
     upper_inv = inv[nb:, ::-1, ::-1]
     inverse = np.matmul(upper_inv, inv[:nb])
-    lower_carry = -a[:, :1] * inverse[:, :, 0]
-    upper_carry = -c[:, b - 1:] * upper_inv[:, :, b - 1]
-    return _Factors(size=m, inverse=inverse, lower_carry=lower_carry,
-                    upper_carry=upper_carry,
-                    lower_last=lower_carry[:, -1].tolist(),
-                    lower_first=lower_carry[:, 0].tolist(),
-                    upper_first=upper_carry[:, 0].tolist())
+    carries = np.stack((-a[:, :1] * inverse[:, :, 0],
+                        -c[:, b - 1:] * upper_inv[:, :, b - 1]))
+    padded, product = np.zeros((nb, b, 1)), np.empty((nb, b, 1))
+    return _Factors(size=m, inverse=inverse, carries=carries,
+                    lower_last=carries[0, :, -1].tolist(),
+                    lower_first=carries[0, :, 0].tolist(),
+                    upper_first=carries[1, :, 0].tolist(),
+                    padded=padded, rhs_in=padded.reshape(-1)[:m],
+                    product=product, local=product[:, :, 0],
+                    carry=np.empty((2, nb, b)), residual=np.empty(m))
 
 
 def dense_solve_oracle(system: TridiagonalSystem) -> np.ndarray:
@@ -268,7 +291,8 @@ def dense_solve_oracle(system: TridiagonalSystem) -> np.ndarray:
 
 
 def residual_norm(system: TridiagonalSystem, x: np.ndarray) -> float:
-    """Max-norm of T x - rhs, formed in place in the product's array."""
+    """Max-norm of T x - rhs, formed in place in the product's array: the
+    sums of ``checked_solve``'s residual, in the same order."""
     x = np.asarray(x, dtype=float)
     if x.shape != (system.size,):
         raise ValueError(f"solution length {x.shape} does not match system size {system.size}")
@@ -277,3 +301,13 @@ def residual_norm(system: TridiagonalSystem, x: np.ndarray) -> float:
         tx = system.matvec(x)
         tx -= system.rhs
         return float(np.abs(tx, out=tx).max())
+
+
+def _product(system: TridiagonalSystem, x: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+    """T x formed in ``out``: main * x, then the subdiagonal and the
+    superdiagonal terms added in place."""
+    np.multiply(system.main, x, out)
+    out[1:] += system.sub * x[:-1]
+    out[:-1] += system.sup * x[1:]
+    return out

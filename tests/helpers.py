@@ -187,6 +187,6 @@ def reference_coupled(config, mesh, model, potential=None, freeze=False):
                 potential = mu
         new_state = temp.solve_temperature(state, sigma, mu, operator,
                                            residual_sink)
-        return new_state, mu, check_current_compatibility(sigma, model)
+        return new_state.alpha, mu, check_current_compatibility(sigma, model)
 
     return advance

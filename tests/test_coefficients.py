@@ -86,6 +86,39 @@ def test_model_error_message_is_short():
         tf.eval_sigma(model, 3.0)
 
 
+def elementwise_verdict(arr: np.ndarray):
+    """The message of eval_sigma's check taken entry by entry, or None."""
+    ok = (arr >= 0.0) & np.isfinite(arr)
+    if ok.all():
+        return None
+    bad = np.flatnonzero(~ok)
+    return (f"electrical conductivity must be >= 0 and finite; {bad.size} "
+            f"of {arr.size} values fail, first at index {int(bad[0])}: "
+            f"{float(arr.flat[bad[0]])!r}")
+
+
+@pytest.mark.parametrize("values", [
+    [0.5, np.nan, 1.0], [np.inf, 0.5], [0.5, -np.inf], [0.5, np.nan, -1.0],
+    [-1e-300, 0.0], [-0.0, 0.0, 1.0], [5e-324], [np.nan, np.inf], 2.0,
+    -0.0, -1e-300, np.nan, [], np.zeros((0, 3)),
+], ids=["nan", "inf", "minus_inf", "nan_and_negative", "tiny_negative",
+        "minus_zero", "subnormal", "nan_and_inf", "scalar", "scalar_minus_zero",
+        "scalar_negative", "scalar_nan", "empty", "empty_2d"])
+def test_eval_sigma_check_matches_the_elementwise_one(values):
+    # min >= 0 and max < inf decide as the entry-by-entry test does, and a
+    # failure reports the same count and first entry
+    arr = np.asarray(values, dtype=float)
+    model = tf.CoefficientModel(1.0, lambda u: arr, 1.0, 1.0)
+    expected = elementwise_verdict(arr)
+    if expected is None:
+        out = tf.eval_sigma(model, 0.0)
+        assert np.asarray(out).tobytes() == arr.tobytes()
+    else:
+        with pytest.raises(tf.ModelError) as exc:
+            tf.eval_sigma(model, 0.0)
+        assert str(exc.value) == expected
+
+
 def test_model_spec_validation():
     with pytest.raises(tf.ConfigurationError):
         tf.ModelSpec("nonsense", {})

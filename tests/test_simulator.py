@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -412,6 +413,168 @@ def test_run_steps_replay_against_fresh_assembly(variant):
         np.testing.assert_array_equal(snap.temperature, x)
 
 
+# sha256 of every number a run records, taken from the solve path these
+# pins were made with; the series CSV (tests/test_cli.py::GOLDEN) keeps 13
+# digits only, so a rounding-level slip in a solve can pass it but not these
+FIG1 = tf.SimulationConfig(
+    n_elements=100, tau=0.1, beta=BETA,
+    model=tf.ModelSpec("paper_example", {"gamma": GAMMA}),
+    flux_left=1.0, flux_right=1.0, t_max=200.0, steady_tolerance=1e-8)
+RATIONAL_N1000 = dataclasses.replace(
+    FIG1, n_elements=1000, steady_tolerance=1e-10, record_every=10,
+    model=RATIONAL)
+DIGEST_RUNS = {
+    "fig1": (tf.run, FIG1),
+    "fig1_paper_literal": (tf.run, dataclasses.replace(
+        FIG1, variant=tf.PAPER_LITERAL)),
+    "fig1_frozen": (tf.run, dataclasses.replace(
+        FIG1, freeze_potential_after_first_step=True)),
+    "rational_n1000": (tf.run, RATIONAL_N1000),
+    "literal_rational_n100": (tf.run, dataclasses.replace(
+        RATIONAL_N1000, n_elements=100, variant=tf.PAPER_LITERAL)),
+    "reduced_n2000": (tf.run_reduced, dataclasses.replace(
+        FIG1, n_elements=2000, tau=0.05)),
+}
+DIGESTS = {
+    "fig1": {
+        "snapshots":
+            "cb15d7c2234639db348e845b2da48a9c410da01e55887edf5bfd50eb0f8ad8cf",
+        "final_profile":
+            "307a09199735b1a671532a585e0b019db7597e0f41a2c462cfd7172ae992c2bd",
+        "steady_time":
+            "b50f6d8a7576ee31f650bd0b6b9e21854da7d31f158bb5f53fc370f4bb0dabd5",
+        "max_change":
+            "e121202a452b4f80a19c6899f5846066b989eb64cdce63c00c3035e01e8ec015",
+        "compatibility_residuals":
+            "0f0e9d91e155e6f2ccc00419cbcdd7ba79bfbc32b975aac0ed734dc265b08b65",
+        "solver_residuals":
+            "56f1a294368e8285fa37b47e84233157e2cd70b029b8ad31f2319c334dc2448e",
+    },
+    "fig1_paper_literal": {
+        "snapshots":
+            "afdffa742eeeb81d322b0ec8e8c8f8c77a66b829b476df01c718834f16ebaa69",
+        "final_profile":
+            "78131d5d36fdf6542946fe41661ca2282c5dc59bf0496a71286a9da36f50204e",
+        "steady_time":
+            "fc15d5cc303f10cf1a3f22129dcc1d1ddace37dd173f01d864caf6bfbc9ca117",
+        "max_change":
+            "f364efa9e847ff52389b98188be4e4dca0680620704620717227b5aa956dce17",
+        "compatibility_residuals":
+            "7c4c2b940c41426e36a4cf6c83afababacfb8bb1a1dc39162a95bb812e1d109f",
+        "solver_residuals":
+            "06f8a7b15c5f3cc3368dd27a98ecca88bbe956fc9093172964506ad7b0e054de",
+    },
+    "fig1_frozen": {
+        "snapshots":
+            "cb15d7c2234639db348e845b2da48a9c410da01e55887edf5bfd50eb0f8ad8cf",
+        "final_profile":
+            "307a09199735b1a671532a585e0b019db7597e0f41a2c462cfd7172ae992c2bd",
+        "steady_time":
+            "b50f6d8a7576ee31f650bd0b6b9e21854da7d31f158bb5f53fc370f4bb0dabd5",
+        "max_change":
+            "e121202a452b4f80a19c6899f5846066b989eb64cdce63c00c3035e01e8ec015",
+        "compatibility_residuals":
+            "0f0e9d91e155e6f2ccc00419cbcdd7ba79bfbc32b975aac0ed734dc265b08b65",
+        "solver_residuals":
+            "ee042d7f59f6ef2e9cccde4d50b38c30520b41d69f0e0fa5afa23368c2c7ade8",
+    },
+    "rational_n1000": {
+        "snapshots":
+            "f0a05844eecb6931fcddb569f601c586d163aa054c8f58898d53f1f2c4535321",
+        "final_profile":
+            "0e46931aed503111bdc86152bab1306789943fc42c1879ef4fbe1229f46b089d",
+        "steady_time":
+            "e071f439980615c39c72b44e57de3e128e2da492989fc6e21a1a211324ca21b5",
+        "max_change":
+            "4b27d1063af37a9842757b067ad300a34091f941b38a8451a480138d521efd6e",
+        "compatibility_residuals":
+            "91ea146351de77fd1f66b45961c96439966232320ba8bf86bc0b372529ba7005",
+        "solver_residuals":
+            "01ae082129fec82f2f719807df3e78f3ea8dec90cc43cc806f33a8b5d3e21db2",
+    },
+    "literal_rational_n100": {
+        "snapshots":
+            "b3bcbd6f355a72abf7a2a942e08391f07fd7216733eac37632d38d29e2c4b730",
+        "final_profile":
+            "95c4fcb8377abdfb3cd213bc25f910f47bc48a6542ef34caaa8b7f5194d08309",
+        "steady_time":
+            "f1a060eaf6a52f8e37e97da3173356a6c2216914dc878ce4e5ae13c3ca838765",
+        "max_change":
+            "a8a290769f26755127fdc721da6055f7519561184c29060a01132dec1038bcd6",
+        "compatibility_residuals":
+            "714f475ef4b15d00bc12b048e96fc762c6a6ded3be945d4e577ac10a6260a748",
+        "solver_residuals":
+            "b6ef6e23b7e0c9d383513f497d4c1344facd59349dababf50b49b8b7df61b08e",
+    },
+    "reduced_n2000": {
+        "snapshots":
+            "72e4f593a7b214e8524388ad5c8ad1b70783cbfb2f93a824a875d69cd9cfbe01",
+        "final_profile":
+            "156a5d0e2763aa7da52ebfb9807f69b2843f9606187f238d9ae8438126edb6b3",
+        "steady_time":
+            "602d68b4476c880b81adcde203296f329d0539ad9f6045ac665db1fb91c48310",
+        "max_change":
+            "a016fd60e9de34fab7f84ff49d888fe9f5dbea7dedaff8d7dc1f0c8c96dc0885",
+        "compatibility_residuals":
+            "77f3ea088c1912c736945e6e81b45af66d6137fee50b828b5ecdebbe52137169",
+        "solver_residuals":
+            "33466a571a6469a6e094aad4ac31358e9e1836ca19baacdc7a46c218d5e32cff",
+    },
+}
+
+
+def sha256_of(*values) -> str:
+    """sha256 of the float64 bytes of ``values``, one after another."""
+    digest = hashlib.sha256()
+    for value in values:
+        digest.update(np.asarray(value, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.filterwarnings("ignore:boundary currents are incompatible")
+@pytest.mark.parametrize("case", sorted(DIGEST_RUNS))
+def test_run_records_pinned_bits(case):
+    driver, config = DIGEST_RUNS[case]
+    result = driver(config)
+    diag = result.diagnostics
+    steady = [] if result.steady_time is None else result.steady_time
+    digests = {
+        "snapshots": sha256_of(*[v for s in result.snapshots
+                                 for v in (s.time, s.temperature,
+                                           s.potential)]),
+        "final_profile": sha256_of(result.final_profile),
+        "steady_time": sha256_of(steady),
+        "max_change": sha256_of(diag.max_change),
+        "compatibility_residuals": sha256_of(diag.compatibility_residuals),
+        "solver_residuals": sha256_of(diag.solver_residuals),
+    }
+    assert digests == DIGESTS[case]
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_snapshot_temperatures_share_no_memory(driver):
+    result = driver(small_config(t_max=5.0, steady_tolerance=1e-14))
+    arrays = [s.temperature for s in result.snapshots] + [result.final_profile]
+    assert len(arrays) == 52
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_failed_run_restores_the_error_state():
+    # huge fluxes overflow the first Joule source, so the first step's rhs
+    # is not finite; every floating-point setting the run changed is undone
+    config = small_config(flux_left=1e200, flux_right=1e200)
+    with np.errstate(over="raise", invalid="warn", divide="call",
+                     under="ignore"):
+        before = np.geterr()
+        with pytest.raises(tf.NumericalFailureError,
+                           match="non-finite entries in rhs") as exc:
+            tf.run(config)
+        assert np.geterr() == before
+    assert exc.value.step == 0
+
+
 def test_run_warns_on_incompatible_boundary_currents(fig1_config):
     # the corrected potential cannot carry both fluxes when they differ
     with pytest.warns(UserWarning, match="boundary currents are incompatible"):
@@ -500,7 +663,7 @@ def test_reduced_interior_rows_match_corrected_assembly(fig1_config):
             + (h / 6.0) * (4.0 + 1.0 / (1.0 + beta * h)) * a[n - 1]
         np.testing.assert_array_max_ulp(rhs_red, published + GAMMA * tau * h,
                                         maxulp=1)
-        new = reduced.advance(rhs_red)
+        new = reduced.advance(a, GAMMA * tau * h)
         np.testing.assert_array_max_ulp(new[n], new[n - 1] / (1.0 + beta * h),
                                         maxulp=1)
         for j in range(1, n - 1):

@@ -39,13 +39,36 @@ def assembled_potential(sigma, mesh, model, variant, sigma_ghost_left=None,
                                                   model.flux_right))
 
 
+def counting(fn, calls: dict, name: str):
+    """``fn``, counting its calls in ``calls[name]``: a reference swapped in
+    must be the one the run calls, or the run compares the new path with
+    itself."""
+    calls[name] = 0
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def replaced_thomas(calls: dict):
+    return counting(lambda system, factors=None: reference_thomas(system),
+                    calls, "thomas_solve")
+
+
 def run_both(config, monkeypatch):
     new = tf.run(config)
+    calls = {}
     with monkeypatch.context() as m:
-        m.setattr(tf.tridiag, "thomas_solve",
-                  lambda system, factors=None: reference_thomas(system))
-        m.setattr(simulator, "solve_potential", assembled_potential)
+        m.setattr(tf.tridiag, "thomas_solve", replaced_thomas(calls))
+        m.setattr(simulator, "solve_potential",
+                  counting(assembled_potential, calls, "solve_potential"))
         old = tf.run(config)
+    steps = len(old.diagnostics.max_change)
+    assert calls["thomas_solve"] >= steps
+    # the potential is solved again only when sigma changes
+    assert calls["solve_potential"] >= 1
     return new, old
 
 
@@ -82,9 +105,10 @@ def test_run_matches_replaced_path(config, profile_bound, potential_bound,
 def test_run_reduced_matches_replaced_path(config, profile_bound,
                                            monkeypatch):
     new = tf.run_reduced(config)
-    monkeypatch.setattr(tf.tridiag, "thomas_solve",
-                        lambda system, factors=None: reference_thomas(system))
+    calls = {}
+    monkeypatch.setattr(tf.tridiag, "thomas_solve", replaced_thomas(calls))
     old = tf.run_reduced(config)
+    assert calls["thomas_solve"] == len(old.diagnostics.max_change)
     profile, potential = deviations(new, old)
     assert profile <= profile_bound
     assert potential == 0.0
@@ -102,10 +126,18 @@ def test_run_reduced_matches_replaced_path(config, profile_bound,
 ], ids=["fig1", "rational_n1000", "literal_rational_n1000", "reduced_n2000"])
 def test_fused_checks_record_the_same_run(driver, config, monkeypatch):
     new = driver(config)
+    calls = {}
     with monkeypatch.context() as m:
         for module in (tf.temperature, tf.potential):
-            m.setattr(module, "checked_solve", reference_checked_solve)
+            m.setattr(module, "checked_solve", counting(
+                reference_checked_solve, calls, module.__name__))
         old = driver(config)
+    steps = len(old.diagnostics.max_change)
+    assert calls[tf.temperature.__name__] == steps
+    # only the literal potential is solved by a tridiagonal solve, and
+    # rational sigma changes at every step
+    literal = config.variant == tf.PAPER_LITERAL and driver is tf.run
+    assert calls[tf.potential.__name__] == (steps if literal else 0)
     assert new.diagnostics.solver_residuals == old.diagnostics.solver_residuals
     # equal lists: the same steps, each with the same change
     assert new.diagnostics.max_change == old.diagnostics.max_change

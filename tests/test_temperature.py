@@ -201,11 +201,11 @@ def test_nan_potential_aborts_with_numerical_failure():
 def test_non_finite_rhs_names_the_phase(bad):
     op = tf.TemperatureOperator(tf.build_mesh(40), paper_example_model(),
                                 TAU, BETA, tf.CORRECTED)
-    rhs = np.ones(41)
-    rhs[33] = bad
+    source = np.ones(41)
+    source[33] = bad
     sink = []
     with pytest.raises(tf.NumericalFailureError) as exc:
-        op.advance(rhs, sink)
+        op.advance(np.zeros(41), source, sink)
     assert str(exc.value) == "temperature solve failed: non-finite entries in rhs"
     assert sink == []
 

@@ -94,6 +94,19 @@ def test_checked_solve_with_sink_rejects_non_finite_solution(s):
     assert sink == []
 
 
+def test_thomas_solve_leaves_an_overflow_to_its_caller():
+    # the raw solve computes in the caller's floating-point error state;
+    # checked_solve ignores the overflow and reports the solution instead
+    s = overflowing_row(100, 70)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        x = tf.thomas_solve(s)
+    assert np.isinf(x[70]) and np.isfinite(np.delete(x, 70)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert tf.thomas_solve(s).tobytes() == x.tobytes()
+
+
 def test_checked_solve_records_overflowed_residual_of_finite_solution():
     # x = 1e108 * (1, 1, -1) is finite, but row 1 of T x sums
     # 1e308 + 1e308 before the -1e308 that brings it back
@@ -232,31 +245,65 @@ def test_cached_solve_equals_fresh_factorisation(monkeypatch):
             size = op.matrix.size
             assert calls == [], case
             for _ in range(3):
-                rhs = rng.uniform(-5.0, 5.0, size)
+                alpha = rng.uniform(-5.0, 5.0, n + 1)
+                source = rng.uniform(-5.0, 5.0, size)
                 held_sink, fresh_sink = [], []
-                held = op.advance(rhs, held_sink)[:size]
+                held = op.advance(alpha, source, held_sink)[:size]
                 assert calls == [size], case
-                fresh = tf.checked_solve(op.matrix.with_rhs(rhs),
-                                         "temperature", fresh_sink)
+                fresh = tf.checked_solve(
+                    op.matrix.with_rhs(op.mass(alpha) + source),
+                    "temperature", fresh_sink)
                 assert calls == [size, size], case
                 calls.pop()
                 assert held.tobytes() == fresh.tobytes(), case
                 assert held_sink == fresh_sink, case
 
 
+def held_work(factors) -> list:
+    return [a for a in factors if isinstance(a, np.ndarray)]
+
+
+def assert_fresh(arrays, held):
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:] + held:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("variant", [tf.CORRECTED, tf.PAPER_LITERAL],
+                         ids=["corrected", "paper_literal"])
+def test_solves_return_fresh_arrays(variant):
+    # a solve works in the arrays held with its factors; what it returns is
+    # never a view of them, so a later solve leaves it as it was
+    model = tf.ModelSpec("constant", {"k0": 1.3, "sigma0": 0.7}).build(1, 1)
+    op = tf.TemperatureOperator(tf.build_mesh(100), model, 0.1, 0.2, variant)
+    rng = np.random.default_rng(3)
+    alpha, source = rng.uniform(0.0, 1.0, 101), rng.uniform(0.0, 1.0, 101)
+    first = op.advance(alpha, source[:op.matrix.size], [])
+    kept = first.copy()
+    second = op.advance(alpha + 1.0, source[:op.matrix.size], [])
+    assert_fresh([first, second], held_work(op._factors))
+    assert first.tobytes() == kept.tobytes()
+    system = op.matrix.with_rhs(source[:op.matrix.size])
+    solves = [tf.thomas_solve(system, op._factors) for _ in range(2)]
+    assert_fresh(solves, held_work(op._factors))
+    assert solves[0].tobytes() == solves[1].tobytes()
+
+
 def test_held_factorisation_grows_linearly():
     # BLOCK caps the block size, so the held operators take BLOCK + 2 floats
-    # per row (272 bytes at BLOCK = 32) plus one padded block; with blocks
-    # of sqrt(m) rows they would grow as m^1.5
+    # per row and the solve's work arrays 5 more (312 bytes at BLOCK = 32),
+    # plus one padded block; with blocks of sqrt(m) rows they would grow as
+    # m^1.5.  Views into held arrays hold no memory of their own.
     m = 100_000
     b = tf.tridiag.BLOCK
     main = np.full(m, 4.0)
     off = np.full(m - 1, -1.0)
     held = tf.tridiag._factor(off, main, off)
-    nbytes = sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+    nbytes = sum(a.nbytes for a in held
+                 if isinstance(a, np.ndarray) and a.base is None)
     assert held.inverse.shape[1:] == (b, b)
-    assert nbytes <= 8 * (b + 2) * (m + b)
-    assert nbytes <= 280 * m
+    assert nbytes <= 8 * (b + 7) * (m + b)
+    assert nbytes <= 320 * m
 
 
 def test_singular_matrix_raises_on_every_call():
