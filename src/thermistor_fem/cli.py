@@ -1,10 +1,12 @@
 """Command-line front end: config parsing, CSV export, verification subcommands.
 
 Machine-readable data goes to stdout or to files; human-readable messages go
-to stderr.  The series CSV is formatted by numpy a block of snapshots at a
-time (``_cells``, byte-equal to ``"%.12e"``) and streamed to its file or to
-stdout as each block is made.  Exit codes: 0 success, 1 configuration error,
-2 numerical failure, 3 steady state not reached where required.
+to stderr.  Both CSVs are formatted by numpy (``_cells``, byte-equal to
+``"%.12e"``) as arrays of 19-byte cells, or of NUL-padded ones where a value
+is negative or its exponent is not two digits.  The series is made a block of
+snapshots at a time and streamed to its file or to stdout as each block is
+made.  Exit codes: 0 success, 1 configuration error, 2 numerical failure, 3
+steady state not reached where required.
 """
 
 from __future__ import annotations
@@ -149,18 +151,31 @@ def _infer_model(values: dict) -> ModelSpec:
         "missing model keys: provide gamma, or k0 and sigma0")
 
 
-# one "%.12e" cell and its separator, NUL-padded; the widest is
+# the cell of a non-negative finite value with a two-digit exponent and its
+# separator, "d.dddddddddddde+XX,"
+_FIXED = 19
+# any "%.12e" cell and its separator, NUL-padded; the widest is
 # "-1.000000000000e-300,"
-_CELL = 21
+_PADDED = 21
 # snapshots per series block hold about this many rows (at least one snapshot)
 _BLOCK_ROWS = 12_000
 # 10**k for k <= 22, each exactly representable
 _POW10 = np.array([float(10 ** k) for k in range(23)])
+# "00", "01", ..., "99" as uint16 read from their bytes: any byte order
+_PAIRS = np.frombuffer("".join(f"{k:02d}" for k in range(100)).encode(),
+                       np.uint16)
+# a fixed-width cell; the digit pairs and exponent are unaligned uint16 fields
+_CELL = np.dtype({
+    "names": ["lead", "dot", "pairs", "e", "esign", "exp", "sep"],
+    "formats": [np.uint8, np.uint8, (np.uint16, 6), np.uint8, np.uint8,
+                np.uint16, np.uint8],
+    "offsets": [0, 1, 2, 14, 15, 16, 18],
+    "itemsize": _FIXED})
 
 
 def _fast_cells(v: np.ndarray, sep: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """``("%.12e" % v).encode() + sep`` as NUL-padded uint8 rows of ``_CELL``
-    bytes, right where the returned mask is True.
+    """``("%.12e" % abs(v)).encode() + sep`` as ``_CELL`` records, right where
+    the returned mask is True.
 
     With e = floor(log10|v|) in [-10, 34], q = |v| * 10**(12 - e) is one
     correctly rounded product (or quotient) by an exact power of ten, so
@@ -169,7 +184,9 @@ def _fast_cells(v: np.ndarray, sep: bytes) -> tuple[np.ndarray, np.ndarray]:
     is the exact value's correctly rounded 13 digits (1e13 carries into
     e + 1), whichever side of a power of ten a log10 off by one puts q.  Zero
     is digit 0 and exponent 0.  Near ties, subnormals, three-digit exponents
-    and non-finite values are left out of the mask.
+    and non-finite values are left out of the mask.  The 13 digits are the
+    lead digit and six pairs, each pair and the exponent written from
+    ``_PAIRS``; an exponent in [-10, 35] always has two digits.
     """
     a = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -177,8 +194,9 @@ def _fast_cells(v: np.ndarray, sep: bytes) -> tuple[np.ndarray, np.ndarray]:
         fast = (e >= -10) & (e <= 34)
         e = np.where(fast, e, 0.0).astype(np.int64)
         s = 12 - e
-        q = np.where(s >= 0, a * _POW10[np.maximum(s, 0)],
-                     a / _POW10[np.maximum(-s, 0)])
+        q = a * _POW10[np.maximum(s, 0)]
+        big = np.flatnonzero(s < 0)
+        q[big] = a[big] / _POW10[-s[big]]
         fast &= (q >= 1e12) & (q < 1e13) \
             & (np.abs(q - np.floor(q) - 0.5) > 2.0 ** -9)
         fast |= a == 0.0
@@ -186,37 +204,66 @@ def _fast_cells(v: np.ndarray, sep: bytes) -> tuple[np.ndarray, np.ndarray]:
     carry = r == 10 ** 13
     r[carry] = 10 ** 12
     e += carry
-    digits = np.empty((v.size, 13), np.uint8)
-    for col in range(12, -1, -1):  # scalar divisors: a divisor array is 4x slower
-        rest = r // 10
-        digits[:, col] = r - 10 * rest
+    cells = np.empty(v.size, _CELL)
+    pairs = cells["pairs"]
+    for col in range(5, -1, -1):  # scalar divisors: a divisor array is 4x slower
+        rest = r // 100
+        pairs[:, col] = _PAIRS[r - 100 * rest]
         r = rest
-    digits += ord("0")
-    cells = np.empty((v.size, _CELL), np.uint8)
-    cells[:, 0] = np.where(np.signbit(v), ord("-"), 0)
-    cells[:, 1] = digits[:, 0]
-    cells[:, 2] = ord(".")
-    cells[:, 3:15] = digits[:, 1:]
-    cells[:, 15] = ord("e")
-    cells[:, 16] = np.where(e < 0, ord("-"), ord("+"))
-    cells[:, 17] = np.abs(e) // 10 + ord("0")
-    cells[:, 18] = np.abs(e) % 10 + ord("0")
-    cells[:, 19] = ord(sep)
-    cells[:, 20] = 0
+    cells["lead"] = r + ord("0")
+    cells["dot"] = ord(".")
+    cells["e"] = ord("e")
+    cells["esign"] = (e < 0) * np.uint8(2) + ord("+")  # "-" is "+" + 2
+    cells["exp"] = _PAIRS[np.abs(e)]
+    cells["sep"] = ord(sep)
     return cells, fast
 
 
 def _cells(values, sep: bytes) -> np.ndarray:
-    """``("%.12e" % v).encode() + sep`` for each v, as NUL-padded V21 cells:
-    ``_fast_cells`` where it is exact, Python's own ``%`` elsewhere."""
+    """``("%.12e" % v).encode() + sep`` for each v: ``_fast_cells`` where it
+    is exact, Python's own ``%`` elsewhere.
+
+    The cells are ``V19`` when every one has that width (no sign bit, no
+    three-digit exponent, no ``nan`` or ``inf``), judged from the cells
+    themselves, else NUL-padded ``V21`` cells made by ``_padded``.
+    """
     v = np.asarray(values, dtype=float).ravel()
     cells, fast = _fast_cells(v, sep)
+    cells = cells.view(f"V{_FIXED}")
     slow = np.flatnonzero(~fast)
-    if slow.size:
-        cells[slow] = np.array(
-            [("%.12e" % vj).encode() + sep for vj in v[slow].tolist()],
-            dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
-    return cells.view(f"V{_CELL}").ravel()
+    texts = [("%.12e" % vj).encode() + sep for vj in v[slow].tolist()]
+    sign = np.signbit(v)
+    if sign.any() or any(len(text) != _FIXED for text in texts):
+        cells = _padded(cells, sign)
+    if texts:
+        width = cells.dtype.itemsize
+        cells[slow] = np.array(texts, f"S{width}").view(f"V{width}")
+    return cells
+
+
+def _padded(cells: np.ndarray, sign=False) -> np.ndarray:
+    """Fixed-width ``cells`` as NUL-padded ``V21`` cells, '-' first where
+    ``sign`` is True."""
+    out = np.zeros(cells.shape + (_PADDED,), np.uint8)
+    out[..., 0] = np.where(sign, ord("-"), 0)
+    out[..., 1:_FIXED + 1] = cells.view(np.uint8).reshape(
+        cells.shape + (_FIXED,))
+    return out.view(f"V{_PADDED}")[..., 0]
+
+
+def _one_width(*groups: np.ndarray) -> list[np.ndarray]:
+    """Cell arrays all fixed-width, or, if one is not, all padded."""
+    if all(g.dtype.itemsize == _FIXED for g in groups):
+        return list(groups)
+    return [g if g.dtype.itemsize == _PADDED else _padded(g) for g in groups]
+
+
+def _text(cells: np.ndarray) -> str:
+    """The text of an array of cells: its bytes, less the NUL padding of
+    padded cells."""
+    if cells.dtype.itemsize == _PADDED:
+        return cells.tobytes().translate(None, b"\0").decode("ascii")
+    return str(cells.view(np.uint8).data, "ascii")  # no copy to bytes
 
 
 def write_series_csv(result: SimulationResult, out=None) -> str | None:
@@ -225,11 +272,13 @@ def write_series_csv(result: SimulationResult, out=None) -> str | None:
     Numbers are written as ``"%.12e"``, 13 significant digits, so the file
     parses back losslessly to well within one unit in the 12th digit.  The
     text is built in blocks of whole snapshots (about ``_BLOCK_ROWS`` rows),
-    each formatted by ``_cells`` and written to the text stream ``out`` as it
-    is made; without ``out`` the whole text is returned.  The x cells are
-    formatted once per result and t once per snapshot; phi is formatted again
-    only when its bits differ from the previous snapshot's (so -0.0 after
-    0.0 is written as such).
+    each an array of ``_cells`` written to the text stream ``out`` as it is
+    made; without ``out`` the whole text is returned.  A block whose cells
+    are all fixed-width is written as it stands, any other padded and
+    without its NULs.  The x cells are formatted once per result and t once
+    per snapshot; phi is formatted again only when its array is not the
+    previous snapshot's and its bits differ (so -0.0 after 0.0 is written as
+    such).
     """
     if not result.snapshots:
         raise ValueError("result has no snapshots")
@@ -238,35 +287,42 @@ def write_series_csv(result: SimulationResult, out=None) -> str | None:
     write("t,x,u,phi\n")
     x = _cells(result.nodes, b",")
     per_block = max(1, _BLOCK_ROWS // x.size)
-    held = np.zeros((1, x.size), x.dtype)  # phi cells of the last snapshot
-    phi_bits = None
+    held = phi = phi_bits = None  # the last snapshot's phi cells, array, bits
     for start in range(0, len(result.snapshots), per_block):
         block = result.snapshots[start:start + per_block]
         fresh, which = [], []
         for snap in block:
-            bits = snap.potential.tobytes()
-            if bits != phi_bits:
-                phi_bits = bits
-                fresh.append(snap.potential)
+            if snap.potential is not phi:  # a run shares one array per phi
+                phi = snap.potential
+                bits = phi.tobytes()
+                if bits != phi_bits:
+                    phi_bits = bits
+                    fresh.append(phi)
             which.append(len(fresh))  # 0 is the held row
-        held = held[-1:]
+        # which the block keeps only if its first snapshot uses it
+        groups = [] if which[0] else [held[-1:]]
         if fresh:
-            held = np.concatenate((held, _cells(
-                np.concatenate(fresh), b"\n").reshape(len(fresh), x.size)))
-        rows = np.empty((len(block), x.size, 4), x.dtype)
-        rows[:, :, 0] = _cells([snap.time for snap in block], b",")[:, None]
-        rows[:, :, 1] = x
-        rows[:, :, 2] = _cells(np.concatenate(
-            [snap.temperature for snap in block]), b",").reshape(len(block), -1)
-        rows[:, :, 3] = held[which]
-        write(rows.tobytes().translate(None, b"\0").decode("ascii"))
+            groups.append(_cells(np.concatenate(fresh), b"\n")
+                          .reshape(len(fresh), x.size))
+        held = np.concatenate(_one_width(*groups))
+        t, xs, u, phis = _one_width(
+            _cells([snap.time for snap in block], b","), x,
+            _cells(np.concatenate([snap.temperature for snap in block]), b","),
+            held)
+        rows = np.empty((len(block), x.size, 4), t.dtype)
+        rows[:, :, 0] = t[:, None]
+        rows[:, :, 1] = xs
+        rows[:, :, 2] = u.reshape(len(block), -1)
+        rows[:, :, 3] = phis[np.subtract(which, which[0])]
+        write(_text(rows))
     return "".join(parts) if out is None else None
 
 
 def write_profile_csv(result: SimulationResult) -> str:
-    """Final profile: header ``x,u`` plus one row per node."""
-    return "x,u\n" + "".join(f"{xj:.12e},{uj:.12e}\n" for xj, uj in
-                             zip(result.nodes.tolist(), result.final_profile.tolist()))
+    """Final profile: header ``x,u`` plus one row per node, in ``_cells``."""
+    return "x,u\n" + _text(np.stack(_one_width(
+        _cells(result.nodes, b","), _cells(result.final_profile, b"\n")),
+        axis=1))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -161,6 +161,13 @@ def reference_series_csv(result) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_profile_csv(result) -> str:
+    """Row-by-row profile CSV writer; ``write_profile_csv`` must produce
+    exactly these bytes."""
+    return "x,u\n" + "".join(f"{xj:.12e},{uj:.12e}\n" for xj, uj in zip(
+        result.nodes.tolist(), result.final_profile.tolist()))
+
+
 def reference_coupled(config, mesh, model, potential=None, freeze=False):
     """``simulator._coupled`` as it was before a step held what it derives
     from sigma: every step solves the potential, builds the Joule source and

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import thermistor_fem as tf
-from helpers import reference_series_csv
+from helpers import reference_profile_csv, reference_series_csv
 from thermistor_fem import cli
 from thermistor_fem.cli import (parse_config, run_cli, write_profile_csv,
                                 write_series_csv)
@@ -246,6 +246,13 @@ PHI_A_NEG_ZERO = [0.0, 0.25, -0.0, 0.75, 1.0]
 PHI_A_ULP = [0.0, 0.25, np.nextafter(HALFWAY, 1.0), 0.75, 1.0]
 # subnormal, tiny, huge, negative zero and a 13-digit rounding carry
 EXTREMES = [5e-324, 1e-300, 1e300, -0.0, 0.99999999999995]
+# a late snapshot whose cells are wider than 19 bytes: negative values, and
+# non-negative ones with three-digit exponents (the second is written
+# 1.000000000000e+100 by its carry)
+U_NEG = [0.0, -0.1, 0.2, -0.3, 0.4]
+PHI_NEG = [0.0, -0.25, HALFWAY, -0.75, -1.0]
+U_WIDE = [0.0, 1e-100, 0.2, 0.3, 0.4]
+PHI_WIDE = [0.0, 0.25, 9.9999999999995e99, 0.75, 1.0]
 
 
 def first_difference(got: str, want: str):
@@ -271,6 +278,13 @@ WRITER_CASES = {
     "extremes": lambda: hand_built(NODES, [
         (t, np.roll(EXTREMES, i), np.roll(EXTREMES, -i))
         for i, t in enumerate(EXTREMES + [-t for t in EXTREMES])]),
+    # fixed-width snapshots, one wider, then its phi held and fixed-width again
+    "late-negative": lambda: hand_built(NODES, [
+        (0.0, U, PHI_A), (0.1, U, PHI_A), (0.2, U, PHI_B), (0.3, U, PHI_B),
+        (0.4, U_NEG, PHI_NEG), (0.5, U, PHI_NEG), (0.6, U, PHI_B)]),
+    "three-digit-exponent": lambda: hand_built(NODES, [
+        (0.0, U, PHI_A), (0.1, U, PHI_A), (0.2, U, PHI_B), (0.3, U, PHI_B),
+        (0.4, U_WIDE, PHI_WIDE), (0.5, U, PHI_WIDE), (0.6, U, PHI_B)]),
 }
 
 
@@ -279,6 +293,12 @@ def test_series_writer_matches_reference_writer(case):
     result = WRITER_CASES[case]()
     assert first_difference(write_series_csv(result),
                             reference_series_csv(result)) is None
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_profile_writer_matches_reference_writer(case):
+    result = WRITER_CASES[case]()
+    assert write_profile_csv(result) == reference_profile_csv(result)
 
 
 @pytest.mark.parametrize("case, phi_repeats", [("run", True),
@@ -298,7 +318,8 @@ def test_series_writer_matches_reference_on_runs(case, phi_repeats,
 @pytest.mark.parametrize("block_rows", [1, 10, 15, 35, 10 ** 6])
 def test_streamed_blocks_write_the_returned_text(block_rows, monkeypatch):
     # 1, 2, 3, 7 and all snapshots of 5 nodes per block: block edges fall
-    # before, inside and after runs of a repeated phi
+    # before, inside and after runs of a repeated phi, and between blocks of
+    # fixed-width and of padded cells
     for case, make in sorted(WRITER_CASES.items()):
         result = make()
         whole = write_series_csv(result)
@@ -307,6 +328,23 @@ def test_streamed_blocks_write_the_returned_text(block_rows, monkeypatch):
             patch.setattr(cli, "_BLOCK_ROWS", block_rows)
             assert write_series_csv(result, stream) is None
         assert stream.getvalue() == whole, case
+
+
+def test_fig1_series_is_written_in_fixed_width_cells(fig1_config, monkeypatch):
+    # every t, x, u and phi of fig1 is non-negative with a two-digit exponent,
+    # so no block is padded and scanned for NULs
+    result = tf.run(fig1_config)
+    assert len(result.snapshots) > 3 * cli._BLOCK_ROWS // result.nodes.size
+
+    def refuse(*args):
+        raise AssertionError("padded cells")
+    monkeypatch.setattr(cli, "_padded", refuse)
+    stream = io.StringIO()
+    write_series_csv(result, stream)
+    profile = write_profile_csv(result)
+    assert first_difference(stream.getvalue(),
+                            reference_series_csv(result)) is None
+    assert profile == reference_profile_csv(result)
 
 
 def test_cli_streams_the_same_bytes_to_stdout_and_to_out(fig1_cfg_path,

@@ -2,7 +2,9 @@
 
 ``cli._cells`` must give, for every double, the bytes of ``"%.12e" % v``
 followed by its separator; ``cli._fast_cells`` is its numpy path, which must
-leave near ties and values outside its exponent range to the fallback.
+leave near ties and values outside its exponent range to the fallback.  Every
+comparison formats its values twice (``formatted``), so that the 19-byte
+cells are checked on each value that has one.
 """
 
 import struct
@@ -15,14 +17,35 @@ from hypothesis import strategies as st
 from thermistor_fem import cli
 
 
-def formatted(values, sep=b",") -> list[str]:
-    """The text of each cell ``cli._cells`` makes, its NUL padding dropped."""
-    return [cell.tobytes().replace(b"\0", b"").decode("ascii")
-            for cell in cli._cells(np.array(values, dtype=float), sep)]
-
-
 def expected(values, sep=",") -> list[str]:
     return ["%.12e" % v + sep for v in np.array(values, dtype=float).tolist()]
+
+
+def texts(cells) -> list[str]:
+    return [cell.tobytes().replace(b"\0", b"").decode("ascii")
+            for cell in cells]
+
+
+def formatted(values, sep=b",") -> list[str]:
+    """The text of each cell ``cli._cells`` makes, its NUL padding dropped.
+
+    The values are also formatted split by the width of their cells: those
+    whose cell is 19 bytes (non-negative, two-digit exponent) in one call,
+    which must make fixed-width cells, and the rest in another, which must
+    make padded ones.  Both ways must give the same text.
+    """
+    v = np.array(values, dtype=float)
+    together = texts(cli._cells(v, sep))
+    fixed = np.array([len(text) == cli._FIXED
+                      for text in expected(v, sep.decode())], dtype=bool)
+    by_width = np.empty(v.size, dtype=object)
+    for group, width in ((fixed, cli._FIXED), (~fixed, cli._PADDED)):
+        if group.any():
+            cells = cli._cells(v[group], sep)
+            assert cells.dtype.itemsize == width
+            by_width[group] = texts(cells)
+    assert by_width.tolist() == together
+    return together
 
 
 def around(values) -> list[float]:
@@ -51,6 +74,9 @@ ties = exact_ties()
 powers = [float(f"1e{k}") for k in range(-12, 41)]
 carries = [float(f"9.9999999999995e{k}") for k in range(-12, 41)]
 extremes = [1e300, -1e300, 5e-324, -1e-300, 0.0, -0.0, 2.2250738585072014e-308]
+# three-digit exponents next to two-digit ones; the carry of
+# 9.9999999999995e99 makes it 1.000000000000e+100
+wide = [1e-100, 1e-99, 9.9999999999995e99, 1e100]
 
 
 def test_tie_values_are_ties():
@@ -61,8 +87,9 @@ def test_tie_values_are_ties():
 
 
 @pytest.mark.parametrize("values", [around(ties), around(powers),
-                                    around(carries), around(extremes)],
-                         ids=["ties", "powers", "carries", "extremes"])
+                                    around(carries), around(extremes),
+                                    around(wide)],
+                         ids=["ties", "powers", "carries", "extremes", "wide"])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_hand_picked_values_match_python(values, sign):
     values = [sign * v for v in values]
@@ -86,10 +113,11 @@ def test_fallback_is_taken_on_ties_and_outside_the_exponent_range():
 def test_carry_moves_into_the_next_exponent():
     assert formatted([9.99999999999996e4], b"\n") == ["1.000000000000e+05\n"]
     assert formatted([9.99999999999996e34]) == ["1.000000000000e+35,"]
+    assert formatted([9.9999999999995e99]) == ["1.000000000000e+100,"]
 
 
 def test_non_finite_values_fall_back_to_python():
-    values = [np.nan, np.inf, -np.inf]
+    values = [np.nan, np.inf, -np.inf, 1.0]
     assert formatted(values) == expected(values)
 
 
