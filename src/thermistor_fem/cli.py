@@ -2,11 +2,13 @@
 
 Machine-readable data goes to stdout or to files; human-readable messages go
 to stderr.  Both CSVs are formatted by numpy (``_cells``, byte-equal to
-``"%.12e"``) as arrays of 19-byte cells, or of NUL-padded ones where a value
-is negative or its exponent is not two digits.  The series is made a block of
-snapshots at a time and streamed to its file or to stdout as each block is
-made.  Exit codes: 0 success, 1 configuration error, 2 numerical failure, 3
-steady state not reached where required.
+``"%.12e"``) as arrays of 19-byte cells, or of cells NUL-padded at the front
+where a value is negative or its exponent is not two digits; every cell ends
+in its separator, and the last of a row becomes its newline.  The series is
+made a block of snapshots at a time, each block one ``_cells`` call, and
+streamed to its file or to stdout as each block is made.  Exit codes: 0
+success, 1 configuration error, 2 numerical failure, 3 steady state not
+reached where required, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_NOT_STEADY = 3
+_EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 
 def _choice(**tokens: str):
@@ -154,7 +157,7 @@ def _infer_model(values: dict) -> ModelSpec:
 # the cell of a non-negative finite value with a two-digit exponent and its
 # separator, "d.dddddddddddde+XX,"
 _FIXED = 19
-# any "%.12e" cell and its separator, NUL-padded; the widest is
+# any "%.12e" cell and its separator, NUL-padded at the front; the widest is
 # "-1.000000000000e-300,"
 _PADDED = 21
 # snapshots per series block hold about this many rows (at least one snapshot)
@@ -173,9 +176,9 @@ _CELL = np.dtype({
     "itemsize": _FIXED})
 
 
-def _fast_cells(v: np.ndarray, sep: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """``("%.12e" % abs(v)).encode() + sep`` as ``_CELL`` records, right where
-    the returned mask is True.
+def _fast_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``("%.12e" % abs(v)).encode() + b","`` as ``_CELL`` records, right
+    where the returned mask is True.
 
     With e = floor(log10|v|) in [-10, 34], q = |v| * 10**(12 - e) is one
     correctly rounded product (or quotient) by an exact power of ten, so
@@ -215,55 +218,53 @@ def _fast_cells(v: np.ndarray, sep: bytes) -> tuple[np.ndarray, np.ndarray]:
     cells["e"] = ord("e")
     cells["esign"] = (e < 0) * np.uint8(2) + ord("+")  # "-" is "+" + 2
     cells["exp"] = _PAIRS[np.abs(e)]
-    cells["sep"] = ord(sep)
+    cells["sep"] = ord(",")
     return cells, fast
 
 
-def _cells(values, sep: bytes) -> np.ndarray:
-    """``("%.12e" % v).encode() + sep`` for each v: ``_fast_cells`` where it
+def _cells(values) -> np.ndarray:
+    """``("%.12e" % v).encode() + b","`` for each v: ``_fast_cells`` where it
     is exact, Python's own ``%`` elsewhere.
 
     The cells are ``V19`` when every one has that width (no sign bit, no
     three-digit exponent, no ``nan`` or ``inf``), judged from the cells
-    themselves, else NUL-padded ``V21`` cells made by ``_padded``.
+    themselves, else ``V21`` cells NUL-padded at the front by ``_padded``.
+    Either way each cell's separator is its last byte.
     """
     v = np.asarray(values, dtype=float).ravel()
-    cells, fast = _fast_cells(v, sep)
+    cells, fast = _fast_cells(v)
     cells = cells.view(f"V{_FIXED}")
     slow = np.flatnonzero(~fast)
-    texts = [("%.12e" % vj).encode() + sep for vj in v[slow].tolist()]
+    texts = [("%.12e," % vj).encode() for vj in v[slow].tolist()]
     sign = np.signbit(v)
     if sign.any() or any(len(text) != _FIXED for text in texts):
         cells = _padded(cells, sign)
     if texts:
         width = cells.dtype.itemsize
-        cells[slow] = np.array(texts, f"S{width}").view(f"V{width}")
+        cells[slow] = np.array([text.rjust(width, b"\0") for text in texts],
+                               f"S{width}").view(f"V{width}")
     return cells
 
 
-def _padded(cells: np.ndarray, sign=False) -> np.ndarray:
-    """Fixed-width ``cells`` as NUL-padded ``V21`` cells, '-' first where
-    ``sign`` is True."""
-    out = np.zeros(cells.shape + (_PADDED,), np.uint8)
-    out[..., 0] = np.where(sign, ord("-"), 0)
-    out[..., 1:_FIXED + 1] = cells.view(np.uint8).reshape(
-        cells.shape + (_FIXED,))
-    return out.view(f"V{_PADDED}")[..., 0]
+def _padded(cells: np.ndarray, sign) -> np.ndarray:
+    """Fixed-width ``cells`` as ``V21`` cells NUL-padded at the front, '-'
+    just before the cell where ``sign`` is True."""
+    out = np.zeros((cells.size, _PADDED), np.uint8)
+    out[:, -_FIXED - 1] = np.where(sign, ord("-"), 0)
+    out[:, -_FIXED:] = cells.view(np.uint8).reshape(-1, _FIXED)
+    return out.view(f"V{_PADDED}").ravel()
 
 
-def _one_width(*groups: np.ndarray) -> list[np.ndarray]:
-    """Cell arrays all fixed-width, or, if one is not, all padded."""
-    if all(g.dtype.itemsize == _FIXED for g in groups):
-        return list(groups)
-    return [g if g.dtype.itemsize == _PADDED else _padded(g) for g in groups]
-
-
-def _text(cells: np.ndarray) -> str:
-    """The text of an array of cells: its bytes, less the NUL padding of
-    padded cells."""
-    if cells.dtype.itemsize == _PADDED:
-        return cells.tobytes().translate(None, b"\0").decode("ascii")
-    return str(cells.view(np.uint8).data, "ascii")  # no copy to bytes
+def _text(rows: np.ndarray) -> str:
+    """The text of an array of rows of cells (its last axis is a row): each
+    row's last separator made a newline, the NUL padding of padded cells
+    dropped."""
+    width = rows.dtype.itemsize
+    data = rows.view(np.uint8).reshape(-1, rows.shape[-1] * width)
+    data[:, -1] = ord("\n")
+    if width == _PADDED:
+        return data.tobytes().translate(None, b"\0").decode("ascii")
+    return str(data.data, "ascii")  # no copy to bytes
 
 
 def write_series_csv(result: SimulationResult, out=None) -> str | None:
@@ -272,57 +273,45 @@ def write_series_csv(result: SimulationResult, out=None) -> str | None:
     Numbers are written as ``"%.12e"``, 13 significant digits, so the file
     parses back losslessly to well within one unit in the 12th digit.  The
     text is built in blocks of whole snapshots (about ``_BLOCK_ROWS`` rows),
-    each an array of ``_cells`` written to the text stream ``out`` as it is
-    made; without ``out`` the whole text is returned.  A block whose cells
-    are all fixed-width is written as it stands, any other padded and
-    without its NULs.  The x cells are formatted once per result and t once
-    per snapshot; phi is formatted again only when its array is not the
-    previous snapshot's and its bits differ (so -0.0 after 0.0 is written as
-    such).
+    each written to the text stream ``out`` as it is made; without ``out``
+    the whole text is returned.  A block is one ``_cells`` call on its
+    times, the nodes, its temperatures and each of its potential arrays
+    once (a run shares one array per potential), so one call decides the
+    width of all its cells; its rows are filled from slices of that array.
+    Nothing is carried from one block to the next.
     """
     if not result.snapshots:
         raise ValueError("result has no snapshots")
     parts: list[str] = []
     write = parts.append if out is None else out.write
     write("t,x,u,phi\n")
-    x = _cells(result.nodes, b",")
-    per_block = max(1, _BLOCK_ROWS // x.size)
-    held = phi = phi_bits = None  # the last snapshot's phi cells, array, bits
+    n = result.nodes.size
+    per_block = max(1, _BLOCK_ROWS // n)
     for start in range(0, len(result.snapshots), per_block):
         block = result.snapshots[start:start + per_block]
-        fresh, which = [], []
-        for snap in block:
-            if snap.potential is not phi:  # a run shares one array per phi
-                phi = snap.potential
-                bits = phi.tobytes()
-                if bits != phi_bits:
-                    phi_bits = bits
-                    fresh.append(phi)
-            which.append(len(fresh))  # 0 is the held row
-        # which the block keeps only if its first snapshot uses it
-        groups = [] if which[0] else [held[-1:]]
-        if fresh:
-            groups.append(_cells(np.concatenate(fresh), b"\n")
-                          .reshape(len(fresh), x.size))
-        held = np.concatenate(_one_width(*groups))
-        t, xs, u, phis = _one_width(
-            _cells([snap.time for snap in block], b","), x,
-            _cells(np.concatenate([snap.temperature for snap in block]), b","),
-            held)
-        rows = np.empty((len(block), x.size, 4), t.dtype)
+        count = len(block)
+        # each potential array once, by identity; which[i] is snapshot i's
+        phis = {id(snap.potential): snap.potential for snap in block}
+        rank = {key: k for k, key in enumerate(phis)}
+        which = [rank[id(snap.potential)] for snap in block]
+        cells = _cells(np.concatenate(
+            [[snap.time for snap in block], result.nodes,
+             *(snap.temperature for snap in block), *phis.values()]))
+        t, x, u, phi = np.split(cells, [count, count + n,
+                                        count + n + count * n])
+        rows = np.empty((count, n, 4), cells.dtype)
         rows[:, :, 0] = t[:, None]
-        rows[:, :, 1] = xs
-        rows[:, :, 2] = u.reshape(len(block), -1)
-        rows[:, :, 3] = phis[np.subtract(which, which[0])]
+        rows[:, :, 1] = x
+        rows[:, :, 2] = u.reshape(count, n)
+        rows[:, :, 3] = phi.reshape(-1, n)[which]
         write(_text(rows))
     return "".join(parts) if out is None else None
 
 
 def write_profile_csv(result: SimulationResult) -> str:
     """Final profile: header ``x,u`` plus one row per node, in ``_cells``."""
-    return "x,u\n" + _text(np.stack(_one_width(
-        _cells(result.nodes, b","), _cells(result.final_profile, b"\n")),
-        axis=1))
+    return "x,u\n" + _text(_cells(np.stack(
+        (result.nodes, result.final_profile), axis=1)).reshape(-1, 2))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -446,6 +435,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         warnings.simplefilter("always", UserWarning)
         try:
             code = args.handler(args)
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+        except BrokenPipeError:  # stdout's reader has gone: stop writing
+            code = _EXIT_BROKEN_PIPE
         except ConfigurationError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             code = EXIT_CONFIG
@@ -462,4 +454,9 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    code = run_cli()
+    if code == _EXIT_BROKEN_PIPE:
+        # what stdout still buffers goes nowhere, so the flush at exit
+        # raises nothing and prints no "Exception ignored"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -9,7 +9,8 @@ holds the factors, the package's only held factorisation.  A step's
 right-hand side is the mass rows times alpha^n, ``TemperatureOperator.mass``,
 plus a source; the run's stepper builds the Joule source only when
 sigma(alpha^n) changes and solves with ``TemperatureOperator.advance``.
-``rhs`` and ``solve_temperature`` build the source afresh, for one step.
+``assemble_temperature`` and ``solve_temperature`` build the source afresh,
+for one step.
 The reduced benchmark scheme (``run_reduced``) is the paper_literal step at
 k = 1 with the uniform source gamma*tau*h in place of the Joule source.
 
@@ -134,7 +135,7 @@ def assemble_temperature(state: TemperatureState, mu: np.ndarray,
     """Assemble one backward-Euler step; see the module docstring for the rows."""
     op = TemperatureOperator(mesh, model, tau, beta, variant)
     return op.matrix.with_rhs(
-        op.rhs(state.alpha, eval_sigma(model, state.alpha), mu))
+        op._rhs(state.alpha, op.source(eval_sigma(model, state.alpha), mu)))
 
 
 class TemperatureOperator:
@@ -196,11 +197,6 @@ class TemperatureOperator:
         """The Joule source of ``sigma`` and ``mu`` in this step's rows."""
         return joule_source_vector(sigma, mu, self.mesh, self.model,
                                    self.tau, self.variant)
-
-    def rhs(self, alpha: np.ndarray, sigma: np.ndarray,
-            mu: np.ndarray) -> np.ndarray:
-        """Mass times alpha^n plus the Joule source of ``sigma`` and ``mu``."""
-        return self._rhs(alpha, self.source(sigma, mu))
 
     # an overflow shows as a non-finite rhs, which advance reports
     @np.errstate(over="ignore", invalid="ignore")

@@ -2,8 +2,12 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +274,19 @@ def phi_sequence(*phis):
     return hand_built(NODES, [(0.1 * i, U, phi) for i, phi in enumerate(phis)])
 
 
+def shared_phi() -> tf.SimulationResult:
+    """Runs of snapshots holding one phi array object, as a run hands them
+    out; the fifth snapshot has negative u and starts a run of negative phi,
+    so its blocks are padded and their neighbours fixed-width."""
+    a, b, neg = (np.array(phi, dtype=float) for phi in (PHI_A, PHI_B, PHI_NEG))
+    result = hand_built(NODES, [(0.1 * i, U_NEG if i == 4 else U, PHI_A)
+                                for i in range(10)])
+    phis = (a, a, a, a, neg, neg, neg, a, a, b)
+    return dataclasses.replace(result, snapshots=[
+        snap._replace(potential=phi)
+        for snap, phi in zip(result.snapshots, phis)])
+
+
 WRITER_CASES = {
     "a-b-a": lambda: phi_sequence(PHI_A, PHI_A, PHI_B, PHI_B, PHI_A, PHI_A),
     "signed-zero": lambda: phi_sequence(PHI_A_ZERO, PHI_A_ZERO, PHI_A_NEG_ZERO,
@@ -285,6 +302,7 @@ WRITER_CASES = {
     "three-digit-exponent": lambda: hand_built(NODES, [
         (0.0, U, PHI_A), (0.1, U, PHI_A), (0.2, U, PHI_B), (0.3, U, PHI_B),
         (0.4, U_WIDE, PHI_WIDE), (0.5, U, PHI_WIDE), (0.6, U, PHI_B)]),
+    "shared-object": shared_phi,
 }
 
 
@@ -318,8 +336,8 @@ def test_series_writer_matches_reference_on_runs(case, phi_repeats,
 @pytest.mark.parametrize("block_rows", [1, 10, 15, 35, 10 ** 6])
 def test_streamed_blocks_write_the_returned_text(block_rows, monkeypatch):
     # 1, 2, 3, 7 and all snapshots of 5 nodes per block: block edges fall
-    # before, inside and after runs of a repeated phi, and between blocks of
-    # fixed-width and of padded cells
+    # before, inside and after runs of a repeated phi (one array object or
+    # equal copies), and between blocks of fixed-width and of padded cells
     for case, make in sorted(WRITER_CASES.items()):
         result = make()
         whole = write_series_csv(result)
@@ -347,6 +365,27 @@ def test_fig1_series_is_written_in_fixed_width_cells(fig1_config, monkeypatch):
     assert profile == reference_profile_csv(result)
 
 
+def test_each_series_block_is_one_cells_call(fig1_config, monkeypatch):
+    # a block's t, x, u and phi cells come from one call, which decides
+    # their width; the profile is one call too
+    result = tf.run(fig1_config)
+    per_block = cli._BLOCK_ROWS // result.nodes.size
+    blocks = -(-len(result.snapshots) // per_block)
+    assert blocks >= 4
+    calls = []
+    cells = cli._cells
+
+    def counted(*args):
+        calls.append(args)
+        return cells(*args)
+    monkeypatch.setattr(cli, "_cells", counted)
+    write_series_csv(result, io.StringIO())
+    assert len(calls) == blocks
+    calls.clear()
+    write_profile_csv(result)
+    assert len(calls) == 1
+
+
 def test_cli_streams_the_same_bytes_to_stdout_and_to_out(fig1_cfg_path,
                                                          tmp_path,
                                                          capsysbinary):
@@ -368,6 +407,44 @@ def test_cli_out_naming_a_directory_exits_1(fig1_cfg_path, tmp_path, capsys):
     assert captured.err.startswith(f"configuration error: cannot write {folder}")
     assert len(captured.err.splitlines()) == 1
     assert not prof.exists()
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_cli_closed_stdout_exits_141_quietly(fig1_cfg_path, monkeypatch,
+                                             capsys):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert run_cli(["run", "--config", str(fig1_cfg_path)]) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_main_exits_141_when_its_pipe_closes(fig1_cfg_path, tmp_path):
+    # a 4 MB series against a 64 kB pipe: the writer is still writing when
+    # the reader closes after the first line, as `| head -1` does
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(fig1_cfg_path.read_text()
+                   .replace("record_every = 10", "record_every = 1")
+                   .replace("steady_tol = 1e-8", "steady_tol = 1e-10"))
+    assert "record_every = 1\n" in cfg.read_text()
+    src = str(Path(tf.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from thermistor_fem.cli import main; main()",
+         "run", "--config", str(cfg)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.readline() == b"t,x,u,phi\n"
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 141
+    assert err == b""  # no traceback, no "Exception ignored" at exit
 
 
 @pytest.mark.parametrize("line", ["beta = inf", "tau = nan", "steady_tol = nan",

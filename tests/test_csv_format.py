@@ -1,8 +1,8 @@
 """The series CSV's vectorised ``%.12e`` formatter against Python's own ``%``.
 
 ``cli._cells`` must give, for every double, the bytes of ``"%.12e" % v``
-followed by its separator; ``cli._fast_cells`` is its numpy path, which must
-leave near ties and values outside its exponent range to the fallback.  Every
+followed by its separator ``,``; ``cli._fast_cells`` is its numpy path, which
+must leave near ties and values outside its exponent range to the fallback.  Every
 comparison formats its values twice (``formatted``), so that the 19-byte
 cells are checked on each value that has one.
 """
@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from thermistor_fem import cli
 
 
-def expected(values, sep=",") -> list[str]:
-    return ["%.12e" % v + sep for v in np.array(values, dtype=float).tolist()]
+def expected(values) -> list[str]:
+    return ["%.12e," % v for v in np.array(values, dtype=float).tolist()]
 
 
 def texts(cells) -> list[str]:
@@ -26,7 +26,7 @@ def texts(cells) -> list[str]:
             for cell in cells]
 
 
-def formatted(values, sep=b",") -> list[str]:
+def formatted(values) -> list[str]:
     """The text of each cell ``cli._cells`` makes, its NUL padding dropped.
 
     The values are also formatted split by the width of their cells: those
@@ -35,13 +35,13 @@ def formatted(values, sep=b",") -> list[str]:
     make padded ones.  Both ways must give the same text.
     """
     v = np.array(values, dtype=float)
-    together = texts(cli._cells(v, sep))
+    together = texts(cli._cells(v))
     fixed = np.array([len(text) == cli._FIXED
-                      for text in expected(v, sep.decode())], dtype=bool)
+                      for text in expected(v)], dtype=bool)
     by_width = np.empty(v.size, dtype=object)
     for group, width in ((fixed, cli._FIXED), (~fixed, cli._PADDED)):
         if group.any():
-            cells = cli._cells(v[group], sep)
+            cells = cli._cells(v[group])
             assert cells.dtype.itemsize == width
             by_width[group] = texts(cells)
     assert by_width.tolist() == together
@@ -98,20 +98,20 @@ def test_hand_picked_values_match_python(values, sign):
 
 def test_fallback_is_taken_on_ties_and_outside_the_exponent_range():
     v = np.array(ties + [-t for t in ties])
-    _, fast = cli._fast_cells(v, b",")
+    _, fast = cli._fast_cells(v)
     assert not fast.any()
-    _, fast = cli._fast_cells(np.array([1e-11, 1e35, 1e300, 5e-324]), b",")
+    _, fast = cli._fast_cells(np.array([1e-11, 1e35, 1e300, 5e-324]))
     assert not fast.any()
     # everyday values take the numpy path, zeros of both signs included
     v = np.array([0.0, -0.0, 0.2625, 1.0, 0.1, 1e-10, 9.5e34, -3.25])
-    _, fast = cli._fast_cells(v, b",")
+    _, fast = cli._fast_cells(v)
     assert fast.all()
     grid = np.linspace(-2.0, 2.0, 10001)
-    assert cli._fast_cells(grid, b",")[1].mean() > 0.99
+    assert cli._fast_cells(grid)[1].mean() > 0.99
 
 
 def test_carry_moves_into_the_next_exponent():
-    assert formatted([9.99999999999996e4], b"\n") == ["1.000000000000e+05\n"]
+    assert formatted([9.99999999999996e4]) == ["1.000000000000e+05,"]
     assert formatted([9.99999999999996e34]) == ["1.000000000000e+35,"]
     assert formatted([9.9999999999995e99]) == ["1.000000000000e+100,"]
 
@@ -137,7 +137,7 @@ def test_every_finite_double_matches_python(values):
                 .filter(np.isfinite), min_size=1, max_size=64))
 def test_uniform_bit_patterns_match_python(values):
     # every exponent equally likely, where st.floats favours special values
-    assert formatted(values, b"\n") == expected(values, "\n")
+    assert formatted(values) == expected(values)
 
 
 @settings(max_examples=300, deadline=None)
