@@ -460,3 +460,7 @@ def main() -> None:
         # raises nothing and prints no "Exception ignored"
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
+
+
+if __name__ == "__main__":  # python -m thermistor_fem.cli
+    main()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -19,23 +20,32 @@ class CoefficientModel:
 
     ``k`` is the thermal conductivity, a constant: only the electrical
     conductivity depends on temperature.  It must be positive and finite,
-    which is checked once, here.  ``electrical_conductivity`` maps
-    temperature to sigma(u) >= 0 and must broadcast over numpy arrays.
-    ``sigma_is_zero`` marks models with literally no electrical conduction,
-    which the driver uses to skip the (singular) potential solve.
+    which is checked once, here.  ``electrical_conductivity`` is either a
+    callable that maps temperature to sigma(u) >= 0 and broadcasts over
+    numpy arrays, or a number, the sigma of every temperature.  A number
+    must be >= 0 and finite, which is checked here and kept as a float; a
+    run evaluates it once and holds the potential it gives for every step.
     """
 
     k: float
-    electrical_conductivity: Callable
+    electrical_conductivity: Callable | float
     flux_left: float
     flux_right: float
-    sigma_is_zero: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.k) and self.k > 0.0):
             raise ModelError(
                 f"thermal conductivity k must be positive and finite, "
                 f"got {self.k!r}")
+        sigma = self.electrical_conductivity
+        if callable(sigma):
+            return
+        if not (isinstance(sigma, numbers.Real) and math.isfinite(sigma)
+                and sigma >= 0.0):
+            raise ModelError(
+                "electrical conductivity must be a callable or a number "
+                f">= 0 and finite, got {sigma!r}")
+        object.__setattr__(self, "electrical_conductivity", float(sigma))
 
 
 def eval_k(model: CoefficientModel, u):
@@ -44,12 +54,18 @@ def eval_k(model: CoefficientModel, u):
 
 
 def eval_sigma(model: CoefficientModel, u):
-    """Electrical conductivity at u; rejects negative or non-finite values.
+    """Electrical conductivity at u, shaped like u.
 
-    min >= 0 and max < inf hold exactly when every value is finite and
-    >= 0: a NaN makes both reductions NaN, and -0.0 passes as 0.0 does.
+    A numeric sigma is returned as it is, or filled into an array of u's
+    shape.  A callable's values are checked: they must be >= 0 and finite,
+    or a ModelError names the first that is not.  min >= 0 and max < inf
+    hold exactly when every value is finite and >= 0: a NaN makes both
+    reductions NaN, and -0.0 passes as 0.0 does.
     """
-    arr = np.asarray(model.electrical_conductivity(u), dtype=float)
+    sigma = model.electrical_conductivity
+    if not callable(sigma):
+        return sigma if np.ndim(u) == 0 else np.full(np.shape(u), sigma)
+    arr = np.asarray(sigma(u), dtype=float)
     if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
         bad = np.flatnonzero(~((arr >= 0.0) & np.isfinite(arr)))
         first = int(bad[0])
@@ -81,6 +97,8 @@ class ModelSpec:
       paper_example   k = 1,  sigma(u) = gamma   (constant-coefficient benchmark)
       rational_sigma  k = k0, sigma(u) = sigma0 / (1 + lambda*u)^2, and a u
                       at or past its pole 1 + lambda*u = 0 is a ModelError
+    ``build`` gives the two constant kinds their sigma as a number, sigma0
+    or gamma, and rational_sigma a callable.
     """
 
     kind: str
@@ -119,18 +137,13 @@ class ModelSpec:
     def build(self, flux_left: float, flux_right: float) -> CoefficientModel:
         p = self.parameters
         if self.kind == "constant":
-            k, s0 = float(p["k0"]), float(p["sigma0"])
-            s_fn = _const_fn(s0)
-            zero = s0 == 0.0
+            k, sigma = float(p["k0"]), float(p["sigma0"])
         elif self.kind == "paper_example":
-            gamma = float(p["gamma"])
-            k = 1.0
-            s_fn = _const_fn(gamma)
-            zero = gamma == 0.0
+            k, sigma = 1.0, float(p["gamma"])
         else:  # rational_sigma
             k, s0, lam = float(p["k0"]), float(p["sigma0"]), float(p["lambda"])
 
-            def s_fn(u, _s0=s0, _lam=lam):
+            def sigma(u, _s0=s0, _lam=lam):
                 u = np.asarray(u, dtype=float)
                 den = 1.0 + _lam * u
                 # past the pole den = 0, den^2 grows again and a run across it
@@ -146,18 +159,9 @@ class ModelSpec:
                 with np.errstate(over="ignore"):
                     return _s0 / (den * den)
 
-            zero = s0 == 0.0
         return CoefficientModel(
             k=k,
-            electrical_conductivity=s_fn,
+            electrical_conductivity=sigma,
             flux_left=float(flux_left),
             flux_right=float(flux_right),
-            sigma_is_zero=zero,
         )
-
-
-def _const_fn(value: float) -> Callable:
-    def fn(u, _v=float(value)):
-        return np.full_like(np.asarray(u, dtype=float), _v)
-
-    return fn

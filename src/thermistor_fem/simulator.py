@@ -18,7 +18,8 @@ import numpy as np
 
 from . import temperature as temp
 from .coefficients import CoefficientModel, ModelSpec, eval_sigma
-from .errors import ConfigurationError, NotSteadyError, StepFailure
+from .errors import (ConfigurationError, NotSteadyError, SingularSystemError,
+                     StepFailure)
 from .mesh import Mesh, build_mesh
 from .potential import (CORRECTED, PAPER_LITERAL, SchemeVariant,
                         check_current_compatibility, solve_potential)
@@ -114,8 +115,9 @@ def step(state: temp.TemperatureState, config: SimulationConfig,
          ) -> tuple[temp.TemperatureState, np.ndarray]:
     """One decoupled step: potential from alpha^n, then temperature advance.
 
-    Returns the new state and the nodal potential mu_0..mu_N it used.  A
-    bad state is refused as in run(); failures carry the step index.  Each
+    Returns the new state and the nodal potential mu_0..mu_N it used; a
+    sigma zero at every node gives the zero potential, as in run().  A bad
+    state is refused as in run(); failures carry the step index.  Each
     call builds and factors the temperature rows anew: 0.8 ms per call
     against 0.12 ms per step inside run, for rational_sigma at N = 1000 on a
     2-CPU host.  Advance a state through many steps with run.
@@ -142,50 +144,66 @@ def _check_state(state: temp.TemperatureState, mesh: Mesh) -> None:
 
 
 def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel,
-             potential: np.ndarray | None = None, freeze: bool = False):
+             freeze: bool = False):
     """A run's coupled stepper, for ``_march``, holding the temperature
     operator, which holds its factors, and what a step derives from sigma.
 
-    Each step evaluates sigma at alpha^n once, and the paper_literal
-    potential also sigma at the left temperature ghost.  The potential, its
-    residual record, the Joule source and the compatibility residual depend
-    on these values alone, so they are rebuilt only when a bit of them
-    changes: the key is sigma's bytes and the ghost's hex form, which keep
-    -0.0 apart from 0.0.  A step that finds them held appends the held
-    potential residual to the sink, as a new solve would.  ``potential``
-    replaces the potential solve; ``freeze`` keeps the first potential
-    solved, whose residual is recorded once.
+    The potential, its residual record, the Joule source and the
+    compatibility residual depend on sigma at alpha^n alone, and the
+    paper_literal potential also on sigma at the left temperature ghost.
+    A numeric sigma is evaluated once, here, and they are held for the
+    whole run.  A callable sigma is evaluated at each step's alpha^n, and
+    they are rebuilt only when a bit of it changes: the key is sigma's
+    bytes and the ghost's hex form, which keep -0.0 apart from 0.0.  Each
+    step appends the held potential residual to the sink, as a new solve
+    would.  A sigma zero at every node conducts no current, so its singular
+    potential system gives the zero potential.  ``freeze`` keeps the first
+    potential, whose residual is recorded on the first step only.
     """
     operator = temp.TemperatureOperator(mesh, model, config.tau, config.beta,
                                         config.variant)
     literal = config.variant.stiffness == "paper_literal"
-    key = mu = record = source = compatibility = None
+    varying = callable(model.electrical_conductivity)
+    potential = key = mu = record = source = compatibility = None
 
-    def advance(state, residual_sink):
+    def hold(alpha):
         nonlocal potential, key, mu, record, source, compatibility
-        sigma = eval_sigma(model, state.alpha)
+        sigma = eval_sigma(model, alpha)
         step_key = sigma.tobytes()
         ghost = None
         if literal and potential is None:
             # only the literal potential reads sigma at the temperature ghost
             ghost = eval_sigma(model, temp.ghost_temp_left(
-                float(state.alpha[1]), float(state.alpha[0]), model.k,
-                mesh.h, config.beta))
+                float(alpha[1]), float(alpha[0]), model.k, mesh.h,
+                config.beta)) if varying else model.electrical_conductivity
             step_key = (step_key, ghost.hex())
         if step_key != key:
-            mu, record, source = potential, [], None
+            mu, record = potential, []
             if mu is None:
-                mu = solve_potential(sigma, mesh, model, config.variant,
-                                     sigma_ghost_left=ghost,
-                                     residual_sink=record)
+                try:
+                    mu = solve_potential(sigma, mesh, model, config.variant,
+                                         sigma_ghost_left=ghost,
+                                         residual_sink=record)
+                except SingularSystemError:
+                    if sigma.any():
+                        raise
+                    mu = np.zeros(mesh.n_nodes)  # no conduction, no current
+                if freeze:
+                    potential = mu
+            source = operator.source(sigma, mu)
             compatibility = check_current_compatibility(sigma, model)
             key = step_key
-            if freeze and potential is None:
-                # the next step solves no potential, so it records none
-                potential, key = mu, None
+
+    if not varying:
+        hold(np.zeros(mesh.n_nodes))  # any temperature gives the number
+
+    def advance(state, residual_sink):
+        nonlocal record
+        if varying:
+            hold(state.alpha)
         residual_sink += record
-        if source is None:
-            source = operator.source(sigma, mu)
+        if potential is not None:
+            record = []  # a frozen potential is solved, and recorded, once
         return (operator.advance(state.alpha, source, residual_sink), mu,
                 compatibility)
 
@@ -258,20 +276,18 @@ def run(config: SimulationConfig,
 
     Snapshots are recorded at t = 0, every ``record_every`` steps, and at the
     final state.  An initial state that does not fit the mesh or is not
-    finite is a ConfigurationError.  Models with no electrical conduction
-    skip the (singular) potential solve; their source is identically zero.
-    A UserWarning reports boundary currents that disagree
+    finite is a ConfigurationError.  A sigma that is zero at every node
+    gives the zero potential, with no (singular) potential solve, and a
+    zero source.  A UserWarning reports boundary currents that disagree
     (check_current_compatibility above COMPATIBILITY_WARN_THRESHOLD at some step).
     """
     mesh = config.build_mesh()
     model = config.build_model()
     state = initial_state or temp.initial_temperature(mesh)
     _check_state(state, mesh)
-    # without conduction the potential is zero and never solved for
-    zero = np.zeros(mesh.n_nodes) if model.sigma_is_zero else None
     result = _march(config, mesh, lambda: _coupled(
-        config, mesh, model, potential=zero,
-        freeze=config.freeze_potential_after_first_step), state)
+        config, mesh, model, freeze=config.freeze_potential_after_first_step),
+        state)
     worst = max(map(abs, result.diagnostics.compatibility_residuals),
                 default=0.0)
     if worst > COMPATIBILITY_WARN_THRESHOLD:

@@ -32,13 +32,20 @@ def count_factorisations(monkeypatch) -> list:
 
 
 def wrap_sigma(monkeypatch, wrap):
-    """Build every model with its sigma callable passed through ``wrap``."""
+    """Build every model with its sigma callable passed through ``wrap``.
+
+    A numeric sigma is first turned into the constant callable it stands
+    for, so the run evaluates it at every step as it would a varying one.
+    """
     build = ModelSpec.build
 
     def wrapped(spec, flux_left, flux_right):
         model = build(spec, flux_left, flux_right)
-        return dataclasses.replace(
-            model, electrical_conductivity=wrap(model.electrical_conductivity))
+        sigma = model.electrical_conductivity
+        if not callable(sigma):
+            def sigma(u, _v=sigma):
+                return np.full_like(np.asarray(u, dtype=float), _v)
+        return dataclasses.replace(model, electrical_conductivity=wrap(sigma))
 
     monkeypatch.setattr(ModelSpec, "build", wrapped)
 
@@ -168,21 +175,25 @@ def reference_profile_csv(result) -> str:
         result.nodes.tolist(), result.final_profile.tolist()))
 
 
-def reference_coupled(config, mesh, model, potential=None, freeze=False):
+def reference_coupled(config, mesh, model, freeze=False):
     """``simulator._coupled`` as it was before a step held what it derives
-    from sigma: every step solves the potential, builds the Joule source and
-    takes the compatibility residual anew.  A run through the held stepper
+    from sigma: every step evaluates sigma, solves the potential, builds the
+    Joule source and takes the compatibility residual anew.  A sigma zero at
+    every node gives the zero potential.  A run through the held stepper
     must record exactly what a run through this one records.
     """
     operator = temp.TemperatureOperator(mesh, model, config.tau, config.beta,
                                         config.variant)
     literal = config.variant.stiffness == "paper_literal"
+    potential = None
 
     def advance(state, residual_sink):
         nonlocal potential
         sigma = eval_sigma(model, state.alpha)
         mu = potential
-        if mu is None:
+        if mu is None and not sigma.any():
+            mu = np.zeros(mesh.n_nodes)
+        elif mu is None:
             # only the literal potential reads sigma at the temperature ghost
             ghost = eval_sigma(model, temp.ghost_temp_left(
                 float(state.alpha[1]), float(state.alpha[0]), model.k,

@@ -717,6 +717,37 @@ def test_cli_check_potential_literal_scheme(tmp_path, capsys):
     assert deviation > 0.01
 
 
+@pytest.mark.parametrize("scheme", ["corrected", "paper"])
+@pytest.mark.parametrize("model", ["k0 = 1\nsigma0 = 0", "gamma = 0"])
+def test_cli_check_potential_zero_conductivity(model, scheme, fig1_cfg_path,
+                                               tmp_path, capsys):
+    # no conduction: run's potential is phi = 0, and so is check-potential's
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(fig1_cfg_path.read_text().replace("gamma = 0.1", model)
+                   .replace("scheme = corrected", f"scheme = {scheme}"))
+    assert run_cli(["check-potential", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == f"{0.0:.12e},{0.0:.12e}"
+    assert run_cli(["run", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("module", ["thermistor_fem", "thermistor_fem.cli"])
+def test_python_dash_m_runs_the_cli(module, fig1_cfg_path, tmp_path):
+    src = str(Path(tf.__file__).resolve().parent.parent)
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", module, *args],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+
+    ok = cli("check-potential", "--config", str(fig1_cfg_path))
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.startswith("max_deviation_from_linear,")
+    missing = cli("check-potential", "--config", str(tmp_path / "none.cfg"))
+    assert missing.returncode == 1
+    assert missing.stderr.startswith("configuration error:")
+
+
 def test_cli_usage_error_maps_to_config_exit(capsys):
     assert run_cli(["run"]) == 1  # --config is required
     assert run_cli(["--help"]) == 0

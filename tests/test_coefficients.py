@@ -199,10 +199,50 @@ def test_rational_sigma_refuses_a_state_at_or_past_its_pole():
         tf.eval_sigma(model, np.array([0.0, np.nan]))
 
 
-def test_sigma_is_zero_flag():
-    assert build("constant", {"k0": 1.0, "sigma0": 0.0}).sigma_is_zero
-    assert build("paper_example", {"gamma": 0.0}).sigma_is_zero
-    assert not build("paper_example", {"gamma": 0.1}).sigma_is_zero
+def test_model_spec_gives_the_constant_kinds_a_number():
+    # the number itself, sigma0 or gamma, so a run can tell it never varies
+    for kind, params, sigma in (
+            ("constant", {"k0": 1.0, "sigma0": 0.0}, 0.0),
+            ("constant", {"k0": 2.0, "sigma0": 0.5}, 0.5),
+            ("paper_example", {"gamma": 0.0}, 0.0),
+            ("paper_example", {"gamma": 0.1}, 0.1)):
+        model = build(kind, params)
+        assert type(model.electrical_conductivity) is float
+        assert model.electrical_conductivity == sigma
+    rational = build("rational_sigma",
+                     {"k0": 1.0, "sigma0": 0.0, "lambda": 1.0})
+    assert callable(rational.electrical_conductivity)
+
+
+def test_model_refuses_a_negative_or_non_finite_numeric_sigma():
+    for value in (-1.0, -1, np.nan, np.inf, -np.inf, "0.1", None):
+        with pytest.raises(tf.ModelError, match="electrical conductivity "
+                           "must be a callable or a number >= 0 and finite"):
+            tf.CoefficientModel(k=1.0, electrical_conductivity=value,
+                                flux_left=1.0, flux_right=1.0)
+    # an int or a numpy scalar is kept as a float; -0.0 passes as 0.0 does
+    for value, kept in ((2, 2.0), (np.float64(0.25), 0.25), (-0.0, -0.0)):
+        model = tf.CoefficientModel(k=1.0, electrical_conductivity=value,
+                                    flux_left=1.0, flux_right=1.0)
+        assert type(model.electrical_conductivity) is float
+        assert model.electrical_conductivity.hex() == kept.hex()
+
+
+def test_eval_sigma_fills_a_numeric_sigma_to_the_shape_of_u():
+    model = tf.CoefficientModel(k=1.0, electrical_conductivity=0.3,
+                                flux_left=1.0, flux_right=1.0)
+    assert tf.eval_sigma(model, 7.0) == 0.3
+    assert type(tf.eval_sigma(model, np.float64(7.0))) is float
+    out = tf.eval_sigma(model, np.zeros((2, 3)))
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, np.full((2, 3), 0.3))
+    # the bits of the constant callable it stands for
+    const = tf.CoefficientModel(
+        k=1.0, electrical_conductivity=lambda u: np.full_like(
+            np.asarray(u, dtype=float), 0.3), flux_left=1.0, flux_right=1.0)
+    u = np.linspace(0.0, 1.0, 11)
+    assert tf.eval_sigma(model, u).tobytes() == \
+        tf.eval_sigma(const, u).tobytes()
 
 
 def test_validate_physical_examples():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import thermistor_fem as tf
+import thermistor_fem.simulator as simulator
 from helpers import count_factorisations, wrap_sigma
 from thermistor_fem.cli import run_cli
 
@@ -58,12 +59,24 @@ def test_config_validation():
     assert small_config(beta=0.0).beta == 0.0
 
 
-def test_step_zero_conductivity_fails_with_step_index():
-    config = small_config(model=tf.ModelSpec("constant", {"k0": 1.0, "sigma0": 0.0}))
+@pytest.mark.parametrize("model", [
+    tf.ModelSpec("constant", {"k0": 1.0, "sigma0": 0.0}),
+    tf.ModelSpec("paper_example", {"gamma": 0.0}),
+    tf.ModelSpec("rational_sigma", {"k0": 1.0, "sigma0": 0.0, "lambda": 1.0}),
+], ids=["constant", "paper_example", "rational_sigma"])
+@pytest.mark.parametrize("variant", [tf.CORRECTED, tf.PAPER_LITERAL],
+                         ids=["corrected", "paper_literal"])
+def test_step_zero_conductivity_gives_the_zero_potential(model, variant):
+    # no conduction: step, like run, takes phi = 0 and solves no potential
+    config = small_config(model=model, variant=variant)
     state = tf.initial_temperature(config.build_mesh())
-    with pytest.raises(tf.SingularSystemError) as exc:
-        tf.step(state, config)
-    assert exc.value.step == 0
+    sink = []
+    new, mu = tf.step(state, config, residual_sink=sink)
+    np.testing.assert_array_equal(mu, np.zeros(config.n_elements + 1))
+    np.testing.assert_array_equal(new.alpha, np.zeros(config.n_elements + 1))
+    assert len(sink) == 1  # the temperature solve's residual alone
+    result = tf.run(config)
+    assert all(not snap.potential.any() for snap in result.snapshots[1:])
 
 
 @pytest.mark.parametrize("model", [
@@ -337,7 +350,8 @@ RATIONAL = tf.ModelSpec("rational_sigma",
 def test_sigma_is_evaluated_once_per_step(fig1_config, overrides, ghost,
                                           monkeypatch):
     # the potential, the Joule source and the compatibility residual share
-    # one evaluation of sigma at alpha^n
+    # one evaluation of sigma at alpha^n; fig1's gamma is injected as the
+    # constant callable it stands for, which the run cannot tell is constant
     shapes = []
 
     def counted(sigma):
@@ -358,6 +372,44 @@ def test_sigma_is_evaluated_once_per_step(fig1_config, overrides, ghost,
     potentials = 1 if config.freeze_potential_after_first_step else steps
     assert len(result.diagnostics.solver_residuals) == steps + potentials
     assert len(result.diagnostics.compatibility_residuals) == steps
+
+
+@pytest.mark.filterwarnings("ignore:boundary currents are incompatible")
+@pytest.mark.parametrize("overrides, per_step", [
+    ({}, 0),
+    ({"variant": tf.PAPER_LITERAL}, 0),
+    ({"freeze_potential_after_first_step": True}, 0),
+    ({"model": tf.ModelSpec("constant", {"k0": 2.0, "sigma0": 0.3})}, 0),
+    ({"model": RATIONAL}, 1),
+    ({"model": RATIONAL, "freeze_potential_after_first_step": True}, 1),
+    # the literal potential also reads sigma at the temperature ghost
+    ({"model": RATIONAL, "variant": tf.PAPER_LITERAL}, 2),
+], ids=["fig1", "fig1_paper_literal", "fig1_frozen", "constant",
+        "rational_sigma", "rational_sigma_frozen",
+        "rational_sigma_paper_literal"])
+def test_numeric_sigma_is_evaluated_once_per_run(fig1_config, overrides,
+                                                 per_step, monkeypatch):
+    # a numeric sigma is the same at every temperature: the stepper
+    # evaluates it when it is built, ghost included, and holds the rest
+    calls = []
+    evaluate = simulator.eval_sigma
+
+    def counted(model, u):
+        calls.append(np.shape(u))
+        return evaluate(model, u)
+
+    monkeypatch.setattr(simulator, "eval_sigma", counted)
+    config = dataclasses.replace(fig1_config, **overrides)
+    result = tf.run(config)
+    steps = len(result.diagnostics.max_change)
+    assert steps > 10
+    assert len(calls) == (per_step * steps if per_step else 1)
+    assert calls.count((config.n_elements + 1,)) == (steps if per_step else 1)
+    # the held potential's residual is recorded on every step, as if solved
+    # again, and a frozen one on its first step only
+    frozen = config.freeze_potential_after_first_step
+    assert len(result.diagnostics.solver_residuals) == \
+        steps + (1 if frozen else steps)
 
 
 def test_model_failure_in_the_loop_carries_step_and_diagnostics(
