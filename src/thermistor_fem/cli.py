@@ -6,8 +6,9 @@ to stderr.  Both CSVs are formatted by numpy (``_cells``, byte-equal to
 where a value is negative or its exponent is not two digits; every cell ends
 in its separator, and the last of a row becomes its newline.  The series is
 made a block of snapshots at a time, each block one ``_cells`` call, and
-streamed to its file or to stdout as each block is made.  Exit codes: 0
-success, 1 configuration error, 2 numerical failure, 3 steady state not
+streamed as bytes to its file or to stdout's binary buffer as each block is
+made (a stdout with no binary buffer gets the whole text).  Exit codes:
+0 success, 1 configuration error, 2 numerical failure, 3 steady state not
 reached where required, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
@@ -255,16 +256,17 @@ def _padded(cells: np.ndarray, sign) -> np.ndarray:
     return out.view(f"V{_PADDED}").ravel()
 
 
-def _text(rows: np.ndarray) -> str:
-    """The text of an array of rows of cells (its last axis is a row): each
-    row's last separator made a newline, the NUL padding of padded cells
-    dropped."""
+def _bytes(rows: np.ndarray) -> bytes | memoryview:
+    """The ASCII bytes of an array of rows of cells (its last axis is a
+    row): each row's last separator made a newline, the NUL padding of
+    padded cells dropped.  Fixed-width cells are returned as a view of
+    ``rows``, with no copy."""
     width = rows.dtype.itemsize
     data = rows.view(np.uint8).reshape(-1, rows.shape[-1] * width)
     data[:, -1] = ord("\n")
     if width == _PADDED:
-        return data.tobytes().translate(None, b"\0").decode("ascii")
-    return str(data.data, "ascii")  # no copy to bytes
+        return data.tobytes().translate(None, b"\0")
+    return data.data
 
 
 def write_series_csv(result: SimulationResult, out=None) -> str | None:
@@ -273,18 +275,22 @@ def write_series_csv(result: SimulationResult, out=None) -> str | None:
     Numbers are written as ``"%.12e"``, 13 significant digits, so the file
     parses back losslessly to well within one unit in the 12th digit.  The
     text is built in blocks of whole snapshots (about ``_BLOCK_ROWS`` rows),
-    each written to the text stream ``out`` as it is made; without ``out``
-    the whole text is returned.  A block is one ``_cells`` call on its
-    times, the nodes, its temperatures and each of its potential arrays
-    once (a run shares one array per potential), so one call decides the
-    width of all its cells; its rows are filled from slices of that array.
+    each written as ASCII bytes to the binary stream ``out`` as it is made
+    (a fixed-width block as a view of its cells, with no copy); without
+    ``out`` the whole text is returned as ``str``.  A block is one
+    ``_cells`` call on its times, the nodes, its temperatures and each of
+    its potential arrays once (a run shares one array per potential), so
+    one call decides the width of all its cells; its rows are filled from
+    slices of that array.
     Nothing is carried from one block to the next.
     """
     if not result.snapshots:
         raise ValueError("result has no snapshots")
     parts: list[str] = []
-    write = parts.append if out is None else out.write
-    write("t,x,u,phi\n")
+    # without a stream each block is decoded as it is made, and freed
+    write = out.write if out is not None \
+        else lambda data: parts.append(str(data, "ascii"))
+    write(b"t,x,u,phi\n")
     n = result.nodes.size
     per_block = max(1, _BLOCK_ROWS // n)
     for start in range(0, len(result.snapshots), per_block):
@@ -304,14 +310,14 @@ def write_series_csv(result: SimulationResult, out=None) -> str | None:
         rows[:, :, 1] = x
         rows[:, :, 2] = u.reshape(count, n)
         rows[:, :, 3] = phi.reshape(-1, n)[which]
-        write(_text(rows))
+        write(_bytes(rows))
     return "".join(parts) if out is None else None
 
 
 def write_profile_csv(result: SimulationResult) -> str:
     """Final profile: header ``x,u`` plus one row per node, in ``_cells``."""
-    return "x,u\n" + _text(_cells(np.stack(
-        (result.nodes, result.final_profile), axis=1)).reshape(-1, 2))
+    cells = _cells(np.stack((result.nodes, result.final_profile), axis=1))
+    return "x,u\n" + str(_bytes(cells.reshape(-1, 2)), "ascii")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -360,9 +366,9 @@ def _load_config(path: str) -> SimulationConfig:
 
 
 def _write(path: str, write) -> None:
-    """Open ``path`` as UTF-8 text with ``\\n`` line ends and ``write(stream)``."""
+    """Open ``path`` for binary writing and ``write(stream)``."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as stream:
+        with open(path, "wb") as stream:
             write(stream)
     except OSError as exc:
         raise ConfigurationError(
@@ -377,11 +383,15 @@ def _cmd_run(args) -> int:
     result = args.driver(config)
     if args.out:
         _write(args.out, lambda stream: write_series_csv(result, stream))
+    elif getattr(sys.stdout, "buffer", None) is None:
+        # a text-only stdout, such as an IDE's or a notebook's
+        sys.stdout.write(write_series_csv(result))
     else:
-        write_series_csv(result, sys.stdout)
+        sys.stdout.flush()  # what the text layer holds goes first
+        write_series_csv(result, sys.stdout.buffer)
     if args.profile:
-        _write(args.profile,
-               lambda stream: stream.write(write_profile_csv(result)))
+        _write(args.profile, lambda stream: stream.write(
+            write_profile_csv(result).encode("ascii")))
     if result.steady_reached:
         print(f"steady state reached at t={result.steady_time:g}", file=sys.stderr)
     else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -135,12 +136,22 @@ def step(state: temp.TemperatureState, config: SimulationConfig,
 
 
 def _check_state(state: temp.TemperatureState, mesh: Mesh) -> None:
-    """Refuse a starting state that does not fit ``mesh`` or is not finite."""
+    """Refuse a starting state that does not fit ``mesh``, whose values are
+    not real numbers (bool, int and float are) or are not finite, or whose
+    time is not a finite real number."""
     if np.shape(state.alpha) != (mesh.n_nodes,):
         raise ConfigurationError("initial state does not match the mesh")
+    kind = np.asarray(state.alpha).dtype
+    if kind.kind not in "biuf":
+        raise ConfigurationError(
+            f"initial state must hold real numbers, got dtype {kind}")
     bad = np.flatnonzero(~np.isfinite(state.alpha))
     if bad.size:
         raise ConfigurationError(f"initial state is not finite at node {bad[0]}")
+    if not (isinstance(state.time, numbers.Real)
+            and math.isfinite(state.time)):
+        raise ConfigurationError(
+            f"initial time must be finite, got {state.time!r}")
 
 
 def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel,
@@ -275,8 +286,9 @@ def run(config: SimulationConfig,
     """Iterate until the per-unit-time max-norm change drops below tolerance.
 
     Snapshots are recorded at t = 0, every ``record_every`` steps, and at the
-    final state.  An initial state that does not fit the mesh or is not
-    finite is a ConfigurationError.  A sigma that is zero at every node
+    final state.  An initial state that does not fit the mesh, does not
+    hold real numbers or is not finite, or whose time is not finite, is a
+    ConfigurationError.  A sigma that is zero at every node
     gives the zero potential, with no (singular) potential solve, and a
     zero source.  A UserWarning reports boundary currents that disagree
     (check_current_compatibility above COMPATIBILITY_WARN_THRESHOLD at some step).

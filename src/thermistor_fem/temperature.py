@@ -34,6 +34,7 @@ paper_literal (size N, unknowns alpha_0..alpha_{N-1})
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ from .coefficients import CoefficientModel, eval_sigma
 from .errors import ModelError, NumericalFailureError, SolverError
 from .mesh import Mesh, mass_row
 from .potential import SchemeVariant
-from .tridiag import TridiagonalSystem, checked_solve
+from .tridiag import TridiagonalSystem
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,9 @@ class TemperatureOperator:
             sup[0] = a + c
             main[n - 1] = b + k / (beta * h + k) * c
         zeros = np.zeros(size)
-        self._factors = None
+        # the factors, and the system whose rhs is their rhs block, which
+        # each advance rewrites (its _rhs_peak is not that rhs's)
+        self._factors = self._system = None
         try:
             self.mass_matrix = TridiagonalSystem(m_sub, m_main, m_sup, zeros)
             self.matrix = TridiagonalSystem(sub, main, sup, zeros)
@@ -198,30 +201,46 @@ class TemperatureOperator:
         return joule_source_vector(sigma, mu, self.mesh, self.model,
                                    self.tau, self.variant)
 
-    # an overflow shows as a non-finite rhs, which advance reports
+    # an overflow shows as a non-finite rhs, which with_rhs reports
     @np.errstate(over="ignore", invalid="ignore")
     def _rhs(self, alpha: np.ndarray, source) -> np.ndarray:
         rhs = self.mass(alpha)
         rhs += source
         return rhs
 
+    # an overflow shows as a non-finite rhs or solution, which are reported
+    @np.errstate(over="ignore", invalid="ignore")
     def advance(self, alpha: np.ndarray, source,
                 residual_sink: list | None = None) -> np.ndarray:
         """alpha^{n+1} from alpha^n = ``alpha`` and the step's ``source``,
         solved by the held factors, with alpha_N written back for
-        paper_literal.  The right-hand side is ``mass(alpha)`` with the
-        source added in place.  Failures, a non-finite right-hand side or
-        singular rows included, raise as ``"<what> solve failed: ..."``."""
-        try:
-            system = self.matrix.with_rhs(self._rhs(alpha, source))
-            if self._factors is None:  # made here, so assembly factors none
-                self._factors = tridiag._factor(system.sub, system.main,
-                                                system.sup)
-        except SolverError as exc:
-            # named in place, so a singular pivot keeps its row
-            exc.args = (f"{self.what} solve failed: {exc}",)
-            raise
-        x = checked_solve(system, self.what, residual_sink, self._factors)
+        paper_literal.  The right-hand side, ``mass(alpha)`` plus the
+        source, is formed in the factors' rhs block, the rhs of a system
+        made with them, so the solve copies none.  Failures, a non-finite
+        right-hand side or singular rows included, raise as
+        ``"<what> solve failed: ..."``."""
+        if self._factors is None:  # made here, so assembly factors none
+            matrix = self.matrix
+            try:
+                self._factors = tridiag._factor(matrix.sub, matrix.main,
+                                                matrix.sup)
+            except SolverError as exc:
+                # named in place, so a singular pivot keeps its row
+                exc.args = (f"{self.what} solve failed: {exc}",)
+                raise
+            self._system = matrix.with_rhs(self._factors.rhs_in)
+        factors = self._factors
+        rhs = tridiag._product(self.mass_matrix, alpha[:factors.size],
+                               factors.rhs_in)
+        rhs += source
+        # max|rhs| is NaN or inf exactly when an entry is, and it is the
+        # residual's scale; the residual array is free until the solve
+        peak = float(np.abs(rhs, out=factors.residual).max())
+        if not math.isfinite(peak):
+            raise NumericalFailureError(
+                f"{self.what} solve failed: non-finite entries in rhs")
+        x = tridiag._checked_substitution(self._system, factors, peak,
+                                          self.what, residual_sink)
         if self.variant.stiffness == "corrected":
             return x
         k, h = self.model.k, self.mesh.h

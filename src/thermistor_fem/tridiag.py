@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -90,25 +91,34 @@ class TridiagonalSystem:
 # an overflow shows as a non-finite solution or residual
 @np.errstate(over="ignore", invalid="ignore")
 def checked_solve(system: TridiagonalSystem, what: str,
-                  residual_sink: list | None = None,
-                  factors: _Factors | None = None) -> np.ndarray:
-    """Solve with the contract every phase of a step shares.
+                  residual_sink: list | None = None) -> np.ndarray:
+    """Solve a one-off system with the contract every phase of a step shares.
 
     A singular pivot is re-raised as ``"<what> solve failed: ..."`` with the
     failing row kept, and a non-finite solution raises NumericalFailureError.
     ``residual_sink``, when given, receives the residual max-norm scaled by
-    ``1 + max|rhs|`` (for run diagnostics), formed in the factors' residual
-    array.  ``factors`` are the held ones of ``system``'s matrix; without
-    them the matrix is factored for this solve alone.  The solve and the
-    residual run with overflow and invalid operations ignored.
+    ``1 + max|rhs|`` (for run diagnostics).  The matrix is factored for this
+    solve alone; ``TemperatureOperator.advance`` holds its factors and
+    checks its solves the same way.  The solve and the residual run with
+    overflow and invalid operations ignored.
     """
     try:
-        if factors is None:
-            factors = _factor(system.sub, system.main, system.sup)
-        x = thomas_solve(system, factors)
+        factors = _factor(system.sub, system.main, system.sup)
+        return _checked_substitution(system, factors, system._rhs_peak, what,
+                                     residual_sink)
     except SingularSystemError as exc:
         raise SingularSystemError(f"{what} solve failed: {exc}",
                                   row=exc.row) from exc
+
+
+def _checked_substitution(system: TridiagonalSystem, factors: _Factors,
+                          peak: float, what: str,
+                          residual_sink: list | None) -> np.ndarray:
+    """``thomas_solve`` by ``factors``, with ``checked_solve``'s checks:
+    the residual, formed in the factors' residual array and scaled by
+    ``1 + peak`` (``peak = max|rhs|``), goes to ``residual_sink``, and a
+    non-finite solution raises.  Runs in the caller's error state."""
+    x = thomas_solve(system, factors)
     residual = None
     if residual_sink is not None:
         res = _product(system, x, factors.residual)
@@ -121,7 +131,7 @@ def checked_solve(system: TridiagonalSystem, what: str,
             and not np.isfinite(x).all():
         raise NumericalFailureError(f"{what} solve failed: non-finite solution")
     if residual_sink is not None:
-        residual_sink.append(residual / (1.0 + system._rhs_peak))
+        residual_sink.append(residual / (1.0 + peak))
     return x
 
 
@@ -134,9 +144,11 @@ def thomas_solve(system: TridiagonalSystem,
     factored for this solve alone, unless the caller passes the ``factors``
     held for it (``TemperatureOperator`` holds them); both give the same
     bits.  The solve works in the arrays held with its factors and returns
-    a fresh array.  It runs in the caller's floating-point error state, so
-    an overflow gives a non-finite solution and numpy's RuntimeWarning,
-    unless the caller silences it as ``checked_solve`` does.
+    a fresh array; the rhs is copied into their rhs block unless
+    ``system.rhs`` is that block (the held step forms its rhs there).  It
+    runs in the caller's floating-point error state, so an overflow gives a
+    non-finite solution and numpy's RuntimeWarning, unless the caller
+    silences it as ``checked_solve`` does.
 
     Both triangular solves run block by block in one pass (Wang's partition
     method).  One batched product solves every block as if nothing came in
@@ -148,7 +160,8 @@ def thomas_solve(system: TridiagonalSystem,
     """
     if factors is None:
         factors = _factor(system.sub, system.main, system.sup)
-    factors.rhs_in[:] = system.rhs
+    if system.rhs is not factors.rhs_in:
+        factors.rhs_in[:] = system.rhs
     np.matmul(factors.inverse, factors.padded, out=factors.product)
     local = factors.local
     z, t = local[:, -1].tolist(), factors.lower_last
@@ -164,7 +177,9 @@ def thomas_solve(system: TridiagonalSystem,
     for k in range(nb - 1, -1, -1):
         back[k] = f
         f = w[k] + g[k] * into[k] + u[k] * f
-    carry = np.multiply(factors.carries, np.array((into, back))[:, :, None],
+    # one flat array: a tuple of lists goes through numpy's shape discovery
+    received = np.fromiter(chain(into, back), float, 2 * nb)
+    carry = np.multiply(factors.carries, received.reshape(2, nb, 1),
                         out=factors.carry)
     x = local + carry[0]
     x += carry[1]
@@ -200,7 +215,7 @@ class _Factors(NamedTuple):
     lower_first: list  # carries[0, :, 0]
     upper_first: list  # carries[1, :, 0]
     padded: np.ndarray  # (blocks, b, 1): the rhs r_k, its padding kept 0
-    rhs_in: np.ndarray  # padded's first m entries, where the rhs is copied
+    rhs_in: np.ndarray  # padded's first m entries, where the rhs goes
     product: np.ndarray  # (blocks, b, 1): G_k r_k
     local: np.ndarray  # product as (blocks, b)
     carry: np.ndarray  # (2, blocks, b): the carries times e and f

@@ -1,6 +1,7 @@
 """Shared test utilities: random system generators, the reference Thomas
-sweep and checked solve, the reference coupled stepper, the reference series
-CSV writer and quadrature oracles."""
+sweep, checked solve and held step, the reference coupled stepper, the
+reference series CSV writer, quadrature oracles and a Chebyshev oracle of
+the rational-sigma steady state."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ import dataclasses
 import numpy as np
 
 from thermistor_fem import (ModelSpec, NumericalFailureError,
-                            SingularSystemError, TridiagonalSystem, tridiag)
+                            SingularSystemError, SolverError,
+                            TridiagonalSystem, tridiag)
 from thermistor_fem import temperature as temp
 from thermistor_fem.coefficients import eval_sigma
 from thermistor_fem.potential import (check_current_compatibility,
@@ -113,6 +115,30 @@ def reference_checked_solve(system: TridiagonalSystem, what: str,
     return x
 
 
+def reference_advance(operator, alpha, source, residual_sink=None):
+    """``TemperatureOperator.advance`` as it was before its rhs was formed
+    in the held factors' rhs block: a fresh ``mass(alpha) + source``, a new
+    system from ``with_rhs`` and ``reference_checked_solve`` with the held
+    factors.  The held step must record exactly this run.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = operator.mass(alpha) + source
+    try:
+        system = operator.matrix.with_rhs(rhs)
+        if operator._factors is None:
+            operator._factors = tridiag._factor(system.sub, system.main,
+                                                system.sup)
+    except SolverError as exc:
+        exc.args = (f"{operator.what} solve failed: {exc}",)
+        raise
+    x = reference_checked_solve(system, operator.what, residual_sink,
+                                operator._factors)
+    if operator.variant.stiffness == "corrected":
+        return x
+    return np.append(x, temp.ghost_temp_right(
+        float(x[-1]), operator.model.k, operator.mesh.h, operator.beta))
+
+
 def reference_residual_norm(system: TridiagonalSystem, x: np.ndarray) -> float:
     """Max-norm of T x - rhs from fresh temporaries."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -150,6 +176,76 @@ def simpson(f, a: float, b: float, panels: int = 64) -> float:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float((b - a) / (6.0 * panels) * np.sum(w * y))
+
+
+def cheb(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev differentiation matrix and points x_j = cos(pi j / n),
+    j = 0..n, on [-1, 1] (Trefethen, Spectral Methods in MATLAB, 2000,
+    program ``cheb``)."""
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.ones(n + 1)
+    c[0] = c[n] = 2.0
+    c *= (-1.0) ** np.arange(n + 1)
+    dx = x[:, None] - x[None, :]
+    d = np.outer(c, 1.0 / c) / (dx + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))
+    return d, x
+
+
+def rational_steady_oracle(beta: float, lam: float, k0: float = 1.0,
+                           sigma0: float = 1.0, flux: float = 1.0,
+                           points: int = 32, max_iter: int = 30):
+    """Continuum steady state of the rational-sigma bar, by Chebyshev
+    collocation and Newton; returns u as a function of x.
+
+    -(k0 u')' = J^2 (1 + lam u)^2 / sigma0 on (0, 1), the Joule heating
+    J^2 / sigma(u) of sigma = sigma0 / (1 + lam u)^2, with the current
+    J = sigma(u(1)) * flux and Robin ends k0 u'(0) = beta u(0) and
+    k0 u'(1) = -beta u(1).  Newton starts from u = 0 with the exact
+    Jacobian, J's dependence on u(1) included.  Its step stagnates at
+    rounding, which the second derivative amplifies by about its norm, so
+    it stops on max|F| below that level.  Values between the points come
+    from barycentric interpolation.
+    """
+    d, t = cheb(points)
+    y = 0.5 * (1.0 + t)  # y_0 = 1, y_points = 0
+    d = 2.0 * d
+    d2 = d @ d
+    floor = 64.0 * np.finfo(float).eps * k0 * np.abs(d2).sum(axis=1).max()
+    u = np.zeros(points + 1)
+    for _ in range(max_iter):
+        w = 1.0 + lam * u
+        current = sigma0 * flux / w[0] ** 2
+        heat = current * current * w * w / sigma0
+        f = k0 * (d2 @ u) + heat
+        f[0] = k0 * (d[0] @ u) + beta * u[0]
+        f[-1] = -k0 * (d[-1] @ u) + beta * u[-1]
+        if np.abs(f).max() <= floor * max(1.0, np.abs(u).max()):
+            break
+        jac = k0 * d2 + np.diag(2.0 * lam * heat / w)
+        jac[:, 0] -= 4.0 * lam * heat / w[0]  # through current(u_0)
+        jac[0] = k0 * d[0]
+        jac[0, 0] += beta
+        jac[-1] = -k0 * d[-1]
+        jac[-1, -1] += beta
+        u = u - np.linalg.solve(jac, f)
+    else:
+        raise RuntimeError("Chebyshev Newton did not converge")
+    weights = (-1.0) ** np.arange(points + 1)
+    weights[[0, -1]] *= 0.5
+
+    def at(x):
+        x = np.asarray(x, dtype=float)
+        diff = x[:, None] - y[None, :]
+        hit = diff == 0.0
+        diff[hit] = 1.0
+        q = weights / diff
+        out = (q @ u) / q.sum(axis=1)
+        rows, cols = np.nonzero(hit)
+        out[rows] = u[cols]
+        return out
+
+    return at
 
 
 def reference_series_csv(result) -> str:

@@ -341,11 +341,11 @@ def test_streamed_blocks_write_the_returned_text(block_rows, monkeypatch):
     for case, make in sorted(WRITER_CASES.items()):
         result = make()
         whole = write_series_csv(result)
-        stream = io.StringIO()
+        stream = io.BytesIO()
         with monkeypatch.context() as patch:
             patch.setattr(cli, "_BLOCK_ROWS", block_rows)
             assert write_series_csv(result, stream) is None
-        assert stream.getvalue() == whole, case
+        assert stream.getvalue().decode("ascii") == whole, case
 
 
 def test_fig1_series_is_written_in_fixed_width_cells(fig1_config, monkeypatch):
@@ -357,10 +357,10 @@ def test_fig1_series_is_written_in_fixed_width_cells(fig1_config, monkeypatch):
     def refuse(*args):
         raise AssertionError("padded cells")
     monkeypatch.setattr(cli, "_padded", refuse)
-    stream = io.StringIO()
+    stream = io.BytesIO()
     write_series_csv(result, stream)
     profile = write_profile_csv(result)
-    assert first_difference(stream.getvalue(),
+    assert first_difference(stream.getvalue().decode("ascii"),
                             reference_series_csv(result)) is None
     assert profile == reference_profile_csv(result)
 
@@ -379,11 +379,41 @@ def test_each_series_block_is_one_cells_call(fig1_config, monkeypatch):
         calls.append(args)
         return cells(*args)
     monkeypatch.setattr(cli, "_cells", counted)
-    write_series_csv(result, io.StringIO())
+    write_series_csv(result, io.BytesIO())
     assert len(calls) == blocks
     calls.clear()
     write_profile_csv(result)
     assert len(calls) == 1
+
+
+class RecordingStream(io.BytesIO):
+    """A binary stream that keeps the type of each object written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.kinds = []
+
+    def write(self, data):
+        self.kinds.append(type(data))
+        return super().write(data)
+
+
+@pytest.mark.parametrize("case", ["fig1", "negative"])
+def test_series_stream_receives_bytes_and_no_str(case, fig1_config):
+    # the series goes to a binary stream: its header as bytes, a block of
+    # fixed-width cells as a view of its cells (no copy), a padded block as
+    # the bytes left once its NULs are dropped; never a str to re-encode
+    config = fig1_config if case == "fig1" \
+        else dataclasses.replace(fig1_config, flux_left=-1.0, flux_right=-1.0)
+    result = tf.run(config)
+    stream = RecordingStream()
+    write_series_csv(result, stream)
+    assert str not in stream.kinds
+    block = bytes if case == "negative" else memoryview
+    assert stream.kinds[0] is bytes
+    assert set(stream.kinds[1:]) == {block}
+    assert len(stream.kinds) > 2
+    assert stream.getvalue().decode("ascii") == write_series_csv(result)
 
 
 def test_cli_streams_the_same_bytes_to_stdout_and_to_out(fig1_cfg_path,
@@ -393,6 +423,19 @@ def test_cli_streams_the_same_bytes_to_stdout_and_to_out(fig1_cfg_path,
     assert run_cli(["run", "--config", str(fig1_cfg_path), "--out", str(out)]) == 0
     assert run_cli(["run", "--config", str(fig1_cfg_path)]) == 0
     same = capsysbinary.readouterr().out == out.read_bytes()
+    assert same  # no multi-MB pytest diff
+
+
+def test_cli_writes_the_series_to_a_text_only_stdout(fig1_cfg_path, tmp_path,
+                                                      monkeypatch):
+    # a stdout with no binary buffer (an IDE's or a notebook's) gets the
+    # same text as --out
+    out = tmp_path / "s.csv"
+    assert run_cli(["run", "--config", str(fig1_cfg_path), "--out", str(out)]) == 0
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run_cli(["run", "--config", str(fig1_cfg_path)]) == 0
+    same = stdout.getvalue() == out.read_text()
     assert same  # no multi-MB pytest diff
 
 
@@ -409,8 +452,19 @@ def test_cli_out_naming_a_directory_exits_1(fig1_cfg_path, tmp_path, capsys):
     assert not prof.exists()
 
 
+class ClosedPipeBuffer(io.BytesIO):
+    """The binary buffer of a stdout whose reader has gone."""
+
+    def write(self, data):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
 class ClosedPipe(io.StringIO):
     """A stdout whose reader has gone."""
+
+    def __init__(self):
+        super().__init__()
+        self.buffer = ClosedPipeBuffer()
 
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")

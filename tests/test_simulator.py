@@ -7,7 +7,7 @@ import pytest
 
 import thermistor_fem as tf
 import thermistor_fem.simulator as simulator
-from helpers import count_factorisations, wrap_sigma
+from helpers import count_factorisations, rational_steady_oracle, wrap_sigma
 from thermistor_fem.cli import run_cli
 
 BETA, GAMMA = 0.2, 0.1
@@ -95,6 +95,43 @@ def test_bad_starting_state_is_a_configuration_error(model):
                      lambda: tf.step(state, config)):
             with pytest.raises(tf.ConfigurationError, match=message):
                 call()
+
+
+@pytest.mark.parametrize("dtype, time, message", [
+    (complex, 0.0, "initial state must hold real numbers, got dtype complex128"),
+    (object, 0.0, "initial state must hold real numbers, got dtype object"),
+    (float, np.nan, "initial time must be finite, got nan"),
+    (float, np.inf, "initial time must be finite, got inf"),
+    (float, -np.inf, "initial time must be finite, got -inf"),
+], ids=["complex", "object", "nan_time", "inf_time", "minus_inf_time"])
+def test_unreal_state_or_time_is_a_configuration_error(dtype, time, message):
+    # refused before the step writes mass(alpha) into its float64 rhs
+    # block: complex and object values, and a time no step can follow
+    config = small_config()
+    state = tf.TemperatureState(np.zeros(config.n_elements + 1, dtype), time)
+    for call in (lambda: tf.run(config, state),
+                 lambda: tf.step(state, config)):
+        with pytest.raises(tf.ConfigurationError, match=f"^{message}$"):
+            call()
+
+
+@pytest.mark.parametrize("dtype", [int, bool, np.float32])
+def test_real_starting_states_of_any_real_dtype_run(dtype):
+    # a zero state held as int, bool or float32 runs as the float64 one
+    config = small_config(
+        model=tf.ModelSpec("rational_sigma",
+                           {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0}))
+    zero = tf.initial_temperature(config.build_mesh())
+    state = tf.TemperatureState(zero.alpha.astype(dtype), 0)
+    ref = tf.run(config)
+    again = tf.run(config, state)
+    assert again.final_profile.tobytes() == ref.final_profile.tobytes()
+    assert again.steady_time == ref.steady_time
+    new, mu = tf.step(state, config)
+    ref_new, ref_mu = tf.step(zero, config)
+    assert new.alpha.tobytes() == ref_new.alpha.tobytes()
+    assert mu.tobytes() == ref_mu.tobytes()
+    assert new.time == ref_new.time
 
 
 @pytest.mark.parametrize("driver, model", [
@@ -816,3 +853,34 @@ def test_convergence_study_levels():
     pairs = tf.convergence_study(config, 2)
     assert [n for n, _ in pairs] == [10, 20]
     assert all(e >= 0 for _, e in pairs)
+
+
+def test_chebyshev_oracle_solves_the_linear_case_exactly():
+    # lambda = 0: the heating is the constant sigma0 flux^2, whose steady
+    # state is the benchmark's analytic one with gamma = sigma0 flux^2, up
+    # to the collocation's rounding (measured 3.5e-13 and 1.9e-12 at max|u|
+    # 0.47 and 2.6, 7e-13 of max|u| each)
+    x = np.linspace(0.0, 1.0, 101)
+    for sigma0, flux in ((0.5, 0.6), (1.0, 1.0)):
+        oracle = rational_steady_oracle(BETA, 0.0, sigma0=sigma0, flux=flux)
+        exact = tf.analytic_steady_state(x, BETA, sigma0 * flux ** 2)
+        assert np.max(np.abs(oracle(x) - exact)) <= 2e-12 * exact.max()
+
+
+def test_rational_steady_state_converges_at_order_two():
+    # fig1's steady state is quadratic, so P1 reproduces it at the nodes
+    # and criterion 5 sees no order; the rational case's steady state is
+    # not, and the nodal error falls as h^2 (measured 2.1246e-6, 5.3152e-7,
+    # 1.3292e-7 and 3.3231e-8, orders 1.9990, 1.9996 and 2.0000)
+    oracle = rational_steady_oracle(BETA, 1.0)
+    errors = []
+    for n in (100, 200, 400, 800):
+        result = tf.run(small_config(
+            n_elements=n, steady_tolerance=1e-13, record_every=10 ** 6,
+            model=tf.ModelSpec("rational_sigma",
+                               {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0})))
+        assert result.steady_reached
+        errors.append(np.max(np.abs(result.final_profile
+                                    - oracle(result.nodes))))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all((orders >= 1.9) & (orders <= 2.1)), (errors, orders)

@@ -15,8 +15,8 @@ import pytest
 
 import thermistor_fem as tf
 import thermistor_fem.simulator as simulator
-from helpers import (reference_checked_solve, reference_coupled,
-                     reference_thomas, wrap_sigma)
+from helpers import (reference_advance, reference_checked_solve,
+                     reference_coupled, reference_thomas, wrap_sigma)
 
 FIG1 = tf.SimulationConfig(
     n_elements=100, tau=0.1, beta=0.2,
@@ -114,9 +114,10 @@ def test_run_reduced_matches_replaced_path(config, profile_bound,
     assert potential == 0.0
 
 
-# checked_solve checks the rhs and the solution with one reduction each and
-# forms the residual in place; the checks are unchanged and so is every
-# number a run records
+# checked_solve and the held step check the rhs and the solution with one
+# reduction each and form the residual in place, and the held step forms
+# its rhs in the factors' rhs block; the checks are unchanged and so is
+# every number a run records
 @pytest.mark.filterwarnings("ignore:boundary currents are incompatible")
 @pytest.mark.parametrize("driver, config", [
     (tf.run, FIG1),
@@ -128,9 +129,10 @@ def test_fused_checks_record_the_same_run(driver, config, monkeypatch):
     new = driver(config)
     calls = {}
     with monkeypatch.context() as m:
-        for module in (tf.temperature, tf.potential):
-            m.setattr(module, "checked_solve", counting(
-                reference_checked_solve, calls, module.__name__))
+        m.setattr(tf.TemperatureOperator, "advance", counting(
+            reference_advance, calls, tf.temperature.__name__))
+        m.setattr(tf.potential, "checked_solve", counting(
+            reference_checked_solve, calls, tf.potential.__name__))
         old = driver(config)
     steps = len(old.diagnostics.max_change)
     assert calls[tf.temperature.__name__] == steps

@@ -289,6 +289,44 @@ def test_solves_return_fresh_arrays(variant):
     assert solves[0].tobytes() == solves[1].tobytes()
 
 
+@pytest.mark.parametrize("variant", [tf.CORRECTED, tf.PAPER_LITERAL],
+                         ids=["corrected", "paper_literal"])
+def test_held_step_forms_its_rhs_in_the_solve_block(variant, monkeypatch):
+    # after the first advance a step builds no system and copies no rhs:
+    # mass(alpha) + source is formed in the factors' rhs block, which is
+    # the rhs of the system the operator made with its factors
+    model = tf.ModelSpec("constant", {"k0": 1.3, "sigma0": 0.7}).build(1, 1)
+    op = tf.TemperatureOperator(tf.build_mesh(100), model, 0.1, 0.2, variant)
+    size = op.matrix.size
+    rng = np.random.default_rng(7)
+    op.advance(rng.uniform(0.0, 1.0, 101), rng.uniform(0.0, 1.0, size), [])
+    alpha, source = rng.uniform(0.0, 1.0, 101), rng.uniform(0.0, 1.0, size)
+    rhs = op.mass(alpha) + source
+    fresh_sink = []
+    fresh = tf.checked_solve(op.matrix.with_rhs(rhs), "temperature",
+                             fresh_sink)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a system built by a held step")
+
+    monkeypatch.setattr(tf.TridiagonalSystem, "__post_init__", refuse)
+    monkeypatch.setattr(tf.TridiagonalSystem, "with_rhs", refuse)
+    seen = []
+    solve = tf.tridiag.thomas_solve
+
+    def spy(system, factors=None):
+        seen.append(system.rhs is factors.rhs_in)
+        return solve(system, factors)
+
+    monkeypatch.setattr(tf.tridiag, "thomas_solve", spy)
+    sink = []
+    held = op.advance(alpha, source, sink)
+    assert seen == [True]
+    assert op._factors.rhs_in.tobytes() == rhs.tobytes()
+    assert held[:size].tobytes() == fresh.tobytes()
+    assert sink == fresh_sink
+
+
 def test_held_factorisation_grows_linearly():
     # BLOCK caps the block size, so the held operators take BLOCK + 2 floats
     # per row and the solve's work arrays 5 more (312 bytes at BLOCK = 32),
