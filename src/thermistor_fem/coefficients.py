@@ -57,15 +57,20 @@ def eval_sigma(model: CoefficientModel, u):
     """Electrical conductivity at u, shaped like u.
 
     A numeric sigma is returned as it is, or filled into an array of u's
-    shape.  A callable's values are checked: they must be >= 0 and finite,
-    or a ModelError names the first that is not.  min >= 0 and max < inf
-    hold exactly when every value is finite and >= 0: a NaN makes both
-    reductions NaN, and -0.0 passes as 0.0 does.
+    shape.  A callable's values are checked: they must have u's shape, or a
+    ModelError names both shapes, and be >= 0 and finite, or a ModelError
+    names the first that is not.  min >= 0 and max < inf hold exactly when
+    every value is finite and >= 0: a NaN makes both reductions NaN, and
+    -0.0 passes as 0.0 does.
     """
     sigma = model.electrical_conductivity
     if not callable(sigma):
         return sigma if np.ndim(u) == 0 else np.full(np.shape(u), sigma)
     arr = np.asarray(sigma(u), dtype=float)
+    if arr.shape != np.shape(u):
+        raise ModelError(
+            f"electrical conductivity must broadcast over u: sigma(u) has "
+            f"shape {arr.shape} for u of shape {np.shape(u)}")
     if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
         bad = np.flatnonzero(~((arr >= 0.0) & np.isfinite(arr)))
         first = int(bad[0])
@@ -123,10 +128,13 @@ class ModelSpec:
             raise ConfigurationError(
                 f"model kind {self.kind!r} does not read parameters {unknown}")
         for name in required:
-            value = float(self.parameters[name])
-            if not math.isfinite(value):
+            raw = self.parameters[name]
+            if not isinstance(raw, numbers.Real):
                 raise ConfigurationError(
-                    f"{name} must be finite, got {self.parameters[name]}")
+                    f"{name} must be a real number, got {raw!r}")
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {raw}")
             # k0, sigma0 and gamma fix the sign of k and sigma, which the
             # model or eval_sigma would otherwise refuse
             if name == "k0" and value <= 0.0:

@@ -62,9 +62,12 @@ class SimulationConfig:
                 f"n_elements must be <= {MAX_ELEMENTS}, got {self.n_elements}")
         for name in ("tau", "beta", "t_max", "steady_tolerance", "flux_left",
                      "flux_right"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
                 raise ConfigurationError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+                    f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.tau <= 0.0:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
         # beta < 0 would feed heat in through the boundary
@@ -154,64 +157,59 @@ def _check_state(state: temp.TemperatureState, mesh: Mesh) -> None:
             f"initial time must be finite, got {state.time!r}")
 
 
-def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel,
-             freeze: bool = False):
+def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel):
     """A run's coupled stepper, for ``_march``, holding the temperature
     operator, which holds its factors, and what a step derives from sigma.
 
     The potential, its residual record, the Joule source and the
     compatibility residual depend on sigma at alpha^n alone, and the
     paper_literal potential also on sigma at the left temperature ghost.
-    A numeric sigma is evaluated once, here, and they are held for the
-    whole run.  A callable sigma is evaluated at each step's alpha^n, and
-    they are rebuilt only when a bit of it changes: the key is sigma's
-    bytes and the ghost's hex form, which keep -0.0 apart from 0.0.  Each
-    step appends the held potential residual to the sink, as a new solve
-    would.  A sigma zero at every node conducts no current, so its singular
-    potential system gives the zero potential.  ``freeze`` keeps the first
-    potential, whose residual is recorded on the first step only.
+    A numeric sigma is evaluated once, here, and they are made once and
+    held for the whole run; each step appends the held potential residual
+    to the sink, as a new solve would.  A callable sigma is evaluated at
+    each step's alpha^n and they are made anew every step: its values
+    change at every step until the run is steady.  A sigma zero at every
+    node conducts no current, so its singular potential system gives the
+    zero potential.  ``config.freeze_potential_after_first_step`` keeps the
+    first potential, whose residual is recorded on the first step only.
     """
     operator = temp.TemperatureOperator(mesh, model, config.tau, config.beta,
                                         config.variant)
     literal = config.variant.stiffness == "paper_literal"
     varying = callable(model.electrical_conductivity)
-    potential = key = mu = record = source = compatibility = None
+    potential = mu = record = source = compatibility = None
 
-    def hold(alpha):
-        nonlocal potential, key, mu, record, source, compatibility
+    def couple(alpha):
+        nonlocal potential, mu, record, source, compatibility
         sigma = eval_sigma(model, alpha)
-        step_key = sigma.tobytes()
-        ghost = None
-        if literal and potential is None:
-            # only the literal potential reads sigma at the temperature ghost
-            ghost = eval_sigma(model, temp.ghost_temp_left(
-                float(alpha[1]), float(alpha[0]), model.k, mesh.h,
-                config.beta)) if varying else model.electrical_conductivity
-            step_key = (step_key, ghost.hex())
-        if step_key != key:
-            mu, record = potential, []
-            if mu is None:
-                try:
-                    mu = solve_potential(sigma, mesh, model, config.variant,
-                                         sigma_ghost_left=ghost,
-                                         residual_sink=record)
-                except SingularSystemError:
-                    if sigma.any():
-                        raise
-                    mu = np.zeros(mesh.n_nodes)  # no conduction, no current
-                if freeze:
-                    potential = mu
-            source = operator.source(sigma, mu)
-            compatibility = check_current_compatibility(sigma, model)
-            key = step_key
+        mu, record = potential, []
+        if mu is None:
+            ghost = None
+            if literal:
+                # only the literal potential reads sigma at the temperature ghost
+                ghost = eval_sigma(model, temp.ghost_temp_left(
+                    float(alpha[1]), float(alpha[0]), model.k, mesh.h,
+                    config.beta)) if varying else model.electrical_conductivity
+            try:
+                mu = solve_potential(sigma, mesh, model, config.variant,
+                                     sigma_ghost_left=ghost,
+                                     residual_sink=record)
+            except SingularSystemError:
+                if sigma.any():
+                    raise
+                mu = np.zeros(mesh.n_nodes)  # no conduction, no current
+            if config.freeze_potential_after_first_step:
+                potential = mu
+        source = operator.source(sigma, mu)
+        compatibility = check_current_compatibility(sigma, model)
 
     if not varying:
-        hold(np.zeros(mesh.n_nodes))  # any temperature gives the number
+        couple(np.zeros(mesh.n_nodes))  # any temperature gives the number
 
     def advance(state, residual_sink):
         nonlocal record
         if varying:
-            hold(state.alpha)
+            couple(state.alpha)
         residual_sink += record
         if potential is not None:
             record = []  # a frozen potential is solved, and recorded, once
@@ -297,9 +295,7 @@ def run(config: SimulationConfig,
     model = config.build_model()
     state = initial_state or temp.initial_temperature(mesh)
     _check_state(state, mesh)
-    result = _march(config, mesh, lambda: _coupled(
-        config, mesh, model, freeze=config.freeze_potential_after_first_step),
-        state)
+    result = _march(config, mesh, lambda: _coupled(config, mesh, model), state)
     worst = max(map(abs, result.diagnostics.compatibility_residuals),
                 default=0.0)
     if worst > COMPATIBILITY_WARN_THRESHOLD:

@@ -7,8 +7,9 @@ alpha^n, never at the unknown alpha^{n+1}, so each step is a single
 tridiagonal solve.  A ``TemperatureOperator`` factors that matrix once and
 holds the factors, the package's only held factorisation.  A step's
 right-hand side is the mass rows times alpha^n, ``TemperatureOperator.mass``,
-plus a source; the run's stepper builds the Joule source only when
-sigma(alpha^n) changes and solves with ``TemperatureOperator.advance``.
+plus a source; the run's stepper builds the Joule source once for a
+numeric sigma and at every step for a callable one, and solves with
+``TemperatureOperator.advance``.
 ``assemble_temperature`` and ``solve_temperature`` build the source afresh,
 for one step.
 The reduced benchmark scheme (``run_reduced``) is the paper_literal step at
@@ -135,8 +136,10 @@ def assemble_temperature(state: TemperatureState, mu: np.ndarray,
                          beta: float, variant: SchemeVariant) -> TridiagonalSystem:
     """Assemble one backward-Euler step; see the module docstring for the rows."""
     op = TemperatureOperator(mesh, model, tau, beta, variant)
-    return op.matrix.with_rhs(
-        op._rhs(state.alpha, op.source(eval_sigma(model, state.alpha), mu)))
+    source = op.source(eval_sigma(model, state.alpha), mu)
+    # an overflow shows as a non-finite rhs, which with_rhs reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        return op.matrix.with_rhs(op.mass(state.alpha) + source)
 
 
 class TemperatureOperator:
@@ -181,7 +184,7 @@ class TemperatureOperator:
             main[n - 1] = b + k / (beta * h + k) * c
         zeros = np.zeros(size)
         # the factors, and the system whose rhs is their rhs block, which
-        # each advance rewrites (its _rhs_peak is not that rhs's)
+        # each advance rewrites
         self._factors = self._system = None
         try:
             self.mass_matrix = TridiagonalSystem(m_sub, m_main, m_sup, zeros)
@@ -200,13 +203,6 @@ class TemperatureOperator:
         """The Joule source of ``sigma`` and ``mu`` in this step's rows."""
         return joule_source_vector(sigma, mu, self.mesh, self.model,
                                    self.tau, self.variant)
-
-    # an overflow shows as a non-finite rhs, which with_rhs reports
-    @np.errstate(over="ignore", invalid="ignore")
-    def _rhs(self, alpha: np.ndarray, source) -> np.ndarray:
-        rhs = self.mass(alpha)
-        rhs += source
-        return rhs
 
     # an overflow shows as a non-finite rhs or solution, which are reported
     @np.errstate(over="ignore", invalid="ignore")

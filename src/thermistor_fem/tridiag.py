@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -58,19 +57,11 @@ class TridiagonalSystem:
         rhs = np.ascontiguousarray(rhs, dtype=float)
         if rhs.shape != self.rhs.shape:
             raise ValueError(f"rhs must have length {self.size}, got {rhs.shape}")
-        # max|rhs| is NaN or inf exactly when an entry is, and it is kept
-        # as the residual's scale
-        peak = float(np.abs(rhs).max())
-        if not math.isfinite(peak):
+        if not np.isfinite(rhs).all():
             raise NumericalFailureError("non-finite entries in rhs")
         new = object.__new__(TridiagonalSystem)
-        new.__dict__.update(self.__dict__, rhs=rhs, _rhs_peak=peak)
+        new.__dict__.update(self.__dict__, rhs=rhs)
         return new
-
-    @cached_property
-    def _rhs_peak(self) -> float:
-        """max|rhs|, which ``with_rhs`` takes when it checks the rhs."""
-        return float(np.abs(self.rhs).max())
 
     @property
     def size(self) -> int:
@@ -104,7 +95,8 @@ def checked_solve(system: TridiagonalSystem, what: str,
     """
     try:
         factors = _factor(system.sub, system.main, system.sup)
-        return _checked_substitution(system, factors, system._rhs_peak, what,
+        return _checked_substitution(system, factors,
+                                     float(np.abs(system.rhs).max()), what,
                                      residual_sink)
     except SingularSystemError as exc:
         raise SingularSystemError(f"{what} solve failed: {exc}",

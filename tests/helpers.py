@@ -271,7 +271,7 @@ def reference_profile_csv(result) -> str:
         result.nodes.tolist(), result.final_profile.tolist()))
 
 
-def reference_coupled(config, mesh, model, freeze=False):
+def reference_coupled(config, mesh, model):
     """``simulator._coupled`` as it was before a step held what it derives
     from sigma: every step evaluates sigma, solves the potential, builds the
     Joule source and takes the compatibility residual anew.  A sigma zero at
@@ -297,7 +297,7 @@ def reference_coupled(config, mesh, model, freeze=False):
             mu = solve_potential(sigma, mesh, model, config.variant,
                                  sigma_ghost_left=ghost,
                                  residual_sink=residual_sink)
-            if freeze:
+            if config.freeze_potential_after_first_step:
                 potential = mu
         new_state = temp.solve_temperature(state, sigma, mu, operator,
                                            residual_sink)

@@ -109,13 +109,14 @@ def test_eval_sigma_check_matches_the_elementwise_one(values):
     # failure reports the same count and first entry
     arr = np.asarray(values, dtype=float)
     model = tf.CoefficientModel(1.0, lambda u: arr, 1.0, 1.0)
+    u = np.zeros(arr.shape)  # sigma(u) has u's shape
     expected = elementwise_verdict(arr)
     if expected is None:
-        out = tf.eval_sigma(model, 0.0)
+        out = tf.eval_sigma(model, u)
         assert np.asarray(out).tobytes() == arr.tobytes()
     else:
         with pytest.raises(tf.ModelError) as exc:
-            tf.eval_sigma(model, 0.0)
+            tf.eval_sigma(model, u)
         assert str(exc.value) == expected
 
 

@@ -59,6 +59,45 @@ def test_config_validation():
     assert small_config(beta=0.0).beta == 0.0
 
 
+@pytest.mark.parametrize("build, key", [
+    (lambda: tf.ModelSpec("constant", {"k0": "abc", "sigma0": 1.0}), "k0"),
+    (lambda: tf.ModelSpec("constant", {"k0": None, "sigma0": 1.0}), "k0"),
+    (lambda: tf.ModelSpec("constant", {"k0": 1.0, "sigma0": 1j}), "sigma0"),
+    (lambda: tf.ModelSpec("paper_example", {"gamma": "0.1"}), "gamma"),
+    (lambda: small_config(tau="0.1"), "tau"),
+    (lambda: small_config(beta=None), "beta"),
+    (lambda: small_config(flux_right=1j), "flux_right"),
+], ids=["k0_str", "k0_none", "sigma0_complex", "gamma_str", "tau_str",
+        "beta_none", "flux_right_complex"])
+def test_non_real_parameters_are_configuration_errors(build, key):
+    # refused when the spec or the config is made, naming the key, instead
+    # of escaping later as a ValueError or TypeError
+    with pytest.raises(tf.ConfigurationError,
+                       match=f"^{key} must be a real number, got "):
+        build()
+
+
+@pytest.mark.parametrize("sigma, shape", [
+    (lambda u: 2.0, "()"),
+    (lambda u: np.ones(3), "(3,)"),
+    (lambda u: np.ones((np.size(u), 1)), "(21, 1)"),
+], ids=["scalar", "short", "column"])
+@pytest.mark.parametrize("variant", [tf.CORRECTED, tf.PAPER_LITERAL],
+                         ids=["corrected", "paper_literal"])
+def test_sigma_that_does_not_broadcast_is_a_model_error(sigma, shape, variant,
+                                                        monkeypatch):
+    # sigma(u) must have u's shape; any other is refused where sigma is
+    # evaluated, and the run leaves at its first step
+    wrap_sigma(monkeypatch, lambda _: sigma)
+    with pytest.raises(tf.ModelError) as exc:
+        tf.run(small_config(variant=variant))
+    assert str(exc.value) == (
+        "electrical conductivity must broadcast over u: sigma(u) has "
+        f"shape {shape} for u of shape (21,)")
+    assert exc.value.step == 0
+    assert exc.value.diagnostics.max_change == []
+
+
 @pytest.mark.parametrize("model", [
     tf.ModelSpec("constant", {"k0": 1.0, "sigma0": 0.0}),
     tf.ModelSpec("paper_example", {"gamma": 0.0}),

@@ -148,7 +148,7 @@ def test_fused_checks_record_the_same_run(driver, config, monkeypatch):
 
 
 # A run's stepper holds the potential, its residual record, the Joule source
-# and the compatibility residual while sigma(alpha^n) keeps its bits, where
+# and the compatibility residual of a numeric sigma for the whole run, where
 # ``reference_coupled`` builds them again every step.  The runs are the same.
 CONSTANT = dataclasses.replace(
     FIG1, model=tf.ModelSpec("constant", {"k0": 1.0, "sigma0": 0.3}))
@@ -231,8 +231,9 @@ def test_step_rebuilds_only_when_sigma_changes(config, per_step, monkeypatch):
 def test_step_rebuilds_from_the_step_sigma_changes(variant, warm, ghost_only,
                                                    monkeypatch):
     # sigma stays gamma until the bar (or only the ghost) warms past
-    # ``warm``, and is then scaled point by point, so runs of held steps
-    # alternate with rebuilds
+    # ``warm``, and is then scaled point by point, so runs of steps with
+    # the same sigma alternate with changes; a callable sigma's potential
+    # and source are still made at every step
     seen = []
 
     def scaled(sigma):
@@ -249,14 +250,14 @@ def test_step_rebuilds_from_the_step_sigma_changes(variant, warm, ghost_only,
     config = dataclasses.replace(FIG1, variant=variant)
     calls = count_rebuilds(monkeypatch)
     new = tf.run(config)
-    # one key per step: sigma's bytes, and the literal ghost's
+    # per step: sigma's bytes, and the literal ghost's
     per_step = 2 if variant == tf.PAPER_LITERAL else 1
-    keys = list(zip(*[iter(seen)] * per_step))
-    changes = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
-    assert len(keys) == len(new.diagnostics.max_change)
-    assert 1 < changes < len(keys) // 2
-    assert calls == {"solve_potential": changes,
-                     "joule_source_vector": changes}
+    values = list(zip(*[iter(seen)] * per_step))
+    changes = 1 + sum(a != b for a, b in zip(values, values[1:]))
+    steps = len(new.diagnostics.max_change)
+    assert len(values) == steps
+    assert 1 < changes < steps // 2
+    assert calls == {"solve_potential": steps, "joule_source_vector": steps}
     monkeypatch.undo()
     wrap_sigma(monkeypatch, scaled)
     assert_same_run(new, run_reference(config, monkeypatch))

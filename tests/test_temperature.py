@@ -228,7 +228,7 @@ def test_held_operator_matches_assembly(variant):
         mu = rng.uniform(-1.0, 1.0, 41)
         oracle = tf.assemble_temperature(state_from(alpha), mu, mesh, model,
                                          TAU, BETA, variant)
-        rhs = held._rhs(alpha, held.source(tf.eval_sigma(model, alpha), mu))
+        rhs = held.mass(alpha) + held.source(tf.eval_sigma(model, alpha), mu)
         np.testing.assert_array_equal(rhs, oracle.rhs)
         for name in ("sub", "main", "sup"):
             np.testing.assert_array_equal(getattr(held.matrix, name),
