@@ -19,9 +19,10 @@ class CoefficientModel:
     """Physics bundle for one simulation.
 
     ``k`` is the thermal conductivity, a constant: only the electrical
-    conductivity depends on temperature.  It must be positive and finite,
-    which is checked once, here.  ``electrical_conductivity`` is either a
-    callable that maps temperature to sigma(u) >= 0 and broadcasts over
+    conductivity depends on temperature.  It must be a real number, positive
+    and finite, and the fluxes real and finite, which is checked once, here,
+    with a ModelError naming the field.  ``electrical_conductivity`` is either
+    a callable that maps temperature to sigma(u) >= 0 and broadcasts over
     numpy arrays, or a number, the sigma of every temperature.  A number
     must be >= 0 and finite, which is checked here and kept as a float; a
     run evaluates it once and holds the potential it gives for every step.
@@ -33,10 +34,18 @@ class CoefficientModel:
     flux_right: float
 
     def __post_init__(self):
+        for name in ("k", "flux_left", "flux_right"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ModelError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.k) and self.k > 0.0):
             raise ModelError(
                 f"thermal conductivity k must be positive and finite, "
                 f"got {self.k!r}")
+        for name in ("flux_left", "flux_right"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ModelError(f"{name} must be finite, got {value!r}")
         sigma = self.electrical_conductivity
         if callable(sigma):
             return

@@ -26,12 +26,20 @@ class Mesh:
         return self.n_elements + 1
 
 
+def check_integer(name: str, value) -> None:
+    """Refuse a ``value`` that is not an integer (a Python or numpy integer;
+    bool is not one) with a ConfigurationError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 def build_mesh(n_elements: int) -> Mesh:
-    """Build the uniform mesh.  Requires ``n_elements >= 3``.
+    """Build the uniform mesh.  Requires an integer ``n_elements >= 3``.
 
     The minimum of 3 keeps the two boundary rows of the assembled systems
     from overlapping the interior stencil.
     """
+    check_integer("n_elements", n_elements)
     if n_elements < 3:
         raise ConfigurationError(
             f"n_elements must be >= 3, got {n_elements}")

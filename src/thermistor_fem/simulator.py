@@ -21,7 +21,7 @@ from . import temperature as temp
 from .coefficients import CoefficientModel, ModelSpec, eval_sigma
 from .errors import (ConfigurationError, NotSteadyError, SingularSystemError,
                      StepFailure)
-from .mesh import Mesh, build_mesh
+from .mesh import Mesh, build_mesh, check_integer
 from .potential import (CORRECTED, PAPER_LITERAL, SchemeVariant,
                         check_current_compatibility, solve_potential)
 
@@ -49,11 +49,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         for name in ("n_elements", "record_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) \
-                    or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         if self.n_elements < 3:
             raise ConfigurationError(
                 f"n_elements must be >= 3, got {self.n_elements}")
@@ -96,7 +92,14 @@ class Snapshot(NamedTuple):
 
 @dataclass
 class Diagnostics:
-    """Per-step series collected during a run."""
+    """Per-step series collected during a run.
+
+    ``solver_residuals`` holds each solve's scaled residual in the order of
+    the solves.  On a temperature system of at most
+    ``temperature.CELLS // 8`` rows the run forms the temperature residuals
+    a block of steps at a time (``temperature.ResidualBlock``); the values
+    and their order are those of one residual per step.
+    """
 
     max_change: list = field(default_factory=list)
     compatibility_residuals: list = field(default_factory=list)
@@ -210,7 +213,7 @@ def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel):
         nonlocal record
         if varying:
             couple(state.alpha)
-        residual_sink += record
+        residual_sink.extend(record)
         if potential is not None:
             record = []  # a frozen potential is solved, and recorded, once
         return (operator.advance(state.alpha, source, residual_sink), mu,
@@ -226,13 +229,18 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
 
     ``stepper(state, residual_sink)`` returns the next level alpha^{n+1},
     the potential it used and its starting state's compatibility residual,
-    and appends its solves' residuals to the sink.  Snapshots are recorded
-    at t0, every ``record_every`` steps, and at the final state; the
-    snapshots of one potential object share one read-only copy of it.  A SolverError or
-    ModelError, building the stepper (step 0) included, leaves with the
-    failing step's index and the diagnostics collected so far.
+    and appends its solves' residuals to the sink, a
+    ``temperature.ResidualBlock`` over ``Diagnostics.solver_residuals``; on
+    small systems the held temperature step defers its residual to it.  A
+    step whose change is not finite has its solution checked there.
+    Snapshots are recorded at t0, every ``record_every`` steps, and at the
+    final state; the snapshots of one potential object share one read-only
+    copy of it.  A SolverError or ModelError, building the stepper (step 0)
+    included, leaves with the failing step's index and the diagnostics
+    collected so far, the deferred residuals written in.
     """
     diag = Diagnostics()
+    residuals = temp.ResidualBlock(diag.solver_residuals)
     snapshots = [Snapshot(state.time, state.alpha.copy(), mesh.nodes.copy())]
     steady_time = None
     mu = mesh.nodes
@@ -252,13 +260,16 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
     try:
         stepper = make_stepper()
         while (n + 1) * config.tau + t0 <= config.t_max * (1.0 + 1e-12):
-            prev_alpha = state.alpha
-            alpha, mu, compatibility = stepper(state, diag.solver_residuals)
+            alpha, mu, compatibility = stepper(state, residuals)
+            np.subtract(alpha, state.alpha, out=diff)
+            change = float(np.abs(diff, out=diff).max())
+            if not math.isfinite(change):
+                # alpha^n is finite, so alpha^{n+1} may not be: a held step
+                # is checked here, and a finite one runs on
+                residuals.check()
             n += 1
             # keep times on the exact t0 + n*tau grid instead of accumulating
             state = temp.TemperatureState(alpha, t0 + n * config.tau)
-            np.subtract(alpha, prev_alpha, out=diff)
-            change = float(np.abs(diff, out=diff).max())
             diag.max_change.append(change)
             diag.compatibility_residuals.append(compatibility)
             if n % config.record_every == 0:
@@ -267,9 +278,11 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
                 steady_time = state.time
                 break
     except StepFailure as exc:
+        residuals.flush()
         exc.step = n
         exc.diagnostics = diag
         raise
+    residuals.flush()
     if snapshots[-1].time != state.time:
         record(state)
     return SimulationResult(snapshots=snapshots,

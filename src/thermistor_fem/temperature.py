@@ -11,7 +11,9 @@ plus a source; the run's stepper builds the Joule source once for a
 numeric sigma and at every step for a callable one, and solves with
 ``TemperatureOperator.advance``.
 ``assemble_temperature`` and ``solve_temperature`` build the source afresh,
-for one step.
+for one step.  On a system of at most ``CELLS // 8`` rows a run defers each
+step's residual check to a ``ResidualBlock``, which takes them a block of
+steps at a time.
 The reduced benchmark scheme (``run_reduced``) is the paper_literal step at
 k = 1 with the uniform source gamma*tau*h in place of the Joule source.
 
@@ -46,6 +48,13 @@ from .errors import ModelError, NumericalFailureError, SolverError
 from .mesh import Mesh, mass_row
 from .potential import SchemeVariant
 from .tridiag import TridiagonalSystem
+
+# A run's held step defers its residual, on a system of m rows, to a block
+# of K = CELLS // m steps where K >= 8 (m <= 1024), and takes it at once on
+# larger systems.  tools/cells_sweep.py times a step both ways: the block
+# takes 0.70-0.74 of the per-step time at m = 101, 0.85-0.94 at m = 801 and
+# 0.96-1.09 at m = 2001 (README, "The held step").
+CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -147,7 +156,9 @@ class TemperatureOperator:
     ``mass_matrix`` (whose ``rhs`` is unused), built and checked once, here,
     and factored once, by the first ``advance``: they depend only on the
     mesh, tau, beta and the constant k.  Every failure, of the rows or of a
-    step, reads ``"<what> solve failed: ..."``.
+    step, reads ``"<what> solve failed: ..."``.  On at most ``CELLS // 8``
+    rows, a run's steps leave their residuals to a ``ResidualBlock``, which
+    records the values a step records, in the same order.
     """
 
     def __init__(self, mesh: Mesh, model: CoefficientModel, tau: float,
@@ -214,7 +225,10 @@ class TemperatureOperator:
         source, is formed in the factors' rhs block, the rhs of a system
         made with them, so the solve copies none.  Failures, a non-finite
         right-hand side or singular rows included, raise as
-        ``"<what> solve failed: ..."``."""
+        ``"<what> solve failed: ..."``.  A list sink (or none) gets the
+        residual at once.  A run's ``ResidualBlock`` sink, on a system of at
+        most ``CELLS // 8`` rows, holds the step instead, and takes its
+        residual and its checks later, for a block of steps."""
         if self._factors is None:  # made here, so assembly factors none
             matrix = self.matrix
             try:
@@ -229,18 +243,98 @@ class TemperatureOperator:
         rhs = tridiag._product(self.mass_matrix, alpha[:factors.size],
                                factors.rhs_in)
         rhs += source
-        # max|rhs| is NaN or inf exactly when an entry is, and it is the
-        # residual's scale; the residual array is free until the solve
-        peak = float(np.abs(rhs, out=factors.residual).max())
-        if not math.isfinite(peak):
-            raise NumericalFailureError(
-                f"{self.what} solve failed: non-finite entries in rhs")
-        x = tridiag._checked_substitution(self._system, factors, peak,
-                                          self.what, residual_sink)
+        if isinstance(residual_sink, ResidualBlock) \
+                and CELLS // factors.size >= 8:
+            x = tridiag.thomas_solve(self._system, factors)
+            residual_sink.hold(self, rhs, x)
+        else:
+            # max|rhs| is NaN or inf exactly when an entry is, and it is
+            # the residual's scale; the residual array is free until the
+            # solve
+            peak = float(np.abs(rhs, out=factors.residual).max())
+            if not math.isfinite(peak):
+                raise NumericalFailureError(
+                    f"{self.what} solve failed: non-finite entries in rhs")
+            x = tridiag._checked_substitution(self._system, factors, peak,
+                                              self.what, residual_sink)
         if self.variant.stiffness == "corrected":
             return x
         k, h = self.model.k, self.mesh.h
         return np.append(x, ghost_temp_right(float(x[-1]), k, h, self.beta))
+
+
+class ResidualBlock:
+    """A run's residual sink: the held temperature step's residual, on a
+    small system, a block of steps at a time.
+
+    ``append`` and ``extend`` add values to ``values``, the run's
+    ``Diagnostics.solver_residuals``, at once.  ``TemperatureOperator.advance``
+    given this sink, on a system of m <= ``CELLS // 8`` rows, solves without
+    its checks and ``hold``s the step's rhs and x as a row of (K, m) stacks,
+    K = ``CELLS // m``, with None in ``values`` for its residual.  ``flush``
+    forms T x - rhs and max|rhs| for all held rows in one pass and writes
+    each residual, scaled by 1 + max|rhs| as a checked solve scales it, in
+    its step's place: the same values, in the same order, as an immediate
+    sink records.  A held step's rhs and x are not checked until then, so
+    the time loop calls ``check`` when a step's change is not finite.
+    """
+
+    def __init__(self, values: list):
+        self.values = values
+        self.append, self.extend = values.append, values.extend
+        self._operator = self._rhs = self._x = None
+        self._slots = []  # where in values each held row's residual goes
+
+    def hold(self, operator: TemperatureOperator, rhs: np.ndarray,
+             x: np.ndarray) -> None:
+        """Keep a step's rhs and x for ``flush``; a full block is flushed
+        first, so the step last held is never flushed before ``check``."""
+        slots = self._slots
+        if self._rhs is None:
+            m = rhs.shape[0]
+            self._operator = operator
+            self._rhs = np.empty((CELLS // m, m))
+            self._x = np.empty((CELLS // m, m))
+        elif len(slots) == len(self._rhs):
+            self.flush()
+        self._rhs[len(slots)] = rhs
+        self._x[len(slots)] = x
+        slots.append(len(self.values))
+        self.values.append(None)
+
+    def check(self) -> None:
+        """Refuse the step last held if its x is not finite, as a checked
+        solve would: its residual is dropped, and the error names a
+        non-finite rhs, or else the solution."""
+        slots = self._slots
+        if not slots or np.isfinite(self._x[len(slots) - 1]).all():
+            return
+        rhs = self._rhs[len(slots) - 1]
+        del self.values[slots.pop()]
+        what = "non-finite entries in rhs" if not np.isfinite(rhs).all() \
+            else "non-finite solution"
+        raise NumericalFailureError(
+            f"{self._operator.what} solve failed: {what}")
+
+    # an overflow shows as an infinite residual, which is recorded
+    @np.errstate(over="ignore", invalid="ignore")
+    def flush(self) -> None:
+        """Write the residuals of the held rows in their places: the sums of
+        ``tridiag._product`` and the residual, in the same order."""
+        slots = self._slots
+        if not slots:
+            return
+        matrix = self._operator.matrix
+        rhs, x = self._rhs[:len(slots)], self._x[:len(slots)]
+        res = np.multiply(matrix.main, x)
+        res[:, 1:] += matrix.sub * x[:, :-1]
+        res[:, :-1] += matrix.sup * x[:, 1:]
+        res -= rhs
+        residual = np.abs(res, out=res).max(axis=1)
+        residual /= 1.0 + np.abs(rhs, out=rhs).max(axis=1)
+        for slot, value in zip(slots, residual.tolist()):
+            self.values[slot] = value
+        slots.clear()
 
 
 def solve_temperature(state: TemperatureState, sigma: np.ndarray,

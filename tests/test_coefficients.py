@@ -45,6 +45,25 @@ def test_model_rejects_nonpositive_or_non_finite_k():
                 flux_left=1.0, flux_right=1.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("k", "1.0", "k must be a real number, got '1.0'"),
+    ("k", None, "k must be a real number, got None"),
+    ("k", 1j, "k must be a real number, got 1j"),
+    ("flux_left", "a", "flux_left must be a real number, got 'a'"),
+    ("flux_right", None, "flux_right must be a real number, got None"),
+    ("flux_left", np.nan, "flux_left must be finite, got nan"),
+    ("flux_right", -np.inf, "flux_right must be finite, got -inf"),
+    ("flux_left", np.float64(np.inf), "flux_left must be finite, got "),
+])
+def test_model_refuses_a_non_real_or_non_finite_field(field, value, message):
+    fields = dict(k=1.0, electrical_conductivity=0.1, flux_left=1.0,
+                  flux_right=1.0)
+    fields[field] = value
+    with pytest.raises(tf.ModelError) as exc:
+        tf.CoefficientModel(**fields)
+    assert str(exc.value).startswith(message)
+
+
 def test_eval_sigma_rejects_negative():
     model = tf.CoefficientModel(
         k=1.0,

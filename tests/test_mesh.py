@@ -25,6 +25,19 @@ def test_build_mesh_rejects_small():
         tf.build_mesh(2)
 
 
+@pytest.mark.parametrize("n", [4.5, np.float64(4.0), 4.0, True, "10", None])
+def test_build_mesh_refuses_a_non_integer(n):
+    # the integer rule of SimulationConfig; these used to reach np.linspace
+    with pytest.raises(tf.ConfigurationError,
+                       match="^n_elements must be an integer, got "):
+        tf.build_mesh(n)
+
+
+@pytest.mark.parametrize("n", [np.int32(10), np.int64(10)])
+def test_build_mesh_takes_a_numpy_integer(n):
+    assert tf.build_mesh(n).nodes.tobytes() == tf.build_mesh(10).nodes.tobytes()
+
+
 @pytest.mark.parametrize("n", [3, 7, 10, 100, 997])
 def test_mesh_invariants(n):
     mesh = tf.build_mesh(n)

@@ -261,3 +261,112 @@ def test_step_rebuilds_from_the_step_sigma_changes(variant, warm, ghost_only,
     monkeypatch.undo()
     wrap_sigma(monkeypatch, scaled)
     assert_same_run(new, run_reference(config, monkeypatch))
+
+
+# On a system of m <= CELLS // 8 rows a run takes the held temperature
+# step's residual a block of CELLS // m steps at a time
+# (``temperature.ResidualBlock``).  CELLS = 0 makes every step take it at
+# once, the per-step reference; CELLS = 2**20 puts every case here in
+# blocks, N = 2000 included, and fig1 and rational N = 1000 in one block.
+CELLS = tf.temperature.CELLS
+BLOCK_CASES = {
+    "fig1": (tf.run, FIG1),
+    "fig1_frozen": (tf.run, dataclasses.replace(
+        FIG1, freeze_potential_after_first_step=True)),
+    "fig1_paper_literal": (tf.run, dataclasses.replace(
+        FIG1, variant=tf.PAPER_LITERAL)),
+    "literal_rational_n100": (tf.run, HELD_CASES["literal_rational_n100"]),
+    "reduced_n100": (tf.run_reduced, FIG1),
+    "reduced_n2000": (tf.run_reduced, dataclasses.replace(
+        FIG1, n_elements=2000, tau=0.05)),
+    "rational_n1000": (tf.run, RATIONAL),
+}
+
+
+def count_holds(monkeypatch) -> list:
+    holds = []
+    hold = tf.temperature.ResidualBlock.hold
+
+    def counted(self, *args):
+        holds.append(len(args[1]))
+        return hold(self, *args)
+
+    monkeypatch.setattr(tf.temperature.ResidualBlock, "hold", counted)
+    return holds
+
+
+@pytest.mark.filterwarnings("ignore:boundary currents are incompatible")
+@pytest.mark.parametrize("cells", [CELLS, 2**20],
+                         ids=["cells_default", "cells_2^20"])
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_block_residuals_record_the_same_run(case, cells, monkeypatch):
+    driver, config = BLOCK_CASES[case]
+    holds = count_holds(monkeypatch)
+    monkeypatch.setattr(tf.temperature, "CELLS", 0)
+    old = driver(config)
+    assert holds == []
+    monkeypatch.setattr(tf.temperature, "CELLS", cells)
+    new = driver(config)
+    steps = len(new.diagnostics.max_change)
+    # only N = 2000 is past the size selection at the default CELLS
+    blocked = cells > CELLS or config.n_elements <= 1000
+    assert len(holds) == (steps if blocked else 0)
+    assert None not in new.diagnostics.solver_residuals
+    assert_same_run(new, old)
+
+
+NTC = dataclasses.replace(FIG1, model=tf.ModelSpec(
+    "rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": -0.5}))
+
+
+def sigma_jumps_after(calls: int, value: float):
+    """Wrap sigma to ``value`` at every node from its ``calls + 1``-th call
+    on; with fluxes of 1e5 the next step's solution overflows, with 1e6
+    its Joule source."""
+    seen = [0]
+
+    def wrap(sigma):
+        def fn(u):
+            seen[0] += 1
+            return sigma(u) if seen[0] <= calls else np.full(np.shape(u),
+                                                             value)
+        return fn
+
+    return wrap
+
+
+def failure(driver, config):
+    with pytest.raises(tf.errors.StepFailure) as exc:
+        driver(config)
+    return exc.value
+
+
+# held: the steps held on the block path, the failing one included when its
+# solve fails
+@pytest.mark.parametrize("config, wrap, message, held", [
+    (dataclasses.replace(NTC, flux_left=1.0, flux_right=1.0), None,
+     "is at or past the pole", 10),
+    (dataclasses.replace(FIG1, flux_left=1e5, flux_right=1e5),
+     lambda: sigma_jumps_after(10, 1e300), "non-finite solution", 11),
+    (dataclasses.replace(FIG1, flux_left=1e6, flux_right=1e6),
+     lambda: sigma_jumps_after(10, 1e300), "non-finite entries in rhs", 11),
+], ids=["ntc_pole", "solution_overflow", "rhs_overflow"])
+def test_failure_mid_block_leaves_as_the_per_step_one(config, wrap, message,
+                                                      held, monkeypatch):
+    # each run fails at step 10, inside the first block of 81 steps
+    holds = count_holds(monkeypatch)
+    runs = []
+    for cells in (0, CELLS):
+        with monkeypatch.context() as m:
+            m.setattr(tf.temperature, "CELLS", cells)
+            if wrap:
+                wrap_sigma(m, wrap())
+            runs.append(failure(tf.run, config))
+    old, new = runs
+    assert len(holds) == held
+    assert message in str(old)
+    assert type(new) is type(old)
+    assert str(new) == str(old)
+    assert new.step == old.step == 10
+    assert new.diagnostics == old.diagnostics
+    assert None not in new.diagnostics.solver_residuals

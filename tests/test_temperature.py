@@ -288,3 +288,81 @@ def test_held_mass_rows_are_the_published_ones(variant, n):
         np.testing.assert_array_equal(op.matrix.main, main)
         np.testing.assert_array_equal(op.matrix.sub, off)
         np.testing.assert_array_equal(op.matrix.sup, off)
+
+
+def fig1_operator(n=100, variant=tf.CORRECTED):
+    return tf.TemperatureOperator(tf.build_mesh(n), paper_example_model(),
+                                  TAU, BETA, variant)
+
+
+@pytest.mark.parametrize("variant", [tf.CORRECTED, tf.PAPER_LITERAL],
+                         ids=["corrected", "paper_literal"])
+def test_block_records_the_residuals_a_list_records(variant):
+    # 100 steps through blocks of 81 rows (m = 101) or 81 (m = 100), with
+    # a known value between steps as a run's potential residual is; signed
+    # data, so max|rhs| is not max rhs
+    rng = np.random.default_rng(3)
+    alphas = rng.uniform(-0.3, 0.3, (100, 101))
+    sources = rng.uniform(-1e-3, 1e-3, (100, 101))
+    per_step, values = [], []
+    block = tf.temperature.ResidualBlock(values)
+    held, fresh = fig1_operator(variant=variant), fig1_operator(variant=variant)
+    for i, (alpha, source) in enumerate(zip(alphas, sources)):
+        per_step.append(float(i))
+        block.append(float(i))
+        x = held.advance(alpha, source[:held.matrix.size], block)
+        y = fresh.advance(alpha, source[:fresh.matrix.size], per_step)
+        assert x.tobytes() == y.tobytes()
+        block.check()
+    assert values[-1] is None
+    block.flush()
+    assert values == per_step
+    assert per_step[1::2] != [None] * 100
+
+
+def test_block_check_refuses_a_non_finite_step_as_a_list_sink_does():
+    # rhs 1e308 is finite, but x ~ rhs / h overflows; an infinite source
+    # makes the rhs non-finite
+    for source, message in ((np.full(101, 1e308), "non-finite solution"),
+                            (np.full(101, np.inf), "non-finite entries in rhs")):
+        op = fig1_operator()
+        values = []
+        block = tf.temperature.ResidualBlock(values)
+        op.advance(np.zeros(101), np.ones(101), block)
+        block.append(0.5)
+        op.advance(np.zeros(101), source, block)
+        with pytest.raises(tf.NumericalFailureError) as exc:
+            block.check()
+        assert str(exc.value) == f"temperature solve failed: {message}"
+        with pytest.raises(tf.NumericalFailureError) as ref:
+            fig1_operator().advance(np.zeros(101), source, [])
+        assert str(exc.value) == str(ref.value)
+        # the failing step's residual is dropped, the others kept
+        block.flush()
+        expected = []
+        fig1_operator().advance(np.zeros(101), np.ones(101), expected)
+        assert values == expected + [0.5]
+
+
+def test_block_check_passes_a_finite_step():
+    op = fig1_operator()
+    values = []
+    block = tf.temperature.ResidualBlock(values)
+    block.check()  # nothing held yet
+    op.advance(np.zeros(101), np.ones(101), block)
+    block.check()
+    assert values == [None]
+
+
+def test_large_systems_take_each_residual_at_once():
+    # m = 1025 > CELLS // 8: the block sink records at once
+    assert tf.temperature.CELLS // 1025 < 8 <= tf.temperature.CELLS // 1024
+    values = []
+    op = fig1_operator(n=1024)
+    op.advance(np.zeros(1025), np.ones(1025),
+               tf.temperature.ResidualBlock(values))
+    assert len(values) == 1 and values[0] is not None
+    assert fig1_operator(n=1023).advance(
+        np.zeros(1024), np.ones(1024),
+        tf.temperature.ResidualBlock(values)) is not None
+    assert values[1] is None
