@@ -14,6 +14,16 @@ from .errors import ConfigurationError, ModelError
 MODEL_KINDS = ("constant", "paper_example", "rational_sigma")
 
 
+def as_float(value: numbers.Real) -> float:
+    """``float(value)``, with a real number too large for a float (an int
+    such as 10**400) taken as the infinity of its sign, as the CLI's
+    ``float`` parse of its text gives, so a finiteness check refuses it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class CoefficientModel:
     """Physics bundle for one simulation.
@@ -38,23 +48,26 @@ class CoefficientModel:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):
                 raise ModelError(f"{name} must be a real number, got {value!r}")
-        if not (math.isfinite(self.k) and self.k > 0.0):
+        k = as_float(self.k)
+        if not (math.isfinite(k) and k > 0.0):
             raise ModelError(
                 f"thermal conductivity k must be positive and finite, "
-                f"got {self.k!r}")
+                f"got {k!r}")
         for name in ("flux_left", "flux_right"):
-            value = getattr(self, name)
+            value = as_float(getattr(self, name))
             if not math.isfinite(value):
                 raise ModelError(f"{name} must be finite, got {value!r}")
         sigma = self.electrical_conductivity
         if callable(sigma):
             return
-        if not (isinstance(sigma, numbers.Real) and math.isfinite(sigma)
+        if isinstance(sigma, numbers.Real):
+            sigma = as_float(sigma)
+        if not (isinstance(sigma, float) and math.isfinite(sigma)
                 and sigma >= 0.0):
             raise ModelError(
                 "electrical conductivity must be a callable or a number "
                 f">= 0 and finite, got {sigma!r}")
-        object.__setattr__(self, "electrical_conductivity", float(sigma))
+        object.__setattr__(self, "electrical_conductivity", sigma)
 
 
 def eval_k(model: CoefficientModel, u):
@@ -141,9 +154,9 @@ class ModelSpec:
             if not isinstance(raw, numbers.Real):
                 raise ConfigurationError(
                     f"{name} must be a real number, got {raw!r}")
-            value = float(raw)
+            value = as_float(raw)
             if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {raw}")
+                raise ConfigurationError(f"{name} must be finite, got {value}")
             # k0, sigma0 and gamma fix the sign of k and sigma, which the
             # model or eval_sigma would otherwise refuse
             if name == "k0" and value <= 0.0:

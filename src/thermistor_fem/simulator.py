@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import temperature as temp
-from .coefficients import CoefficientModel, ModelSpec, eval_sigma
+from .coefficients import CoefficientModel, ModelSpec, as_float, eval_sigma
 from .errors import (ConfigurationError, NotSteadyError, SingularSystemError,
                      StepFailure)
 from .mesh import Mesh, build_mesh, check_integer
@@ -62,6 +62,7 @@ class SimulationConfig:
             if not isinstance(value, numbers.Real):
                 raise ConfigurationError(
                     f"{name} must be a real number, got {value!r}")
+            value = as_float(value)
             if not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.tau <= 0.0:
@@ -154,10 +155,11 @@ def _check_state(state: temp.TemperatureState, mesh: Mesh) -> None:
     bad = np.flatnonzero(~np.isfinite(state.alpha))
     if bad.size:
         raise ConfigurationError(f"initial state is not finite at node {bad[0]}")
-    if not (isinstance(state.time, numbers.Real)
-            and math.isfinite(state.time)):
-        raise ConfigurationError(
-            f"initial time must be finite, got {state.time!r}")
+    time = state.time
+    if isinstance(time, numbers.Real):
+        time = as_float(time)
+    if not (isinstance(time, float) and math.isfinite(time)):
+        raise ConfigurationError(f"initial time must be finite, got {time!r}")
 
 
 def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel):

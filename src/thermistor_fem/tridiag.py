@@ -16,9 +16,16 @@ from .errors import NumericalFailureError, SingularSystemError
 PIVOT_RTOL = 1e-14
 
 # Rows per block of the blocked substitution.  A solve makes one batched
-# product of (BLOCK x BLOCK) matrices and two scalar passes over the m/BLOCK
+# product of (BLOCK x BLOCK) matrices and carries values between the m/BLOCK
 # blocks; a factorisation takes BLOCK + 2 floats per row.
 BLOCK = 32
+
+# Most blocks for which a factorisation holds its interface operator, a dense
+# (2 blocks)^2 matrix, 512 kB at the cap (m = 4096); larger ones carry by
+# the two scalar passes.  The cap bounds memory: timed single-threaded on a
+# 2-CPU host, the product was as fast as the passes or faster up to 160
+# blocks, and slower at 256.
+INTERFACE_BLOCKS = 128
 
 
 @dataclass(frozen=True)
@@ -144,11 +151,14 @@ def thomas_solve(system: TridiagonalSystem,
 
     Both triangular solves run block by block in one pass (Wang's partition
     method).  One batched product solves every block as if nothing came in
-    from its neighbours.  Two scalar passes over the blocks then carry the
-    values the neighbours read: going forward, the last entry ``e`` of L's
-    solution, and going backward, the first entry ``f`` of the solution.
-    Each block finally adds its carry vectors times the values it received
-    (see ``_Factors``).
+    from its neighbours.  The values the neighbours read are then carried:
+    going forward, the last entry ``e`` of L's solution, and going
+    backward, the first entry ``f`` of the solution.  Both recurrences are
+    linear in the blocks' last and first local entries, so one product with
+    the factors' interface operator gives every received value; factors of
+    more than ``INTERFACE_BLOCKS`` blocks, or whose operator is not finite,
+    run the two scalar passes instead.  Each block finally adds its carry
+    vectors times the values it received (see ``_Factors``).
     """
     if factors is None:
         factors = _factor(system.sub, system.main, system.sup)
@@ -156,21 +166,28 @@ def thomas_solve(system: TridiagonalSystem,
         factors.rhs_in[:] = system.rhs
     np.matmul(factors.inverse, factors.padded, out=factors.product)
     local = factors.local
-    z, t = local[:, -1].tolist(), factors.lower_last
-    nb = len(z)
-    into = [0.0] * nb  # e of the previous block
-    e = 0.0
-    for k in range(nb):
-        into[k] = e
-        e = z[k] + t[k] * e
-    w, g, u = local[:, 0].tolist(), factors.lower_first, factors.upper_first
-    back = [0.0] * nb  # f of the next block
-    f = 0.0
-    for k in range(nb - 1, -1, -1):
-        back[k] = f
-        f = w[k] + g[k] * into[k] + u[k] * f
-    # one flat array: a tuple of lists goes through numpy's shape discovery
-    received = np.fromiter(chain(into, back), float, 2 * nb)
+    nb = local.shape[0]
+    if factors.interface is None:
+        z, t = local[:, -1].tolist(), factors.lower_last
+        into = [0.0] * nb  # e of the previous block
+        e = 0.0
+        for k in range(nb):
+            into[k] = e
+            e = z[k] + t[k] * e
+        w, g, u = local[:, 0].tolist(), factors.lower_first, factors.upper_first
+        back = [0.0] * nb  # f of the next block
+        f = 0.0
+        for k in range(nb - 1, -1, -1):
+            back[k] = f
+            f = w[k] + g[k] * into[k] + u[k] * f
+        # one flat array: a tuple of lists goes through numpy's shape discovery
+        received = np.fromiter(chain(into, back), float, 2 * nb)
+    else:
+        edges = factors.edges
+        edges[0] = local[:, -1]
+        edges[1] = local[:, 0]
+        received = np.matmul(factors.interface, edges.reshape(-1),
+                             out=factors.received)
     carry = np.multiply(factors.carries, received.reshape(2, nb, 1),
                         out=factors.carry)
     x = local + carry[0]
@@ -193,8 +210,19 @@ class _Factors(NamedTuple):
     ``x_k = G_k r_k + (U_k^-1 l_k) e + u_k f`` with ``G_k = U_k^-1 L_k^-1``.
     The last row of U_k^-1 is that of the identity, so the last entries of
     ``G_k r_k`` and ``U_k^-1 l_k`` are those of ``L_k^-1 r_k`` and ``l_k``,
-    which the forward pass reads.  The carry entries the scalar passes
-    read are held as Python floats.
+    which the forward pass reads.
+
+    The forward pass ``e_k = z_k + t_k e_(k-1)`` and the backward pass
+    ``f_k = w_k + g_k e_(k-1) + u_k f_(k+1)`` read the last and first local
+    entries z and w of each block and the carry entries t = ``lower_last``,
+    g = ``lower_first`` and u = ``upper_first``, held as Python floats.
+    The values received, e_(k-1) and f_(k+1), are linear in (z, w):
+    ``[into; back] = R [z; w]`` with R =
+    ``[[S E, 0], [S^T F diag(g) S E, S^T F]]``, where E and F are the
+    inverses of the unit bidiagonal matrices of t and u and S shifts by
+    one block.  ``interface`` holds R when there are at most
+    ``INTERFACE_BLOCKS`` blocks and all of its entries are finite; it is
+    None otherwise, and so are ``edges`` and ``received``.
 
     A solve overwrites the work arrays, so one set of factors serves one
     solve at a time; nothing a solve returns is a view of them.
@@ -206,6 +234,9 @@ class _Factors(NamedTuple):
     lower_last: list  # carries[0, :, -1]
     lower_first: list  # carries[0, :, 0]
     upper_first: list  # carries[1, :, 0]
+    interface: np.ndarray | None  # (2 blocks, 2 blocks): R
+    edges: np.ndarray | None  # (2, blocks): z, then w
+    received: np.ndarray | None  # (2 blocks,): R [z; w]
     padded: np.ndarray  # (blocks, b, 1): the rhs r_k, its padding kept 0
     rhs_in: np.ndarray  # padded's first m entries, where the rhs goes
     product: np.ndarray  # (blocks, b, 1): G_k r_k
@@ -280,13 +311,39 @@ def _block_operators(lower: list, pivots: list, upper: list) -> _Factors:
     carries = np.stack((-a[:, :1] * inverse[:, :, 0],
                         -c[:, b - 1:] * upper_inv[:, :, b - 1]))
     padded, product = np.zeros((nb, b, 1)), np.empty((nb, b, 1))
+    t, g, u = (carries[0, :, -1].tolist(), carries[0, :, 0].tolist(),
+               carries[1, :, 0].tolist())
+    interface = _interface(t, g, u) if nb <= INTERFACE_BLOCKS else None
+    held = interface is not None
     return _Factors(size=m, inverse=inverse, carries=carries,
-                    lower_last=carries[0, :, -1].tolist(),
-                    lower_first=carries[0, :, 0].tolist(),
-                    upper_first=carries[1, :, 0].tolist(),
+                    lower_last=t, lower_first=g, upper_first=u,
+                    interface=interface,
+                    edges=np.empty((2, nb)) if held else None,
+                    received=np.empty(2 * nb) if held else None,
                     padded=padded, rhs_in=padded.reshape(-1)[:m],
                     product=product, local=product[:, :, 0],
                     carry=np.empty((2, nb, b)), residual=np.empty(m))
+
+
+def _interface(t: list, g: list, u: list) -> np.ndarray | None:
+    """The interface operator R of ``_Factors``, or None if an entry is
+    not finite: the two passes of ``thomas_solve`` run on every unit vector
+    at once, each step making the row of R that one block receives."""
+    nb = len(t)
+    r = np.zeros((2 * nb, 2 * nb))
+    into, back = r[:nb, :nb], r[nb:]
+    # into row k+1 = t_k (into row k) + unit row k
+    for k in range(nb - 1):
+        np.multiply(into[k], t[k], out=into[k + 1])
+        into[k + 1, k] = 1.0
+    # back row k-1 = u_k (back row k) + [g_k (into row k), unit row k]
+    fed = np.zeros((nb, 2 * nb))
+    np.multiply(into, np.array(g)[:, None], out=fed[:, :nb])
+    np.fill_diagonal(fed[:, nb:], 1.0)
+    for k in range(nb - 1, 0, -1):
+        np.multiply(back[k], u[k], out=back[k - 1])
+        back[k - 1] += fed[k]
+    return r if np.isfinite(r).all() else None
 
 
 def dense_solve_oracle(system: TridiagonalSystem) -> np.ndarray:

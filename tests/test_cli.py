@@ -170,19 +170,19 @@ def test_cli_outputs_are_deterministic(fig1_cfg_path, tmp_path):
 # the old path (tests/test_solve_path.py).  The case name lists the edits to
 # fig1.cfg (see golden_config).
 GOLDEN = {
-    "run": ("c8346eb9b8b7c5c05d65f4c00ecc2ee84f41b9c7858d370e63a049441c205cbe",
+    "run": ("752a600c86d36cb36267831ab23d37cec1b2bbde65a69af5e4ea0a8e4fb7c270",
             "c065a720267f591b876782b1d8aa53ddb933f1427dfdc21109721e1dbb94525e"),
     "run-paper": ("14998d2b8c796884609e39798f9f0f1d29533fae09e7313fb13e4d47602cf8e3",
                   "2c5da442382644ac3e902aee326603b04dec823ecd4e3a2673640866de1ebc47"),
-    "run-freeze": ("c8346eb9b8b7c5c05d65f4c00ecc2ee84f41b9c7858d370e63a049441c205cbe",
+    "run-freeze": ("752a600c86d36cb36267831ab23d37cec1b2bbde65a69af5e4ea0a8e4fb7c270",
                    "c065a720267f591b876782b1d8aa53ddb933f1427dfdc21109721e1dbb94525e"),
-    "run-rational": ("97e3eb8240ad896b44425d0b231ca5d7470cefef779b1c73fd75e36d46999137",
+    "run-rational": ("6deb7a68191c040ce47ba7b1102ac9aea1cd467265fd6f56f229d3172f210a8c",
                      "eccb310a0fab711fa319be6e78101b0f07c4c5736e7448d9395d88c2f4b0b210"),
     "run-rational-freeze": (
-        "70867f61fb3cbd44f21c81ced0e556906476dde985948eaf34ad88e1ce51fb58",
+        "844e27cda2b2895d2ac95586c7de052f83d2f1d719208c46843235cc878f3eaf",
         "c4d0addeab3a0ce42cad2a13982b533f9e64882cf948884a7eefafb9ce37bde0"),
     "run-rational-paper": (
-        "0b33681c7bdd6d69d486d7311c114680be8da4fadb2abfe7c2b073ef7b626acc",
+        "8c39edaa392cf8ef164298647030412a0e310d18c9a5d77560d9dd76cfd2ae96",
         "7bf551c2cbe19f4fd6f8f726514f5f282c6c148db73270c8691a1116e50a044c"),
     "run-sigma0-zero": ("23e9f6f656d9e5345259415c6eeba58e3740c4462a7b22a0e2e3d83c654bae0d",
                         "7ed7abb5039131cee3e61a5f062972ebeb4c8775df6f57d127e023a54776ab31"),

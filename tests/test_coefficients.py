@@ -54,6 +54,11 @@ def test_model_rejects_nonpositive_or_non_finite_k():
     ("flux_left", np.nan, "flux_left must be finite, got nan"),
     ("flux_right", -np.inf, "flux_right must be finite, got -inf"),
     ("flux_left", np.float64(np.inf), "flux_left must be finite, got "),
+    # too large for a float: refused as the infinity it would parse to
+    pytest.param("k", 10**400, "thermal conductivity k must be positive "
+                 "and finite, got inf", id="k-10**400"),
+    pytest.param("flux_right", -10**400, "flux_right must be finite, got -inf",
+                 id="flux_right--10**400"),
 ])
 def test_model_refuses_a_non_real_or_non_finite_field(field, value, message):
     fields = dict(k=1.0, electrical_conductivity=0.1, flux_left=1.0,
@@ -235,7 +240,7 @@ def test_model_spec_gives_the_constant_kinds_a_number():
 
 
 def test_model_refuses_a_negative_or_non_finite_numeric_sigma():
-    for value in (-1.0, -1, np.nan, np.inf, -np.inf, "0.1", None):
+    for value in (-1.0, -1, np.nan, np.inf, -np.inf, "0.1", None, 10**400):
         with pytest.raises(tf.ModelError, match="electrical conductivity "
                            "must be a callable or a number >= 0 and finite"):
             tf.CoefficientModel(k=1.0, electrical_conductivity=value,

@@ -161,6 +161,40 @@ def test_thomas_matches_reference_to_rounding():
             assert_matches_reference(s, tf.thomas_solve(s))
 
 
+@pytest.mark.parametrize("size, held", [(4096, True), (4097, False)],
+                         ids=["4096_interface", "4097_passes"])
+def test_thomas_matches_reference_on_either_side_of_the_interface_cap(
+        size, held):
+    # 4096 rows are 128 blocks, the most that hold the interface operator;
+    # one row more carries by the scalar passes, to the same bound
+    blocks = -(-size // tf.tridiag.BLOCK)
+    assert blocks == tf.tridiag.INTERFACE_BLOCKS + (not held)
+    rng = np.random.default_rng(size)
+    for _ in range(3):
+        s = random_dominant_system(rng, size)
+        factors = tf.tridiag._factor(s.sub, s.main, s.sup)
+        assert (factors.interface is not None) is held
+        assert_matches_reference(s, tf.thomas_solve(s, factors))
+
+
+def test_interface_that_overflows_leaves_the_passes_to_carry():
+    # T = lower bidiagonal (1, 2): carrying across k blocks multiplies by
+    # t = (-2)^32 per block, so the interface operator of 64 blocks
+    # overflows, while the solution is small integers that every step of
+    # the passes forms exactly
+    size = 2048
+    x = np.random.default_rng(4).integers(-3, 4, size).astype(float)
+    s = system(np.full(size - 1, 2.0), np.ones(size), np.zeros(size - 1),
+               x + np.append(0.0, 2.0 * x[:-1]))
+    factors = tf.tridiag._factor(s.sub, s.main, s.sup)
+    assert factors.interface is None and factors.edges is None
+    assert factors.lower_last[1:] == [2.0 ** 32] * 63
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solved = tf.thomas_solve(s)
+    assert solved.tobytes() == x.tobytes() == reference_thomas(s).tobytes()
+
+
 def test_near_singular_systems_fail_at_reference_row():
     rng = np.random.default_rng(21)
     rows = []
@@ -331,7 +365,10 @@ def test_held_factorisation_grows_linearly():
     # BLOCK caps the block size, so the held operators take BLOCK + 2 floats
     # per row and the solve's work arrays 5 more (312 bytes at BLOCK = 32),
     # plus one padded block; with blocks of sqrt(m) rows they would grow as
-    # m^1.5.  Views into held arrays hold no memory of their own.
+    # m^1.5.  The interface operator, (2 blocks)^2 floats, is held only up
+    # to INTERFACE_BLOCKS blocks (512 kB at m = 4096), so these 3125 blocks
+    # carry by the scalar passes and hold none.  Views into held arrays hold
+    # no memory of their own.
     m = 100_000
     b = tf.tridiag.BLOCK
     main = np.full(m, 4.0)
