@@ -109,6 +109,9 @@ def parse_config(text: str) -> SimulationConfig:
     missing = sorted(_REQUIRED.keys() - values.keys())
     if missing:
         raise ConfigurationError(f"missing required key {missing[0]!r}")
+    if not 0.0 < values["steady_tol"] < math.inf:
+        raise ConfigurationError("steady_tol must be finite and positive, "
+                                 f"got {values['steady_tol']}")
     model = _infer_model(values)
 
     variant = SchemeVariant(stiffness=values.get("scheme", "corrected"),

@@ -31,11 +31,12 @@ class CoefficientModel:
     ``k`` is the thermal conductivity, a constant: only the electrical
     conductivity depends on temperature.  It must be a real number, positive
     and finite, and the fluxes real and finite, which is checked once, here,
-    with a ModelError naming the field.  ``electrical_conductivity`` is either
-    a callable that maps temperature to sigma(u) >= 0 and broadcasts over
-    numpy arrays, or a number, the sigma of every temperature.  A number
-    must be >= 0 and finite, which is checked here and kept as a float; a
-    run evaluates it once and holds the potential it gives for every step.
+    with a ModelError naming the field, and all three are kept as floats.
+    ``electrical_conductivity`` is either a callable that maps temperature
+    to sigma(u) >= 0 and broadcasts over numpy arrays, or a number, the
+    sigma of every temperature.  A number must be >= 0 and finite, which is
+    checked here and kept as a float; a run evaluates it once and holds the
+    potential it gives for every step.
     """
 
     k: float
@@ -48,13 +49,13 @@ class CoefficientModel:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):
                 raise ModelError(f"{name} must be a real number, got {value!r}")
-        k = as_float(self.k)
-        if not (math.isfinite(k) and k > 0.0):
+            object.__setattr__(self, name, as_float(value))
+        if not (math.isfinite(self.k) and self.k > 0.0):
             raise ModelError(
                 f"thermal conductivity k must be positive and finite, "
-                f"got {k!r}")
+                f"got {self.k!r}")
         for name in ("flux_left", "flux_right"):
-            value = as_float(getattr(self, name))
+            value = getattr(self, name)
             if not math.isfinite(value):
                 raise ModelError(f"{name} must be finite, got {value!r}")
         sigma = self.electrical_conductivity

@@ -93,18 +93,19 @@ class Snapshot(NamedTuple):
 
 @dataclass
 class Diagnostics:
-    """Per-step series collected during a run.
+    """Per-step series collected during a run, and one residual per solve.
 
-    ``solver_residuals`` holds each solve's scaled residual in the order of
-    the solves.  On a temperature system of at most
-    ``temperature.CELLS // 8`` rows the run forms the temperature residuals
-    a block of steps at a time (``temperature.ResidualBlock``); the values
-    and their order are those of one residual per step.
+    ``potential_residuals`` has one per potential solved: one for a numeric
+    sigma or a frozen potential, one per step for a callable sigma, none for
+    a sigma zero at every node or for ``run_reduced``.
+    ``temperature_residuals`` has one per step, in step order, formed a
+    block of steps at a time on small systems (``temperature.ResidualBlock``).
     """
 
     max_change: list = field(default_factory=list)
     compatibility_residuals: list = field(default_factory=list)
-    solver_residuals: list = field(default_factory=list)
+    potential_residuals: list = field(default_factory=list)
+    temperature_residuals: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -124,18 +125,19 @@ def step(state: temp.TemperatureState, config: SimulationConfig,
     """One decoupled step: potential from alpha^n, then temperature advance.
 
     Returns the new state and the nodal potential mu_0..mu_N it used; a
-    sigma zero at every node gives the zero potential, as in run().  A bad
-    state is refused as in run(); failures carry the step index.  Each
-    call builds and factors the temperature rows anew: 0.8 ms per call
-    against 0.12 ms per step inside run, for rational_sigma at N = 1000 on a
-    2-CPU host.  Advance a state through many steps with run.
+    sigma zero at every node gives the zero potential, as in run().  The
+    sink gets the potential's residual, if one was solved, then the
+    temperature's.  A bad state is refused as in run(); failures carry the
+    step index.  Each call builds and factors the temperature rows anew:
+    0.8 ms per call against 0.12 ms per step inside run, for rational_sigma
+    at N = 1000 on a 2-CPU host.  Advance a state through many steps with run.
     """
     mesh = mesh or config.build_mesh()
     model = model or config.build_model()
     _check_state(state, mesh)
     try:
-        alpha, mu, _ = _coupled(config, mesh, model)(
-            state, [] if residual_sink is None else residual_sink)
+        alpha, mu, _ = _coupled(config, mesh, model, residual_sink)(
+            state, residual_sink)
     except StepFailure as exc:
         exc.step = int(round(state.time / config.tau))
         raise
@@ -162,32 +164,32 @@ def _check_state(state: temp.TemperatureState, mesh: Mesh) -> None:
         raise ConfigurationError(f"initial time must be finite, got {time!r}")
 
 
-def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel):
+def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel,
+             potential_sink: list):
     """A run's coupled stepper, for ``_march``, holding the temperature
     operator, which holds its factors, and what a step derives from sigma.
 
-    The potential, its residual record, the Joule source and the
-    compatibility residual depend on sigma at alpha^n alone, and the
-    paper_literal potential also on sigma at the left temperature ghost.
-    A numeric sigma is evaluated once, here, and they are made once and
-    held for the whole run; each step appends the held potential residual
-    to the sink, as a new solve would.  A callable sigma is evaluated at
-    each step's alpha^n and they are made anew every step: its values
-    change at every step until the run is steady.  A sigma zero at every
-    node conducts no current, so its singular potential system gives the
-    zero potential.  ``config.freeze_potential_after_first_step`` keeps the
-    first potential, whose residual is recorded on the first step only.
+    The potential, the Joule source and the compatibility residual depend
+    on sigma at alpha^n alone, and the paper_literal potential also on sigma
+    at the left temperature ghost.  A numeric sigma is evaluated once, here,
+    and they are made once and held for the whole run.  A callable sigma is
+    evaluated at each step's alpha^n and they are made anew every step: its
+    values change at every step until the run is steady.  Each potential
+    solved appends its residual to ``potential_sink``.  A sigma zero at
+    every node conducts no current, so its singular potential system gives
+    the zero potential.  ``config.freeze_potential_after_first_step`` keeps
+    the first potential and solves no other.
     """
     operator = temp.TemperatureOperator(mesh, model, config.tau, config.beta,
                                         config.variant)
     literal = config.variant.stiffness == "paper_literal"
     varying = callable(model.electrical_conductivity)
-    potential = mu = record = source = compatibility = None
+    potential = mu = source = compatibility = None
 
     def couple(alpha):
-        nonlocal potential, mu, record, source, compatibility
+        nonlocal potential, mu, source, compatibility
         sigma = eval_sigma(model, alpha)
-        mu, record = potential, []
+        mu = potential
         if mu is None:
             ghost = None
             if literal:
@@ -198,7 +200,7 @@ def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel):
             try:
                 mu = solve_potential(sigma, mesh, model, config.variant,
                                      sigma_ghost_left=ghost,
-                                     residual_sink=record)
+                                     residual_sink=potential_sink)
             except SingularSystemError:
                 if sigma.any():
                     raise
@@ -212,12 +214,8 @@ def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel):
         couple(np.zeros(mesh.n_nodes))  # any temperature gives the number
 
     def advance(state, residual_sink):
-        nonlocal record
         if varying:
             couple(state.alpha)
-        residual_sink.extend(record)
-        if potential is not None:
-            record = []  # a frozen potential is solved, and recorded, once
         return (operator.advance(state.alpha, source, residual_sink), mu,
                 compatibility)
 
@@ -226,15 +224,16 @@ def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel):
 
 def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
            state: temp.TemperatureState) -> SimulationResult:
-    """Advance the stepper ``make_stepper()`` builds, on the t0 + n*tau grid,
-    until steady or t_max.
+    """Advance the stepper ``make_stepper(potential_sink)`` builds, on the
+    t0 + n*tau grid, until steady or t_max.
 
-    ``stepper(state, residual_sink)`` returns the next level alpha^{n+1},
-    the potential it used and its starting state's compatibility residual,
-    and appends its solves' residuals to the sink, a
-    ``temperature.ResidualBlock`` over ``Diagnostics.solver_residuals``; on
-    small systems the held temperature step defers its residual to it.  A
-    step whose change is not finite has its solution checked there.
+    The stepper appends each potential's residual to ``potential_sink``,
+    ``Diagnostics.potential_residuals``.  ``stepper(state, residual_sink)``
+    returns the next level alpha^{n+1}, the potential it used and its
+    starting state's compatibility residual, and gives its temperature
+    residual to the sink, a ``temperature.ResidualBlock`` over
+    ``Diagnostics.temperature_residuals``, which the held step defers it to
+    on small systems.  A step whose change is not finite is checked there.
     Snapshots are recorded at t0, every ``record_every`` steps, and at the
     final state; the snapshots of one potential object share one read-only
     copy of it.  A SolverError or ModelError, building the stepper (step 0)
@@ -242,7 +241,7 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
     collected so far, the deferred residuals written in.
     """
     diag = Diagnostics()
-    residuals = temp.ResidualBlock(diag.solver_residuals)
+    residuals = temp.ResidualBlock(diag.temperature_residuals)
     snapshots = [Snapshot(state.time, state.alpha.copy(), mesh.nodes.copy())]
     steady_time = None
     mu = mesh.nodes
@@ -260,7 +259,7 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
     n = 0
     diff = np.empty(mesh.n_nodes)  # alpha^{n+1} - alpha^n, for the change
     try:
-        stepper = make_stepper()
+        stepper = make_stepper(diag.potential_residuals)
         while (n + 1) * config.tau + t0 <= config.t_max * (1.0 + 1e-12):
             alpha, mu, compatibility = stepper(state, residuals)
             np.subtract(alpha, state.alpha, out=diff)
@@ -310,7 +309,8 @@ def run(config: SimulationConfig,
     model = config.build_model()
     state = initial_state or temp.initial_temperature(mesh)
     _check_state(state, mesh)
-    result = _march(config, mesh, lambda: _coupled(config, mesh, model), state)
+    result = _march(config, mesh,
+                    lambda sink: _coupled(config, mesh, model, sink), state)
     worst = max(map(abs, result.diagnostics.compatibility_residuals),
                 default=0.0)
     if worst > COMPATIBILITY_WARN_THRESHOLD:
@@ -336,7 +336,7 @@ def run_reduced(config: SimulationConfig) -> SimulationResult:
     mesh = config.build_mesh()
     src = np.full(mesh.n_elements, gamma * config.tau * mesh.h)
 
-    def reduced():
+    def reduced(potential_sink):  # phi = x is solved by no potential
         operator = temp.TemperatureOperator(
             mesh, config.build_model(), config.tau, config.beta, PAPER_LITERAL,
             "reduced temperature")

@@ -13,7 +13,8 @@ numeric sigma and at every step for a callable one, and solves with
 ``assemble_temperature`` and ``solve_temperature`` build the source afresh,
 for one step.  On a system of at most ``CELLS // 8`` rows a run defers each
 step's residual check to a ``ResidualBlock``, which takes them a block of
-steps at a time.
+steps at a time and appends them to the run's temperature residuals in step
+order.
 The reduced benchmark scheme (``run_reduced``) is the paper_literal step at
 k = 1 with the uniform source gamma*tau*h in place of the Joule source.
 
@@ -264,77 +265,71 @@ class TemperatureOperator:
 
 
 class ResidualBlock:
-    """A run's residual sink: the held temperature step's residual, on a
+    """A run's temperature residual sink: the held step's residual, on a
     small system, a block of steps at a time.
 
-    ``append`` and ``extend`` add values to ``values``, the run's
-    ``Diagnostics.solver_residuals``, at once.  ``TemperatureOperator.advance``
-    given this sink, on a system of m <= ``CELLS // 8`` rows, solves without
-    its checks and ``hold``s the step's rhs and x as a row of (K, m) stacks,
-    K = ``CELLS // m``, with None in ``values`` for its residual.  ``flush``
-    forms T x - rhs and max|rhs| for all held rows in one pass and writes
-    each residual, scaled by 1 + max|rhs| as a checked solve scales it, in
-    its step's place: the same values, in the same order, as an immediate
-    sink records.  A held step's rhs and x are not checked until then, so
-    the time loop calls ``check`` when a step's change is not finite.
+    ``append`` adds a value to ``values``, the run's
+    ``Diagnostics.temperature_residuals``, at once.
+    ``TemperatureOperator.advance`` given this sink, on a system of
+    m <= ``CELLS // 8`` rows, solves without its checks and ``hold``s the
+    step's rhs and x as a row of (K, m) stacks, K = ``CELLS // m``.
+    ``flush`` forms T x - rhs and max|rhs| for all held rows in one pass and
+    appends their residuals, each scaled by 1 + max|rhs| as a checked solve
+    scales it: the same values, in the same order, as an immediate sink
+    records.  A held step's rhs and x are not checked until then, so the
+    time loop calls ``check`` when a step's change is not finite.
     """
 
     def __init__(self, values: list):
         self.values = values
-        self.append, self.extend = values.append, values.extend
+        self.append = values.append
         self._operator = self._rhs = self._x = None
-        self._slots = []  # where in values each held row's residual goes
+        self._held = 0  # rows held since the last flush
 
     def hold(self, operator: TemperatureOperator, rhs: np.ndarray,
              x: np.ndarray) -> None:
         """Keep a step's rhs and x for ``flush``; a full block is flushed
         first, so the step last held is never flushed before ``check``."""
-        slots = self._slots
         if self._rhs is None:
             m = rhs.shape[0]
             self._operator = operator
-            self._rhs = np.empty((CELLS // m, m))
-            self._x = np.empty((CELLS // m, m))
-        elif len(slots) == len(self._rhs):
+            self._rhs, self._x = np.empty((2, CELLS // m, m))
+        elif self._held == len(self._rhs):
             self.flush()
-        self._rhs[len(slots)] = rhs
-        self._x[len(slots)] = x
-        slots.append(len(self.values))
-        self.values.append(None)
+        self._rhs[self._held] = rhs
+        self._x[self._held] = x
+        self._held += 1
 
     def check(self) -> None:
         """Refuse the step last held if its x is not finite, as a checked
-        solve would: its residual is dropped, and the error names a
-        non-finite rhs, or else the solution."""
-        slots = self._slots
-        if not slots or np.isfinite(self._x[len(slots) - 1]).all():
+        solve would: its row is dropped, and the error names a non-finite
+        rhs, or else the solution."""
+        last = self._held - 1
+        if last < 0 or np.isfinite(self._x[last]).all():
             return
-        rhs = self._rhs[len(slots) - 1]
-        del self.values[slots.pop()]
-        what = "non-finite entries in rhs" if not np.isfinite(rhs).all() \
-            else "non-finite solution"
+        self._held = last  # the failing step records no residual
+        finite = np.isfinite(self._rhs[last]).all()
+        what = "non-finite solution" if finite else "non-finite entries in rhs"
         raise NumericalFailureError(
             f"{self._operator.what} solve failed: {what}")
 
     # an overflow shows as an infinite residual, which is recorded
     @np.errstate(over="ignore", invalid="ignore")
     def flush(self) -> None:
-        """Write the residuals of the held rows in their places: the sums of
+        """Append the residuals of the held rows: the sums of
         ``tridiag._product`` and the residual, in the same order."""
-        slots = self._slots
-        if not slots:
+        held, self._held = self._held, 0
+        if not held:
             return
         matrix = self._operator.matrix
-        rhs, x = self._rhs[:len(slots)], self._x[:len(slots)]
+        rhs, x = self._rhs[:held], self._x[:held]
         res = np.multiply(matrix.main, x)
         res[:, 1:] += matrix.sub * x[:, :-1]
         res[:, :-1] += matrix.sup * x[:, 1:]
         res -= rhs
         residual = np.abs(res, out=res).max(axis=1)
         residual /= 1.0 + np.abs(rhs, out=rhs).max(axis=1)
-        for slot, value in zip(slots, residual.tolist()):
-            self.values[slot] = value
-        slots.clear()
+        self.values.extend(residual.tolist())
 
 
 def solve_temperature(state: TemperatureState, sigma: np.ndarray,

@@ -271,12 +271,14 @@ def reference_profile_csv(result) -> str:
         result.nodes.tolist(), result.final_profile.tolist()))
 
 
-def reference_coupled(config, mesh, model):
+def reference_coupled(config, mesh, model, potential_sink):
     """``simulator._coupled`` as it was before a step held what it derives
     from sigma: every step evaluates sigma, solves the potential, builds the
     Joule source and takes the compatibility residual anew.  A sigma zero at
-    every node gives the zero potential.  A run through the held stepper
-    must record exactly what a run through this one records.
+    every node gives the zero potential.  Each potential solved appends its
+    residual to ``potential_sink``, so a numeric sigma's goes there at every
+    step.  A run through the held stepper must record what a run through
+    this one records, a numeric sigma's one potential residual included.
     """
     operator = temp.TemperatureOperator(mesh, model, config.tau, config.beta,
                                         config.variant)
@@ -296,7 +298,7 @@ def reference_coupled(config, mesh, model):
                 mesh.h, config.beta)) if literal else None
             mu = solve_potential(sigma, mesh, model, config.variant,
                                  sigma_ghost_left=ghost,
-                                 residual_sink=residual_sink)
+                                 residual_sink=potential_sink)
             if config.freeze_potential_after_first_step:
                 potential = mu
         new_state = temp.solve_temperature(state, sigma, mu, operator,

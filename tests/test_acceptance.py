@@ -175,8 +175,10 @@ def test_criterion_6_solver_oracle_equivalence(fig1_run):
         worst_ratio = max(worst_ratio,
                           float(np.max(np.abs(x_thomas - x_dense))) / bound)
     solver_ok = worst_ratio <= 1.0
-    residuals = fig1_run.diagnostics.solver_residuals
-    residual_ok = len(residuals) > 0 and max(residuals) <= 1e-10
+    diag = fig1_run.diagnostics
+    residuals = diag.potential_residuals + diag.temperature_residuals
+    residual_ok = len(diag.potential_residuals) > 0 \
+        and len(diag.temperature_residuals) > 0 and max(residuals) <= 1e-10
     ok = solver_ok and residual_ok
     _report(6, ok, "thomas vs dense oracle on 1000 systems; run residuals bounded",
             f"worst oracle ratio {worst_ratio:.3f}, "

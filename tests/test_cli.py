@@ -501,9 +501,12 @@ def test_main_exits_141_when_its_pipe_closes(fig1_cfg_path, tmp_path):
     assert err == b""  # no traceback, no "Exception ignored" at exit
 
 
+# steady_tol = 0 is finite but not positive; its message names the key of
+# the file, as every other one does, with "finite and positive"
 @pytest.mark.parametrize("line", ["beta = inf", "tau = nan", "steady_tol = nan",
-                                  "gamma = nan"],
-                         ids=["beta_inf", "tau_nan", "steady_tol_nan", "gamma_nan"])
+                                  "steady_tol = 0", "gamma = nan"],
+                         ids=["beta_inf", "tau_nan", "steady_tol_nan",
+                              "steady_tol_0", "gamma_nan"])
 def test_cli_non_finite_value_exits_1(line, tmp_path, capsys):
     key = line.split()[0]
     cfg = tmp_path / "nonfinite.cfg"
@@ -514,7 +517,7 @@ def test_cli_non_finite_value_exits_1(line, tmp_path, capsys):
         assert run_cli(["run", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "must be finite" in captured.err
+    assert f"{key} must be finite" in captured.err
 
 
 def test_cli_missing_config_exits_1(tmp_path, capsys):

@@ -253,6 +253,19 @@ def test_model_refuses_a_negative_or_non_finite_numeric_sigma():
         assert model.electrical_conductivity.hex() == kept.hex()
 
 
+def test_model_keeps_k_and_the_fluxes_as_floats():
+    # an int or a numpy scalar is kept as a float, as a numeric sigma is, so
+    # eval_k of an int k too large for int64 is a float array, not objects
+    for k, flux in ((10**30, 2), (2, np.float32(0.5)), (True, np.int64(-3))):
+        model = tf.CoefficientModel(k, 0.1, flux, flux)
+        for name in ("k", "flux_left", "flux_right"):
+            assert type(getattr(model, name)) is float
+        assert model.k == float(k) and model.flux_left == float(flux)
+        out = tf.eval_k(model, np.zeros(3))
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, np.full(3, float(k)))
+
+
 def test_eval_sigma_fills_a_numeric_sigma_to_the_shape_of_u():
     model = tf.CoefficientModel(k=1.0, electrical_conductivity=0.3,
                                 flux_left=1.0, flux_right=1.0)

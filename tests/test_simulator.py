@@ -396,9 +396,13 @@ def test_trajectory_stays_below_analytic_bound(fig1_config):
 def test_solver_residuals_collected(fig1_config):
     result = tf.run(dataclasses.replace(fig1_config, t_max=1.0,
                                         steady_tolerance=1e-14))
-    # one potential and one temperature residual per step
-    assert len(result.diagnostics.solver_residuals) == 2 * len(result.diagnostics.max_change)
-    assert max(result.diagnostics.solver_residuals) <= 1e-10
+    diag = result.diagnostics
+    # fig1's numeric sigma: one potential solved for the run, and one
+    # temperature residual per step
+    assert len(diag.max_change) == 10
+    assert len(diag.potential_residuals) == 1
+    assert len(diag.temperature_residuals) == 10
+    assert max(diag.potential_residuals + diag.temperature_residuals) <= 1e-10
 
 
 @pytest.mark.filterwarnings("ignore:boundary currents are incompatible")
@@ -463,7 +467,8 @@ def test_sigma_is_evaluated_once_per_step(fig1_config, overrides, ghost,
     assert len(shapes) == (1 + ghost) * steps
     # a residual per solve: a frozen run solves one potential in all
     potentials = 1 if config.freeze_potential_after_first_step else steps
-    assert len(result.diagnostics.solver_residuals) == steps + potentials
+    assert len(result.diagnostics.potential_residuals) == potentials
+    assert len(result.diagnostics.temperature_residuals) == steps
     assert len(result.diagnostics.compatibility_residuals) == steps
 
 
@@ -498,11 +503,12 @@ def test_numeric_sigma_is_evaluated_once_per_run(fig1_config, overrides,
     assert steps > 10
     assert len(calls) == (per_step * steps if per_step else 1)
     assert calls.count((config.n_elements + 1,)) == (steps if per_step else 1)
-    # the held potential's residual is recorded on every step, as if solved
-    # again, and a frozen one on its first step only
+    # a residual per potential solved: one for a numeric sigma or a frozen
+    # potential, one per step for a callable sigma
     frozen = config.freeze_potential_after_first_step
-    assert len(result.diagnostics.solver_residuals) == \
-        steps + (1 if frozen else steps)
+    assert len(result.diagnostics.potential_residuals) == \
+        (steps if per_step and not frozen else 1)
+    assert len(result.diagnostics.temperature_residuals) == steps
 
 
 def test_model_failure_in_the_loop_carries_step_and_diagnostics(
@@ -592,8 +598,10 @@ DIGESTS = {
             "1a7532fdcac5b0584dfd89b8f32bb1eb0a29b83d0bd6098f70089758af694db6",
         "compatibility_residuals":
             "0f0e9d91e155e6f2ccc00419cbcdd7ba79bfbc32b975aac0ed734dc265b08b65",
-        "solver_residuals":
-            "d52c07218c5a7e4c0425c83b166e12f87735062f6385543599cf942c4414af67",
+        "potential_residuals":
+            "54f3ecad73d5ec41e8696f7242d9f450d5c2d0b3fdcbc84e883552572af8f795",
+        "temperature_residuals":
+            "c10ea56a3367285e70a3682b6ef352059c0067ebfd45e07ef12f6e375aaa69e8",
     },
     "fig1_paper_literal": {
         "snapshots":
@@ -606,8 +614,10 @@ DIGESTS = {
             "8ac02b8a191eec59897938d5924807b8da61205a1aef7c9f74caf0ab77f73d77",
         "compatibility_residuals":
             "7c4c2b940c41426e36a4cf6c83afababacfb8bb1a1dc39162a95bb812e1d109f",
-        "solver_residuals":
-            "04feeaf35e03472538e736c7c11cdeba2d9c72d013bd17774e12da0f2b0e554b",
+        "potential_residuals":
+            "45ccda571317efe18a06419597c696d98f9da25dfd1aa877e68085750e6ef7a0",
+        "temperature_residuals":
+            "95bf80bcebe24f177c3a0c49ebbeebb42ede6abaf494577f01685d8db5331ff4",
     },
     "fig1_frozen": {
         "snapshots":
@@ -620,8 +630,10 @@ DIGESTS = {
             "1a7532fdcac5b0584dfd89b8f32bb1eb0a29b83d0bd6098f70089758af694db6",
         "compatibility_residuals":
             "0f0e9d91e155e6f2ccc00419cbcdd7ba79bfbc32b975aac0ed734dc265b08b65",
-        "solver_residuals":
-            "9c36ee5fa6a3d4d9b4ec01edd1dd76e153ff06f83484ff36ddf635cd7bee553a",
+        "potential_residuals":
+            "54f3ecad73d5ec41e8696f7242d9f450d5c2d0b3fdcbc84e883552572af8f795",
+        "temperature_residuals":
+            "c10ea56a3367285e70a3682b6ef352059c0067ebfd45e07ef12f6e375aaa69e8",
     },
     "rational_n1000": {
         "snapshots":
@@ -634,8 +646,10 @@ DIGESTS = {
             "d269a94cb0d4b194407f6c211455de78784f7891c701c3658444d5fdca2e833b",
         "compatibility_residuals":
             "797ec82b2b4cd38d3ec879bc0946fd2bc261a3ad129b814b031a75bd883afde3",
-        "solver_residuals":
-            "5ca36c4f4c1d7d10356977bb0860af92eb35284f048941a7ddd63d1d243ac5b2",
+        "potential_residuals":
+            "05deff0e9704062d15a7a0aa0305589d33ad7d6a855645a30c0192dd4010b52e",
+        "temperature_residuals":
+            "2386283fa322ebd910aa892926112fddecbaea1a4f6a4a8316a0a59841b86add",
     },
     "literal_rational_n100": {
         "snapshots":
@@ -648,8 +662,10 @@ DIGESTS = {
             "f1e6b41128e48a15940029323c83c85f4e5fc8a81c377d1f46e596e6be3c1380",
         "compatibility_residuals":
             "8d3b88d5938c7f8bfd9efa074a2eef137dce819f482f69097a5ec16f3c688fa5",
-        "solver_residuals":
-            "e89667bb527a62156c4e1be8a5c97015889d6b582df1f1226788e7cba089c20b",
+        "potential_residuals":
+            "6b8b685e72927e37c8cd9a8d3eadd1953c933bfaee8fe67f883b9da7a666ff14",
+        "temperature_residuals":
+            "45e9e0bc65f15b179d705f741707ee5780d5f98f3e06c72d00d2df2c8983d6e7",
     },
     "reduced_n2000": {
         "snapshots":
@@ -662,7 +678,9 @@ DIGESTS = {
             "70d6b0c7e30595dfa77a667ddafa43521d1540098f3de631b0a43fadcc47cc80",
         "compatibility_residuals":
             "77f3ea088c1912c736945e6e81b45af66d6137fee50b828b5ecdebbe52137169",
-        "solver_residuals":
+        "potential_residuals":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "temperature_residuals":
             "e6588bc3039a2ee2e2bd2f4aa641ad970b551e59f71bfc0dfd54c0cf18b4c830",
     },
 }
@@ -691,9 +709,23 @@ def test_run_records_pinned_bits(case):
         "steady_time": sha256_of(steady),
         "max_change": sha256_of(diag.max_change),
         "compatibility_residuals": sha256_of(diag.compatibility_residuals),
-        "solver_residuals": sha256_of(diag.solver_residuals),
+        "potential_residuals": sha256_of(diag.potential_residuals),
+        "temperature_residuals": sha256_of(diag.temperature_residuals),
     }
     assert digests == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", ["fig1", "rational_n1000"])
+def test_step_sink_gets_the_potential_then_the_temperature_residual(case):
+    # step's one sink gets what a run's first step puts in its two series
+    config = DIGEST_RUNS[case][1]
+    diag = tf.run(config).diagnostics
+    sink = []
+    tf.step(tf.initial_temperature(config.build_mesh()), config,
+            residual_sink=sink)
+    first = [diag.potential_residuals[0], diag.temperature_residuals[0]]
+    assert len(sink) == 2
+    assert np.array(sink).tobytes() == np.array(first).tobytes()
 
 
 @pytest.mark.parametrize("driver", DRIVERS)

@@ -298,8 +298,7 @@ def fig1_operator(n=100, variant=tf.CORRECTED):
 @pytest.mark.parametrize("variant", [tf.CORRECTED, tf.PAPER_LITERAL],
                          ids=["corrected", "paper_literal"])
 def test_block_records_the_residuals_a_list_records(variant):
-    # 100 steps through blocks of 81 rows (m = 101) or 81 (m = 100), with
-    # a known value between steps as a run's potential residual is; signed
+    # 100 steps through blocks of 81 rows (m = 101) or 81 (m = 100); signed
     # data, so max|rhs| is not max rhs
     rng = np.random.default_rng(3)
     alphas = rng.uniform(-0.3, 0.3, (100, 101))
@@ -307,17 +306,16 @@ def test_block_records_the_residuals_a_list_records(variant):
     per_step, values = [], []
     block = tf.temperature.ResidualBlock(values)
     held, fresh = fig1_operator(variant=variant), fig1_operator(variant=variant)
-    for i, (alpha, source) in enumerate(zip(alphas, sources)):
-        per_step.append(float(i))
-        block.append(float(i))
+    for alpha, source in zip(alphas, sources):
         x = held.advance(alpha, source[:held.matrix.size], block)
         y = fresh.advance(alpha, source[:fresh.matrix.size], per_step)
         assert x.tobytes() == y.tobytes()
         block.check()
-    assert values[-1] is None
+    # the first block was flushed when the 82nd step was held
+    assert values == per_step[:81]
     block.flush()
     assert values == per_step
-    assert per_step[1::2] != [None] * 100
+    assert len(per_step) == 100 and None not in per_step
 
 
 def test_block_check_refuses_a_non_finite_step_as_a_list_sink_does():
@@ -329,7 +327,6 @@ def test_block_check_refuses_a_non_finite_step_as_a_list_sink_does():
         values = []
         block = tf.temperature.ResidualBlock(values)
         op.advance(np.zeros(101), np.ones(101), block)
-        block.append(0.5)
         op.advance(np.zeros(101), source, block)
         with pytest.raises(tf.NumericalFailureError) as exc:
             block.check()
@@ -337,11 +334,12 @@ def test_block_check_refuses_a_non_finite_step_as_a_list_sink_does():
         with pytest.raises(tf.NumericalFailureError) as ref:
             fig1_operator().advance(np.zeros(101), source, [])
         assert str(exc.value) == str(ref.value)
-        # the failing step's residual is dropped, the others kept
+        # the failing step's row is dropped, the others kept
+        assert values == []
         block.flush()
         expected = []
         fig1_operator().advance(np.zeros(101), np.ones(101), expected)
-        assert values == expected + [0.5]
+        assert values == expected
 
 
 def test_block_check_passes_a_finite_step():
@@ -351,7 +349,11 @@ def test_block_check_passes_a_finite_step():
     block.check()  # nothing held yet
     op.advance(np.zeros(101), np.ones(101), block)
     block.check()
-    assert values == [None]
+    assert values == []
+    block.flush()
+    expected = []
+    fig1_operator().advance(np.zeros(101), np.ones(101), expected)
+    assert values == expected
 
 
 def test_large_systems_take_each_residual_at_once():
@@ -362,7 +364,10 @@ def test_large_systems_take_each_residual_at_once():
     op.advance(np.zeros(1025), np.ones(1025),
                tf.temperature.ResidualBlock(values))
     assert len(values) == 1 and values[0] is not None
+    # m = 1024 is held, and records nothing until its block is flushed
+    block = tf.temperature.ResidualBlock(values)
     assert fig1_operator(n=1023).advance(
-        np.zeros(1024), np.ones(1024),
-        tf.temperature.ResidualBlock(values)) is not None
-    assert values[1] is None
+        np.zeros(1024), np.ones(1024), block) is not None
+    assert len(values) == 1
+    block.flush()
+    assert len(values) == 2 and values[1] is not None

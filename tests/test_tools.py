@@ -1,0 +1,37 @@
+"""Smoke tests of the scripts in tools/, each run as its own process so the
+thread settings a script makes stay out of the test process."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def assigned(path: Path, name: str):
+    """The literal a module assigns to ``name``, read without importing it."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+def test_cells_sweep_prints_one_row_per_size():
+    script = ROOT / "tools" / "cells_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--steps", "16", "--repeats", "1"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("CELLS = ")
+    assert lines[1].split() == ["m", "K", "per", "step", "per", "block",
+                                "ratio"]
+    rows = [line.split() for line in lines[2:]]
+    assert [int(row[0]) for row in rows] == list(assigned(script, "SIZES"))
+    for row in rows:
+        assert len(row) == 5
+        assert all(float(value) > 0.0 for value in row[2:])
