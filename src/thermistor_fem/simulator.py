@@ -128,9 +128,12 @@ def step(state: temp.TemperatureState, config: SimulationConfig,
     sigma zero at every node gives the zero potential, as in run().  The
     sink gets the potential's residual, if one was solved, then the
     temperature's.  A bad state is refused as in run(); failures carry the
-    step index.  Each call builds and factors the temperature rows anew:
-    0.8 ms per call against 0.12 ms per step inside run, for rational_sigma
-    at N = 1000 on a 2-CPU host.  Advance a state through many steps with run.
+    step index.  Each call builds and factors the temperature rows anew,
+    and on at most 128 rows also forms their inverse: for rational_sigma,
+    0.38 ms per call against 0.05 ms per step inside run at N = 100, and
+    1.0-1.1 ms against 0.10-0.11 ms at N = 1000 (one BLAS thread, 2-CPU
+    host).
+    Advance a state through many steps with run.
     """
     mesh = mesh or config.build_mesh()
     model = model or config.build_model()
@@ -375,6 +378,7 @@ def steady_state_error(result: SimulationResult, beta: float,
 def convergence_study(config: SimulationConfig, levels: int
                       ) -> list[tuple[int, float]]:
     """Run N, 2N, 4N, ... and return (n_elements, steady error) per level."""
+    check_integer("levels", levels)
     if levels < 1:
         raise ConfigurationError("levels must be >= 1")
     # N * 2**(levels - 1) <= MAX_ELEMENTS, without forming 2**levels

@@ -1,4 +1,9 @@
-"""Tridiagonal system container, Thomas solver, and a dense brute-force oracle."""
+"""Tridiagonal system container, Thomas solver, and a dense brute-force oracle.
+
+The solver factors T = L U once per matrix and holds per-block operators;
+a system of at most ``DENSE_BLOCKS * BLOCK`` = 128 rows also holds T^-1
+and solves by one product with it.
+"""
 
 from __future__ import annotations
 
@@ -26,6 +31,14 @@ BLOCK = 32
 # 2-CPU host, the product was as fast as the passes or faster up to 160
 # blocks, and slower at 256.
 INTERFACE_BLOCKS = 128
+
+# Most blocks for which a factorisation also holds T^-1, a dense m x m
+# matrix, 128 kB at the cap (m = 128), and solves by one product with it.
+# Timed single-threaded on a shared 2-CPU host (tools/solve_sweep.py), the
+# product took 0.13-0.30 of the block solve's time up to 128 rows, 0.8-1.1
+# of it at 256 and 1.4-1.6 times it at 384, while forming T^-1 made a
+# one-off solve 4-14% slower up to 128 rows and 21-27% slower at 256.
+DENSE_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -136,32 +149,39 @@ def _checked_substitution(system: TridiagonalSystem, factors: _Factors,
 
 def thomas_solve(system: TridiagonalSystem,
                  factors: _Factors | None = None) -> np.ndarray:
-    """Direct O(m) elimination.  The input system is never mutated.
+    """Direct elimination, O(m) beyond 128 rows.  The input system is
+    never mutated.
 
     Raises SingularSystemError (carrying the failing row) when a pivot falls
     below 1e-14 of the row's largest original coefficient.  The matrix is
     factored for this solve alone, unless the caller passes the ``factors``
     held for it (``TemperatureOperator`` holds them); both give the same
-    bits.  The solve works in the arrays held with its factors and returns
-    a fresh array; the rhs is copied into their rhs block unless
-    ``system.rhs`` is that block (the held step forms its rhs there).  It
-    runs in the caller's floating-point error state, so an overflow gives a
-    non-finite solution and numpy's RuntimeWarning, unless the caller
-    silences it as ``checked_solve`` does.
+    bits.  The solve returns a fresh array.  It runs in the caller's
+    floating-point error state, so an overflow gives a non-finite solution
+    and numpy's RuntimeWarning, unless the caller silences it as
+    ``checked_solve`` does.
 
-    Both triangular solves run block by block in one pass (Wang's partition
-    method).  One batched product solves every block as if nothing came in
-    from its neighbours.  The values the neighbours read are then carried:
-    going forward, the last entry ``e`` of L's solution, and going
-    backward, the first entry ``f`` of the solution.  Both recurrences are
-    linear in the blocks' last and first local entries, so one product with
-    the factors' interface operator gives every received value; factors of
-    more than ``INTERFACE_BLOCKS`` blocks, or whose operator is not finite,
-    run the two scalar passes instead.  Each block finally adds its carry
-    vectors times the values it received (see ``_Factors``).
+    Factors that hold T^-1 (at most ``DENSE_BLOCKS`` blocks, see
+    ``_Factors``) solve by the one product ``T^-1 rhs``, read from
+    ``system.rhs`` where it lies.  Larger ones work in the arrays held
+    with them: the rhs is copied into their rhs block unless
+    ``system.rhs`` is that block (the held step forms its rhs there), and
+    both triangular solves run block by block in one pass (Wang's
+    partition method).  One batched product solves every block as if
+    nothing came in from its neighbours.  The values the neighbours read
+    are then carried: going forward, the last entry ``e`` of L's solution,
+    and going backward, the first entry ``f`` of the solution.  Both
+    recurrences are linear in the blocks' last and first local entries, so
+    one product with the factors' interface operator gives every received
+    value; factors of more than ``INTERFACE_BLOCKS`` blocks, or whose
+    operator is not finite, run the two scalar passes instead.  Each block
+    finally adds its carry vectors times the values it received (see
+    ``_Factors``).
     """
     if factors is None:
         factors = _factor(system.sub, system.main, system.sup)
+    if factors.dense is not None:
+        return np.dot(factors.dense, system.rhs)
     if system.rhs is not factors.rhs_in:
         factors.rhs_in[:] = system.rhs
     np.matmul(factors.inverse, factors.padded, out=factors.product)
@@ -224,6 +244,14 @@ class _Factors(NamedTuple):
     ``INTERFACE_BLOCKS`` blocks and all of its entries are finite; it is
     None otherwise, and so are ``edges`` and ``received``.
 
+    ``dense`` holds T^-1 when there are at most ``DENSE_BLOCKS`` blocks, R
+    is held and all of T^-1's entries are finite; it is None otherwise.
+    T^-1 is the block solve of every unit vector at once,
+    ``blockdiag(G_k) + C R [Z; W]``, where Z and W hold the last and first
+    rows of each G_k in its block's columns and C puts block k's two carry
+    vectors in its rows.  Its solve reads the rhs where it lies and uses
+    none of the work arrays; a held step still forms its rhs in ``rhs_in``.
+
     A solve overwrites the work arrays, so one set of factors serves one
     solve at a time; nothing a solve returns is a view of them.
     """
@@ -243,6 +271,7 @@ class _Factors(NamedTuple):
     local: np.ndarray  # product as (blocks, b)
     carry: np.ndarray  # (2, blocks, b): the carries times e and f
     residual: np.ndarray  # (m,): T x - rhs
+    dense: np.ndarray | None  # (m, m): T^-1
 
 
 def _factor(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> _Factors:
@@ -299,13 +328,15 @@ def _block_operators(lower: list, pivots: list, upper: list) -> _Factors:
     # L^-1[i, j] = (1 / p_j) * prod_{j < l <= i} (-a_l / p_l), and U read
     # with its rows and columns reversed is unit lower bidiagonal with
     # factors -c, so one recurrence down the rows makes every block of both:
-    # row i = row i-1 times the factor of row i, left of the diagonal
-    factor = np.concatenate((-a / p, -c[:, ::-1]))
-    inv = np.zeros((2 * nb, b, b))
+    # row i = row i-1 times the factor of row i, left of the diagonal.  The
+    # rows are held first, so a step reads one compact (2 blocks, i) slab.
+    factor = np.concatenate((-a / p, -c[:, ::-1])).T[:, :, None]
+    inv = np.zeros((b, 2 * nb, b))
     rows = np.arange(b)
-    inv[:, rows, rows] = np.concatenate((1.0 / p, np.ones((nb, b))))
+    inv[rows, :, rows] = np.concatenate((1.0 / p, np.ones((nb, b)))).T
     for i in range(1, b):
-        np.multiply(inv[:, i - 1, :i], factor[:, i, None], out=inv[:, i, :i])
+        np.multiply(inv[i - 1, :, :i], factor[i], out=inv[i, :, :i])
+    inv = inv.transpose(1, 0, 2)
     upper_inv = inv[nb:, ::-1, ::-1]
     inverse = np.matmul(upper_inv, inv[:nb])
     carries = np.stack((-a[:, :1] * inverse[:, :, 0],
@@ -315,6 +346,8 @@ def _block_operators(lower: list, pivots: list, upper: list) -> _Factors:
                carries[1, :, 0].tolist())
     interface = _interface(t, g, u) if nb <= INTERFACE_BLOCKS else None
     held = interface is not None
+    dense = (_dense_inverse(inverse, carries, interface, m)
+             if held and nb <= DENSE_BLOCKS else None)
     return _Factors(size=m, inverse=inverse, carries=carries,
                     lower_last=t, lower_first=g, upper_first=u,
                     interface=interface,
@@ -322,7 +355,8 @@ def _block_operators(lower: list, pivots: list, upper: list) -> _Factors:
                     received=np.empty(2 * nb) if held else None,
                     padded=padded, rhs_in=padded.reshape(-1)[:m],
                     product=product, local=product[:, :, 0],
-                    carry=np.empty((2, nb, b)), residual=np.empty(m))
+                    carry=np.empty((2, nb, b)), residual=np.empty(m),
+                    dense=dense)
 
 
 def _interface(t: list, g: list, u: list) -> np.ndarray | None:
@@ -344,6 +378,31 @@ def _interface(t: list, g: list, u: list) -> np.ndarray | None:
         np.multiply(back[k], u[k], out=back[k - 1])
         back[k - 1] += fed[k]
     return r if np.isfinite(r).all() else None
+
+
+def _dense_inverse(inverse: np.ndarray, carries: np.ndarray,
+                   interface: np.ndarray, m: int) -> np.ndarray | None:
+    """T^-1 of ``_Factors``, or None if an entry is not finite: the block
+    solve of ``thomas_solve`` on every unit vector at once.  Column j's
+    local solution is column j of its block's G_k; R takes the last and
+    first rows of the G_k to the values every block receives, and the
+    carries times those are added to G_k on the diagonal blocks."""
+    nb, b = inverse.shape[:2]
+    # [z; w] of every unit vector: row k (nb + k) holds G_k's last (first)
+    # row in block k's columns, the diagonal of the (nb, nb) grid of blocks
+    edges = np.zeros((2, nb * nb, b))
+    diagonal = edges[:, ::nb + 1]
+    diagonal[0] = inverse[:, -1]
+    diagonal[1] = inverse[:, 0]
+    received = np.dot(interface, edges.reshape(2 * nb, nb * b))
+    # block k's rows: its two carry vectors times the e and f it receives
+    full = np.matmul(carries.transpose(1, 2, 0),
+                     received.reshape(2, nb, nb * b).transpose(1, 0, 2))
+    blocks = np.arange(nb)
+    full.reshape(nb, b, nb, b)[blocks, :, blocks] += inverse
+    # contiguous: np.dot would copy a view's rows at every solve
+    dense = np.ascontiguousarray(full.reshape(nb * b, nb * b)[:m, :m])
+    return dense if np.isfinite(dense).all() else None
 
 
 def dense_solve_oracle(system: TridiagonalSystem) -> np.ndarray:

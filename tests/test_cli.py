@@ -170,23 +170,23 @@ def test_cli_outputs_are_deterministic(fig1_cfg_path, tmp_path):
 # the old path (tests/test_solve_path.py).  The case name lists the edits to
 # fig1.cfg (see golden_config).
 GOLDEN = {
-    "run": ("752a600c86d36cb36267831ab23d37cec1b2bbde65a69af5e4ea0a8e4fb7c270",
+    "run": ("ee092d275b30fcbc030fc1061e3e00b19b9fff647dad4399c1e7fb5edd23611d",
             "c065a720267f591b876782b1d8aa53ddb933f1427dfdc21109721e1dbb94525e"),
-    "run-paper": ("14998d2b8c796884609e39798f9f0f1d29533fae09e7313fb13e4d47602cf8e3",
+    "run-paper": ("628b1f19ff32c35726df31fd4f8c8d33c3759a5a968332c83e55918caaaf415c",
                   "2c5da442382644ac3e902aee326603b04dec823ecd4e3a2673640866de1ebc47"),
-    "run-freeze": ("752a600c86d36cb36267831ab23d37cec1b2bbde65a69af5e4ea0a8e4fb7c270",
+    "run-freeze": ("ee092d275b30fcbc030fc1061e3e00b19b9fff647dad4399c1e7fb5edd23611d",
                    "c065a720267f591b876782b1d8aa53ddb933f1427dfdc21109721e1dbb94525e"),
-    "run-rational": ("6deb7a68191c040ce47ba7b1102ac9aea1cd467265fd6f56f229d3172f210a8c",
+    "run-rational": ("2ee5c78b9b075d8890432c32f7f2ae660afd0a7e065f9d0d87a8f41b01da333e",
                      "eccb310a0fab711fa319be6e78101b0f07c4c5736e7448d9395d88c2f4b0b210"),
     "run-rational-freeze": (
-        "844e27cda2b2895d2ac95586c7de052f83d2f1d719208c46843235cc878f3eaf",
+        "85e4b5ab2ac42e0afdf6c4cae85ba0f1f00d2fe31e4ce2cc0d3dd947fdc1798c",
         "c4d0addeab3a0ce42cad2a13982b533f9e64882cf948884a7eefafb9ce37bde0"),
     "run-rational-paper": (
-        "8c39edaa392cf8ef164298647030412a0e310d18c9a5d77560d9dd76cfd2ae96",
+        "f968a6a55df698bc7413c5c3fe1efd0c976052fcf189b2a12e74b3b512bf242f",
         "7bf551c2cbe19f4fd6f8f726514f5f282c6c148db73270c8691a1116e50a044c"),
     "run-sigma0-zero": ("23e9f6f656d9e5345259415c6eeba58e3740c4462a7b22a0e2e3d83c654bae0d",
                         "7ed7abb5039131cee3e61a5f062972ebeb4c8775df6f57d127e023a54776ab31"),
-    "run-reduced": ("4616af8f1cf8ad5f6ab97c9862475afd9f2da2348a580ee83e1d60d5b768a873",
+    "run-reduced": ("60c6d11c1aa4b4ab0b59420f51736c1a169de78f1dc07dde61fcea4f3d1d4fa1",
                     "bc7c87c7e4783910de2af9cea4ba1e063e13253d96a35e28865d5b6821d52304"),
 }
 

@@ -589,51 +589,51 @@ DIGEST_RUNS = {
 DIGESTS = {
     "fig1": {
         "snapshots":
-            "5e09529ab491acbff4a9dbf6c966285e6566f1e4e3366e0c734a977a44c4f15c",
+            "353dd9b2c23c8df10ff1f7632b6f664838d58b6e3a314cbd11b6f86f9a0993d0",
         "final_profile":
-            "118b0240355f91f41ae89fcde83d15139fb841fa59d286a0311718dfdf140c4c",
+            "8c25b376a01d7f93115470b6c373abb6765070918f47c94241054ddcdb6b59d6",
         "steady_time":
             "b50f6d8a7576ee31f650bd0b6b9e21854da7d31f158bb5f53fc370f4bb0dabd5",
         "max_change":
-            "1a7532fdcac5b0584dfd89b8f32bb1eb0a29b83d0bd6098f70089758af694db6",
+            "9778fe80ed8f01d648e7b20d8867eb69cd2d456176f5d68d181ca9432ad0b506",
         "compatibility_residuals":
             "0f0e9d91e155e6f2ccc00419cbcdd7ba79bfbc32b975aac0ed734dc265b08b65",
         "potential_residuals":
             "54f3ecad73d5ec41e8696f7242d9f450d5c2d0b3fdcbc84e883552572af8f795",
         "temperature_residuals":
-            "c10ea56a3367285e70a3682b6ef352059c0067ebfd45e07ef12f6e375aaa69e8",
+            "7306834fcb57e503f4ee8cc2cd98ceebf7169647c56a409fa2b71ac0d7a618fb",
     },
     "fig1_paper_literal": {
         "snapshots":
-            "01dcc9e91e8f02b2919ff5f4a0c4c98bc6e35220f1ee12c011a645ed8e0c8900",
+            "677b7a917876cc108c7876f5775f42b4f2539aff97fb98d1faeeca317a751978",
         "final_profile":
-            "8e21ca4e732b1bf95b3e0147d343eef6f094bfd4d282dbf2945f8e0a03a02ec7",
+            "7b55f5c4e70514572711a850583897cf544f29c7de2cbcff5e7b53480c2c6b81",
         "steady_time":
             "fc15d5cc303f10cf1a3f22129dcc1d1ddace37dd173f01d864caf6bfbc9ca117",
         "max_change":
-            "8ac02b8a191eec59897938d5924807b8da61205a1aef7c9f74caf0ab77f73d77",
+            "889998ff2dd36ba1afca96afe17d7a44d905ab32f73c7ea39c67c05e0fc0d9f4",
         "compatibility_residuals":
             "7c4c2b940c41426e36a4cf6c83afababacfb8bb1a1dc39162a95bb812e1d109f",
         "potential_residuals":
             "45ccda571317efe18a06419597c696d98f9da25dfd1aa877e68085750e6ef7a0",
         "temperature_residuals":
-            "95bf80bcebe24f177c3a0c49ebbeebb42ede6abaf494577f01685d8db5331ff4",
+            "576b14191a67461eeea1706e2f672dd180fc813c86114e4e08c2e7e639e64c0a",
     },
     "fig1_frozen": {
         "snapshots":
-            "5e09529ab491acbff4a9dbf6c966285e6566f1e4e3366e0c734a977a44c4f15c",
+            "353dd9b2c23c8df10ff1f7632b6f664838d58b6e3a314cbd11b6f86f9a0993d0",
         "final_profile":
-            "118b0240355f91f41ae89fcde83d15139fb841fa59d286a0311718dfdf140c4c",
+            "8c25b376a01d7f93115470b6c373abb6765070918f47c94241054ddcdb6b59d6",
         "steady_time":
             "b50f6d8a7576ee31f650bd0b6b9e21854da7d31f158bb5f53fc370f4bb0dabd5",
         "max_change":
-            "1a7532fdcac5b0584dfd89b8f32bb1eb0a29b83d0bd6098f70089758af694db6",
+            "9778fe80ed8f01d648e7b20d8867eb69cd2d456176f5d68d181ca9432ad0b506",
         "compatibility_residuals":
             "0f0e9d91e155e6f2ccc00419cbcdd7ba79bfbc32b975aac0ed734dc265b08b65",
         "potential_residuals":
             "54f3ecad73d5ec41e8696f7242d9f450d5c2d0b3fdcbc84e883552572af8f795",
         "temperature_residuals":
-            "c10ea56a3367285e70a3682b6ef352059c0067ebfd45e07ef12f6e375aaa69e8",
+            "7306834fcb57e503f4ee8cc2cd98ceebf7169647c56a409fa2b71ac0d7a618fb",
     },
     "rational_n1000": {
         "snapshots":
@@ -653,19 +653,19 @@ DIGESTS = {
     },
     "literal_rational_n100": {
         "snapshots":
-            "6d4806e36861faf89247c2bcbd1f2d9a97a8ec7e8bd9b1f0d7a3b76d5afde243",
+            "b2331f2636ce34ba205658572986f530c082fe4fbe4104233d2dc7553cd8353e",
         "final_profile":
-            "0348c91d5161b4e8b0742b8f13f2984df68e0eec5ff0eb92754a2fedb5c9a46b",
+            "5440345e9bf9a96d0aa3dea722bfab644cbd09a254b64a3d4fe77bfb1608c066",
         "steady_time":
             "f1a060eaf6a52f8e37e97da3173356a6c2216914dc878ce4e5ae13c3ca838765",
         "max_change":
-            "f1e6b41128e48a15940029323c83c85f4e5fc8a81c377d1f46e596e6be3c1380",
+            "7b68fd7556c459bdf74a78c1e73b57ac308df3f81a136ea746ac3fb366df42c3",
         "compatibility_residuals":
-            "8d3b88d5938c7f8bfd9efa074a2eef137dce819f482f69097a5ec16f3c688fa5",
+            "be8ba0911aa40cd6b877669d39df3500655bc63e0827539203755fe27ae6f5a8",
         "potential_residuals":
-            "6b8b685e72927e37c8cd9a8d3eadd1953c933bfaee8fe67f883b9da7a666ff14",
+            "983259f1be33569384bc4421a02bf2bccf999a6fbeb7d089ae0b575e88d6ad9d",
         "temperature_residuals":
-            "45e9e0bc65f15b179d705f741707ee5780d5f98f3e06c72d00d2df2c8983d6e7",
+            "94d691c27deb1d4d39daa04d5683ab073b64bbeb910c5b6c8869f32ec4f95759",
     },
     "reduced_n2000": {
         "snapshots":
@@ -934,6 +934,15 @@ def test_convergence_study_refuses_levels_past_the_element_bound():
 def test_convergence_study_needs_a_level():
     with pytest.raises(tf.ConfigurationError, match="levels must be >= 1"):
         tf.convergence_study(small_config(), 0)
+
+
+@pytest.mark.parametrize("levels", [2.5, "2", True, None],
+                         ids=["float", "str", "bool", "none"])
+def test_convergence_study_refuses_a_levels_that_is_not_an_integer(levels):
+    # refused before any level runs; True would otherwise run one level
+    with pytest.raises(tf.ConfigurationError,
+                       match=r"levels must be an integer, got "):
+        tf.convergence_study(small_config(), levels)
 
 
 def test_convergence_study_levels():

@@ -35,3 +35,22 @@ def test_cells_sweep_prints_one_row_per_size():
     for row in rows:
         assert len(row) == 5
         assert all(float(value) > 0.0 for value in row[2:])
+
+
+def test_solve_sweep_prints_one_row_per_size():
+    script = ROOT / "tools" / "solve_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--solves", "10", "--repeats", "1"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("DENSE_BLOCKS = ")
+    assert lines[1].split() == ["m", "blocks", "held:block", "held:dense",
+                                "ratio", "once:block", "once:dense", "ratio"]
+    rows = [line.split() for line in lines[2:]]
+    assert [int(row[0]) for row in rows] == list(assigned(script, "SIZES"))
+    for row in rows:
+        assert len(row) == 8
+        assert int(row[1]) == -(-int(row[0]) // 32)
+        assert all(float(value) > 0.0 for value in row[2:])

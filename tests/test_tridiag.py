@@ -195,6 +195,80 @@ def test_interface_that_overflows_leaves_the_passes_to_carry():
     assert solved.tobytes() == x.tobytes() == reference_thomas(s).tobytes()
 
 
+@pytest.mark.parametrize("size, dense", [(128, True), (129, False)],
+                         ids=["128_dense", "129_blocks"])
+def test_thomas_matches_reference_on_either_side_of_the_dense_cap(
+        size, dense):
+    # 128 rows are 4 blocks, the most that hold T^-1 and solve by one
+    # product with it; one row more solves by its blocks, to the same bound
+    blocks = -(-size // tf.tridiag.BLOCK)
+    assert blocks == tf.tridiag.DENSE_BLOCKS + (not dense)
+    rng = np.random.default_rng(size)
+    for _ in range(3):
+        s = random_dominant_system(rng, size)
+        factors = tf.tridiag._factor(s.sub, s.main, s.sup)
+        assert (factors.dense is not None) is dense
+        assert_matches_reference(s, tf.thomas_solve(s, factors))
+
+
+def test_inverse_that_overflows_leaves_the_blocks_to_solve():
+    # T = lower bidiagonal (1, 512): entry (i, j) of T^-1 is (-512)^(i-j),
+    # which overflows at 114 rows apart, while the block inverses (31 rows
+    # apart at most) and the interface operator stay finite; a solution
+    # nonzero in the last rows alone is formed exactly by the blocks
+    size = 128
+    x = np.zeros(size)
+    x[-3:] = (2.0, -1.0, 3.0)
+    s = system(np.full(size - 1, 512.0), np.ones(size), np.zeros(size - 1),
+               x + np.append(0.0, 512.0 * x[:-1]))
+    factors = tf.tridiag._factor(s.sub, s.main, s.sup)
+    assert factors.dense is None and factors.interface is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solved = tf.thomas_solve(s)
+    assert solved.tobytes() == x.tobytes() == reference_thomas(s).tobytes()
+
+
+def block_inverses_blocks_first(s) -> np.ndarray:
+    """The G_k of ``s``'s factors, built with the blocks first: the
+    recurrence down the rows of a (2 blocks, b, b) array, the layout the
+    factorisation held before it held the rows first.  Each entry is the
+    same product either way, so the bits must match."""
+    lower = [0.0] + s.sub.tolist()
+    pivots, upper, c_prev = [], [], 0.0
+    for a, b, d in zip(lower, s.main.tolist(), s.sup.tolist() + [0.0]):
+        pivots.append(b - a * c_prev)
+        c_prev = d / pivots[-1]
+        upper.append(c_prev)
+    b = min(tf.tridiag.BLOCK, s.size)
+    nb = -(-s.size // b)
+    a, p, c = (np.append(values, [fill] * (nb * b - s.size)).reshape(nb, b)
+               for values, fill in ((lower, 0.0), (pivots, 1.0),
+                                    (upper, 0.0)))
+    factor = np.concatenate((-a / p, -c[:, ::-1]))
+    inv = np.zeros((2 * nb, b, b))
+    rows = np.arange(b)
+    inv[:, rows, rows] = np.concatenate((1.0 / p, np.ones((nb, b))))
+    for i in range(1, b):
+        np.multiply(inv[:, i - 1, :i], factor[:, i, None], out=inv[:, i, :i])
+    return np.matmul(inv[nb:, ::-1, ::-1], inv[:nb])
+
+
+def test_block_inverses_keep_the_bits_of_the_blocks_first_build():
+    rng = np.random.default_rng(28)
+    cases = [random_dominant_system(rng, size)
+             for size in (1, 5, 32, 33, 101, 128, 129, 1001, 4097)]
+    # a factor of -1e13 per row: L's block inverses overflow past 23 rows
+    cases.append(system(np.full(99, 1e13), np.ones(100), np.zeros(99),
+                        np.ones(100)))
+    for s in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = block_inverses_blocks_first(s)
+            held = tf.tridiag._factor(s.sub, s.main, s.sup).inverse
+        assert held.tobytes() == expected.tobytes(), s.size
+    assert not np.isfinite(held).all()
+
+
 def test_near_singular_systems_fail_at_reference_row():
     rng = np.random.default_rng(21)
     rows = []
@@ -321,6 +395,34 @@ def test_solves_return_fresh_arrays(variant):
     solves = [tf.thomas_solve(system, op._factors) for _ in range(2)]
     assert_fresh(solves, held_work(op._factors))
     assert solves[0].tobytes() == solves[1].tobytes()
+
+
+@pytest.mark.parametrize("variant", [tf.CORRECTED, tf.PAPER_LITERAL],
+                         ids=["corrected", "paper_literal"])
+def test_dense_solves_are_fresh_and_leave_the_rhs_block(variant):
+    # at N = 100 the held factors hold T^-1; a held step still forms its rhs
+    # in their rhs block, while a solve of another system by them reads its
+    # rhs where it lies, so the block keeps the step's rhs
+    model = tf.ModelSpec("constant", {"k0": 1.3, "sigma0": 0.7}).build(1, 1)
+    op = tf.TemperatureOperator(tf.build_mesh(100), model, 0.1, 0.2, variant)
+    size = op.matrix.size
+    rng = np.random.default_rng(9)
+    alpha, source = rng.uniform(0.0, 1.0, 101), rng.uniform(0.0, 1.0, size)
+    held = op.advance(alpha, source, [])
+    factors = op._factors
+    assert factors.dense is not None and factors.dense.shape == (size, size)
+    rhs = op.mass(alpha) + source
+    assert factors.rhs_in.tobytes() == rhs.tobytes()
+    other = op.matrix.with_rhs(rng.uniform(0.0, 1.0, size))
+    solves = [tf.thomas_solve(other, factors) for _ in range(2)]
+    assert factors.rhs_in.tobytes() == rhs.tobytes()
+    assert_fresh([held] + solves, held_work(factors) + [other.rhs])
+    assert solves[0].tobytes() == solves[1].tobytes()
+    # the literal rows are not diagonally dominant, so the bound is the
+    # dense oracle's, as in test_thomas_matches_dense_oracle
+    expected = tf.dense_solve_oracle(other)
+    assert np.max(np.abs(solves[0] - expected)) \
+        <= 1e-10 * (1.0 + np.max(np.abs(expected)))
 
 
 @pytest.mark.parametrize("variant", [tf.CORRECTED, tf.PAPER_LITERAL],

@@ -10,9 +10,10 @@ every workload of ``BENCHMARK.json`` and every seed (1-10 by default) it
 runs ``perfbench/run.py --trace 0`` once on each side, the parent first on
 odd seeds and the change first on even ones, and reads the end-to-end
 metrics from the ``--out`` record.  Then it runs ``--trace 1`` at seed 0,
-parent then change, for the call counts.  The record keeps, per workload and
-metric, both sides' values, their medians and quartiles, and how many pairs
-the change won (by the metric's ``better`` in ``BENCHMARK.json``) or tied.
+parent then change, for the call counts and the per-layer metrics.  The
+record keeps, per workload and metric, both sides' values, their medians and
+quartiles, and how many pairs the change won (by the metric's ``better`` in
+``BENCHMARK.json``) or tied.
 """
 
 from __future__ import annotations
@@ -109,6 +110,7 @@ def main(argv: list[str] | None = None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    layers = [m["name"] for m in bench["per_layer"]]
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     seeds = range(args.seeds[0], args.seeds[1] + 1)
     commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
@@ -139,15 +141,18 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} seed {seed} {side}: wall_s "
                           f"{result['metrics']['wall_s']['value']:.5g}",
                           file=sys.stderr)
-        counts = {}
+        counts = {w: {} for w in workloads}
+        traced = {w: {} for w in workloads}
         for workload in workloads:
-            counts[workload] = {}
             for side in ("parent", "change"):
                 record = perfbench(sides[side], workload, 0, args.seconds, 1,
                                    tmp / "record.json")
                 metrics = record["result"]["metrics"]
                 counts[workload][side] = {name: metrics[name]["value"]
                                           for name in COUNTS}
+                traced[workload][side] = {name: metrics[name]["value"]
+                                          for name in layers
+                                          if name in metrics}
 
     pairs_command = (f"python3 perfbench/run.py --workload W --seed S "
                      f"--seconds {args.seconds:g} --trace 0 --out FILE, "
@@ -171,6 +176,7 @@ def main(argv: list[str] | None = None) -> int:
                       for name in better} for w in workloads},
         "failed_runs": failed,
         "trace_counts": counts,
+        "trace_layers": traced,
     }
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
