@@ -362,7 +362,7 @@ def _load_config(path: str) -> SimulationConfig:
     if not p.is_file():
         raise ConfigurationError(f"config file not found: {path}")
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     return parse_config(text)
@@ -383,6 +383,15 @@ def _cmd_run(args) -> int:
     for path in filter(None, (args.out, args.profile)):  # before the run
         if not os.access(Path(path).parent, os.W_OK | os.X_OK):
             raise ConfigurationError(f"cannot write {path}: no writable directory")
+    # an output that is the config or the other output would overwrite it
+    named = {}
+    for option, path in (("--config", args.config), ("--out", args.out),
+                         ("--profile", args.profile)):
+        if path:
+            first = named.setdefault(os.path.realpath(path), option)
+            if first != option:
+                raise ConfigurationError(
+                    f"{first} and {option} name the same file: {path}")
     result = args.driver(config)
     if args.out:
         _write(args.out, lambda stream: write_series_csv(result, stream))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -163,20 +162,10 @@ def thomas_solve(system: TridiagonalSystem,
 
     Factors that hold T^-1 (at most ``DENSE_BLOCKS`` blocks, see
     ``_Factors``) solve by the one product ``T^-1 rhs``, read from
-    ``system.rhs`` where it lies.  Larger ones work in the arrays held
-    with them: the rhs is copied into their rhs block unless
-    ``system.rhs`` is that block (the held step forms its rhs there), and
-    both triangular solves run block by block in one pass (Wang's
-    partition method).  One batched product solves every block as if
-    nothing came in from its neighbours.  The values the neighbours read
-    are then carried: going forward, the last entry ``e`` of L's solution,
-    and going backward, the first entry ``f`` of the solution.  Both
-    recurrences are linear in the blocks' last and first local entries, so
-    one product with the factors' interface operator gives every received
-    value; factors of more than ``INTERFACE_BLOCKS`` blocks, or whose
-    operator is not finite, run the two scalar passes instead.  Each block
-    finally adds its carry vectors times the values it received (see
-    ``_Factors``).
+    ``system.rhs`` where it lies.  Larger ones copy the rhs into their rhs
+    block, unless ``system.rhs`` is that block (the held step forms its rhs
+    there), solve every block at once by one batched product, and carry
+    between the blocks by ``_block_solve`` (Wang's partition method).
     """
     if factors is None:
         factors = _factor(system.sub, system.main, system.sup)
@@ -185,34 +174,51 @@ def thomas_solve(system: TridiagonalSystem,
     if system.rhs is not factors.rhs_in:
         factors.rhs_in[:] = system.rhs
     np.matmul(factors.inverse, factors.padded, out=factors.product)
-    local = factors.local
-    nb = local.shape[0]
-    if factors.interface is None:
-        z, t = local[:, -1].tolist(), factors.lower_last
-        into = [0.0] * nb  # e of the previous block
-        e = 0.0
-        for k in range(nb):
-            into[k] = e
-            e = z[k] + t[k] * e
-        w, g, u = local[:, 0].tolist(), factors.lower_first, factors.upper_first
-        back = [0.0] * nb  # f of the next block
-        f = 0.0
-        for k in range(nb - 1, -1, -1):
-            back[k] = f
-            f = w[k] + g[k] * into[k] + u[k] * f
-        # one flat array: a tuple of lists goes through numpy's shape discovery
-        received = np.fromiter(chain(into, back), float, 2 * nb)
+    return _block_solve(factors, factors.product).reshape(-1)[:factors.size]
+
+
+def _block_solve(factors: _Factors, local: np.ndarray) -> np.ndarray:
+    """The solution of k right-hand sides from their block solutions
+    ``local`` = G_k r_k, (blocks, b, k): each block adds its carry vectors
+    times the e and f it receives, which one product with R gives, or
+    ``_passes`` where R is not held.
+    """
+    nb, _, k = local.shape
+    if factors.interface is not None:
+        received = np.matmul(factors.interface,
+                             np.concatenate((local[:, -1], local[:, 0])))
     else:
-        edges = factors.edges
-        edges[0] = local[:, -1]
-        edges[1] = local[:, 0]
-        received = np.matmul(factors.interface, edges.reshape(-1),
-                             out=factors.received)
-    carry = np.multiply(factors.carries, received.reshape(2, nb, 1),
-                        out=factors.carry)
-    x = local + carry[0]
-    x += carry[1]
-    return x.reshape(-1)[:factors.size]
+        # one rhs, as T^-1 is formed only with R
+        received = [0.0] * (2 * nb)
+        _passes(local[:, -1, 0].tolist(), local[:, 0, 0], *factors.passes,
+                received)
+        received = np.fromiter(received, float, 2 * nb)
+    carried = received.reshape(2, nb, k).transpose(1, 0, 2)
+    x = np.matmul(factors.carries, carried)
+    x += local
+    return x
+
+
+def _passes(z, w, t: list, g: np.ndarray, u: list, received) -> None:
+    """The forward pass ``e_k = t_k e_(k-1) + z_k`` and the backward pass
+    ``f_k = u_k f_(k+1) + (g_k e_(k-1) + w_k)``, from e_(-1) = f_nb = 0:
+    block k receives e_(k-1) in ``received[k]`` and f_(k+1) in
+    ``received[nb + k]``.  A solve runs them on Python floats into a list;
+    on the rows of the identity, with ``g`` a column, they write the rows
+    of R to an array.
+    """
+    nb = len(t)
+    e = 0.0
+    for k, tk, zk in zip(range(nb), t, z):
+        received[k] = e
+        e = tk * e + zk
+    fed = g * np.asarray(received[:nb]) + w
+    if fed.ndim == 1:  # Python floats: numpy scalars cost more per step
+        fed = fed.tolist()
+    f = 0.0
+    for k in range(nb - 1, -1, -1):
+        received[nb + k] = f
+        f = u[k] * f + fed[k]
 
 
 class _Factors(NamedTuple):
@@ -232,25 +238,23 @@ class _Factors(NamedTuple):
     ``G_k r_k`` and ``U_k^-1 l_k`` are those of ``L_k^-1 r_k`` and ``l_k``,
     which the forward pass reads.
 
-    The forward pass ``e_k = z_k + t_k e_(k-1)`` and the backward pass
-    ``f_k = w_k + g_k e_(k-1) + u_k f_(k+1)`` read the last and first local
-    entries z and w of each block and the carry entries t = ``lower_last``,
-    g = ``lower_first`` and u = ``upper_first``, held as Python floats.
-    The values received, e_(k-1) and f_(k+1), are linear in (z, w):
+    The two passes of ``_passes`` read the last and first local entries
+    z and w of each block and its coefficients t, g and u: the last and
+    first entries of ``U_k^-1 l_k`` and the first of u_k.  The values
+    received, e_(k-1) and f_(k+1), are linear in (z, w):
     ``[into; back] = R [z; w]`` with R =
     ``[[S E, 0], [S^T F diag(g) S E, S^T F]]``, where E and F are the
     inverses of the unit bidiagonal matrices of t and u and S shifts by
-    one block.  ``interface`` holds R when there are at most
-    ``INTERFACE_BLOCKS`` blocks and all of its entries are finite; it is
-    None otherwise, and so are ``edges`` and ``received``.
+    one block; the passes, run on the rows of the identity, make it.
+    ``interface`` holds R when there are at most ``INTERFACE_BLOCKS``
+    blocks and all of its entries are finite, and is None otherwise.
 
     ``dense`` holds T^-1 when there are at most ``DENSE_BLOCKS`` blocks, R
     is held and all of T^-1's entries are finite; it is None otherwise.
-    T^-1 is the block solve of every unit vector at once,
-    ``blockdiag(G_k) + C R [Z; W]``, where Z and W hold the last and first
-    rows of each G_k in its block's columns and C puts block k's two carry
-    vectors in its rows.  Its solve reads the rhs where it lies and uses
-    none of the work arrays; a held step still forms its rhs in ``rhs_in``.
+    T^-1 is ``_block_solve`` of the first m unit vectors, whose block
+    solutions are ``blockdiag(G_k)``.  Its solve reads the rhs where it
+    lies and uses none of the work arrays; a held step still forms its rhs
+    in ``rhs_in``.
 
     A solve overwrites the work arrays, so one set of factors serves one
     solve at a time; nothing a solve returns is a view of them.
@@ -258,18 +262,12 @@ class _Factors(NamedTuple):
 
     size: int
     inverse: np.ndarray  # (blocks, b, b): G_k
-    carries: np.ndarray  # (2, blocks, b): U_k^-1 l_k, then u_k
-    lower_last: list  # carries[0, :, -1]
-    lower_first: list  # carries[0, :, 0]
-    upper_first: list  # carries[1, :, 0]
+    carries: np.ndarray  # (blocks, b, 2): U_k^-1 l_k and u_k
     interface: np.ndarray | None  # (2 blocks, 2 blocks): R
-    edges: np.ndarray | None  # (2, blocks): z, then w
-    received: np.ndarray | None  # (2 blocks,): R [z; w]
+    passes: tuple  # t and u as lists of Python floats, g an array
     padded: np.ndarray  # (blocks, b, 1): the rhs r_k, its padding kept 0
     rhs_in: np.ndarray  # padded's first m entries, where the rhs goes
     product: np.ndarray  # (blocks, b, 1): G_k r_k
-    local: np.ndarray  # product as (blocks, b)
-    carry: np.ndarray  # (2, blocks, b): the carries times e and f
     residual: np.ndarray  # (m,): T x - rhs
     dense: np.ndarray | None  # (m, m): T^-1
 
@@ -310,7 +308,7 @@ def _factor(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> _Factors:
 
 def _block_operators(lower: list, pivots: list, upper: list) -> _Factors:
     """Invert each block's part of L and U, for all blocks at once, and
-    multiply the inverses.
+    multiply the inverses; then R and T^-1 where they are held.
 
     Padding rows (a = 0, p = 1, c = 0) follow the last real row, whose c is
     0, so they neither read from nor feed into the real rows.
@@ -322,7 +320,8 @@ def _block_operators(lower: list, pivots: list, upper: list) -> _Factors:
 
     def by_block(values, fill):
         # (nb, b): entry [k, i] belongs to row i of block k
-        return np.concatenate((values, np.full(pad, fill))).reshape(nb, b)
+        return np.fromiter(values + [fill] * pad, float,
+                           nb * b).reshape(nb, b)
 
     a, p, c = by_block(lower, 0.0), by_block(pivots, 1.0), by_block(upper, 0.0)
     # L^-1[i, j] = (1 / p_j) * prod_{j < l <= i} (-a_l / p_l), and U read
@@ -340,69 +339,35 @@ def _block_operators(lower: list, pivots: list, upper: list) -> _Factors:
     upper_inv = inv[nb:, ::-1, ::-1]
     inverse = np.matmul(upper_inv, inv[:nb])
     carries = np.stack((-a[:, :1] * inverse[:, :, 0],
-                        -c[:, b - 1:] * upper_inv[:, :, b - 1]))
-    padded, product = np.zeros((nb, b, 1)), np.empty((nb, b, 1))
-    t, g, u = (carries[0, :, -1].tolist(), carries[0, :, 0].tolist(),
-               carries[1, :, 0].tolist())
-    interface = _interface(t, g, u) if nb <= INTERFACE_BLOCKS else None
-    held = interface is not None
-    dense = (_dense_inverse(inverse, carries, interface, m)
-             if held and nb <= DENSE_BLOCKS else None)
-    return _Factors(size=m, inverse=inverse, carries=carries,
-                    lower_last=t, lower_first=g, upper_first=u,
-                    interface=interface,
-                    edges=np.empty((2, nb)) if held else None,
-                    received=np.empty(2 * nb) if held else None,
-                    padded=padded, rhs_in=padded.reshape(-1)[:m],
-                    product=product, local=product[:, :, 0],
-                    carry=np.empty((2, nb, b)), residual=np.empty(m),
-                    dense=dense)
-
-
-def _interface(t: list, g: list, u: list) -> np.ndarray | None:
-    """The interface operator R of ``_Factors``, or None if an entry is
-    not finite: the two passes of ``thomas_solve`` run on every unit vector
-    at once, each step making the row of R that one block receives."""
-    nb = len(t)
-    r = np.zeros((2 * nb, 2 * nb))
-    into, back = r[:nb, :nb], r[nb:]
-    # into row k+1 = t_k (into row k) + unit row k
-    for k in range(nb - 1):
-        np.multiply(into[k], t[k], out=into[k + 1])
-        into[k + 1, k] = 1.0
-    # back row k-1 = u_k (back row k) + [g_k (into row k), unit row k]
-    fed = np.zeros((nb, 2 * nb))
-    np.multiply(into, np.array(g)[:, None], out=fed[:, :nb])
-    np.fill_diagonal(fed[:, nb:], 1.0)
-    for k in range(nb - 1, 0, -1):
-        np.multiply(back[k], u[k], out=back[k - 1])
-        back[k - 1] += fed[k]
-    return r if np.isfinite(r).all() else None
-
-
-def _dense_inverse(inverse: np.ndarray, carries: np.ndarray,
-                   interface: np.ndarray, m: int) -> np.ndarray | None:
-    """T^-1 of ``_Factors``, or None if an entry is not finite: the block
-    solve of ``thomas_solve`` on every unit vector at once.  Column j's
-    local solution is column j of its block's G_k; R takes the last and
-    first rows of the G_k to the values every block receives, and the
-    carries times those are added to G_k on the diagonal blocks."""
-    nb, b = inverse.shape[:2]
-    # [z; w] of every unit vector: row k (nb + k) holds G_k's last (first)
-    # row in block k's columns, the diagonal of the (nb, nb) grid of blocks
-    edges = np.zeros((2, nb * nb, b))
-    diagonal = edges[:, ::nb + 1]
-    diagonal[0] = inverse[:, -1]
-    diagonal[1] = inverse[:, 0]
-    received = np.dot(interface, edges.reshape(2 * nb, nb * b))
-    # block k's rows: its two carry vectors times the e and f it receives
-    full = np.matmul(carries.transpose(1, 2, 0),
-                     received.reshape(2, nb, nb * b).transpose(1, 0, 2))
+                        -c[:, b - 1:] * upper_inv[:, :, b - 1]), axis=2)
+    passes = (carries[:, -1, 0].tolist(), carries[:, 0, 0],
+              carries[:, 0, 1].tolist())
+    interface = None
+    if nb <= INTERFACE_BLOCKS:
+        # the passes on every unit vector at once make R's rows
+        t, g, u = passes
+        unit = np.eye(2 * nb)
+        interface = np.empty((2 * nb, 2 * nb))
+        _passes(unit[:nb], unit[nb:], t, g[:, None], u, interface)
+        if not np.isfinite(interface).all():
+            interface = None
+    padded = np.zeros((nb, b, 1))
+    factors = _Factors(size=m, inverse=inverse, carries=carries,
+                       interface=interface, passes=passes,
+                       padded=padded, rhs_in=padded.reshape(-1)[:m],
+                       product=np.empty((nb, b, 1)), residual=np.empty(m),
+                       dense=None)
+    if interface is None or nb > DENSE_BLOCKS:
+        return factors
+    # T^-1 is the first m rows of the result, contiguous, so np.dot
+    # reads them where they lie
+    local = np.zeros((nb, b, nb, b))
     blocks = np.arange(nb)
-    full.reshape(nb, b, nb, b)[blocks, :, blocks] += inverse
-    # contiguous: np.dot would copy a view's rows at every solve
-    dense = np.ascontiguousarray(full.reshape(nb * b, nb * b)[:m, :m])
-    return dense if np.isfinite(dense).all() else None
+    local[blocks, :, blocks] = inverse
+    full = _block_solve(factors, local.reshape(nb, b, nb * b)[:, :, :m])
+    dense = full.reshape(nb * b, m)[:m]
+    return factors._replace(dense=dense) if np.isfinite(dense).all() \
+        else factors
 
 
 def dense_solve_oracle(system: TridiagonalSystem) -> np.ndarray:

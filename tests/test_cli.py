@@ -557,6 +557,49 @@ def test_cli_unreadable_or_unwritable_path_exits_1(case, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_cli_reads_a_config_that_starts_with_a_bom(fig1_cfg_path, tmp_path):
+    # editors on some platforms save UTF-8 with a byte order mark
+    bom = tmp_path / "fig1_bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + fig1_cfg_path.read_bytes())
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    assert run_cli(["run", "--config", str(fig1_cfg_path),
+                    "--out", str(plain)]) == 0
+    assert run_cli(["run", "--config", str(bom), "--out", str(marked)]) == 0
+    assert marked.read_bytes() == plain.read_bytes()
+
+
+# "alias" is a symlink to the file named in the case: paths are compared
+# resolved, so another spelling of a file is the same file
+@pytest.mark.parametrize("target, options, first, second", [
+    ("s.csv", ["--out", "s.csv", "--profile", "alias"], "--out", "--profile"),
+    ("c.cfg", ["--out", "alias"], "--config", "--out"),
+    ("c.cfg", ["--out", "s.csv", "--profile", "alias"], "--config",
+     "--profile"),
+], ids=["out_is_profile", "out_is_config", "profile_is_config"])
+def test_cli_output_that_names_another_path_exits_1(target, options, first,
+                                                   second, tmp_path, capsys,
+                                                   monkeypatch):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(MINIMAL)
+    out = tmp_path / "s.csv"
+    out.write_bytes(b"kept\n")
+    (tmp_path / "alias").symlink_to(tmp_path / target)
+    argv = ["run", "--config", str(cfg)]
+    argv += [o if o.startswith("--") else str(tmp_path / o) for o in options]
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda config: calls.append(config))
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"configuration error: {first} and {second} name the same file: ")
+    assert len(captured.err.splitlines()) == 1
+    # refused before the run: no step is taken and no file is truncated
+    assert calls == []
+    assert out.read_bytes() == b"kept\n"
+    assert cfg.read_text() == MINIMAL
+
+
 def test_cli_bad_config_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     gamma = "gamma = 0.1"

@@ -637,19 +637,19 @@ DIGESTS = {
     },
     "rational_n1000": {
         "snapshots":
-            "3a464b93ba73cd4f98fe07ff67c6b5730ee123dd0fe2f3ac3f7741e7e1bec645",
+            "4becb6f4c18636fb46ad9af82715b48a1a7f824a79654b17819a99f99f0a7897",
         "final_profile":
-            "256c6c9c767c83e5adacac798f43e38a9a41c9b14687583ef0a8a229b82ae26a",
+            "2ef321ca671b0d333bccea561d8221cfa04ae72ac530c21698277670397340c5",
         "steady_time":
             "e071f439980615c39c72b44e57de3e128e2da492989fc6e21a1a211324ca21b5",
         "max_change":
-            "d269a94cb0d4b194407f6c211455de78784f7891c701c3658444d5fdca2e833b",
+            "c516ae240a6bbad393554ce8b67c09e527bd786433d80bc2f6054f4dce1c8bab",
         "compatibility_residuals":
-            "797ec82b2b4cd38d3ec879bc0946fd2bc261a3ad129b814b031a75bd883afde3",
+            "1ba8e99f7a8a740732795242f5776601a55f77c2de5a8fc5ec3fc10ba6703107",
         "potential_residuals":
-            "05deff0e9704062d15a7a0aa0305589d33ad7d6a855645a30c0192dd4010b52e",
+            "c65ffdc743d34028990089808c468123bd034c4f44653602d0d74d7d0922faa8",
         "temperature_residuals":
-            "2386283fa322ebd910aa892926112fddecbaea1a4f6a4a8316a0a59841b86add",
+            "95b0afa7d6aca4055f0f7d7aa86ab6e79115dd670e7262678142d0ef7b4f049f",
     },
     "literal_rational_n100": {
         "snapshots":
@@ -669,19 +669,19 @@ DIGESTS = {
     },
     "reduced_n2000": {
         "snapshots":
-            "5e09895a9d59256445795fba2d28fb8c353a963292a83437a9e6ae45dea1aa0b",
+            "5a7032749211a2e2dd4720574409e7c0be9f833554d6440da896214c268d1b53",
         "final_profile":
-            "67b9fb47b1c4517abe4eb39d1bb9a3500af76f965c69867e8b99994dcc292c48",
+            "a0b5f3078e3672ce52a58eba79a00e5155aa567412eccff55c573cb4cb7afa1d",
         "steady_time":
             "602d68b4476c880b81adcde203296f329d0539ad9f6045ac665db1fb91c48310",
         "max_change":
-            "70d6b0c7e30595dfa77a667ddafa43521d1540098f3de631b0a43fadcc47cc80",
+            "337c0d528dda088dd9c22926e06d7d6f5d6e651b107a54685f394af93c766e73",
         "compatibility_residuals":
             "77f3ea088c1912c736945e6e81b45af66d6137fee50b828b5ecdebbe52137169",
         "potential_residuals":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "temperature_residuals":
-            "e6588bc3039a2ee2e2bd2f4aa641ad970b551e59f71bfc0dfd54c0cf18b4c830",
+            "3830aead4ec373299c620cd1a08e8ff81e38e164895b8c2f545b0f3dc63bda29",
     },
 }
 

@@ -54,3 +54,20 @@ def test_solve_sweep_prints_one_row_per_size():
         assert len(row) == 8
         assert int(row[1]) == -(-int(row[0]) // 32)
         assert all(float(value) > 0.0 for value in row[2:])
+
+
+def test_solve_sweep_times_the_sizes_it_is_given():
+    # past the largest default size, T^-1 is not formed: its columns read -
+    script = ROOT / "tools" / "solve_sweep.py"
+    assert max(assigned(script, "SIZES")) < 1001
+    proc = subprocess.run(
+        [sys.executable, str(script), "--solves", "10", "--repeats", "1",
+         "--sizes", "33", "1001"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    small, large = (line.split() for line in proc.stdout.splitlines()[2:])
+    assert small[:2] == ["33", "2"] and large[:2] == ["1001", "32"]
+    assert all(float(value) > 0.0 for value in small[2:])
+    assert large[3:5] == large[6:] == ["-", "-"]
+    assert float(large[2]) > 0.0 and float(large[5]) > 0.0

@@ -177,6 +177,25 @@ def test_thomas_matches_reference_on_either_side_of_the_interface_cap(
         assert_matches_reference(s, tf.thomas_solve(s, factors))
 
 
+@pytest.mark.parametrize("size", [33, 101, 128, 129, 1001, 4096, 4097])
+def test_one_block_solve_serves_the_inverse_the_interface_and_the_passes(
+        size):
+    # one set of factors solved three ways: by T^-1 where it is held (it
+    # is the block solve of the identity), by the block solve with R, and
+    # by the block solve with the passes that make R
+    blocks = -(-size // tf.tridiag.BLOCK)
+    rng = np.random.default_rng(size)
+    s = random_dominant_system(rng, size)
+    factors = tf.tridiag._factor(s.sub, s.main, s.sup)
+    assert (factors.dense is not None) is (blocks <= tf.tridiag.DENSE_BLOCKS)
+    assert (factors.interface is not None) \
+        is (blocks <= tf.tridiag.INTERFACE_BLOCKS)
+    ways = [factors, factors._replace(dense=None),
+            factors._replace(dense=None, interface=None)]
+    for held in ways:
+        assert_matches_reference(s, tf.thomas_solve(s, held))
+
+
 def test_interface_that_overflows_leaves_the_passes_to_carry():
     # T = lower bidiagonal (1, 2): carrying across k blocks multiplies by
     # t = (-2)^32 per block, so the interface operator of 64 blocks
@@ -187,8 +206,8 @@ def test_interface_that_overflows_leaves_the_passes_to_carry():
     s = system(np.full(size - 1, 2.0), np.ones(size), np.zeros(size - 1),
                x + np.append(0.0, 2.0 * x[:-1]))
     factors = tf.tridiag._factor(s.sub, s.main, s.sup)
-    assert factors.interface is None and factors.edges is None
-    assert factors.lower_last[1:] == [2.0 ** 32] * 63
+    assert factors.interface is None
+    assert factors.carries[1:, -1, 0].tolist() == [2.0 ** 32] * 63
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solved = tf.thomas_solve(s)
@@ -465,12 +484,13 @@ def test_held_step_forms_its_rhs_in_the_solve_block(variant, monkeypatch):
 
 def test_held_factorisation_grows_linearly():
     # BLOCK caps the block size, so the held operators take BLOCK + 2 floats
-    # per row and the solve's work arrays 5 more (312 bytes at BLOCK = 32),
+    # per row and the solve's work arrays 3 more (296 bytes at BLOCK = 32),
     # plus one padded block; with blocks of sqrt(m) rows they would grow as
     # m^1.5.  The interface operator, (2 blocks)^2 floats, is held only up
     # to INTERFACE_BLOCKS blocks (512 kB at m = 4096), so these 3125 blocks
-    # carry by the scalar passes and hold none.  Views into held arrays hold
-    # no memory of their own.
+    # carry by the scalar passes and hold none; the passes' coefficients
+    # are two Python floats a block (about 2 bytes a row, not counted).
+    # Views into held arrays hold no memory of their own.
     m = 100_000
     b = tf.tridiag.BLOCK
     main = np.full(m, 4.0)
@@ -479,8 +499,8 @@ def test_held_factorisation_grows_linearly():
     nbytes = sum(a.nbytes for a in held
                  if isinstance(a, np.ndarray) and a.base is None)
     assert held.inverse.shape[1:] == (b, b)
-    assert nbytes <= 8 * (b + 7) * (m + b)
-    assert nbytes <= 320 * m
+    assert nbytes <= 8 * (b + 5) * (m + b)
+    assert nbytes <= 296 * m
 
 
 def test_singular_matrix_raises_on_every_call():
