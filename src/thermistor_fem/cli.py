@@ -381,6 +381,8 @@ def _write(path: str, write) -> None:
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
     for path in filter(None, (args.out, args.profile)):  # before the run
+        if os.path.isdir(path):
+            raise ConfigurationError(f"cannot write {path}: is a directory")
         if not os.access(Path(path).parent, os.W_OK | os.X_OK):
             raise ConfigurationError(f"cannot write {path}: no writable directory")
     # an output that is the config or the other output would overwrite it

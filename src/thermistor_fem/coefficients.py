@@ -24,6 +24,17 @@ def as_float(value: numbers.Real) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def finite_float(name: str, value, error: type[Exception]) -> float:
+    """``as_float(value)`` of a real, finite ``value``; otherwise ``error``
+    says that ``name`` must be a real number, or finite."""
+    if not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    number = as_float(value)
+    if not math.isfinite(number):
+        raise error(f"{name} must be finite, got {number}")
+    return number
+
+
 @dataclass(frozen=True)
 class CoefficientModel:
     """Physics bundle for one simulation.
@@ -45,19 +56,15 @@ class CoefficientModel:
     flux_right: float
 
     def __post_init__(self):
-        for name in ("k", "flux_left", "flux_right"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise ModelError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, as_float(value))
-        if not (math.isfinite(self.k) and self.k > 0.0):
+        # k has its own message, as it must also be positive
+        k = self.k
+        if isinstance(k, numbers.Real) and not 0.0 < as_float(k) < math.inf:
             raise ModelError(
                 f"thermal conductivity k must be positive and finite, "
-                f"got {self.k!r}")
-        for name in ("flux_left", "flux_right"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ModelError(f"{name} must be finite, got {value!r}")
+                f"got {as_float(k)!r}")
+        for name in ("k", "flux_left", "flux_right"):
+            object.__setattr__(self, name, finite_float(
+                name, getattr(self, name), ModelError))
         sigma = self.electrical_conductivity
         if callable(sigma):
             return
@@ -151,13 +158,8 @@ class ModelSpec:
             raise ConfigurationError(
                 f"model kind {self.kind!r} does not read parameters {unknown}")
         for name in required:
-            raw = self.parameters[name]
-            if not isinstance(raw, numbers.Real):
-                raise ConfigurationError(
-                    f"{name} must be a real number, got {raw!r}")
-            value = as_float(raw)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
+            value = finite_float(name, self.parameters[name],
+                                 ConfigurationError)
             # k0, sigma0 and gamma fix the sign of k and sigma, which the
             # model or eval_sigma would otherwise refuse
             if name == "k0" and value <= 0.0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -18,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import temperature as temp
-from .coefficients import CoefficientModel, ModelSpec, as_float, eval_sigma
+from .coefficients import CoefficientModel, ModelSpec, eval_sigma, finite_float
 from .errors import (ConfigurationError, NotSteadyError, SingularSystemError,
                      StepFailure)
 from .mesh import Mesh, build_mesh, check_integer
@@ -58,13 +57,7 @@ class SimulationConfig:
                 f"n_elements must be <= {MAX_ELEMENTS}, got {self.n_elements}")
         for name in ("tau", "beta", "t_max", "steady_tolerance", "flux_left",
                      "flux_right"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise ConfigurationError(
-                    f"{name} must be a real number, got {value!r}")
-            value = as_float(value)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
+            finite_float(name, getattr(self, name), ConfigurationError)
         if self.tau <= 0.0:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
         # beta < 0 would feed heat in through the boundary
@@ -160,11 +153,7 @@ def _check_state(state: temp.TemperatureState, mesh: Mesh) -> None:
     bad = np.flatnonzero(~np.isfinite(state.alpha))
     if bad.size:
         raise ConfigurationError(f"initial state is not finite at node {bad[0]}")
-    time = state.time
-    if isinstance(time, numbers.Real):
-        time = as_float(time)
-    if not (isinstance(time, float) and math.isfinite(time)):
-        raise ConfigurationError(f"initial time must be finite, got {time!r}")
+    finite_float("initial time", state.time, ConfigurationError)
 
 
 def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel,

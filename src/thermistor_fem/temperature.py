@@ -38,14 +38,13 @@ paper_literal (size N, unknowns alpha_0..alpha_{N-1})
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tridiag
 from .coefficients import CoefficientModel, eval_sigma
-from .errors import ModelError, NumericalFailureError, SolverError
+from .errors import ModelError, NumericalFailureError
 from .mesh import Mesh, mass_row
 from .potential import SchemeVariant
 from .tridiag import TridiagonalSystem
@@ -198,12 +197,9 @@ class TemperatureOperator:
         # the factors, and the system whose rhs is their rhs block, which
         # each advance rewrites
         self._factors = self._system = None
-        try:
+        with tridiag._named(what):
             self.mass_matrix = TridiagonalSystem(m_sub, m_main, m_sup, zeros)
             self.matrix = TridiagonalSystem(sub, main, sup, zeros)
-        except NumericalFailureError as exc:
-            exc.args = (f"{what} solve failed: {exc}",)
-            raise
 
     def mass(self, alpha: np.ndarray) -> np.ndarray:
         """Mass rows times alpha^n: the right-hand side before any source."""
@@ -224,40 +220,33 @@ class TemperatureOperator:
         solved by the held factors, with alpha_N written back for
         paper_literal.  The right-hand side, ``mass(alpha)`` plus the
         source, is formed in the factors' rhs block, the rhs of a system
-        made with them, so the solve copies none.  Failures, a non-finite
-        right-hand side or singular rows included, raise as
-        ``"<what> solve failed: ..."``.  A list sink (or none) gets the
-        residual at once.  A run's ``ResidualBlock`` sink, on a system of at
-        most ``CELLS // 8`` rows, holds the step instead, and takes its
-        residual and its checks later, for a block of steps."""
+        made with them, so the solve copies none.  Singular rows raise as
+        ``"<what> solve failed: ..."``.  The solve is checked after it
+        runs, by the check of every solve (``tridiag._check``): a non-finite
+        solution raises, naming a non-finite right-hand side if there is
+        one, and a list sink gets the residual.  A run's ``ResidualBlock``
+        sink, on a system of at most ``CELLS // 8`` rows, holds the step
+        instead, and takes its check later, for a block of steps."""
         if self._factors is None:  # made here, so assembly factors none
             matrix = self.matrix
-            try:
+            with tridiag._named(self.what):
                 self._factors = tridiag._factor(matrix.sub, matrix.main,
                                                 matrix.sup)
-            except SolverError as exc:
-                # named in place, so a singular pivot keeps its row
-                exc.args = (f"{self.what} solve failed: {exc}",)
-                raise
             self._system = matrix.with_rhs(self._factors.rhs_in)
         factors = self._factors
         rhs = tridiag._product(self.mass_matrix, alpha[:factors.size],
                                factors.rhs_in)
         rhs += source
+        x = tridiag.thomas_solve(self._system, factors)
         if isinstance(residual_sink, ResidualBlock) \
                 and CELLS // factors.size >= 8:
-            x = tridiag.thomas_solve(self._system, factors)
             residual_sink.hold(self, rhs, x)
         else:
-            # max|rhs| is NaN or inf exactly when an entry is, and it is
-            # the residual's scale; the residual array is free until the
-            # solve
-            peak = float(np.abs(rhs, out=factors.residual).max())
-            if not math.isfinite(peak):
-                raise NumericalFailureError(
-                    f"{self.what} solve failed: non-finite entries in rhs")
-            x = tridiag._checked_substitution(self._system, factors, peak,
-                                              self.what, residual_sink)
+            # the residual array is free once the solve is done
+            residual = tridiag._check(self.matrix, rhs, x, factors.residual,
+                                      self.what)
+            if residual_sink is not None:
+                residual_sink.append(residual)
         if self.variant.stiffness == "corrected":
             return x
         k, h = self.model.k, self.mesh.h
@@ -271,13 +260,13 @@ class ResidualBlock:
     ``append`` adds a value to ``values``, the run's
     ``Diagnostics.temperature_residuals``, at once.
     ``TemperatureOperator.advance`` given this sink, on a system of
-    m <= ``CELLS // 8`` rows, solves without its checks and ``hold``s the
+    m <= ``CELLS // 8`` rows, solves without its check and ``hold``s the
     step's rhs and x as a row of (K, m) stacks, K = ``CELLS // m``.
-    ``flush`` forms T x - rhs and max|rhs| for all held rows in one pass and
-    appends their residuals, each scaled by 1 + max|rhs| as a checked solve
-    scales it: the same values, in the same order, as an immediate sink
-    records.  A held step's rhs and x are not checked until then, so the
-    time loop calls ``check`` when a step's change is not finite.
+    ``flush`` gives all held rows at once to the check of every solve,
+    ``tridiag._check``, and appends their residuals: the same values, in the
+    same order, as an immediate sink records.  A held step is not checked
+    until then, so the time loop calls ``check``, the same check of the
+    step last held, when a step's change is not finite.
     """
 
     def __init__(self, values: list):
@@ -300,36 +289,33 @@ class ResidualBlock:
         self._x[self._held] = x
         self._held += 1
 
+    # an overflow shows as a non-finite solution or residual
+    @np.errstate(over="ignore", invalid="ignore")
     def check(self) -> None:
-        """Refuse the step last held if its x is not finite, as a checked
-        solve would: its row is dropped, and the error names a non-finite
+        """Refuse the step last held if its x is not finite, by the check
+        of a solve: its row is dropped, and the error names a non-finite
         rhs, or else the solution."""
         last = self._held - 1
-        if last < 0 or np.isfinite(self._x[last]).all():
+        if last < 0:
             return
-        self._held = last  # the failing step records no residual
-        finite = np.isfinite(self._rhs[last]).all()
-        what = "non-finite solution" if finite else "non-finite entries in rhs"
-        raise NumericalFailureError(
-            f"{self._operator.what} solve failed: {what}")
+        try:
+            tridiag._check(self._operator.matrix, self._rhs[last],
+                           self._x[last], None, self._operator.what)
+        except NumericalFailureError:
+            self._held = last  # the failing step records no residual
+            raise
 
     # an overflow shows as an infinite residual, which is recorded
     @np.errstate(over="ignore", invalid="ignore")
     def flush(self) -> None:
-        """Append the residuals of the held rows: the sums of
-        ``tridiag._product`` and the residual, in the same order."""
+        """Append the residuals of the held rows, all checked at once."""
         held, self._held = self._held, 0
         if not held:
             return
-        matrix = self._operator.matrix
-        rhs, x = self._rhs[:held], self._x[:held]
-        res = np.multiply(matrix.main, x)
-        res[:, 1:] += matrix.sub * x[:, :-1]
-        res[:, :-1] += matrix.sup * x[:, 1:]
-        res -= rhs
-        residual = np.abs(res, out=res).max(axis=1)
-        residual /= 1.0 + np.abs(rhs, out=rhs).max(axis=1)
-        self.values.extend(residual.tolist())
+        operator = self._operator
+        self.values.extend(tridiag._check(
+            operator.matrix, self._rhs[:held], self._x[:held], None,
+            operator.what).tolist())
 
 
 def solve_temperature(state: TemperatureState, sigma: np.ndarray,

@@ -8,12 +8,13 @@ and solves by one product with it.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalFailureError, SingularSystemError
+from .errors import NumericalFailureError, SingularSystemError, SolverError
 
 # Relative pivot threshold: a pivot smaller than this times the row's largest
 # original coefficient magnitude is treated as structurally singular.
@@ -105,45 +106,58 @@ def checked_solve(system: TridiagonalSystem, what: str,
     """Solve a one-off system with the contract every phase of a step shares.
 
     A singular pivot is re-raised as ``"<what> solve failed: ..."`` with the
-    failing row kept, and a non-finite solution raises NumericalFailureError.
-    ``residual_sink``, when given, receives the residual max-norm scaled by
-    ``1 + max|rhs|`` (for run diagnostics).  The matrix is factored for this
-    solve alone; ``TemperatureOperator.advance`` holds its factors and
-    checks its solves the same way.  The solve and the residual run with
-    overflow and invalid operations ignored.
+    failing row kept.  The solve is then checked by ``_check``, as every
+    solve is: a non-finite solution raises NumericalFailureError, and
+    ``residual_sink``, when given, receives the scaled residual (for run
+    diagnostics).  The matrix is factored for this solve alone;
+    ``TemperatureOperator.advance`` holds its factors.  The solve and the
+    check run with overflow and invalid operations ignored.
     """
-    try:
+    with _named(what):
         factors = _factor(system.sub, system.main, system.sup)
-        return _checked_substitution(system, factors,
-                                     float(np.abs(system.rhs).max()), what,
-                                     residual_sink)
-    except SingularSystemError as exc:
-        raise SingularSystemError(f"{what} solve failed: {exc}",
-                                  row=exc.row) from exc
-
-
-def _checked_substitution(system: TridiagonalSystem, factors: _Factors,
-                          peak: float, what: str,
-                          residual_sink: list | None) -> np.ndarray:
-    """``thomas_solve`` by ``factors``, with ``checked_solve``'s checks:
-    the residual, formed in the factors' residual array and scaled by
-    ``1 + peak`` (``peak = max|rhs|``), goes to ``residual_sink``, and a
-    non-finite solution raises.  Runs in the caller's error state."""
     x = thomas_solve(system, factors)
-    residual = None
+    residual = _check(system, system.rhs, x, factors.residual, what)
     if residual_sink is not None:
-        res = _product(system, x, factors.residual)
-        res -= system.rhs
-        residual = float(np.abs(res, res).max())
+        residual_sink.append(residual)
+    return x
+
+
+@contextmanager
+def _named(what: str):
+    """Name a failure of a system's rows or of their factorisation
+    ``"<what> solve failed: ..."``, in place, so a singular pivot keeps its
+    row."""
+    try:
+        yield
+    except SolverError as exc:
+        exc.args = (f"{what} solve failed: {exc}",)
+        raise
+
+
+def _check(system: TridiagonalSystem, rhs: np.ndarray, x: np.ndarray,
+           work: np.ndarray | None, what: str):
+    """The check of a solve of ``system``'s rows: the residual
+    ``max|T x - rhs| / (1 + max|rhs|)``, formed in ``work`` (a new array if
+    None), of one system (a float) or of each of a stack of systems, m on
+    the last axis (an array).  A non-finite x raises NumericalFailureError
+    naming a non-finite rhs, or else the solution.  Runs in the caller's
+    error state."""
+    res = _product(system, x, work)
+    res -= rhs
+    residual = np.abs(res, out=res).max(-1)
+    peak = np.abs(rhs, out=res).max(-1)
+    if x.ndim == 1:  # Python floats: numpy scalars cost more per step
+        residual, peak = float(residual), float(peak)
+        finite = math.isfinite(residual)
+    else:
+        finite = np.isfinite(residual).all()
     # a non-finite x_i makes row i of T x - rhs non-finite (main_i x_i is
     # inf or NaN, and no addend brings that back), so a finite residual
     # shows a finite x; a finite x with an overflowed residual is recorded
-    if (residual is None or not math.isfinite(residual)) \
-            and not np.isfinite(x).all():
-        raise NumericalFailureError(f"{what} solve failed: non-finite solution")
-    if residual_sink is not None:
-        residual_sink.append(residual / (1.0 + peak))
-    return x
+    if not finite and not np.isfinite(x).all():
+        bad = "solution" if np.isfinite(rhs).all() else "entries in rhs"
+        raise NumericalFailureError(f"{what} solve failed: non-finite {bad}")
+    return residual / (1.0 + peak)
 
 
 def thomas_solve(system: TridiagonalSystem,
@@ -155,10 +169,11 @@ def thomas_solve(system: TridiagonalSystem,
     below 1e-14 of the row's largest original coefficient.  The matrix is
     factored for this solve alone, unless the caller passes the ``factors``
     held for it (``TemperatureOperator`` holds them); both give the same
-    bits.  The solve returns a fresh array.  It runs in the caller's
-    floating-point error state, so an overflow gives a non-finite solution
-    and numpy's RuntimeWarning, unless the caller silences it as
-    ``checked_solve`` does.
+    bits.  The solve returns a fresh array, unchecked: its callers check it
+    after it runs, by ``_check``.  It runs in the caller's floating-point
+    error state, so an overflow or a non-finite rhs gives a non-finite
+    solution and numpy's RuntimeWarning, unless the caller silences it as
+    ``checked_solve`` and ``TemperatureOperator.advance`` do.
 
     Factors that hold T^-1 (at most ``DENSE_BLOCKS`` blocks, see
     ``_Factors``) solve by the one product ``T^-1 rhs``, read from
@@ -392,10 +407,11 @@ def residual_norm(system: TridiagonalSystem, x: np.ndarray) -> float:
 
 
 def _product(system: TridiagonalSystem, x: np.ndarray,
-             out: np.ndarray) -> np.ndarray:
-    """T x formed in ``out``: main * x, then the subdiagonal and the
-    superdiagonal terms added in place."""
-    np.multiply(system.main, x, out)
-    out[1:] += system.sub * x[:-1]
-    out[:-1] += system.sup * x[1:]
+             out: np.ndarray | None) -> np.ndarray:
+    """T x formed in ``out`` (a new array if None): main * x, then the
+    subdiagonal and the superdiagonal terms added in place.  ``x`` is one
+    vector or a stack of them, m on the last axis."""
+    out = np.multiply(system.main, x, out)
+    out[..., 1:] += system.sub * x[..., :-1]
+    out[..., :-1] += system.sup * x[..., 1:]
     return out

@@ -557,6 +557,30 @@ def test_cli_unreadable_or_unwritable_path_exits_1(case, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", ["--out", "--profile"])
+def test_cli_output_that_is_a_directory_exits_1(option, tmp_path, capsys,
+                                                monkeypatch):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(MINIMAL)
+    out = tmp_path / "s.csv"
+    folder = tmp_path / "d"
+    folder.mkdir()
+    argv = ["run", "--config", str(cfg), option, str(folder)]
+    if option == "--profile":
+        argv += ["--out", str(out)]
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda config: calls.append(config))
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"configuration error: cannot write {folder}: is a directory\n"
+    # refused before the run: no step is taken and no file is created
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "d"]
+    assert list(folder.iterdir()) == []
+
+
 def test_cli_reads_a_config_that_starts_with_a_bom(fig1_cfg_path, tmp_path):
     # editors on some platforms save UTF-8 with a byte order mark
     bom = tmp_path / "fig1_bom.cfg"

@@ -158,8 +158,9 @@ def test_bad_starting_state_is_a_configuration_error(model):
     (float, np.inf, "initial time must be finite, got inf"),
     (float, -np.inf, "initial time must be finite, got -inf"),
     (float, 10**400, "initial time must be finite, got inf"),
+    (float, "0", "initial time must be a real number, got '0'"),
 ], ids=["complex", "object", "nan_time", "inf_time", "minus_inf_time",
-        "huge_int_time"])
+        "huge_int_time", "text_time"])
 def test_unreal_state_or_time_is_a_configuration_error(dtype, time, message):
     # refused before the step writes mass(alpha) into its float64 rhs
     # block: complex and object values, and a time no step can follow
@@ -336,6 +337,69 @@ def test_steady_state_idempotence(fig1_config):
     again = tf.run(fig1_config, initial_state=restart)
     assert again.steady_reached
     assert again.steady_time == pytest.approx(fig1_config.tau)
+
+
+def joule_source_at(alpha, config, mesh, model, tau):
+    """The Joule source of a run's step from alpha, with sigma and the
+    potential taken at alpha, for the time step ``tau``."""
+    sigma = tf.eval_sigma(model, alpha)
+    mu = tf.solve_potential(sigma, mesh, model, config.variant)
+    return tf.joule_source_vector(sigma, mu, mesh, model, tau, config.variant)
+
+
+def absolute_rows(system):
+    """|T|, for the products |T| |alpha|."""
+    return tf.TridiagonalSystem(np.abs(system.sub), np.abs(system.main),
+                                np.abs(system.sup), np.zeros(system.size))
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(n_elements=100),
+    dict(n_elements=1000, steady_tolerance=1e-10, model=tf.ModelSpec(
+        "rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0})),
+    dict(n_elements=200, flux_left=0.3, flux_right=0.3, model=tf.ModelSpec(
+        "rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": -0.5})),
+], ids=["fig1", "rational_n1000", "ntc_n200"])
+def test_steady_equations_hold_at_the_final_state(overrides):
+    # The steady equations are F(a) = (T a - M a) / tau - S(a) = 0, with
+    # T = M + tau K the step's rows and S the Joule source at tau = 1, with
+    # sigma and the potential at a.  The last step solved
+    # T a = M p + S_tau(p) + r from the level p before it, so
+    #   F(a) = -M (a - p) / tau + (S_tau(p) / tau - S(p)) + (S(p) - S(a))
+    #          + r / tau,
+    # plus the rounding of forming F.  The rows of M sum to at most h and
+    # the run stopped at max|a - p| / tau < tol, so the first term is at
+    # most h tol; the second is the rounding of tau's factor, a few eps |S|;
+    # the third is how far the lagged source moved in the last step; and r
+    # is the solve's residual, which the run recorded scaled by
+    # 1 + max|rhs|.  T a, M a and T a - rhs are each formed to 3 eps of
+    # |T| |a|, |M| |a| and |rhs| per row, so 8 eps of their sum covers the
+    # rounding of F and of the recorded residual.
+    # measured max|F|: fig1 9.96e-11 (h tol = 1e-10), rational N = 1000
+    # 6.31e-13 (1e-13), ntc N = 200 5.0e-11 (5e-11)
+    config = small_config(t_max=200.0, record_every=1, **overrides)
+    result = tf.run(config)
+    assert result.steady_reached
+    mesh, model, tau = config.build_mesh(), config.build_model(), config.tau
+    operator = tf.TemperatureOperator(mesh, model, tau, config.beta,
+                                      config.variant)
+    final, before = result.final_profile, result.snapshots[-2].temperature
+    source = joule_source_at(final, config, mesh, model, 1.0)
+    residual = (operator.matrix.matvec(final) - operator.mass(final)) / tau \
+        - source
+    rhs = operator.mass(before) + joule_source_at(before, config, mesh, model,
+                                                  tau)
+    solve = result.diagnostics.temperature_residuals[-1] \
+        * (1.0 + np.abs(rhs).max())
+    eps = np.finfo(float).eps
+    rows = absolute_rows(operator.matrix).matvec(np.abs(final)) \
+        + absolute_rows(operator.mass_matrix).matvec(np.abs(final)) \
+        + np.abs(rhs)
+    moved = joule_source_at(before, config, mesh, model, 1.0) - source
+    bound = mesh.h * config.steady_tolerance + np.abs(moved).max() \
+        + 8 * eps * np.abs(source).max() \
+        + (solve + 8 * eps * rows.max()) / tau
+    assert np.abs(residual).max() <= bound
 
 
 def test_corrected_rational_run_is_mirror_symmetric():

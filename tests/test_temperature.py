@@ -306,16 +306,22 @@ def test_block_records_the_residuals_a_list_records(variant):
     per_step, values = [], []
     block = tf.temperature.ResidualBlock(values)
     held, fresh = fig1_operator(variant=variant), fig1_operator(variant=variant)
+    one_off = []  # checked_solve on the same rows and rhs
     for alpha, source in zip(alphas, sources):
         x = held.advance(alpha, source[:held.matrix.size], block)
         y = fresh.advance(alpha, source[:fresh.matrix.size], per_step)
         assert x.tobytes() == y.tobytes()
         block.check()
+        m = fresh.matrix.size
+        z = tf.checked_solve(fresh.matrix.with_rhs(
+            fresh.mass(alpha) + source[:m]), "temperature", one_off)
+        assert z.tobytes() == y[:m].tobytes()
     # the first block was flushed when the 82nd step was held
     assert values == per_step[:81]
     block.flush()
     assert values == per_step
     assert len(per_step) == 100 and None not in per_step
+    assert np.array(one_off).tobytes() == np.array(per_step).tobytes()
 
 
 def test_block_check_refuses_a_non_finite_step_as_a_list_sink_does():
@@ -340,6 +346,21 @@ def test_block_check_refuses_a_non_finite_step_as_a_list_sink_does():
         expected = []
         fig1_operator().advance(np.zeros(101), np.ones(101), expected)
         assert values == expected
+
+
+@pytest.mark.parametrize("sink", ["list", "block"])
+def test_large_system_refuses_a_non_finite_step_after_its_solve(sink):
+    # m = 2001, reduced_n2000's size, is past CELLS // 8: a block sink
+    # checks each step at once, as a list does, after the solve
+    for source, message in ((np.full(2001, 1e308), "non-finite solution"),
+                            (np.full(2001, np.inf), "non-finite entries in rhs")):
+        values = []
+        residuals = values if sink == "list" \
+            else tf.temperature.ResidualBlock(values)
+        with pytest.raises(tf.NumericalFailureError) as exc:
+            fig1_operator(n=2000).advance(np.zeros(2001), source, residuals)
+        assert str(exc.value) == f"temperature solve failed: {message}"
+        assert values == []
 
 
 def test_block_check_passes_a_finite_step():
