@@ -91,7 +91,8 @@ def eval_sigma(model: CoefficientModel, u):
     ModelError names both shapes, and be >= 0 and finite, or a ModelError
     names the first that is not.  min >= 0 and max < inf hold exactly when
     every value is finite and >= 0: a NaN makes both reductions NaN, and
-    -0.0 passes as 0.0 does.
+    -0.0 passes as 0.0 does.  The callable and the checks run in the
+    caller's floating-point error state.
     """
     sigma = model.electrical_conductivity
     if not callable(sigma):
@@ -101,7 +102,8 @@ def eval_sigma(model: CoefficientModel, u):
         raise ModelError(
             f"electrical conductivity must broadcast over u: sigma(u) has "
             f"shape {arr.shape} for u of shape {np.shape(u)}")
-    if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
+    if arr.size and not (np.minimum.reduce(arr, axis=None) >= 0.0
+                         and np.maximum.reduce(arr, axis=None) < math.inf):
         bad = np.flatnonzero(~((arr >= 0.0) & np.isfinite(arr)))
         first = int(bad[0])
         raise ModelError(
@@ -109,6 +111,17 @@ def eval_sigma(model: CoefficientModel, u):
             f"{bad.size} of {arr.size} values fail, first at index {first}: "
             f"{float(arr.flat[first])!r}")
     return float(arr) if arr.ndim == 0 else arr
+
+
+# where den * den overflows, sigma is 0, which the potential reports; a
+# decorated function sets and resets the error state in about half the
+# time of a ``with`` block
+@np.errstate(over="ignore")
+def _inverse_square(s0: float, den):
+    """rational_sigma's s0 / den^2, squaring ``den``, its own array, in
+    place."""
+    den *= den
+    return s0 / den
 
 
 def validate_physical(beta: float, gamma: float) -> bool:
@@ -178,19 +191,22 @@ class ModelSpec:
 
             def sigma(u, _s0=s0, _lam=lam):
                 u = np.asarray(u, dtype=float)
-                den = 1.0 + _lam * u
+                den = _lam * u
+                den += 1.0
                 # past the pole den = 0, den^2 grows again and a run across it
-                # would settle on a spurious steady state; NaN is not past it
-                past = den <= 0.0
-                if past.any():
-                    first = int(np.argmax(past))
-                    node = "" if u.ndim == 0 else f" at node {first}"
-                    raise ModelError(
-                        f"u = {float(u.flat[first])!r}{node} is at or past "
-                        f"the pole u = {-1.0 / _lam!r} of rational_sigma")
-                # where den * den overflows, the potential reports sigma = 0
-                with np.errstate(over="ignore"):
-                    return _s0 / (den * den)
+                # would settle on a spurious steady state; NaN is not past
+                # it, so a minimum that is NaN leaves the verdict to the
+                # nodes one by one
+                if not np.minimum.reduce(den, axis=None) > 0.0:
+                    past = den <= 0.0
+                    if past.any():
+                        first = int(np.argmax(past))
+                        node = "" if u.ndim == 0 else f" at node {first}"
+                        raise ModelError(
+                            f"u = {float(u.flat[first])!r}{node} is at or "
+                            f"past the pole u = {-1.0 / _lam!r} of "
+                            "rational_sigma")
+                return _inverse_square(_s0, den)
 
         return CoefficientModel(
             k=k,

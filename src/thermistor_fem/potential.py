@@ -172,12 +172,13 @@ def _first_integral(sigma: np.ndarray, mesh: Mesh, model: CoefficientModel,
     h = mesh.h
     s = _nodal(sigma, mesh)
     current = float(s[n]) * model.flux_right
-    # halved before the sum: 0.5 * (a + b) unless that sum would overflow
-    s_half = 0.5 * s[:-1] + 0.5 * s[1:]
+    # halved before the sum: 0.5 * (a + b) unless that sum would overflow;
+    # each node is halved once, for both of its elements
+    half = 0.5 * s
+    s_half = half[:-1] + half[1:]
     mu = np.empty(n + 1)
     mu[0] = 0.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.cumsum((h * current) / s_half, out=mu[1:])
+    _partial_sums(h * current, s_half, mu[1:])
     # a non-finite step, from s_half = 0 or an overflow, stays in every
     # later partial sum, so the last one shows it
     if not math.isfinite(mu[n]):
@@ -189,10 +190,21 @@ def _first_integral(sigma: np.ndarray, mesh: Mesh, model: CoefficientModel,
         raise NumericalFailureError(
             "potential solve failed: non-finite solution")
     if residual_sink is not None:
-        flux = s_half * (mu[1:] - mu[:-1])  # h times the element current
-        defect = float(np.abs(flux - h * current).max()) / h
+        flux = np.subtract(mu[1:], mu[:-1])
+        flux *= s_half  # h times the element current
+        flux -= h * current
+        defect = float(np.maximum.reduce(np.abs(flux, out=flux))) / h
         residual_sink.append(defect / (1.0 + abs(current)))
     return mu
+
+
+# s_half = 0 or an overflow makes a partial sum non-finite, which
+# _first_integral refuses; a decorated function sets and resets the error
+# state in about half the time of a ``with`` block
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _partial_sums(step: float, s_half: np.ndarray, out: np.ndarray) -> None:
+    """``out`` = the partial sums of ``step / s_half``, left to right."""
+    np.add.accumulate(step / s_half, out=out)
 
 
 def check_current_compatibility(sigma: np.ndarray, model: CoefficientModel) -> float:
@@ -200,6 +212,8 @@ def check_current_compatibility(sigma: np.ndarray, model: CoefficientModel) -> f
     read from the nodal conductivities ``sigma``.
 
     Nonzero values mean the two prescribed boundary currents disagree; run()
-    warns above 1e-9 but does not refuse to run.
+    warns above 1e-9 but does not refuse to run.  It is formed on Python
+    floats, so a residual that overflows is inf, with no numpy warning.
     """
-    return float(sigma[-1] * model.flux_right - sigma[0] * model.flux_left)
+    return float(sigma[-1]) * model.flux_right \
+        - float(sigma[0]) * model.flux_left

@@ -123,9 +123,9 @@ def step(state: temp.TemperatureState, config: SimulationConfig,
     temperature's.  A bad state is refused as in run(); failures carry the
     step index.  Each call builds and factors the temperature rows anew,
     and on at most 128 rows also forms their inverse: for rational_sigma,
-    0.38 ms per call against 0.05 ms per step inside run at N = 100, and
-    1.0-1.1 ms against 0.10-0.11 ms at N = 1000 (one BLAS thread, 2-CPU
-    host).
+    0.30-0.31 ms per call against 0.029-0.031 ms per step inside run at
+    N = 100, and 0.74-0.81 ms against 0.060-0.062 ms at N = 1000 (one BLAS
+    thread, 2-CPU host).
     Advance a state through many steps with run.
     """
     mesh = mesh or config.build_mesh()
@@ -255,7 +255,7 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
         while (n + 1) * config.tau + t0 <= config.t_max * (1.0 + 1e-12):
             alpha, mu, compatibility = stepper(state, residuals)
             np.subtract(alpha, state.alpha, out=diff)
-            change = float(np.abs(diff, out=diff).max())
+            change = float(np.maximum.reduce(np.abs(diff, out=diff)))
             if not math.isfinite(change):
                 # alpha^n is finite, so alpha^{n+1} may not be: a held step
                 # is checked here, and a finite one runs on

@@ -116,8 +116,12 @@ def joule_source_vector(sigma: np.ndarray, mu: np.ndarray, mesh: Mesh,
         grad = np.empty(n + 1)
         grad[0] = (mu[1] - mu[0]) / h
         grad[n] = (mu[n] - mu[n - 1]) / h
-        grad[1:n] = (mu[2:] - mu[:-2]) / (2.0 * h)
-        full = tau * h * s * grad * grad
+        inner = np.subtract(mu[2:], mu[:-2], out=grad[1:n])
+        inner /= 2.0 * h
+        # tau * h * s * g * g, in place, in the same order
+        full = (tau * h) * s
+        full *= grad
+        full *= grad
         # the half support weight; halving is exact, so this is the value
         # of tau * (h / 2) * s * g * g
         full[0] *= 0.5

@@ -412,6 +412,10 @@ def _product(system: TridiagonalSystem, x: np.ndarray,
     subdiagonal and the superdiagonal terms added in place.  ``x`` is one
     vector or a stack of them, m on the last axis."""
     out = np.multiply(system.main, x, out)
-    out[..., 1:] += system.sub * x[..., :-1]
-    out[..., :-1] += system.sup * x[..., 1:]
+    # added through views: ``out[..., 1:] += ...`` would also copy the
+    # view back onto itself
+    below = out[..., 1:]
+    below += system.sub * x[..., :-1]
+    above = out[..., :-1]
+    above += system.sup * x[..., 1:]
     return out

@@ -222,6 +222,10 @@ def test_rational_sigma_refuses_a_state_at_or_past_its_pole():
     # a NaN state is not past the pole; the finiteness check names it
     with pytest.raises(tf.ModelError, match="must be >= 0 and finite"):
         tf.eval_sigma(model, np.array([0.0, np.nan]))
+    # beside a NaN, a node past the pole is still the one named
+    with pytest.raises(tf.ModelError, match=r"^u = 3\.0 at node 2 is at or "
+                       r"past the pole"):
+        tf.eval_sigma(model, np.array([0.0, np.nan, 3.0]))
 
 
 def test_model_spec_gives_the_constant_kinds_a_number():

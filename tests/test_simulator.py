@@ -816,6 +816,102 @@ def test_failed_run_restores_the_error_state():
     assert exc.value.step == 0
 
 
+def zero_past(warm):
+    """A sigma wrapper: zero where u > ``warm``, so a bar that warms
+    unevenly conducts on some elements and not on others."""
+    return lambda sigma: lambda u: np.where(np.asarray(u) > warm, 0.0,
+                                            sigma(u))
+
+
+# config overrides, a sigma wrapper or None, a step's starting state from
+# the nodes, and the error that run and step raise (None: they succeed);
+# lambda = -5 puts the rational pole at u = 0.2, which the bar warms past
+ERROR_STATE_CASES = {
+    "success": ({"model": RATIONAL}, None, lambda x: 0.1 * x, None),
+    "pole": ({"model": tf.ModelSpec("rational_sigma", {
+        "k0": 1.0, "sigma0": 1.0, "lambda": -5.0})}, None,
+        lambda x: np.full_like(x, 0.3), tf.ModelError),
+    "zero_conductivity": ({}, zero_past(0.05),
+                          lambda x: np.where(x > 0.5, 0.1, 0.0),
+                          tf.SingularSystemError),
+    "overflowing_source": ({"flux_left": 1e200, "flux_right": 1e200}, None,
+                           np.zeros_like, tf.NumericalFailureError),
+}
+
+
+@pytest.mark.parametrize("case", ERROR_STATE_CASES.values(),
+                         ids=ERROR_STATE_CASES.keys())
+def test_run_and_step_leave_the_error_state_as_they_found_it(case,
+                                                             monkeypatch):
+    # each is called twice, so an error state entered a second time would
+    # fail as well; the failing runs fail mid-run but for the overflow,
+    # which fails at the first step
+    overrides, wrap, start, error = case
+    if wrap is not None:
+        wrap_sigma(monkeypatch, wrap)
+    config = small_config(**overrides)
+    state = tf.TemperatureState(start(config.build_mesh().nodes.copy()), 0.0)
+    with np.errstate(over="raise", invalid="raise", divide="raise",
+                     under="ignore"):
+        before = np.geterr()
+        for _ in range(2):
+            for call in (lambda: tf.run(config), lambda: tf.step(state, config)):
+                if error is None:
+                    call()
+                else:
+                    with pytest.raises(error):
+                        call()
+                assert np.geterr() == before
+            if error not in (None, tf.NumericalFailureError):
+                with pytest.raises(error) as exc:
+                    tf.run(config)
+                assert exc.value.step > 0
+
+
+def test_a_sigma_that_overflows_warns_in_the_callers_error_state(
+        monkeypatch):
+    # sigma and eval_sigma's checks run in the caller's error state: the
+    # callable's own overflow warns, and where the caller ignores overflow,
+    # the infinite sigma it gives is refused
+    wrap_sigma(monkeypatch, lambda sigma: lambda u: np.exp(
+        1e3 * (1.0 + np.asarray(u))))
+    config = small_config()
+    state = tf.initial_temperature(config.build_mesh())
+    for call in (lambda: tf.run(config), lambda: tf.step(state, config)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning,
+                               match="overflow encountered in exp"):
+                call()
+        with np.errstate(over="ignore"):
+            with pytest.raises(tf.ModelError, match="must be >= 0 and finite"):
+                call()
+
+
+@pytest.mark.parametrize("model", [
+    tf.ModelSpec("constant", {"k0": 1.0, "sigma0": 1e308}),
+    tf.ModelSpec("rational_sigma", {"k0": 1.0, "sigma0": 1e308,
+                                    "lambda": 1.0}),
+], ids=["constant", "rational_sigma"])
+def test_compatibility_residual_that_overflows_is_recorded_as_inf(model):
+    # sigma_N flux_right - sigma_0 flux_left = 1e308 + 1e308 overflows; on
+    # Python floats that is inf, with no numpy overflow warning beside the
+    # run's own
+    config = small_config(model=model, flux_left=-1.0, flux_right=1.0,
+                          t_max=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = tf.run(config)
+    assert [str(w.message) for w in caught] == [
+        "boundary currents are incompatible (max residual inf)"]
+    assert result.diagnostics.compatibility_residuals[0] == np.inf
+    built = config.build_model()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tf.check_current_compatibility(
+            np.array([1e308, 1e308]), built) == np.inf
+
+
 def test_run_warns_on_incompatible_boundary_currents(fig1_config):
     # the corrected potential cannot carry both fluxes when they differ
     with pytest.warns(UserWarning, match="boundary currents are incompatible"):

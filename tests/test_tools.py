@@ -71,3 +71,20 @@ def test_solve_sweep_times_the_sizes_it_is_given():
     assert all(float(value) > 0.0 for value in small[2:])
     assert large[3:5] == large[6:] == ["-", "-"]
     assert float(large[2]) > 0.0 and float(large[5]) > 0.0
+
+
+def test_stage_sweep_prints_one_row_per_size():
+    script = ROOT / "tools" / "stage_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--steps", "4", "--repeats", "1"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("rational_sigma, corrected; ")
+    assert lines[1].split() == ["N"] + list(assigned(script, "PHASES"))
+    rows = [line.split() for line in lines[2:]]
+    assert [int(row[0]) for row in rows] == list(assigned(script, "SIZES"))
+    for row in rows:
+        assert len(row) == 6
+        assert all(float(value) > 0.0 for value in row[1:])
