@@ -22,7 +22,7 @@ import numpy as np
 from .coefficients import CoefficientModel
 from .errors import NumericalFailureError, SingularSystemError
 from .mesh import Mesh
-from .tridiag import TridiagonalSystem, checked_solve
+from .tridiag import TridiagonalSystem, _spare, checked_solve
 
 STIFFNESS_CHOICES = ("paper_literal", "corrected")
 SOURCE_CHOICES = ("paper_literal", "central")
@@ -148,15 +148,18 @@ def solve_potential(sigma: np.ndarray, mesh: Mesh, model: CoefficientModel,
     paper_literal: the assembled system goes through ``checked_solve``,
     which factors it for this solve alone (the matrix changes whenever sigma
     does) and also feeds ``residual_sink``; its unknowns are mu_0..mu_{N-1},
-    and mu_N is reconstructed by ``ghost_potential_right``.
+    and mu_N is reconstructed by ``ghost_potential_right`` in the spare
+    entry the solve leaves past them.
     """
     if variant.stiffness == "corrected":
         return _first_integral(sigma, mesh, model, residual_sink)
     system = assemble_potential(sigma, mesh, model, variant,
                                 sigma_ghost_left=sigma_ghost_left)
     mu = checked_solve(system, "potential", residual_sink)
-    return np.append(mu, ghost_potential_right(float(mu[-1]), mesh.h,
-                                               model.flux_right))
+    # mu_N goes in the solve's spare entry: no copy of mu
+    full = _spare(mu)
+    full[-1] = ghost_potential_right(float(mu[-1]), mesh.h, model.flux_right)
+    return full
 
 
 def _nodal(sigma: np.ndarray, mesh: Mesh) -> np.ndarray:

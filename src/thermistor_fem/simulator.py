@@ -123,27 +123,30 @@ def step(state: temp.TemperatureState, config: SimulationConfig,
     temperature's.  A bad state is refused as in run(); failures carry the
     step index.  Each call builds and factors the temperature rows anew,
     and on at most 128 rows also forms their inverse: for rational_sigma,
-    0.30-0.31 ms per call against 0.029-0.031 ms per step inside run at
-    N = 100, and 0.74-0.81 ms against 0.060-0.062 ms at N = 1000 (one BLAS
-    thread, 2-CPU host).
+    0.33-0.34 ms per call against 0.037-0.039 ms per step inside run at
+    N = 100, and 0.94-1.00 ms against 0.072-0.077 ms at N = 1000 (best of
+    15 x 40 calls and of 9 x 2 runs in four processes; one BLAS thread, a
+    shared 2-CPU host).
     Advance a state through many steps with run.
     """
     mesh = mesh or config.build_mesh()
     model = model or config.build_model()
-    _check_state(state, mesh)
+    state = _check_state(state, mesh)
     try:
         alpha, mu, _ = _coupled(config, mesh, model, residual_sink)(
-            state, residual_sink)
+            state.alpha, residual_sink)
     except StepFailure as exc:
         exc.step = int(round(state.time / config.tau))
         raise
     return temp.TemperatureState(alpha, state.time + config.tau), mu
 
 
-def _check_state(state: temp.TemperatureState, mesh: Mesh) -> None:
+def _check_state(state: temp.TemperatureState,
+                 mesh: Mesh) -> temp.TemperatureState:
     """Refuse a starting state that does not fit ``mesh``, whose values are
     not real numbers (bool, int and float are) or are not finite, or whose
-    time is not a finite real number."""
+    time is not a finite real number; return it as a float64 array and a
+    float time, the state a run starts from."""
     if np.shape(state.alpha) != (mesh.n_nodes,):
         raise ConfigurationError("initial state does not match the mesh")
     kind = np.asarray(state.alpha).dtype
@@ -153,7 +156,8 @@ def _check_state(state: temp.TemperatureState, mesh: Mesh) -> None:
     bad = np.flatnonzero(~np.isfinite(state.alpha))
     if bad.size:
         raise ConfigurationError(f"initial state is not finite at node {bad[0]}")
-    finite_float("initial time", state.time, ConfigurationError)
+    time = finite_float("initial time", state.time, ConfigurationError)
+    return temp.TemperatureState(np.asarray(state.alpha, dtype=float), time)
 
 
 def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel,
@@ -205,11 +209,11 @@ def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel,
     if not varying:
         couple(np.zeros(mesh.n_nodes))  # any temperature gives the number
 
-    def advance(state, residual_sink):
+    def advance(alpha, residual_sink):
         if varying:
-            couple(state.alpha)
-        return (operator.advance(state.alpha, source, residual_sink), mu,
-                compatibility)
+            couple(alpha)
+        return operator.advance(alpha, source, residual_sink), mu, \
+            compatibility
 
     return advance
 
@@ -219,11 +223,13 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
     """Advance the stepper ``make_stepper(potential_sink)`` builds, on the
     t0 + n*tau grid, until steady or t_max.
 
-    The stepper appends each potential's residual to ``potential_sink``,
-    ``Diagnostics.potential_residuals``.  ``stepper(state, residual_sink)``
-    returns the next level alpha^{n+1}, the potential it used and its
-    starting state's compatibility residual, and gives its temperature
-    residual to the sink, a ``temperature.ResidualBlock`` over
+    ``state`` is a checked one, float64 values at a float time; the loop
+    holds alpha^n and t0 + n*tau itself.  The stepper appends each
+    potential's residual to ``potential_sink``,
+    ``Diagnostics.potential_residuals``.  ``stepper(alpha, residual_sink)``
+    returns the next level alpha^{n+1} from alpha^n = ``alpha``, the
+    potential it used and alpha^n's compatibility residual, and gives its
+    temperature residual to the sink, a ``temperature.ResidualBlock`` over
     ``Diagnostics.temperature_residuals``, which the held step defers it to
     on small systems.  A step whose change is not finite is checked there.
     Snapshots are recorded at t0, every ``record_every`` steps, and at the
@@ -234,27 +240,30 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
     """
     diag = Diagnostics()
     residuals = temp.ResidualBlock(diag.temperature_residuals)
-    snapshots = [Snapshot(state.time, state.alpha.copy(), mesh.nodes.copy())]
+    alpha, t0 = state.alpha, state.time
+    snapshots = [Snapshot(t0, alpha.copy(), mesh.nodes.copy())]
     steady_time = None
     mu = mesh.nodes
     held = None  # (potential, its read-only copy)
 
-    def record(state):
+    def record():
         nonlocal held
         if held is None or held[0] is not mu:
             copy = mu.copy()
             copy.flags.writeable = False
             held = (mu, copy)
-        snapshots.append(Snapshot(state.time, state.alpha.copy(), held[1]))
+        snapshots.append(Snapshot(time, alpha.copy(), held[1]))
 
-    t0 = state.time
+    tau, every = config.tau, config.record_every
+    tolerance, end = config.steady_tolerance, config.t_max * (1.0 + 1e-12)
+    time = t0
     n = 0
     diff = np.empty(mesh.n_nodes)  # alpha^{n+1} - alpha^n, for the change
     try:
         stepper = make_stepper(diag.potential_residuals)
-        while (n + 1) * config.tau + t0 <= config.t_max * (1.0 + 1e-12):
-            alpha, mu, compatibility = stepper(state, residuals)
-            np.subtract(alpha, state.alpha, out=diff)
+        while (n + 1) * tau + t0 <= end:
+            new, mu, compatibility = stepper(alpha, residuals)
+            np.subtract(new, alpha, out=diff)
             change = float(np.maximum.reduce(np.abs(diff, out=diff)))
             if not math.isfinite(change):
                 # alpha^n is finite, so alpha^{n+1} may not be: a held step
@@ -262,13 +271,13 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
                 residuals.check()
             n += 1
             # keep times on the exact t0 + n*tau grid instead of accumulating
-            state = temp.TemperatureState(alpha, t0 + n * config.tau)
+            alpha, time = new, t0 + n * tau
             diag.max_change.append(change)
             diag.compatibility_residuals.append(compatibility)
-            if n % config.record_every == 0:
-                record(state)
-            if change / config.tau < config.steady_tolerance:
-                steady_time = state.time
+            if n % every == 0:
+                record()
+            if change / tau < tolerance:
+                steady_time = time
                 break
     except StepFailure as exc:
         residuals.flush()
@@ -276,12 +285,12 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
         exc.diagnostics = diag
         raise
     residuals.flush()
-    if snapshots[-1].time != state.time:
-        record(state)
+    if snapshots[-1].time != time:
+        record()
     return SimulationResult(snapshots=snapshots,
                             steady_reached=steady_time is not None,
                             steady_time=steady_time,
-                            final_profile=state.alpha.copy(),
+                            final_profile=alpha.copy(),
                             diagnostics=diag, nodes=mesh.nodes.copy())
 
 
@@ -292,15 +301,16 @@ def run(config: SimulationConfig,
     Snapshots are recorded at t = 0, every ``record_every`` steps, and at the
     final state.  An initial state that does not fit the mesh, does not
     hold real numbers or is not finite, or whose time is not finite, is a
-    ConfigurationError.  A sigma that is zero at every node
+    ConfigurationError; one it accepts is run from its float64 values at a
+    float time.  A sigma that is zero at every node
     gives the zero potential, with no (singular) potential solve, and a
     zero source.  A UserWarning reports boundary currents that disagree
     (check_current_compatibility above COMPATIBILITY_WARN_THRESHOLD at some step).
     """
     mesh = config.build_mesh()
     model = config.build_model()
-    state = initial_state or temp.initial_temperature(mesh)
-    _check_state(state, mesh)
+    state = _check_state(initial_state or temp.initial_temperature(mesh),
+                         mesh)
     result = _march(config, mesh,
                     lambda sink: _coupled(config, mesh, model, sink), state)
     worst = max(map(abs, result.diagnostics.compatibility_residuals),
@@ -333,9 +343,9 @@ def run_reduced(config: SimulationConfig) -> SimulationResult:
             mesh, config.build_model(), config.tau, config.beta, PAPER_LITERAL,
             "reduced temperature")
 
-        def advance(state, residual_sink):
-            return (operator.advance(state.alpha, src, residual_sink),
-                    mesh.nodes, 0.0)
+        def advance(alpha, residual_sink):
+            return operator.advance(alpha, src, residual_sink), mesh.nodes, \
+                0.0
 
         return advance
 

@@ -222,9 +222,11 @@ class TemperatureOperator:
                 residual_sink: list | None = None) -> np.ndarray:
         """alpha^{n+1} from alpha^n = ``alpha`` and the step's ``source``,
         solved by the held factors, with alpha_N written back for
-        paper_literal.  The right-hand side, ``mass(alpha)`` plus the
-        source, is formed in the factors' rhs block, the rhs of a system
-        made with them, so the solve copies none.  Singular rows raise as
+        paper_literal into the spare entry past the solution.  The
+        right-hand side, ``mass(alpha)`` plus the source, is formed in the
+        factors' rhs block, the rhs of a system made with them, so the
+        solve copies none, and the step allocates only its result and the
+        carry's two vectors of 2 entries a block.  Singular rows raise as
         ``"<what> solve failed: ..."``.  The solve is checked after it
         runs, by the check of every solve (``tridiag._check``): a non-finite
         solution raises, naming a non-finite right-hand side if there is
@@ -239,22 +241,24 @@ class TemperatureOperator:
             self._system = matrix.with_rhs(self._factors.rhs_in)
         factors = self._factors
         rhs = tridiag._product(self.mass_matrix, alpha[:factors.size],
-                               factors.rhs_in)
+                               factors.rhs_in, factors.row)
         rhs += source
         x = tridiag.thomas_solve(self._system, factors)
         if isinstance(residual_sink, ResidualBlock) \
                 and CELLS // factors.size >= 8:
             residual_sink.hold(self, rhs, x)
         else:
-            # the residual array is free once the solve is done
-            residual = tridiag._check(self.matrix, rhs, x, factors.residual,
-                                      self.what)
+            # the work arrays are free once the solve is done
+            residual = tridiag._check(self.matrix, rhs, x, factors, self.what)
             if residual_sink is not None:
                 residual_sink.append(residual)
         if self.variant.stiffness == "corrected":
             return x
-        k, h = self.model.k, self.mesh.h
-        return np.append(x, ghost_temp_right(float(x[-1]), k, h, self.beta))
+        # alpha_N goes in the solve's spare entry: no copy of x
+        full = tridiag._spare(x)
+        full[-1] = ghost_temp_right(float(x[-1]), self.model.k, self.mesh.h,
+                                    self.beta)
+        return full
 
 
 class ResidualBlock:

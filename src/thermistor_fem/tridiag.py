@@ -116,7 +116,7 @@ def checked_solve(system: TridiagonalSystem, what: str,
     with _named(what):
         factors = _factor(system.sub, system.main, system.sup)
     x = thomas_solve(system, factors)
-    residual = _check(system, system.rhs, x, factors.residual, what)
+    residual = _check(system, system.rhs, x, factors, what)
     if residual_sink is not None:
         residual_sink.append(residual)
     return x
@@ -135,17 +135,20 @@ def _named(what: str):
 
 
 def _check(system: TridiagonalSystem, rhs: np.ndarray, x: np.ndarray,
-           work: np.ndarray | None, what: str):
+           factors: _Factors | None, what: str):
     """The check of a solve of ``system``'s rows: the residual
-    ``max|T x - rhs| / (1 + max|rhs|)``, formed in ``work`` (a new array if
-    None), of one system (a float) or of each of a stack of systems, m on
-    the last axis (an array).  A non-finite x raises NumericalFailureError
-    naming a non-finite rhs, or else the solution.  Runs in the caller's
-    error state."""
-    res = _product(system, x, work)
+    ``max|T x - rhs| / (1 + max|rhs|)``, formed in the work arrays of
+    ``factors`` (new arrays if None), of one system (a float) or of each of
+    a stack of systems, m on the last axis (an array).  A non-finite x
+    raises NumericalFailureError naming a non-finite rhs, or else the
+    solution.  Runs in the caller's error state."""
+    if factors is None:
+        res = _product(system, x, None)
+    else:
+        res = _product(system, x, factors.residual, factors.row)
     res -= rhs
-    residual = np.abs(res, out=res).max(-1)
-    peak = np.abs(rhs, out=res).max(-1)
+    residual = np.maximum.reduce(np.abs(res, out=res), -1)
+    peak = np.maximum.reduce(np.abs(rhs, out=res), -1)
     if x.ndim == 1:  # Python floats: numpy scalars cost more per step
         residual, peak = float(residual), float(peak)
         finite = math.isfinite(residual)
@@ -170,38 +173,66 @@ def thomas_solve(system: TridiagonalSystem,
     factored for this solve alone, unless the caller passes the ``factors``
     held for it (``TemperatureOperator`` holds them); both give the same
     bits.  The solve returns a fresh array, unchecked: its callers check it
-    after it runs, by ``_check``.  It runs in the caller's floating-point
+    after it runs, by ``_check``.  The array lies at the start of a buffer
+    with one spare entry past it, which ``_spare`` gives to a caller that
+    appends a boundary value.  It runs in the caller's floating-point
     error state, so an overflow or a non-finite rhs gives a non-finite
     solution and numpy's RuntimeWarning, unless the caller silences it as
     ``checked_solve`` and ``TemperatureOperator.advance`` do.
 
     Factors that hold T^-1 (at most ``DENSE_BLOCKS`` blocks, see
     ``_Factors``) solve by the one product ``T^-1 rhs``, read from
-    ``system.rhs`` where it lies.  Larger ones copy the rhs into their rhs
-    block, unless ``system.rhs`` is that block (the held step forms its rhs
-    there), solve every block at once by one batched product, and carry
-    between the blocks by ``_block_solve`` (Wang's partition method).
+    ``system.rhs`` where it lies, into the first m entries of the buffer.
+    Larger ones copy the rhs into their rhs block, unless ``system.rhs`` is
+    that block (the held step forms its rhs there), solve every block at
+    once by one batched product, and carry between the blocks by
+    ``_block_solve`` (Wang's partition method) into the buffer, whose
+    padding past m holds the spare entry.
     """
     if factors is None:
         factors = _factor(system.sub, system.main, system.sup)
+    m = factors.size
     if factors.dense is not None:
-        return np.dot(factors.dense, system.rhs)
+        x = np.empty(m + 1)[:m]
+        return np.dot(factors.dense, system.rhs, out=x)
     if system.rhs is not factors.rhs_in:
         factors.rhs_in[:] = system.rhs
-    np.matmul(factors.inverse, factors.padded, out=factors.product)
-    return _block_solve(factors, factors.product).reshape(-1)[:factors.size]
+    local = np.matmul(factors.inverse, factors.padded, out=factors.product)
+    nb, b, _ = local.shape
+    # with no padding (b divides m), one more entry
+    buffer = np.empty(max(nb * b, m + 1))
+    _block_solve(factors, local, buffer[:nb * b].reshape(nb, b, 1))
+    return buffer[:m]
 
 
-def _block_solve(factors: _Factors, local: np.ndarray) -> np.ndarray:
+def _spare(x: np.ndarray) -> np.ndarray:
+    """A solve's result ``x`` and the spare entry past it, for a caller to
+    append a boundary value: the m + 1 first entries of the buffer
+    ``thomas_solve`` wrote it in, with no copy.  An ``x`` that owns its
+    data, from a solve substituted for ``thomas_solve``, has no spare entry
+    and is copied into a new array that has one."""
+    m = x.shape[0]
+    if x.base is None:
+        full = np.empty(m + 1)
+        full[:m] = x
+        return full
+    return x.base[:m + 1]
+
+
+def _block_solve(factors: _Factors, local: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """The solution of k right-hand sides from their block solutions
-    ``local`` = G_k r_k, (blocks, b, k): each block adds its carry vectors
-    times the e and f it receives, which one product with R gives, or
-    ``_passes`` where R is not held.
+    ``local`` = G_k r_k, (blocks, b, k), formed in ``out`` (a new array if
+    None): each block adds its carry vectors times the e and f it receives,
+    which one product with R gives, or ``_passes`` where R is not held.
     """
-    nb, _, k = local.shape
+    nb, b, k = local.shape
     if factors.interface is not None:
-        received = np.matmul(factors.interface,
-                             np.concatenate((local[:, -1], local[:, 0])))
+        # every block's last then first entries, gathered by one copy of
+        # a strided view; a single row is both, and its step would be 0
+        ends = np.concatenate((local[:, -1], local[:, 0])) if b == 1 else \
+            local[:, ::1 - b].transpose(1, 0, 2).reshape(2 * nb, k)
+        received = np.matmul(factors.interface, ends)
     else:
         # one rhs, as T^-1 is formed only with R
         received = [0.0] * (2 * nb)
@@ -209,7 +240,7 @@ def _block_solve(factors: _Factors, local: np.ndarray) -> np.ndarray:
                 received)
         received = np.fromiter(received, float, 2 * nb)
     carried = received.reshape(2, nb, k).transpose(1, 0, 2)
-    x = np.matmul(factors.carries, carried)
+    x = np.matmul(factors.carries, carried, out=out)
     x += local
     return x
 
@@ -271,6 +302,10 @@ class _Factors(NamedTuple):
     lies and uses none of the work arrays; a held step still forms its rhs
     in ``rhs_in``.
 
+    A product with T or with rows of its shape, which a held step makes
+    before and after its solve, adds its off-diagonal terms from ``row``,
+    the first m - 1 entries of ``product``, which no solve reads then.
+
     A solve overwrites the work arrays, so one set of factors serves one
     solve at a time; nothing a solve returns is a view of them.
     """
@@ -283,6 +318,7 @@ class _Factors(NamedTuple):
     padded: np.ndarray  # (blocks, b, 1): the rhs r_k, its padding kept 0
     rhs_in: np.ndarray  # padded's first m entries, where the rhs goes
     product: np.ndarray  # (blocks, b, 1): G_k r_k
+    row: np.ndarray  # product's first m - 1 entries, a product's work row
     residual: np.ndarray  # (m,): T x - rhs
     dense: np.ndarray | None  # (m, m): T^-1
 
@@ -367,11 +403,12 @@ def _block_operators(lower: list, pivots: list, upper: list) -> _Factors:
         if not np.isfinite(interface).all():
             interface = None
     padded = np.zeros((nb, b, 1))
+    product = np.empty((nb, b, 1))
     factors = _Factors(size=m, inverse=inverse, carries=carries,
                        interface=interface, passes=passes,
                        padded=padded, rhs_in=padded.reshape(-1)[:m],
-                       product=np.empty((nb, b, 1)), residual=np.empty(m),
-                       dense=None)
+                       product=product, row=product.reshape(-1)[:m - 1],
+                       residual=np.empty(m), dense=None)
     if interface is None or nb > DENSE_BLOCKS:
         return factors
     # T^-1 is the first m rows of the result, contiguous, so np.dot
@@ -407,15 +444,19 @@ def residual_norm(system: TridiagonalSystem, x: np.ndarray) -> float:
 
 
 def _product(system: TridiagonalSystem, x: np.ndarray,
-             out: np.ndarray | None) -> np.ndarray:
+             out: np.ndarray | None,
+             row: np.ndarray | None = None) -> np.ndarray:
     """T x formed in ``out`` (a new array if None): main * x, then the
-    subdiagonal and the superdiagonal terms added in place.  ``x`` is one
-    vector or a stack of them, m on the last axis."""
+    subdiagonal and the superdiagonal terms, each formed in the work row
+    ``row`` (m - 1 entries, a new array if None), added in place.  ``x`` is
+    one vector or a stack of them, m on the last axis."""
     out = np.multiply(system.main, x, out)
     # added through views: ``out[..., 1:] += ...`` would also copy the
     # view back onto itself
+    row = np.multiply(system.sub, x[..., :-1], row)
     below = out[..., 1:]
-    below += system.sub * x[..., :-1]
+    below += row
+    np.multiply(system.sup, x[..., 1:], row)
     above = out[..., :-1]
-    above += system.sup * x[..., 1:]
+    above += row
     return out

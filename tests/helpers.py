@@ -285,8 +285,9 @@ def reference_coupled(config, mesh, model, potential_sink):
     literal = config.variant.stiffness == "paper_literal"
     potential = None
 
-    def advance(state, residual_sink):
+    def advance(alpha, residual_sink):
         nonlocal potential
+        state = temp.TemperatureState(alpha, 0.0)
         sigma = eval_sigma(model, state.alpha)
         mu = potential
         if mu is None and not sigma.any():

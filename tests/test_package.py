@@ -1,4 +1,6 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import thermistor_fem as tf
@@ -25,3 +27,33 @@ def test_benchmark_hooks_resolve():
                if not callable(getattr(cli if layer == "cli" else tf, name,
                                        None))]
     assert missing == []
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 5
+
+
+def test_passes():
+    assert True
+"""
+
+
+def test_failing_property_test_is_reported_under_the_repository_config(
+        tmp_path):
+    # hypothesis imports libcst to report a failing example, and libcst's
+    # import warns a DeprecationWarning, which the config's filters must
+    # not turn into an error that aborts the test run
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c",
+         str(REPO_ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout

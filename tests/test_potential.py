@@ -109,6 +109,27 @@ def test_literal_ghost_identities_hold_exactly():
     assert pot[-1] == tf.ghost_potential_right(pot[-2], mesh.h, model.flux_right)
 
 
+@pytest.mark.parametrize("n", [100, 2000, 2048])
+def test_literal_potential_writes_mu_n_into_the_spare_entry(n):
+    # mu_N lies past the N solved values, in the solve's spare entry, with
+    # the bits of the solution with mu_N appended
+    rng = np.random.default_rng(n)
+    mesh = tf.build_mesh(n)
+    model = constant_model(1.0, 1.0, 1.0, 0.8)
+    sigma = rng.uniform(0.5, 1.5, n + 1)
+    sink, reference_sink = [], []
+    mu = tf.solve_potential(sigma, mesh, model, tf.PAPER_LITERAL,
+                            sigma_ghost_left=1.1, residual_sink=sink)
+    x = tf.checked_solve(tf.assemble_potential(
+        sigma, mesh, model, tf.PAPER_LITERAL, sigma_ghost_left=1.1),
+        "potential", reference_sink)
+    expected = np.append(x, tf.ghost_potential_right(float(x[-1]), mesh.h,
+                                                     model.flux_right))
+    assert mu.shape == (n + 1,)
+    assert mu.tobytes() == expected.tobytes()
+    assert sink == reference_sink
+
+
 def test_literal_assembly_needs_ghost():
     mesh = tf.build_mesh(4)
     model = constant_model(1.0, 1.0)

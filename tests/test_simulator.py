@@ -172,23 +172,31 @@ def test_unreal_state_or_time_is_a_configuration_error(dtype, time, message):
             call()
 
 
-@pytest.mark.parametrize("dtype", [int, bool, np.float32])
+@pytest.mark.parametrize("dtype", [list, int, bool, np.float32])
 def test_real_starting_states_of_any_real_dtype_run(dtype):
-    # a zero state held as int, bool or float32 runs as the float64 one
+    # a zero state held as a list, int (int64), bool or float32 at an int
+    # time runs as the float64 one: run and step convert it once, so
+    # snapshot 0 holds float64 values at a float time
     config = small_config(
         model=tf.ModelSpec("rational_sigma",
                            {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0}))
     zero = tf.initial_temperature(config.build_mesh())
-    state = tf.TemperatureState(zero.alpha.astype(dtype), 0)
+    alpha = zero.alpha.tolist() if dtype is list else zero.alpha.astype(dtype)
+    state = tf.TemperatureState(alpha, 0)
     ref = tf.run(config)
     again = tf.run(config, state)
+    first = again.snapshots[0]
+    assert first.temperature.dtype == np.float64
+    assert type(first.time) is float
+    assert first.temperature.tobytes() \
+        == ref.snapshots[0].temperature.tobytes()
     assert again.final_profile.tobytes() == ref.final_profile.tobytes()
     assert again.steady_time == ref.steady_time
     new, mu = tf.step(state, config)
     ref_new, ref_mu = tf.step(zero, config)
     assert new.alpha.tobytes() == ref_new.alpha.tobytes()
     assert mu.tobytes() == ref_mu.tobytes()
-    assert new.time == ref_new.time
+    assert type(new.time) is float and new.time == ref_new.time
 
 
 @pytest.mark.parametrize("driver, model", [

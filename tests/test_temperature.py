@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,59 @@ def test_literal_solve_writes_back_alpha_n(fig1_config):
     expected = tf.ghost_temp_right(new.alpha[-2], model.k, mesh.h,
                                    fig1_config.beta)
     assert new.alpha[-1] == expected
+
+
+def literal_operator(n):
+    model = tf.ModelSpec("rational_sigma", {"k0": 1.3, "sigma0": 0.7,
+                                            "lambda": 2.0}).build(1.0, 0.8)
+    return tf.TemperatureOperator(tf.build_mesh(n), model, TAU, BETA,
+                                  tf.PAPER_LITERAL)
+
+
+# m = N rows: T^-1 at 100, 63 blocks with padding at 2000, and 64 full
+# blocks at 2048, where the solve allocates the spare entry past m
+@pytest.mark.parametrize("n", [100, 2000, 2048])
+def test_literal_step_writes_alpha_n_into_the_spare_entry(n):
+    # the step's m + 1 values are those of the solution with its alpha_N
+    # appended, and the buffer they lie in is the step's own
+    rng = np.random.default_rng(n)
+    held, fresh = literal_operator(n), literal_operator(n)
+    for _ in range(2):
+        alpha = rng.uniform(0.0, 0.5, n + 1)
+        source = rng.uniform(0.0, 1e-3, n)
+        sink, reference_sink = [], []
+        new = held.advance(alpha, source, sink)
+        x = tf.checked_solve(fresh.matrix.with_rhs(fresh.mass(alpha) + source),
+                             "temperature", reference_sink)
+        expected = np.append(x, tf.ghost_temp_right(
+            float(x[-1]), fresh.model.k, fresh.mesh.h, BETA))
+        assert new.shape == (n + 1,)
+        assert new.tobytes() == expected.tobytes()
+        assert sink == reference_sink
+        assert not any(np.shares_memory(new, a) for a in held._factors
+                       if isinstance(a, np.ndarray))
+
+
+def test_literal_step_allocates_only_its_result():
+    # one held step at m = 2000 allocates its result (in a buffer of 63
+    # blocks of 32, 120 bytes past it) and two 126-entry vectors of the
+    # carry, about 2 kB; an appended alpha_N and a product's temporaries
+    # would each take another 16 kB
+    op = literal_operator(2000)
+    alpha = np.linspace(0.0, 0.5, 2001)
+    source = np.full(2000, 1e-4)
+    op.advance(alpha, source, [])  # factored here, outside the count
+    sink = []
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        new = op.advance(alpha, source, sink)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(sink) == 1
+    assert peak <= new.nbytes + 4096, peak
 
 
 def test_nan_potential_aborts_with_numerical_failure():

@@ -88,3 +88,22 @@ def test_stage_sweep_prints_one_row_per_size():
     for row in rows:
         assert len(row) == 6
         assert all(float(value) > 0.0 for value in row[1:])
+
+
+def test_ab_pairs_compares_the_tree_with_itself():
+    # both sides are this tree, imported under two names: the same bits,
+    # and a median and quartiles per side
+    script = ROOT / "tools" / "ab_pairs.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--against", str(ROOT),
+         "--workload", "fig1_cli", "--pairs", "2", "--runs", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("fig1_cli, nominal draw: 2 pairs of 1 runs")
+    for line, side in zip(lines[1:3], ("against", "change")):
+        words = line.split()
+        assert words[:2] == [side, "median"] and words[3] == "quartiles"
+        assert all(float(value) > 0.0 for value in words[2:3] + words[4:6])
+    assert lines[3].startswith("ratio ") and lines[3].endswith(" of 2 pairs")
+    assert lines[4] == "same output bits: yes"

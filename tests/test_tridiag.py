@@ -177,12 +177,15 @@ def test_thomas_matches_reference_on_either_side_of_the_interface_cap(
         assert_matches_reference(s, tf.thomas_solve(s, factors))
 
 
-@pytest.mark.parametrize("size", [33, 101, 128, 129, 1001, 4096, 4097])
+@pytest.mark.parametrize("size", [1, 2, 32, 33, 101, 128, 129, 1001, 4096,
+                                  4097])
 def test_one_block_solve_serves_the_inverse_the_interface_and_the_passes(
         size):
     # one set of factors solved three ways: by T^-1 where it is held (it
     # is the block solve of the identity), by the block solve with R, and
-    # by the block solve with the passes that make R
+    # by the block solve with the passes that make R; the block ends that
+    # R reads are gathered from blocks of 1 row (m = 1), 2 rows and 32
+    # rows, and from 1 to 128 blocks
     blocks = -(-size // tf.tridiag.BLOCK)
     rng = np.random.default_rng(size)
     s = random_dominant_system(rng, size)

@@ -63,7 +63,6 @@ def phases(n: int):
         flux_left=1.0, flux_right=1.0, t_max=1.0)
     mesh, model = config.build_mesh(), config.build_model()
     alpha = 0.05 * np.sin(np.pi * mesh.nodes) + 0.25
-    state = temperature.TemperatureState(alpha, 0.0)
     operator = tf.TemperatureOperator(mesh, model, config.tau, config.beta,
                                       tf.CORRECTED)
     sigma = tf.eval_sigma(model, alpha)
@@ -71,7 +70,7 @@ def phases(n: int):
     source = operator.source(sigma, mu)
     operator.advance(alpha, source)  # factor once, outside the timing
     stepper = simulator._coupled(config, mesh, model, [])
-    stepper(state, [])  # its operator factors at its first step
+    stepper(alpha, [])  # its operator factors at its first step
 
     def loops():
         advance_sink = temperature.ResidualBlock([])
@@ -83,7 +82,7 @@ def phases(n: int):
             "source": (operator.source, (sigma, mu), None),
             "advance": (operator.advance, (alpha, source, advance_sink),
                         advance_sink),
-            "step": (stepper, (state, step_sink), step_sink),
+            "step": (stepper, (alpha, step_sink), step_sink),
         }
 
     return loops
