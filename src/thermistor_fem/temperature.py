@@ -51,9 +51,10 @@ from .tridiag import TridiagonalSystem
 
 # A run's held step defers its residual, on a system of m rows, to a block
 # of K = CELLS // m steps where K >= 8 (m <= 1024), and takes it at once on
-# larger systems.  tools/cells_sweep.py times a step both ways: the block
-# takes 0.70-0.74 of the per-step time at m = 101, 0.85-0.94 at m = 801 and
-# 0.96-1.09 at m = 2001 (README, "The held step").
+# larger systems.  `tools/ab_pairs.py cells` times a step both ways: the
+# block takes 0.60-0.63 of the per-step time at m = 101, 0.93-0.96 at
+# m = 801 and 1.06-1.11 at m = 2001 (medians of 21 loops, three runs;
+# README, "The block residual").
 CELLS = 8192
 
 

@@ -34,10 +34,11 @@ INTERFACE_BLOCKS = 128
 
 # Most blocks for which a factorisation also holds T^-1, a dense m x m
 # matrix, 128 kB at the cap (m = 128), and solves by one product with it.
-# Timed single-threaded on a shared 2-CPU host (tools/solve_sweep.py), the
-# product took 0.13-0.30 of the block solve's time up to 128 rows, 0.8-1.1
-# of it at 256 and 1.4-1.6 times it at 384, while forming T^-1 made a
-# one-off solve 4-14% slower up to 128 rows and 21-27% slower at 256.
+# Timed single-threaded on a shared 2-CPU host (`tools/ab_pairs.py solve`,
+# medians of 21 loops, three runs), the product took 0.17-0.46 of the block
+# solve's time up to 128 rows, 0.9-1.2 of it at 256 and 1.9-2.3 times it at
+# 384, while forming T^-1 made a one-off solve 0.96-1.25 times as slow up
+# to 128 rows and 1.5-1.7 times at 256.
 DENSE_BLOCKS = 4
 
 
@@ -208,15 +209,8 @@ def thomas_solve(system: TridiagonalSystem,
 def _spare(x: np.ndarray) -> np.ndarray:
     """A solve's result ``x`` and the spare entry past it, for a caller to
     append a boundary value: the m + 1 first entries of the buffer
-    ``thomas_solve`` wrote it in, with no copy.  An ``x`` that owns its
-    data, from a solve substituted for ``thomas_solve``, has no spare entry
-    and is copied into a new array that has one."""
-    m = x.shape[0]
-    if x.base is None:
-        full = np.empty(m + 1)
-        full[:m] = x
-        return full
-    return x.base[:m + 1]
+    ``thomas_solve`` wrote it in, with no copy."""
+    return x.base[:x.shape[0] + 1]
 
 
 def _block_solve(factors: _Factors, local: np.ndarray,

@@ -53,8 +53,16 @@ def counting(fn, calls: dict, name: str):
 
 
 def replaced_thomas(calls: dict):
-    return counting(lambda system, factors=None: reference_thomas(system),
-                    calls, "thomas_solve")
+    """The row-by-row sweep in place of ``thomas_solve``, its solution at the
+    start of a buffer with one spare entry, as ``thomas_solve`` leaves it for
+    a literal step's boundary value."""
+    def solve(system, factors=None):
+        x = reference_thomas(system)
+        full = np.empty(x.shape[0] + 1)
+        full[:-1] = x
+        return full[:-1]
+
+    return counting(solve, calls, "thomas_solve")
 
 
 def run_both(config, monkeypatch):
@@ -124,7 +132,13 @@ def test_run_reduced_matches_replaced_path(config, profile_bound,
     (tf.run, RATIONAL),
     (tf.run, dataclasses.replace(RATIONAL, variant=tf.PAPER_LITERAL)),
     (tf.run_reduced, dataclasses.replace(FIG1, n_elements=2000, tau=0.05)),
-], ids=["fig1", "rational_n1000", "literal_rational_n1000", "reduced_n2000"])
+    # past the interface cap of 128 blocks, the held step carries by the
+    # scalar passes: m = 4097 (129 blocks) on corrected rows, m = 5000 (157
+    # blocks) on literal ones
+    (tf.run, dataclasses.replace(FIG1, n_elements=4096)),
+    (tf.run_reduced, dataclasses.replace(FIG1, n_elements=5000, tau=0.05)),
+], ids=["fig1", "rational_n1000", "literal_rational_n1000", "reduced_n2000",
+        "fig1_n4096", "reduced_n5000"])
 def test_fused_checks_record_the_same_run(driver, config, monkeypatch):
     new = driver(config)
     calls = {}
