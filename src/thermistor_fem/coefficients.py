@@ -9,7 +9,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, ModelError
+from .errors import (ConfigurationError, ModelError, _in_callers_state,
+                     _own_state)
 
 MODEL_KINDS = ("constant", "paper_example", "rational_sigma")
 
@@ -91,13 +92,17 @@ def eval_sigma(model: CoefficientModel, u):
     ModelError names both shapes, and be >= 0 and finite, or a ModelError
     names the first that is not.  min >= 0 and max < inf hold exactly when
     every value is finite and >= 0: a NaN makes both reductions NaN, and
-    -0.0 passes as 0.0 does.  The callable and the checks run in the
-    caller's floating-point error state.
+    -0.0 passes as 0.0 does.  A callable the package did not make runs in
+    the caller's floating-point error state, inside a run or a step that of
+    their caller, so its own overflow warns or raises as it would outside
+    them; ``ModelSpec.build``'s ``rational_sigma`` runs in the state in
+    force, a run's own inside a run.
     """
     sigma = model.electrical_conductivity
     if not callable(sigma):
         return sigma if np.ndim(u) == 0 else np.full(np.shape(u), sigma)
-    arr = np.asarray(sigma(u), dtype=float)
+    arr = np.asarray(sigma(u) if getattr(sigma, "_package_made", False)
+                     else _in_callers_state(sigma, u), dtype=float)
     if arr.shape != np.shape(u):
         raise ModelError(
             f"electrical conductivity must broadcast over u: sigma(u) has "
@@ -114,9 +119,9 @@ def eval_sigma(model: CoefficientModel, u):
 
 
 # where den * den overflows, sigma is 0, which the potential reports; a
-# decorated function sets and resets the error state in about half the
-# time of a ``with`` block
-@np.errstate(over="ignore")
+# direct call sets and resets the error state in about half the time of a
+# ``with`` block, and inside a run, whose state ignores overflow, sets none
+@_own_state(over="ignore")
 def _inverse_square(s0: float, den):
     """rational_sigma's s0 / den^2, squaring ``den``, its own array, in
     place."""
@@ -208,6 +213,7 @@ class ModelSpec:
                             "rational_sigma")
                 return _inverse_square(_s0, den)
 
+            sigma._package_made = True  # eval_sigma runs it in a run's state
         return CoefficientModel(
             k=k,
             electrical_conductivity=sigma,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientModel
-from .errors import NumericalFailureError, SingularSystemError
+from .errors import NumericalFailureError, SingularSystemError, _own_state
 from .mesh import Mesh
 from .tridiag import TridiagonalSystem, _spare, checked_solve
 
@@ -202,9 +202,10 @@ def _first_integral(sigma: np.ndarray, mesh: Mesh, model: CoefficientModel,
 
 
 # s_half = 0 or an overflow makes a partial sum non-finite, which
-# _first_integral refuses; a decorated function sets and resets the error
-# state in about half the time of a ``with`` block
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+# _first_integral refuses; a direct call sets and resets the error state in
+# about half the time of a ``with`` block, and inside a run, whose state
+# ignores all three, sets none
+@_own_state(divide="ignore", over="ignore", invalid="ignore")
 def _partial_sums(step: float, s_half: np.ndarray, out: np.ndarray) -> None:
     """``out`` = the partial sums of ``step / s_half``, left to right."""
     np.add.accumulate(step / s_half, out=out)

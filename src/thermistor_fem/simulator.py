@@ -19,7 +19,7 @@ import numpy as np
 from . import temperature as temp
 from .coefficients import CoefficientModel, ModelSpec, eval_sigma, finite_float
 from .errors import (ConfigurationError, NotSteadyError, SingularSystemError,
-                     StepFailure)
+                     StepFailure, _run_state)
 from .mesh import Mesh, build_mesh, check_integer
 from .potential import (CORRECTED, PAPER_LITERAL, SchemeVariant,
                         check_current_compatibility, solve_potential)
@@ -121,20 +121,22 @@ def step(state: temp.TemperatureState, config: SimulationConfig,
     sigma zero at every node gives the zero potential, as in run().  The
     sink gets the potential's residual, if one was solved, then the
     temperature's.  A bad state is refused as in run(); failures carry the
-    step index.  Each call builds and factors the temperature rows anew,
-    and on at most 128 rows also forms their inverse: for rational_sigma,
-    0.33-0.34 ms per call against 0.037-0.039 ms per step inside run at
-    N = 100, and 0.94-1.00 ms against 0.072-0.077 ms at N = 1000 (best of
-    15 x 40 calls and of 9 x 2 runs in four processes; one BLAS thread, a
-    shared 2-CPU host).
+    step index.  The step runs in the run's floating-point error state,
+    entered once, as a run's steps do.  Each call builds and factors the
+    temperature rows anew, and on at most 128 rows also forms their
+    inverse: for rational_sigma, 0.36-0.40 ms per call against
+    0.035-0.038 ms per step inside run at N = 100, and 0.92-0.95 ms
+    against 0.078-0.080 ms at N = 1000 (best of 15 x 40 calls and of
+    9 x 2 runs in four processes; one BLAS thread, a shared 2-CPU host).
     Advance a state through many steps with run.
     """
     mesh = mesh or config.build_mesh()
     model = model or config.build_model()
     state = _check_state(state, mesh)
     try:
-        alpha, mu, _ = _coupled(config, mesh, model, residual_sink)(
-            state.alpha, residual_sink)
+        with _run_state():
+            alpha, mu, _ = _coupled(config, mesh, model, residual_sink)(
+                state.alpha, residual_sink)
     except StepFailure as exc:
         exc.step = int(round(state.time / config.tau))
         raise
@@ -234,9 +236,12 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
     on small systems.  A step whose change is not finite is checked there.
     Snapshots are recorded at t0, every ``record_every`` steps, and at the
     final state; the snapshots of one potential object share one read-only
-    copy of it.  A SolverError or ModelError, building the stepper (step 0)
-    included, leaves with the failing step's index and the diagnostics
-    collected so far, the deferred residuals written in.
+    copy of it.  The stepper is built and run, and the deferred residuals
+    written in, inside the run's floating-point error state
+    (``errors._run_state``), entered once.  A SolverError or ModelError,
+    building the stepper (step 0) included, leaves with the failing step's
+    index and the diagnostics collected so far, the deferred residuals
+    written in.
     """
     diag = Diagnostics()
     residuals = temp.ResidualBlock(diag.temperature_residuals)
@@ -260,31 +265,32 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
     n = 0
     diff = np.empty(mesh.n_nodes)  # alpha^{n+1} - alpha^n, for the change
     try:
-        stepper = make_stepper(diag.potential_residuals)
-        while (n + 1) * tau + t0 <= end:
-            new, mu, compatibility = stepper(alpha, residuals)
-            np.subtract(new, alpha, out=diff)
-            change = float(np.maximum.reduce(np.abs(diff, out=diff)))
-            if not math.isfinite(change):
-                # alpha^n is finite, so alpha^{n+1} may not be: a held step
-                # is checked here, and a finite one runs on
-                residuals.check()
-            n += 1
-            # keep times on the exact t0 + n*tau grid instead of accumulating
-            alpha, time = new, t0 + n * tau
-            diag.max_change.append(change)
-            diag.compatibility_residuals.append(compatibility)
-            if n % every == 0:
-                record()
-            if change / tau < tolerance:
-                steady_time = time
-                break
+        with _run_state():
+            stepper = make_stepper(diag.potential_residuals)
+            while (n + 1) * tau + t0 <= end:
+                new, mu, compatibility = stepper(alpha, residuals)
+                np.subtract(new, alpha, out=diff)
+                change = float(np.maximum.reduce(np.abs(diff, out=diff)))
+                if not math.isfinite(change):
+                    # alpha^n is finite, so alpha^{n+1} may not be: a held
+                    # step is checked here, and a finite one runs on
+                    residuals.check()
+                n += 1
+                # keep times on the exact t0 + n*tau grid, not accumulated
+                alpha, time = new, t0 + n * tau
+                diag.max_change.append(change)
+                diag.compatibility_residuals.append(compatibility)
+                if n % every == 0:
+                    record()
+                if change / tau < tolerance:
+                    steady_time = time
+                    break
+            residuals.flush()
     except StepFailure as exc:
         residuals.flush()
         exc.step = n
         exc.diagnostics = diag
         raise
-    residuals.flush()
     if snapshots[-1].time != time:
         record()
     return SimulationResult(snapshots=snapshots,

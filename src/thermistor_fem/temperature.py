@@ -44,7 +44,7 @@ import numpy as np
 
 from . import tridiag
 from .coefficients import CoefficientModel, eval_sigma
-from .errors import ModelError, NumericalFailureError
+from .errors import ModelError, NumericalFailureError, _own_state
 from .mesh import Mesh, mass_row
 from .potential import SchemeVariant
 from .tridiag import TridiagonalSystem
@@ -211,14 +211,14 @@ class TemperatureOperator:
         return self.mass_matrix.matvec(alpha[:self.matrix.size])
 
     # an overflow shows as a non-finite rhs, which advance reports
-    @np.errstate(over="ignore", invalid="ignore")
+    @_own_state(over="ignore", invalid="ignore")
     def source(self, sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """The Joule source of ``sigma`` and ``mu`` in this step's rows."""
         return joule_source_vector(sigma, mu, self.mesh, self.model,
                                    self.tau, self.variant)
 
     # an overflow shows as a non-finite rhs or solution, which are reported
-    @np.errstate(over="ignore", invalid="ignore")
+    @_own_state(over="ignore", invalid="ignore")
     def advance(self, alpha: np.ndarray, source,
                 residual_sink: list | None = None) -> np.ndarray:
         """alpha^{n+1} from alpha^n = ``alpha`` and the step's ``source``,
@@ -299,7 +299,7 @@ class ResidualBlock:
         self._held += 1
 
     # an overflow shows as a non-finite solution or residual
-    @np.errstate(over="ignore", invalid="ignore")
+    @_own_state(over="ignore", invalid="ignore")
     def check(self) -> None:
         """Refuse the step last held if its x is not finite, by the check
         of a solve: its row is dropped, and the error names a non-finite
@@ -315,7 +315,7 @@ class ResidualBlock:
             raise
 
     # an overflow shows as an infinite residual, which is recorded
-    @np.errstate(over="ignore", invalid="ignore")
+    @_own_state(over="ignore", invalid="ignore")
     def flush(self) -> None:
         """Append the residuals of the held rows, all checked at once."""
         held, self._held = self._held, 0

@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalFailureError, SingularSystemError, SolverError
+from .errors import (NumericalFailureError, SingularSystemError, SolverError,
+                     _own_state)
 
 # Relative pivot threshold: a pivot smaller than this times the row's largest
 # original coefficient magnitude is treated as structurally singular.
@@ -101,7 +102,7 @@ class TridiagonalSystem:
 
 
 # an overflow shows as a non-finite solution or residual
-@np.errstate(over="ignore", invalid="ignore")
+@_own_state(over="ignore", invalid="ignore")
 def checked_solve(system: TridiagonalSystem, what: str,
                   residual_sink: list | None = None) -> np.ndarray:
     """Solve a one-off system with the contract every phase of a step shares.
@@ -347,10 +348,11 @@ def _factor(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> _Factors:
         row = int(np.argmax(bad))
         raise SingularSystemError(f"zero or near-zero pivot at row {row}",
                                   row=row)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _block_operators(lower, pivots, upper)
+    return _block_operators(lower, pivots, upper)
 
 
+# an inverse or an interface operator that overflows is not held
+@_own_state(over="ignore", invalid="ignore")
 def _block_operators(lower: list, pivots: list, upper: list) -> _Factors:
     """Invert each block's part of L and U, for all blocks at once, and
     multiply the inverses; then R and T^-1 where they are held.
@@ -445,12 +447,16 @@ def _product(system: TridiagonalSystem, x: np.ndarray,
     ``row`` (m - 1 entries, a new array if None), added in place.  ``x`` is
     one vector or a stack of them, m on the last axis."""
     out = np.multiply(system.main, x, out)
-    # added through views: ``out[..., 1:] += ...`` would also copy the
-    # view back onto itself
-    row = np.multiply(system.sub, x[..., :-1], row)
-    below = out[..., 1:]
+    # one vector's plain slices cost less than a stack's ``x[..., 1:]``
+    if x.ndim == 1:
+        lead, rest, below, above = x[:-1], x[1:], out[1:], out[:-1]
+    else:
+        lead, rest = x[..., :-1], x[..., 1:]
+        below, above = out[..., 1:], out[..., :-1]
+    # added through views: ``out[1:] += ...`` would also copy the view
+    # back onto itself
+    row = np.multiply(system.sub, lead, row)
     below += row
-    np.multiply(system.sup, x[..., 1:], row)
-    above = out[..., :-1]
+    np.multiply(system.sup, rest, row)
     above += row
     return out

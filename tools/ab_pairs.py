@@ -21,10 +21,13 @@ tables, over sizes m or N:
             (flushes included)
     phases  a corrected ``rational_sigma`` step (k0 = sigma0 = lambda = 1,
             beta = 0.2, tau = 0.1, unit fluxes) by its public calls, each
-            with its own error state: ``eval_sigma``, ``solve_potential``
-            with its defect, ``TemperatureOperator.source``, ``advance``
-            with a ``ResidualBlock``, and one call of the stepper ``run``
-            builds, which also takes the compatibility residual
+            a direct call in its own error state: ``eval_sigma``,
+            ``solve_potential`` with its defect,
+            ``TemperatureOperator.source`` and ``advance`` with a
+            ``ResidualBlock``; and one call of the stepper ``run`` builds,
+            which also takes the compatibility residual, inside the run's
+            error state, entered once a loop, as ``simulator._march`` calls
+            it (a tree without that state calls it as it is)
 
 A figure is one loop of ``--runs`` calls, timed per call (a workload's is
 its median call), and reads as its median over ``--pairs`` pairs; a pair
@@ -82,13 +85,13 @@ def program(root: Path, name: str):
     return load(package / "__init__.py", name, [str(package)])
 
 
-def timed(call, *args, sink=None, within=None):
+def timed(call, *args, sink=None, within=nullcontext):
     """A loop: microseconds per call of ``calls`` calls of ``call(*args)``,
     given a fresh ``sink()`` last, if any, whose ``flush`` (a
-    ``ResidualBlock``'s) is timed too; inside ``within``, a patch of a
-    setting, if given."""
+    ``ResidualBlock``'s) is timed too; inside ``within()``, a context (a
+    patch of a setting, a run's error state), if given."""
     def loop(calls: int) -> float:
-        with within or nullcontext():
+        with within():
             full = args if sink is None else (*args, sink())
             t0 = perf_counter()
             for _ in range(calls):
@@ -124,7 +127,7 @@ def solve(tf, m: int):
         figures[f"held:{name}"] = timed(
             tridiag.thomas_solve, system.with_rhs(factors.rhs_in), factors)
         once = timed(tf.checked_solve, system, "temperature", sink=list,
-                     within=cap)
+                     within=lambda cap=cap: cap)
         figures[f"once:{name}"] = lambda calls, once=once: once(
             max(calls // 10, 1))
     return {"m": m, "blocks": blocks}, figures, None
@@ -141,7 +144,8 @@ def cells(tf, m: int):
         "per block": timed(  # K rows of m, for any m
             operator.advance, alpha, source,
             sink=lambda: temperature.ResidualBlock([]),
-            within=mock.patch.object(temperature, "CELLS", steps * m)),
+            within=lambda: mock.patch.object(temperature, "CELLS",
+                                             steps * m)),
     }, None
 
 
@@ -171,7 +175,8 @@ def phases(tf, n: int):
                            tf.CORRECTED, None, sink=list),
         "source": timed(operator.source, sigma, mu),
         "advance": timed(operator.advance, alpha, source, sink=block),
-        "step": timed(stepper, alpha, sink=block),
+        "step": timed(stepper, alpha, sink=block, within=getattr(
+            tf.errors, "_run_state", nullcontext)),
     }, None
 
 
@@ -200,7 +205,8 @@ TABLES = {
     "phases": Table(
         phases, (100, 1000, 2000), 2000,
         ("sigma", "potential", "source", "advance", "step"),
-        "rational_sigma, corrected; us per step, loops of {runs} steps"),
+        "rational_sigma, corrected; us per step, loops of {runs} steps; "
+        "direct calls in their own error states, the stepper in the run's"),
 }
 
 
