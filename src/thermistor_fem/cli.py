@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .coefficients import ModelSpec, eval_sigma, validate_physical
-from .errors import ConfigurationError, NotSteadyError, StepFailure
+from .errors import (ConfigurationError, NotSteadyError, StepFailure,
+                     _own_state)
 from .potential import SchemeVariant, check_current_compatibility
 from .simulator import (SimulationConfig, SimulationResult, convergence_study,
                         run, run_reduced, step)
@@ -130,7 +131,7 @@ def parse_config(text: str) -> SimulationConfig:
         freeze_potential_after_first_step=values.get("freeze_potential", False),
     )
     if model.kind == "paper_example":
-        gamma = float(model.parameters["gamma"])
+        gamma = model.parameters["gamma"]
         if config.beta > 0.0 and gamma > 0.0 \
                 and not validate_physical(config.beta, gamma):
             print("warning: physical constraint 1/beta + 1/2 <= 1/gamma violated",
@@ -180,6 +181,8 @@ _CELL = np.dtype({
     "itemsize": _FIXED})
 
 
+# log10 of zero or of a non-finite value is left out of the mask
+@_own_state
 def _fast_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``("%.12e" % abs(v)).encode() + b","`` as ``_CELL`` records, right
     where the returned mask is True.
@@ -196,18 +199,17 @@ def _fast_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``_PAIRS``; an exponent in [-10, 35] always has two digits.
     """
     a = np.abs(v)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.floor(np.log10(a))
-        fast = (e >= -10) & (e <= 34)
-        e = np.where(fast, e, 0.0).astype(np.int64)
-        s = 12 - e
-        q = a * _POW10[np.maximum(s, 0)]
-        big = np.flatnonzero(s < 0)
-        q[big] = a[big] / _POW10[-s[big]]
-        fast &= (q >= 1e12) & (q < 1e13) \
-            & (np.abs(q - np.floor(q) - 0.5) > 2.0 ** -9)
-        fast |= a == 0.0
-        r = np.rint(np.where(fast, q, 0.0)).astype(np.int64)
+    e = np.floor(np.log10(a))
+    fast = (e >= -10) & (e <= 34)
+    e = np.where(fast, e, 0.0).astype(np.int64)
+    s = 12 - e
+    q = a * _POW10[np.maximum(s, 0)]
+    big = np.flatnonzero(s < 0)
+    q[big] = a[big] / _POW10[-s[big]]
+    fast &= (q >= 1e12) & (q < 1e13) \
+        & (np.abs(q - np.floor(q) - 0.5) > 2.0 ** -9)
+    fast |= a == 0.0
+    r = np.rint(np.where(fast, q, 0.0)).astype(np.int64)
     carry = r == 10 ** 13
     r[carry] = 10 ** 12
     e += carry

@@ -92,16 +92,17 @@ def eval_sigma(model: CoefficientModel, u):
     ModelError names both shapes, and be >= 0 and finite, or a ModelError
     names the first that is not.  min >= 0 and max < inf hold exactly when
     every value is finite and >= 0: a NaN makes both reductions NaN, and
-    -0.0 passes as 0.0 does.  A callable the package did not make runs in
-    the caller's floating-point error state, inside a run or a step that of
-    their caller, so its own overflow warns or raises as it would outside
-    them; ``ModelSpec.build``'s ``rational_sigma`` runs in the state in
-    force, a run's own inside a run.
+    -0.0 passes as 0.0 does.  A callable that carries the mark of
+    ``errors._own_state`` holds the package's error state itself, and runs
+    as it is: ``ModelSpec.build``'s ``rational_sigma`` does.  Any other
+    callable, a user's, runs in the caller's floating-point error state,
+    inside a run or a step that of their caller, so its own overflow warns
+    or raises as it would outside them.
     """
     sigma = model.electrical_conductivity
     if not callable(sigma):
         return sigma if np.ndim(u) == 0 else np.full(np.shape(u), sigma)
-    arr = np.asarray(sigma(u) if getattr(sigma, "_package_made", False)
+    arr = np.asarray(sigma(u) if getattr(sigma, "_own_state", False)
                      else _in_callers_state(sigma, u), dtype=float)
     if arr.shape != np.shape(u):
         raise ModelError(
@@ -116,17 +117,6 @@ def eval_sigma(model: CoefficientModel, u):
             f"{bad.size} of {arr.size} values fail, first at index {first}: "
             f"{float(arr.flat[first])!r}")
     return float(arr) if arr.ndim == 0 else arr
-
-
-# where den * den overflows, sigma is 0, which the potential reports; a
-# direct call sets and resets the error state in about half the time of a
-# ``with`` block, and inside a run, whose state ignores overflow, sets none
-@_own_state(over="ignore")
-def _inverse_square(s0: float, den):
-    """rational_sigma's s0 / den^2, squaring ``den``, its own array, in
-    place."""
-    den *= den
-    return s0 / den
 
 
 def validate_physical(beta: float, gamma: float) -> bool:
@@ -151,7 +141,8 @@ class ModelSpec:
       rational_sigma  k = k0, sigma(u) = sigma0 / (1 + lambda*u)^2, and a u
                       at or past its pole 1 + lambda*u = 0 is a ModelError
     ``build`` gives the two constant kinds their sigma as a number, sigma0
-    or gamma, and rational_sigma a callable.
+    or gamma, and rational_sigma a callable.  ``parameters`` holds the
+    checked floats, in a dict of the spec's own.
     """
 
     kind: str
@@ -175,25 +166,30 @@ class ModelSpec:
         if unknown:
             raise ConfigurationError(
                 f"model kind {self.kind!r} does not read parameters {unknown}")
+        values = {}
         for name in required:
-            value = finite_float(name, self.parameters[name],
-                                 ConfigurationError)
+            value = values[name] = finite_float(name, self.parameters[name],
+                                                ConfigurationError)
             # k0, sigma0 and gamma fix the sign of k and sigma, which the
             # model or eval_sigma would otherwise refuse
             if name == "k0" and value <= 0.0:
                 raise ConfigurationError(f"k0 must be positive, got {value}")
             if name in ("sigma0", "gamma") and value < 0.0:
                 raise ConfigurationError(f"{name} must be >= 0, got {value}")
+        object.__setattr__(self, "parameters", values)
 
     def build(self, flux_left: float, flux_right: float) -> CoefficientModel:
         p = self.parameters
         if self.kind == "constant":
-            k, sigma = float(p["k0"]), float(p["sigma0"])
+            k, sigma = p["k0"], p["sigma0"]
         elif self.kind == "paper_example":
-            k, sigma = 1.0, float(p["gamma"])
+            k, sigma = 1.0, p["gamma"]
         else:  # rational_sigma
-            k, s0, lam = float(p["k0"]), float(p["sigma0"]), float(p["lambda"])
+            k, s0, lam = p["k0"], p["sigma0"], p["lambda"]
 
+            # where den * den overflows, sigma is 0, which the potential
+            # reports; the mark of _own_state lets eval_sigma call it as is
+            @_own_state
             def sigma(u, _s0=s0, _lam=lam):
                 u = np.asarray(u, dtype=float)
                 den = _lam * u
@@ -211,9 +207,9 @@ class ModelSpec:
                             f"u = {float(u.flat[first])!r}{node} is at or "
                             f"past the pole u = {-1.0 / _lam!r} of "
                             "rational_sigma")
-                return _inverse_square(_s0, den)
+                den *= den
+                return _s0 / den
 
-            sigma._package_made = True  # eval_sigma runs it in a run's state
         return CoefficientModel(
             k=k,
             electrical_conductivity=sigma,

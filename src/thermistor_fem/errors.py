@@ -52,8 +52,8 @@ class NotSteadyError(ThermistorError, ValueError):
     """A steady-state result was required but the run never became steady."""
 
 
-# The error state a run or a step holds while it steps: an overflow or a
-# NaN shows as a non-finite value, which the package reports by name.
+# The one error state the package sets: a division by zero, an overflow or
+# a NaN shows as a non-finite value, which the package reports by name.
 _RUN_STATE = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
 # The caller's np.geterr() while a run's state is in force, and None
 # outside one: a ContextVar, as numpy keeps its own state, so each thread
@@ -69,26 +69,22 @@ def _entry(state):
     return state
 
 
-def _own_state(**flags):
-    """A decorator: the function runs in numpy's error state ``flags``, by
-    numpy's own ``np.errstate(**flags)``-decorated function, unless a run's
-    state, which holds every flag given, is in force; then it runs in that
-    state and switches none."""
-    if any(_RUN_STATE.get(name) != value for name, value in flags.items()):
-        raise ValueError(f"a run's error state does not hold {flags}")
+def _own_state(fn):
+    """A decorator: ``fn`` runs in a run's error state, ``_RUN_STATE``, by
+    numpy's own ``np.errstate``-decorated function, unless a run's state is
+    in force; then it runs in that state and switches none.  The wrapper
+    carries the mark ``_own_state``, by which ``eval_sigma`` knows a sigma
+    that holds its own state."""
+    own = np.errstate(**_RUN_STATE)(fn)
 
-    def decorate(fn):
-        own = np.errstate(**flags)(fn)
+    @functools.wraps(fn)
+    def in_own_state(*args, **kwargs):
+        if _CALLER.get() is None:
+            return _entry(own)(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-        @functools.wraps(fn)
-        def in_own_state(*args, **kwargs):
-            if _CALLER.get() is None:
-                return _entry(own)(*args, **kwargs)
-            return fn(*args, **kwargs)
-
-        return in_own_state
-
-    return decorate
+    in_own_state._own_state = True
+    return in_own_state
 
 
 @contextmanager

@@ -169,6 +169,9 @@ def _nodal(sigma: np.ndarray, mesh: Mesh) -> np.ndarray:
     return s
 
 
+# s_half = 0 or an overflow makes a partial sum non-finite, which is
+# refused by name
+@_own_state
 def _first_integral(sigma: np.ndarray, mesh: Mesh, model: CoefficientModel,
                     residual_sink: list | None) -> np.ndarray:
     n = mesh.n_elements
@@ -181,7 +184,7 @@ def _first_integral(sigma: np.ndarray, mesh: Mesh, model: CoefficientModel,
     s_half = half[:-1] + half[1:]
     mu = np.empty(n + 1)
     mu[0] = 0.0
-    _partial_sums(h * current, s_half, mu[1:])
+    np.add.accumulate(h * current / s_half, out=mu[1:])
     # a non-finite step, from s_half = 0 or an overflow, stays in every
     # later partial sum, so the last one shows it
     if not math.isfinite(mu[n]):
@@ -199,16 +202,6 @@ def _first_integral(sigma: np.ndarray, mesh: Mesh, model: CoefficientModel,
         defect = float(np.maximum.reduce(np.abs(flux, out=flux))) / h
         residual_sink.append(defect / (1.0 + abs(current)))
     return mu
-
-
-# s_half = 0 or an overflow makes a partial sum non-finite, which
-# _first_integral refuses; a direct call sets and resets the error state in
-# about half the time of a ``with`` block, and inside a run, whose state
-# ignores all three, sets none
-@_own_state(divide="ignore", over="ignore", invalid="ignore")
-def _partial_sums(step: float, s_half: np.ndarray, out: np.ndarray) -> None:
-    """``out`` = the partial sums of ``step / s_half``, left to right."""
-    np.add.accumulate(step / s_half, out=out)
 
 
 def check_current_compatibility(sigma: np.ndarray, model: CoefficientModel) -> float:

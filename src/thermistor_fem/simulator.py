@@ -237,11 +237,11 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
     Snapshots are recorded at t0, every ``record_every`` steps, and at the
     final state; the snapshots of one potential object share one read-only
     copy of it.  The stepper is built and run, and the deferred residuals
-    written in, inside the run's floating-point error state
-    (``errors._run_state``), entered once.  A SolverError or ModelError,
-    building the stepper (step 0) included, leaves with the failing step's
-    index and the diagnostics collected so far, the deferred residuals
-    written in.
+    written in once, at the end, inside the run's floating-point error
+    state (``errors._run_state``), entered once, whether the run ends or
+    fails.  A SolverError or ModelError, building the stepper (step 0)
+    included, leaves with the failing step's index and the diagnostics
+    collected so far, the deferred residuals written in.
     """
     diag = Diagnostics()
     residuals = temp.ResidualBlock(diag.temperature_residuals)
@@ -264,8 +264,8 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
     time = t0
     n = 0
     diff = np.empty(mesh.n_nodes)  # alpha^{n+1} - alpha^n, for the change
-    try:
-        with _run_state():
+    with _run_state():
+        try:
             stepper = make_stepper(diag.potential_residuals)
             while (n + 1) * tau + t0 <= end:
                 new, mu, compatibility = stepper(alpha, residuals)
@@ -285,12 +285,12 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
                 if change / tau < tolerance:
                     steady_time = time
                     break
+        except StepFailure as exc:
+            exc.step = n
+            exc.diagnostics = diag
+            raise
+        finally:
             residuals.flush()
-    except StepFailure as exc:
-        residuals.flush()
-        exc.step = n
-        exc.diagnostics = diag
-        raise
     if snapshots[-1].time != time:
         record()
     return SimulationResult(snapshots=snapshots,
@@ -340,7 +340,7 @@ def run_reduced(config: SimulationConfig) -> SimulationResult:
         raise ConfigurationError(
             "run_reduced requires the paper_example model "
             f"(got {config.model.kind!r})")
-    gamma = float(config.model.parameters["gamma"])
+    gamma = config.model.parameters["gamma"]
     mesh = config.build_mesh()
     src = np.full(mesh.n_elements, gamma * config.tau * mesh.h)
 
@@ -400,7 +400,7 @@ def convergence_study(config: SimulationConfig, levels: int
         raise ConfigurationError(
             f"the convergence study needs beta > 0 (analytic oracle), "
             f"got {config.beta}")
-    gamma = float(config.model.parameters["gamma"])
+    gamma = config.model.parameters["gamma"]
     out = []
     for i in range(levels):
         n_i = config.n_elements * 2 ** i

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import tridiag
 from .coefficients import CoefficientModel, eval_sigma
-from .errors import ModelError, NumericalFailureError, _own_state
+from .errors import ModelError, NumericalFailureError, _own_state, _run_state
 from .mesh import Mesh, mass_row
 from .potential import SchemeVariant
 from .tridiag import TridiagonalSystem
@@ -151,8 +151,9 @@ def assemble_temperature(state: TemperatureState, mu: np.ndarray,
     """Assemble one backward-Euler step; see the module docstring for the rows."""
     op = TemperatureOperator(mesh, model, tau, beta, variant)
     source = op.source(eval_sigma(model, state.alpha), mu)
-    # an overflow shows as a non-finite rhs, which with_rhs reports
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow shows as a non-finite rhs, which with_rhs reports; not
+    # decorated, as eval_sigma runs a user's sigma in the caller's state
+    with _run_state():
         return op.matrix.with_rhs(op.mass(state.alpha) + source)
 
 
@@ -211,14 +212,14 @@ class TemperatureOperator:
         return self.mass_matrix.matvec(alpha[:self.matrix.size])
 
     # an overflow shows as a non-finite rhs, which advance reports
-    @_own_state(over="ignore", invalid="ignore")
+    @_own_state
     def source(self, sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """The Joule source of ``sigma`` and ``mu`` in this step's rows."""
         return joule_source_vector(sigma, mu, self.mesh, self.model,
                                    self.tau, self.variant)
 
     # an overflow shows as a non-finite rhs or solution, which are reported
-    @_own_state(over="ignore", invalid="ignore")
+    @_own_state
     def advance(self, alpha: np.ndarray, source,
                 residual_sink: list | None = None) -> np.ndarray:
         """alpha^{n+1} from alpha^n = ``alpha`` and the step's ``source``,
@@ -299,7 +300,7 @@ class ResidualBlock:
         self._held += 1
 
     # an overflow shows as a non-finite solution or residual
-    @_own_state(over="ignore", invalid="ignore")
+    @_own_state
     def check(self) -> None:
         """Refuse the step last held if its x is not finite, by the check
         of a solve: its row is dropped, and the error names a non-finite
@@ -315,7 +316,7 @@ class ResidualBlock:
             raise
 
     # an overflow shows as an infinite residual, which is recorded
-    @_own_state(over="ignore", invalid="ignore")
+    @_own_state
     def flush(self) -> None:
         """Append the residuals of the held rows, all checked at once."""
         held, self._held = self._held, 0

@@ -74,16 +74,10 @@ class TridiagonalSystem:
                 raise NumericalFailureError(f"non-finite entries in {name}")
 
     def with_rhs(self, rhs: np.ndarray) -> TridiagonalSystem:
-        """The same matrix, checked when it was built, and the same arrays,
-        with another right-hand side; only ``rhs`` is checked."""
-        rhs = np.ascontiguousarray(rhs, dtype=float)
-        if rhs.shape != self.rhs.shape:
-            raise ValueError(f"rhs must have length {self.size}, got {rhs.shape}")
-        if not np.isfinite(rhs).all():
-            raise NumericalFailureError("non-finite entries in rhs")
-        new = object.__new__(TridiagonalSystem)
-        new.__dict__.update(self.__dict__, rhs=rhs)
-        return new
+        """The same matrix, and the same arrays, with another right-hand
+        side, checked as the constructor checks it; a C-contiguous float64
+        ``rhs`` is held as it is."""
+        return TridiagonalSystem(self.sub, self.main, self.sup, rhs)
 
     @property
     def size(self) -> int:
@@ -102,7 +96,7 @@ class TridiagonalSystem:
 
 
 # an overflow shows as a non-finite solution or residual
-@_own_state(over="ignore", invalid="ignore")
+@_own_state
 def checked_solve(system: TridiagonalSystem, what: str,
                   residual_sink: list | None = None) -> np.ndarray:
     """Solve a one-off system with the contract every phase of a step shares.
@@ -113,7 +107,7 @@ def checked_solve(system: TridiagonalSystem, what: str,
     ``residual_sink``, when given, receives the scaled residual (for run
     diagnostics).  The matrix is factored for this solve alone;
     ``TemperatureOperator.advance`` holds its factors.  The solve and the
-    check run with overflow and invalid operations ignored.
+    check run in the package's error state (``errors._own_state``).
     """
     with _named(what):
         factors = _factor(system.sub, system.main, system.sup)
@@ -352,7 +346,7 @@ def _factor(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> _Factors:
 
 
 # an inverse or an interface operator that overflows is not held
-@_own_state(over="ignore", invalid="ignore")
+@_own_state
 def _block_operators(lower: list, pivots: list, upper: list) -> _Factors:
     """Invert each block's part of L and U, for all blocks at once, and
     multiply the inverses; then R and T^-1 where they are held.
@@ -426,17 +420,17 @@ def dense_solve_oracle(system: TridiagonalSystem) -> np.ndarray:
         raise SingularSystemError(f"dense solve failed: {exc}") from exc
 
 
+# a solution near the overflow threshold has an infinite residual
+@_own_state
 def residual_norm(system: TridiagonalSystem, x: np.ndarray) -> float:
     """Max-norm of T x - rhs, formed in place in the product's array: the
     sums of ``checked_solve``'s residual, in the same order."""
     x = np.asarray(x, dtype=float)
     if x.shape != (system.size,):
         raise ValueError(f"solution length {x.shape} does not match system size {system.size}")
-    # a solution near the overflow threshold has an infinite residual
-    with np.errstate(over="ignore", invalid="ignore"):
-        tx = system.matvec(x)
-        tx -= system.rhs
-        return float(np.abs(tx, out=tx).max())
+    tx = system.matvec(x)
+    tx -= system.rhs
+    return float(np.abs(tx, out=tx).max())
 
 
 def _product(system: TridiagonalSystem, x: np.ndarray,

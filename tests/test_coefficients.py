@@ -192,6 +192,20 @@ def test_model_spec_rejects_non_finite_parameters(kind, params):
             assert tf.ModelSpec(kind, {**params, name: 0.0}).parameters[name] == 0.0
 
 
+def test_model_spec_keeps_its_checked_floats_not_the_callers_dict():
+    # the caller's dict, changed after the check, used to reach the run:
+    # sigma0 = -1 failed at step 0 and the unknown key was never refused
+    d = {"k0": 1, "sigma0": 1, "lambda": 1}
+    spec = tf.ModelSpec("rational_sigma", d)
+    d["sigma0"] = -1.0
+    d["extra"] = 3
+    assert spec.parameters == {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0}
+    assert all(type(value) is float for value in spec.parameters.values())
+    config = tf.SimulationConfig(n_elements=20, tau=0.1, beta=0.2, model=spec,
+                                 flux_left=1.0, flux_right=1.0, t_max=1.0)
+    assert len(tf.run(config).diagnostics.max_change) == 10
+
+
 def test_rational_sigma_pole_raises_model_error_without_warning():
     model = build("rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0})
     with warnings.catch_warnings():

@@ -1,17 +1,20 @@
 """numpy's floating-point error state in a run: one state per run or step,
-the caller's state for a sigma the package did not make, and each thread's
-state its own."""
+failing or not, the caller's state for a user's sigma, each thread's state
+its own, and one module that sets it."""
 
+import ast
 import dataclasses
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import thermistor_fem as tf
 from helpers import wrap_sigma
+from test_simulator import ERROR_STATE_CASES, small_config
 
 # the literal rows' boundary currents disagree, which a run warns of
 pytestmark = pytest.mark.filterwarnings(
@@ -70,6 +73,35 @@ def test_a_run_enters_one_error_state_whatever_its_steps(call, config,
     counted[0] = 0
     operator.source(np.ones(101), np.linspace(0.0, 1.0, 101))
     assert counted[0] == 1
+
+
+@pytest.mark.parametrize("case, steps", [
+    ("pole", 2), ("zero_conductivity", 7), ("overflowing_source", 0)])
+def test_a_failing_run_enters_one_error_state(case, steps, monkeypatch):
+    # the deferred residuals are flushed once, inside the run's state, so
+    # a run that fails enters no second state to write them in; a user's
+    # sigma enters the caller's state at each of its calls, by design
+    overrides, wrap, _, error = ERROR_STATE_CASES[case]
+    calls = []
+
+    def counted_sigma(sigma):
+        user = sigma if wrap is None else wrap(sigma)
+
+        def sigma_call(u):
+            calls.append(None)
+            return user(u)
+        return sigma_call
+
+    if wrap is not None:
+        wrap_sigma(monkeypatch, counted_sigma)
+    counted = count_entries(monkeypatch)
+    with pytest.raises(error) as exc:
+        tf.run(small_config(**overrides))
+    assert counted[0] == 1 + len(calls)
+    assert exc.value.step == steps
+    diag = exc.value.diagnostics
+    assert len(diag.temperature_residuals) == steps
+    assert len(diag.max_change) == steps
 
 
 @pytest.mark.parametrize("variant", [tf.CORRECTED, tf.PAPER_LITERAL],
@@ -144,3 +176,18 @@ def test_a_run_in_one_thread_leaves_another_threads_error_state_alone():
     assert runs and set(runs) == {5}
     assert refusals and set(refusals) == {
         "temperature solve failed: non-finite solution"}
+
+
+def test_only_errors_py_names_numpys_error_state():
+    # every other module takes errors._own_state or errors._run_state
+    package = Path(tf.__file__).parent
+    setters = {"errstate", "seterr", "seterrcall"}
+    naming = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in setters:
+                naming.setdefault(path.name, set()).add(name)
+    assert naming == {"errors.py": {"errstate"}}

@@ -18,7 +18,9 @@ tables, over sizes m or N:
     cells   ``TemperatureOperator.advance`` on the same rows with a list
             sink, which checks each step, and with a ``ResidualBlock``,
             which checks K = ``CELLS // m`` steps, at least 8, at once
-            (flushes included)
+            (flushes included); both inside the run's error state, as a
+            run calls it (a tree without that state calls it as it is),
+            so their ratio measures the block check
     phases  a corrected ``rational_sigma`` step (k0 = sigma0 = lambda = 1,
             beta = 0.2, tau = 0.1, unit fluxes) by its public calls, each
             a direct call in its own error state: ``eval_sigma``,
@@ -54,7 +56,7 @@ import importlib.util
 import statistics
 import sys
 import tempfile
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, NamedTuple
@@ -139,13 +141,20 @@ def cells(tf, m: int):
     source = np.full(m, 1e-4)
     operator.advance(alpha, source)  # factor once, outside the timing
     steps = max(temperature.CELLS // m, 8)
+    state = getattr(tf.errors, "_run_state", nullcontext)
+    cap = mock.patch.object(temperature, "CELLS", steps * m)
+
+    @contextmanager
+    def held():  # K rows of m, for any m
+        with state(), cap:
+            yield
+
     return {"m": m, "K": steps}, {
-        "per step": timed(operator.advance, alpha, source, sink=list),
-        "per block": timed(  # K rows of m, for any m
-            operator.advance, alpha, source,
-            sink=lambda: temperature.ResidualBlock([]),
-            within=lambda: mock.patch.object(temperature, "CELLS",
-                                             steps * m)),
+        "per step": timed(operator.advance, alpha, source, sink=list,
+                          within=state),
+        "per block": timed(operator.advance, alpha, source,
+                           sink=lambda: temperature.ResidualBlock([]),
+                           within=held),
     }, None
 
 
@@ -201,7 +210,8 @@ TABLES = {
     "cells": Table(
         cells, (101, 201, 401, 801, 1001, 2001), 2000,
         ("per step", "per block", "ratio"),
-        "CELLS = {tf.temperature.CELLS}; us per step, loops of {runs} steps"),
+        "CELLS = {tf.temperature.CELLS}; us per step, loops of {runs} steps; "
+        "both in the run's error state, so the ratio is the block check's"),
     "phases": Table(
         phases, (100, 1000, 2000), 2000,
         ("sigma", "potential", "source", "advance", "step"),
