@@ -409,7 +409,10 @@ def _cmd_run(args) -> int:
         _write(args.profile, lambda stream: stream.write(
             write_profile_csv(result).encode("ascii")))
     if result.steady_reached:
-        print(f"steady state reached at t={result.steady_time:g}", file=sys.stderr)
+        estimate = result.steady_error_estimate
+        left = "" if estimate is None else f" (about {estimate:.2g} from steady)"
+        print(f"steady state reached at t={result.steady_time:g}{left}",
+              file=sys.stderr)
     else:
         print(f"no steady state before t_max={config.t_max:g}", file=sys.stderr)
         if args.require_steady:

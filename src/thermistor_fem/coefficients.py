@@ -88,26 +88,34 @@ def eval_sigma(model: CoefficientModel, u):
     """Electrical conductivity at u, shaped like u.
 
     A numeric sigma is returned as it is, or filled into an array of u's
-    shape.  A callable's values are checked: they must have u's shape, or a
-    ModelError names both shapes, and be >= 0 and finite, or a ModelError
-    names the first that is not.  min >= 0 and max < inf hold exactly when
-    every value is finite and >= 0: a NaN makes both reductions NaN, and
-    -0.0 passes as 0.0 does.  A callable that carries the mark of
-    ``errors._own_state`` holds the package's error state itself, and runs
-    as it is: ``ModelSpec.build``'s ``rational_sigma`` does.  Any other
-    callable, a user's, runs in the caller's floating-point error state,
-    inside a run or a step that of their caller, so its own overflow warns
-    or raises as it would outside them.
+    shape.  A callable that carries the mark of ``errors._own_state``, as
+    ``ModelSpec.build``'s ``rational_sigma`` does, is called as it is: the
+    mark says that it holds the package's error state and checks its own
+    values.  Any other callable, a user's, runs in the caller's
+    floating-point error state, inside a run or a step that of their
+    caller, so its own overflow warns or raises as it would outside them.
+    Its values must have u's shape, or a ModelError names both shapes, and
+    pass ``_checked``.
     """
     sigma = model.electrical_conductivity
     if not callable(sigma):
         return sigma if np.ndim(u) == 0 else np.full(np.shape(u), sigma)
-    arr = np.asarray(sigma(u) if getattr(sigma, "_own_state", False)
-                     else _in_callers_state(sigma, u), dtype=float)
+    if getattr(sigma, "_own_state", False):
+        return sigma(u)
+    arr = np.asarray(_in_callers_state(sigma, u), dtype=float)
     if arr.shape != np.shape(u):
         raise ModelError(
             f"electrical conductivity must broadcast over u: sigma(u) has "
             f"shape {arr.shape} for u of shape {np.shape(u)}")
+    return _checked(arr)
+
+
+def _checked(arr: np.ndarray):
+    """Sigma's values ``arr``, a float array, if each is >= 0 and finite,
+    as a float when 0-d; otherwise a ModelError names the first that is
+    not.  min >= 0 and max < inf hold exactly when every value is finite
+    and >= 0: a NaN makes both reductions NaN, and -0.0 passes as 0.0 does.
+    """
     if arr.size and not (np.minimum.reduce(arr, axis=None) >= 0.0
                          and np.maximum.reduce(arr, axis=None) < math.inf):
         bad = np.flatnonzero(~((arr >= 0.0) & np.isfinite(arr)))
@@ -188,27 +196,33 @@ class ModelSpec:
             k, s0, lam = p["k0"], p["sigma0"], p["lambda"]
 
             # where den * den overflows, sigma is 0, which the potential
-            # reports; the mark of _own_state lets eval_sigma call it as is
+            # reports.  Rounding is monotone, so fl(low^2) <= fl(den^2) at
+            # every node, and s0 / fl(low^2) is the largest value: when it
+            # is finite, every value is finite and >= 0, which the mark of
+            # _own_state promises eval_sigma
             @_own_state
             def sigma(u, _s0=s0, _lam=lam):
                 u = np.asarray(u, dtype=float)
                 den = _lam * u
                 den += 1.0
-                # past the pole den = 0, den^2 grows again and a run across it
-                # would settle on a spurious steady state; NaN is not past
-                # it, so a minimum that is NaN leaves the verdict to the
-                # nodes one by one
-                if not np.minimum.reduce(den, axis=None) > 0.0:
-                    past = den <= 0.0
-                    if past.any():
-                        first = int(np.argmax(past))
-                        node = "" if u.ndim == 0 else f" at node {first}"
-                        raise ModelError(
-                            f"u = {float(u.flat[first])!r}{node} is at or "
-                            f"past the pole u = {-1.0 / _lam!r} of "
-                            "rational_sigma")
+                low = np.minimum.reduce(den, axis=None)
+                if low > 0.0 and _s0 / (low * low) < math.inf:
+                    den *= den
+                    out = _s0 / den
+                    return float(out) if out.ndim == 0 else out
+                # past the pole den = 0, den^2 grows again and a run across
+                # it would settle on a spurious steady state; NaN is not
+                # past it, so a minimum that is NaN leaves the verdict to
+                # the nodes one by one
+                past = den <= 0.0
+                if past.any():
+                    first = int(np.argmax(past))
+                    node = "" if u.ndim == 0 else f" at node {first}"
+                    raise ModelError(
+                        f"u = {float(u.flat[first])!r}{node} is at or past "
+                        f"the pole u = {-1.0 / _lam!r} of rational_sigma")
                 den *= den
-                return _s0 / den
+                return _checked(np.asarray(_s0 / den))
 
         return CoefficientModel(
             k=k,

@@ -103,12 +103,19 @@ class Diagnostics:
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """What a run gives.  ``steady_error_estimate`` is about how far the
+    final profile lies from the steady state, in the max norm: with q the
+    last ratio of ``max_change``, the changes still to come sum to about
+    ``max_change[-1] * q / (1 - q)``.  It is None when the run is not
+    steady, took fewer than two steps, or q is not in (0, 1)."""
+
     snapshots: list
     steady_reached: bool
     steady_time: float | None
     final_profile: np.ndarray
     diagnostics: Diagnostics
     nodes: np.ndarray
+    steady_error_estimate: float | None = None
 
 
 def step(state: temp.TemperatureState, config: SimulationConfig,
@@ -293,11 +300,19 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
             residuals.flush()
     if snapshots[-1].time != time:
         record()
+    estimate = None
+    changes = diag.max_change
+    # a change before the steady one is >= tau * tolerance > 0
+    if steady_time is not None and len(changes) >= 2:
+        q = changes[-1] / changes[-2]
+        if 0.0 < q < 1.0:
+            estimate = changes[-1] * q / (1.0 - q)
     return SimulationResult(snapshots=snapshots,
                             steady_reached=steady_time is not None,
                             steady_time=steady_time,
                             final_profile=alpha.copy(),
-                            diagnostics=diag, nodes=mesh.nodes.copy())
+                            diagnostics=diag, nodes=mesh.nodes.copy(),
+                            steady_error_estimate=estimate)
 
 
 def run(config: SimulationConfig,

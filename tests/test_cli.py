@@ -168,7 +168,11 @@ def test_cli_outputs_are_deterministic(fig1_cfg_path, tmp_path):
 # to the solve path or the CSV writers must leave these bytes unchanged, or
 # re-pin them with the old and new hashes in CHANGES.md and a bound against
 # the old path (tests/test_solve_path.py).  The case name lists the edits to
-# fig1.cfg (see golden_config).
+# fig1.cfg (see golden_config).  The hashes hold for the FMA kernels of the
+# OpenBLAS build they were made with (SkylakeX, Haswell): the held solve's
+# products go through BLAS, and a kernel without FMA rounds them otherwise.
+# Under OPENBLAS_CORETYPE=Sandybridge all but run-paper and run-sigma0-zero
+# fail, with no defect in the code.
 GOLDEN = {
     "run": ("ee092d275b30fcbc030fc1061e3e00b19b9fff647dad4399c1e7fb5edd23611d",
             "c065a720267f591b876782b1d8aa53ddb933f1427dfdc21109721e1dbb94525e"),
@@ -671,6 +675,22 @@ def ntc_config(tmp_path, flux):
                    .replace("flux_left = 1", f"flux_left = {flux}")
                    .replace("flux_right = 1", f"flux_right = {flux}"))
     return cfg
+
+
+def test_cli_run_says_how_far_from_steady_it_stopped(fig1_cfg_path,
+                                                    tmp_path, capsys):
+    # the estimate goes to stderr only, after the line's old prefix
+    out = tmp_path / "s.csv"
+    assert run_cli(["run", "--config", str(fig1_cfg_path), "--out",
+                    str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "steady state reached at t=42.5 (about 2.6e-08 from steady)\n")
+    # steady at the first step: no ratio, so no estimate
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(golden_config("run-sigma0-zero",
+                                 fig1_cfg_path.read_text()))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "steady state reached at t=0.1\n"
 
 
 def test_cli_ntc_runaway_fails_at_the_pole(tmp_path, capsys):

@@ -242,6 +242,84 @@ def test_rational_sigma_refuses_a_state_at_or_past_its_pole():
         tf.eval_sigma(model, np.array([0.0, np.nan, 3.0]))
 
 
+BELOW_POLE = np.nextafter(1.0, 0.0)  # the pole of lambda = -1 is u = 1
+
+
+def rational_values(s0, lam, u):
+    """sigma0 / (1 + lambda u)^2 by the operations rational_sigma takes."""
+    with np.errstate(all="ignore"):
+        den = lam * np.asarray(u, dtype=float) + 1.0
+        return np.asarray(s0 / (den * den))
+
+
+SIGMA_OVERFLOWS = {"k0": 1, "sigma0": 1e300, "lambda": -1}
+BAD_VALUES = pytest.mark.parametrize("u, expected", [
+    (np.array([0.0, 0.5, BELOW_POLE]), "1 of 3 values fail, first at index "
+     "2: inf"),
+    (BELOW_POLE, "1 of 1 values fail, first at index 0: inf"),
+    (np.array([0.0, np.nan]), "1 of 2 values fail, first at index 1: nan"),
+], ids=["overflow", "scalar_overflow", "nan"])
+
+
+@BAD_VALUES
+def test_rational_sigma_refuses_its_values_as_eval_sigma_does(u, expected):
+    # rational_sigma checks its own values in the minimum its pole check
+    # takes; a value that overflows, or a NaN state, gets the message
+    # eval_sigma gives a user's sigma, word for word
+    message = elementwise_verdict(rational_values(1e300, -1.0, u))
+    assert message.endswith(expected)
+    with pytest.raises(tf.ModelError) as exc:
+        tf.eval_sigma(build("rational_sigma", SIGMA_OVERFLOWS), u)
+    assert str(exc.value) == message
+
+
+@BAD_VALUES
+def test_calling_rational_sigma_directly_checks_its_values(u, expected):
+    model = build("rational_sigma", SIGMA_OVERFLOWS)
+    with pytest.raises(tf.ModelError, match=f"{expected}$"):
+        model.electrical_conductivity(u)
+
+
+@given(u=st.lists(st.floats(-1e300, 1e300) | st.sampled_from(
+           [0.5, BELOW_POLE, 1.0, np.nextafter(1.0, 2.0), np.nan]),
+           min_size=1, max_size=6),
+       s0=st.sampled_from([0.0, 5e-324, 1.0, 1e300, 1.7e308]),
+       lam=st.sampled_from([-1.0, -1e-300, 0.0, 1e-300, 1.0, 1e300]))
+def test_rational_sigma_verdict_matches_the_elementwise_one(u, s0, lam):
+    # the one minimum decides as a check of every value does: the same
+    # values, the pole named when a node is at or past it, else the same
+    # message as eval_sigma's check
+    model = build("rational_sigma", {"k0": 1, "sigma0": s0, "lambda": lam})
+    u = np.array(u)
+    values = rational_values(s0, lam, u)
+    with np.errstate(all="ignore"):
+        past = lam * u + 1.0 <= 0.0
+    expected = None if past.any() else elementwise_verdict(values)
+    if past.any():
+        with pytest.raises(tf.ModelError, match="past the pole"):
+            tf.eval_sigma(model, u)
+    elif expected is None:
+        assert tf.eval_sigma(model, u).tobytes() == values.tobytes()
+    else:
+        with pytest.raises(tf.ModelError) as exc:
+            tf.eval_sigma(model, u)
+        assert str(exc.value) == expected
+
+
+def test_eval_sigma_leaves_a_marked_sigma_its_own_check():
+    # the mark of errors._own_state says the sigma checks its own values,
+    # so eval_sigma adds no check of its own; a user's sigma is checked
+    def negative(u):
+        return -np.ones_like(np.asarray(u, dtype=float))
+
+    marked = tf.CoefficientModel(1.0, tf.errors._own_state(negative), 1.0,
+                                 1.0)
+    assert (tf.eval_sigma(marked, np.zeros(3)) == -1.0).all()
+    with pytest.raises(tf.ModelError, match="3 of 3 values fail"):
+        tf.eval_sigma(tf.CoefficientModel(1.0, negative, 1.0, 1.0),
+                      np.zeros(3))
+
+
 def test_model_spec_gives_the_constant_kinds_a_number():
     # the number itself, sigma0 or gamma, so a run can tell it never varies
     for kind, params, sigma in (

@@ -458,6 +458,46 @@ def test_max_change_contracts_after_first_steps(fig1_config):
     assert (np.diff(mc[10:]) <= 0).all()
 
 
+@pytest.mark.parametrize("tolerance", [1e-8, 1e-10])
+def test_steady_error_estimate_is_the_fig1_leftover(fig1_config, tolerance):
+    # the corrected scheme is nodally exact for fig1, so its steady error
+    # is what the steady detection leaves; criterion 5 reads it at 1e-10
+    result = tf.run(dataclasses.replace(fig1_config,
+                                        steady_tolerance=tolerance))
+    leftover = tf.steady_state_error(result, BETA, GAMMA)
+    assert result.steady_error_estimate == pytest.approx(leftover, rel=0.05)
+
+
+@pytest.mark.parametrize("n, lam, flux", [
+    (100, 1.0, 1.0), (1000, 1.0, 1.0), (200, -0.5, 0.3),
+], ids=["rational_n100", "rational_n1000", "ntc_n200"])
+def test_steady_error_estimate_is_the_leftover_of_a_rational_run(n, lam,
+                                                                 flux):
+    # the true leftover is the distance to the same run stopped far later
+    config = small_config(
+        n_elements=n, t_max=1000.0, record_every=10**6,
+        flux_left=flux, flux_right=flux,
+        model=tf.ModelSpec("rational_sigma",
+                           {"k0": 1.0, "sigma0": 1.0, "lambda": lam}))
+    result = tf.run(config)
+    tight = tf.run(dataclasses.replace(config, steady_tolerance=1e-14))
+    assert tight.steady_reached
+    leftover = np.max(np.abs(result.final_profile - tight.final_profile))
+    assert result.steady_error_estimate == pytest.approx(leftover, rel=0.05)
+
+
+def test_steady_error_estimate_is_none_without_two_steps_to_steady():
+    unsteady = small_config(t_max=1.0)
+    for driver in DRIVERS:
+        assert driver(unsteady).steady_error_estimate is None, driver.__name__
+    # steady at the first step, so there is no ratio to take
+    dark = tf.run(small_config(
+        model=tf.ModelSpec("constant", {"k0": 1.0, "sigma0": 0.0})))
+    assert dark.steady_reached and len(dark.diagnostics.max_change) == 1
+    assert dark.steady_error_estimate is None
+    assert tf.run_reduced(small_config()).steady_error_estimate > 0.0
+
+
 def test_trajectory_stays_below_analytic_bound(fig1_config):
     result = tf.run(fig1_config)
     bound = GAMMA / (2 * BETA) + GAMMA / 8 + 1e-6
@@ -638,7 +678,10 @@ def test_run_steps_replay_against_fresh_assembly(variant):
 
 # sha256 of every number a run records, taken from the solve path these
 # pins were made with; the series CSV (tests/test_cli.py::GOLDEN) keeps 13
-# digits only, so a rounding-level slip in a solve can pass it but not these
+# digits only, so a rounding-level slip in a solve can pass it but not these.
+# They hold for the FMA kernels of the OpenBLAS build they were made with
+# (SkylakeX, Haswell), as the held solve's products go through BLAS: under
+# OPENBLAS_CORETYPE=Sandybridge all six fail, with no defect in the code.
 FIG1 = tf.SimulationConfig(
     n_elements=100, tau=0.1, beta=BETA,
     model=tf.ModelSpec("paper_example", {"gamma": GAMMA}),

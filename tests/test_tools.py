@@ -3,9 +3,12 @@ the thread settings it makes stay out of the test process, and
 bench_pairs.py's statistics are imported."""
 
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
@@ -135,6 +138,31 @@ def test_bench_pairs_quartiles_of_none_one_and_several_values():
     assert quartiles([]) == []
     assert quartiles([2.0]) == [2.0, 2.0]
     assert quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == [1.5, 4.5]
+
+
+def test_bench_pairs_runs_each_side_with_its_own_bytecode(tmp_path,
+                                                         monkeypatch):
+    # a side whose tree holds no __pycache__ would compile the package in
+    # every child; each side reads and writes its own, written even where
+    # the environment says not to
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    module = bench_pairs()
+    env = module.child_env(tmp_path / "pycache-parent")
+    assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path / "pycache-parent")
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    assert env["PATH"] == os.environ["PATH"]
+    calls = []
+
+    def run(cmd, **kwargs):
+        calls.append(kwargs)
+        return SimpleNamespace(returncode=0, stderr="")
+
+    monkeypatch.setattr(module.subprocess, "run", run)
+    out = tmp_path / "record.json"
+    out.write_text(json.dumps({"result": {}}))
+    assert module.perfbench(tmp_path, "fig1_cli", 1, 1.0, 0, out, env) == {
+        "result": {}}
+    assert calls[0]["env"] is env and calls[0]["cwd"] == tmp_path
 
 
 def test_every_tool_script_is_named_by_a_test():

@@ -5,13 +5,17 @@ write the result as ``BENCH_<n>.json``.
         --claim "the claimed gain, or none" [--parent HEAD] [--seconds 6]
 
 The parent commit is extracted with ``git archive`` into a scratch
-directory, and the change is the working tree this script sits in.  For
-every workload of ``BENCHMARK.json`` and every seed (1-10 by default) it
-runs ``perfbench/run.py --trace 0`` once on each side, the parent first on
-odd seeds and the change first on even ones, and reads the end-to-end
-metrics from the ``--out`` record.  Then it runs ``--trace 1`` at seed 0,
-parent then change, for the call counts and the per-layer metrics.  The
-record keeps, per workload and metric, both sides' values, their medians and
+directory, and the change is the working tree this script sits in.  Each
+side's interpreters read and write their bytecode in a directory of that
+side's own (``PYTHONPYCACHEPREFIX``), empty at the start, and a first,
+untimed run of each workload on each side fills it, so neither side's
+set-up time reads a ``__pycache__`` the other lacks.  For every workload of
+``BENCHMARK.json`` and every seed (1-10 by default) it runs
+``perfbench/run.py --trace 0`` once on each side, the parent first on odd
+seeds and the change first on even ones, and reads the end-to-end metrics
+from the ``--out`` record.  Then it runs ``--trace 1`` at seed 0, parent
+then change, for the call counts and the per-layer metrics.  The record
+keeps, per workload and metric, both sides' values, their medians and
 quartiles, and how many pairs the change won (by the metric's ``better`` in
 ``BENCHMARK.json``) or tied.
 """
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -42,13 +47,22 @@ def extract(commit: str, into: Path) -> None:
         archive.extractall(into, filter="data")
 
 
+def child_env(pycache: Path) -> dict:
+    """This process's environment, with bytecode read and written under
+    ``pycache`` and never kept from being written."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
 def perfbench(side: Path, workload: str, seed: int, seconds: float,
-              trace: int, out: Path) -> dict:
+              trace: int, out: Path, env: dict) -> dict:
     """One ``perfbench/run.py`` record of the tree at ``side``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace",
            str(trace), "--out", str(out)]
-    proc = subprocess.run(cmd, cwd=side, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=side, env=env, capture_output=True,
+                          text=True)
     if proc.returncode != 0 or not out.is_file():
         raise RuntimeError(f"{' '.join(cmd)} in {side} exited "
                            f"{proc.returncode}: {proc.stderr[-500:]}")
@@ -121,17 +135,22 @@ def main(argv: list[str] | None = None) -> int:
         tmp = Path(tmp)
         sides = {"parent": tmp / "parent", "change": ROOT}
         extract(commit, sides["parent"])
+        envs = {side: child_env(tmp / f"pycache-{side}") for side in sides}
         values = {w: {s: {m: [] for m in better} for s in sides}
                   for w in workloads}
         failed = {w: {s: 0 for s in sides} for w in workloads}
         env = None
         for workload in workloads:
+            for side in sides:  # compiles what the timed runs import
+                perfbench(sides[side], workload, 0, 0.5, 0,
+                          tmp / "record.json", envs[side])
             for seed in seeds:
                 order = ("parent", "change") if seed % 2 else ("change",
                                                                "parent")
                 for side in order:
                     record = perfbench(sides[side], workload, seed,
-                                       args.seconds, 0, tmp / "record.json")
+                                       args.seconds, 0, tmp / "record.json",
+                                       envs[side])
                     env = env or record["env"]
                     result = record["result"]
                     failed[workload][side] += result["failed"]
@@ -146,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         for workload in workloads:
             for side in ("parent", "change"):
                 record = perfbench(sides[side], workload, 0, args.seconds, 1,
-                                   tmp / "record.json")
+                                   tmp / "record.json", envs[side])
                 metrics = record["result"]["metrics"]
                 counts[workload][side] = {name: metrics[name]["value"]
                                           for name in COUNTS}
@@ -157,7 +176,9 @@ def main(argv: list[str] | None = None) -> int:
     pairs_command = (f"python3 perfbench/run.py --workload W --seed S "
                      f"--seconds {args.seconds:g} --trace 0 --out FILE, "
                      f"seeds {seeds.start}-{seeds.stop - 1}, parent first on "
-                     f"odd seeds and the change first on even ones")
+                     f"odd seeds and the change first on even ones, each "
+                     f"side with its own PYTHONPYCACHEPREFIX, filled by an "
+                     f"untimed run of each workload")
     record = {
         "what": "perfbench/run.py end-to-end medians of the parent commit "
                 "and of this change, in alternating pairs on every "
