@@ -4,10 +4,13 @@ Machine-readable data goes to stdout or to files; human-readable messages go
 to stderr.  Both CSVs are formatted by numpy (``_cells``, byte-equal to
 ``"%.12e"``) as arrays of 19-byte cells, or of cells NUL-padded at the front
 where a value is negative or its exponent is not two digits; every cell ends
-in its separator, and the last of a row becomes its newline.  The series is
-made a block of snapshots at a time, each block one ``_cells`` call, and
-streamed as bytes to its file or to stdout's binary buffer as each block is
-made (a stdout with no binary buffer gets the whole text).  Exit codes:
+in its separator, and the last of a row becomes its newline.  A cell is a
+blank cell's bytes, with its lead digit, three groups of four digits and
+its exponent stored in.  The series is made a block of snapshots at a time,
+each block one ``_cells`` call whose rows start from one row template of
+the columns its snapshots share, and streamed as bytes to its file or to
+stdout's binary buffer as each block is made (a stdout with no binary
+buffer gets the whole text).  Exit codes:
 0 success, 1 configuration error, 2 numerical failure, 3 steady state not
 reached where required, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
@@ -167,18 +170,31 @@ _FIXED = 19
 _PADDED = 21
 # snapshots per series block hold about this many rows (at least one snapshot)
 _BLOCK_ROWS = 12_000
-# 10**k for k <= 22, each exactly representable
-_POW10 = np.array([float(10 ** k) for k in range(23)])
+# at k = e + 10 for the exponents e in [-10, 34] of _fast_cells, the
+# exact powers of ten that scale |v| to 13 digits, 10**(12 - e) up to
+# e = 12 and 10**(e - 12) down past it; the other factor is 1
+_UP = np.array([float(10 ** max(12 - e, 0)) for e in range(-10, 35)])
+_DOWN = np.array([float(10 ** max(e - 12, 0)) for e in range(-10, 35)])
 # "00", "01", ..., "99" as uint16 read from their bytes: any byte order
 _PAIRS = np.frombuffer("".join(f"{k:02d}" for k in range(100)).encode(),
                        np.uint16)
-# a fixed-width cell; the digit pairs and exponent are unaligned uint16 fields
+# "0000", "0001", ..., "9999" as uint32, each two pairs side by side in
+# memory, so again any byte order
+_QUADS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS),
+                  axis=-1).view(np.uint32).ravel()
+# "-10,", "-09,", ..., "+34,": exponent e's sign, digits and separator at
+# k = e + 10
+_EXPS = np.frombuffer("".join(f"{e:+03d}," for e in range(-10, 35)).encode(),
+                      np.uint32)
+# a fixed-width cell; the digit groups and exponent are unaligned fields
 _CELL = np.dtype({
-    "names": ["lead", "dot", "pairs", "e", "esign", "exp", "sep"],
-    "formats": [np.uint8, np.uint8, (np.uint16, 6), np.uint8, np.uint8,
-                np.uint16, np.uint8],
-    "offsets": [0, 1, 2, 14, 15, 16, 18],
+    "names": ["lead", "groups", "exp"],
+    "formats": [np.uint8, (np.uint32, 3), np.uint32],
+    "offsets": [0, 2, 15],
     "itemsize": _FIXED})
+# the cell whose "." and "e" no value writes; n cells are _BLANK * n, a
+# writable buffer made by one repeated copy
+_BLANK = bytearray(b"0.000000000000e+00,")
 
 
 # log10 of zero or of a non-finite value is left out of the mask
@@ -190,41 +206,53 @@ def _fast_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     With e = floor(log10|v|) in [-10, 34], q = |v| * 10**(12 - e) is one
     correctly rounded product (or quotient) by an exact power of ten, so
     below 2**44 it is within 2**-10 of the exact scaled value.  Where
-    1e12 <= q < 1e13 and frac(q) is more than 2**-9 from one half, rint(q)
-    is the exact value's correctly rounded 13 digits (1e13 carries into
-    e + 1), whichever side of a power of ten a log10 off by one puts q.  Zero
-    is digit 0 and exponent 0.  Near ties, subnormals, three-digit exponents
-    and non-finite values are left out of the mask.  The 13 digits are the
-    lead digit and six pairs, each pair and the exponent written from
-    ``_PAIRS``; an exponent in [-10, 35] always has two digits.
+    1e12 <= q < 1e13 - 1/2 and frac(q) is more than 2**-9 from one half,
+    rint(q) is the exact value's correctly rounded 13 digits, whichever side
+    of a power of ten a log10 off by one puts q.  Zero is digit 0 and
+    exponent 0.  Near ties, values that round up to 1e13 (whose exponent is
+    e + 1), subnormals, three-digit exponents and non-finite values are
+    left out of the mask.  Each cell starts as ``_BLANK``, then takes the
+    lead digit, three groups of four digits, each written from ``_QUADS``,
+    and the exponent's sign, its two digits and the separator, from
+    ``_EXPS``.
     """
+    # in place where it can be: a new array for each step, or for each
+    # part below, timed slower on a 12,000-value block
     a = np.abs(v)
-    e = np.floor(np.log10(a))
-    fast = (e >= -10) & (e <= 34)
-    e = np.where(fast, e, 0.0).astype(np.int64)
-    s = 12 - e
-    q = a * _POW10[np.maximum(s, 0)]
-    big = np.flatnonzero(s < 0)
-    q[big] = a[big] / _POW10[-s[big]]
-    fast &= (q >= 1e12) & (q < 1e13) \
-        & (np.abs(q - np.floor(q) - 0.5) > 2.0 ** -9)
+    k = np.log10(a)
+    np.floor(k, out=k)
+    k += 10  # e + 10, which indexes the tables; e = 0 where out of range
+    fast = (k >= 0) & (k <= 44)
+    k = np.where(fast, k, 10.0).astype(np.int64)
+    q = _UP[k]
+    q *= a
+    q /= _DOWN[k]
+    fast &= q >= 1e12
+    fast &= q < 1e13 - 0.5
     fast |= a == 0.0
-    r = np.rint(np.where(fast, q, 0.0)).astype(np.int64)
-    carry = r == 10 ** 13
-    r[carry] = 10 ** 12
-    e += carry
-    cells = np.empty(v.size, _CELL)
-    pairs = cells["pairs"]
-    for col in range(5, -1, -1):  # scalar divisors: a divisor array is 4x slower
-        rest = r // 100
-        pairs[:, col] = _PAIRS[r - 100 * rest]
-        r = rest
-    cells["lead"] = r + ord("0")
-    cells["dot"] = ord(".")
-    cells["e"] = ord("e")
-    cells["esign"] = (e < 0) * np.uint8(2) + ord("+")  # "-" is "+" + 2
-    cells["exp"] = _PAIRS[np.abs(e)]
-    cells["sep"] = ord(",")
+    # |q - rint(q)|, exact, is 1/2 - |frac(q) - 1/2|
+    r = np.rint(q)
+    q -= r
+    np.abs(q, out=q)
+    fast &= q < 0.5 - 2.0 ** -9
+    np.copyto(r, 0.0, where=~fast)
+    r = r.astype(np.int64)
+    cells = np.frombuffer(_BLANK * v.size, _CELL)
+    # scalar divisors: a divisor array is 4x slower
+    groups = cells["groups"]
+    part = r // 10 ** 8  # the lead digit and the first group
+    r -= part * 10 ** 8  # the last two groups
+    lead = part // 10 ** 4
+    part -= lead * 10 ** 4
+    groups[:, 0] = _QUADS[part]
+    np.floor_divide(r, 10 ** 4, out=part)
+    groups[:, 1] = _QUADS[part]
+    part *= 10 ** 4
+    r -= part
+    groups[:, 2] = _QUADS[r]
+    lead += ord("0")
+    cells["lead"] = lead
+    cells["exp"] = _EXPS[k]
     return cells, fast
 
 
@@ -286,7 +314,8 @@ def write_series_csv(result: SimulationResult, out=None) -> str | None:
     ``_cells`` call on its times, the nodes, its temperatures and each of
     its potential arrays once (a run shares one array per potential), so
     one call decides the width of all its cells; its rows are filled from
-    slices of that array.
+    slices of that array, x and a single potential by a row template
+    copied to each snapshot.
     Nothing is carried from one block to the next.
     """
     if not result.snapshots:
@@ -301,20 +330,28 @@ def write_series_csv(result: SimulationResult, out=None) -> str | None:
     for start in range(0, len(result.snapshots), per_block):
         block = result.snapshots[start:start + per_block]
         count = len(block)
-        # each potential array once, by identity; which[i] is snapshot i's
+        # each potential array once, by identity
         phis = {id(snap.potential): snap.potential for snap in block}
-        rank = {key: k for k, key in enumerate(phis)}
-        which = [rank[id(snap.potential)] for snap in block]
         cells = _cells(np.concatenate(
             [[snap.time for snap in block], result.nodes,
              *(snap.temperature for snap in block), *phis.values()]))
         t, x, u, phi = np.split(cells, [count, count + n,
                                         count + n + count * n])
+        phi = phi.reshape(-1, n)
         rows = np.empty((count, n, 4), cells.dtype)
+        # the columns every snapshot shares, x and a single phi, go in the
+        # first snapshot's rows, the row template, whose bytes are copied
+        # to the others; with several phis too, as the one contiguous copy
+        # of the fresh rows timed faster than their x column alone
+        rows[0, :, 1] = x
+        rows[0, :, 3] = phi[0]
+        data = rows.view(np.uint8).reshape(count, -1)
+        data[1:] = data[0]
         rows[:, :, 0] = t[:, None]
-        rows[:, :, 1] = x
         rows[:, :, 2] = u.reshape(count, n)
-        rows[:, :, 3] = phi.reshape(-1, n)[which]
+        if len(phis) > 1:  # each snapshot's own, by its array's rank
+            rank = {key: k for k, key in enumerate(phis)}
+            rows[:, :, 3] = phi[[rank[id(snap.potential)] for snap in block]]
         write(_bytes(rows))
     return "".join(parts) if out is None else None
 

@@ -205,7 +205,8 @@ class ModelSpec:
                 u = np.asarray(u, dtype=float)
                 den = _lam * u
                 den += 1.0
-                low = np.minimum.reduce(den, axis=None)
+                # an empty u has no minimum but inf, and no values to check
+                low = np.minimum.reduce(den, axis=None, initial=math.inf)
                 if low > 0.0 and _s0 / (low * low) < math.inf:
                     den *= den
                     out = _s0 / den

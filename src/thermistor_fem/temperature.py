@@ -39,14 +39,16 @@ paper_literal (size N, unknowns alpha_0..alpha_{N-1})
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import tridiag
 from .coefficients import CoefficientModel, eval_sigma
-from .errors import ModelError, NumericalFailureError, _own_state, _run_state
+from .errors import (ConfigurationError, ModelError, NumericalFailureError,
+                     _own_state, _run_state)
 from .mesh import Mesh, mass_row
-from .potential import SchemeVariant
+from .potential import SchemeVariant, solve_potential
 from .tridiag import TridiagonalSystem
 
 # A run's held step defers its residual, on a system of m rows, to a block
@@ -161,7 +163,10 @@ class TemperatureOperator:
     """The rows of a backward-Euler step, M + tau K in ``matrix`` and M in
     ``mass_matrix`` (whose ``rhs`` is unused), built and checked once, here,
     and factored once, by the first ``advance``: they depend only on the
-    mesh, tau, beta and the constant k.  Every failure, of the rows or of a
+    mesh, tau, beta and the constant k.  For the corrected scheme,
+    ``stiffness`` gives K, the stiffness-plus-Robin rows of
+    ``steady_residual``, built and checked at its first use, so that a run
+    neither builds nor checks them.  Every failure, of the rows or of a
     step, reads ``"<what> solve failed: ..."``.  On at most ``CELLS // 8``
     rows, a run's steps leave their residuals to a ``ResidualBlock``, which
     records the values a step records, in the same order.
@@ -210,6 +215,40 @@ class TemperatureOperator:
     def mass(self, alpha: np.ndarray) -> np.ndarray:
         """Mass rows times alpha^n: the right-hand side before any source."""
         return self.mass_matrix.matvec(alpha[:self.matrix.size])
+
+    @cached_property
+    def stiffness(self) -> TridiagonalSystem | None:
+        """K, the corrected scheme's stiffness-plus-Robin rows, by the
+        expressions of ``matrix``'s k_half terms, without tau; None for
+        paper_literal.  Not (matrix - M) / tau, which rounds otherwise.  K
+        can overflow where tau K does not (k / h above the largest float,
+        say), which fails here, not in a run."""
+        if self.variant.stiffness != "corrected":
+            return None
+        n, h, k = self.mesh.n_elements, self.mesh.h, self.model.k
+        k_half = 0.5 * (k + k)
+        off = np.full(n, -k_half / h)
+        main = np.full(n + 1, (k_half + k_half) / h)
+        main[[0, n]] = k_half / h + self.beta
+        with tridiag._named(self.what):
+            return TridiagonalSystem(off, main, off, np.zeros(n + 1))
+
+    def steady_residual(self, alpha: np.ndarray) -> np.ndarray:
+        """K alpha - S(alpha), zero where alpha is a steady state of the
+        corrected scheme: S is the Joule source at tau = 1, with sigma and
+        the potential taken at alpha.  paper_literal has no K, and its
+        steady state is a characterisation: a ConfigurationError."""
+        if self.stiffness is None:
+            raise ConfigurationError(
+                "the steady residual is defined for the corrected scheme, "
+                "not paper_literal")
+        sigma = eval_sigma(self.model, alpha)
+        mu = solve_potential(sigma, self.mesh, self.model, self.variant)
+        # not decorated, as eval_sigma runs a user's sigma in the caller's
+        # state; an overflow shows as a non-finite entry
+        with _run_state():
+            return self.stiffness.matvec(alpha) - joule_source_vector(
+                sigma, mu, self.mesh, self.model, 1.0, self.variant)
 
     # an overflow shows as a non-finite rhs, which advance reports
     @_own_state

@@ -144,6 +144,18 @@ def test_eval_sigma_check_matches_the_elementwise_one(values):
         assert str(exc.value) == expected
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 3)], ids=["empty", "empty_2d"])
+@pytest.mark.parametrize("direct", [False, True], ids=["eval_sigma", "direct"])
+def test_rational_sigma_of_an_empty_state_is_empty(shape, direct):
+    # as a numeric sigma and a user's callable give; the pole check's
+    # minimum of no values used to raise numpy's bare ValueError
+    model = build("rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0})
+    u = np.zeros(shape)
+    out = model.electrical_conductivity(u) if direct \
+        else tf.eval_sigma(model, u)
+    assert out.shape == shape and out.dtype == np.float64
+
+
 def test_model_spec_validation():
     with pytest.raises(tf.ConfigurationError):
         tf.ModelSpec("nonsense", {})

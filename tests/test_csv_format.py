@@ -70,6 +70,22 @@ def exact_ties() -> list[float]:
     return ties
 
 
+def group_edges() -> list[float]:
+    """Values whose 13 digits d.dddd|dddd|dddd put a 9999 next to a 0000
+    at the edge of the lead digit and the first group or of two groups, or
+    whose groups are all 9s; and values whose rounding carries across
+    those edges (1.00009999999996 is 1.000100000000)."""
+    digits = ["1.999900000000", "2.000000000000", "1.000099990000",
+              "1.000100000000", "1.000000009999", "1.000000010000",
+              "9.999999999999", "1.999999999999", "1.000099999999",
+              "9.999900000000", "9.999999990000", "1.234999912349",
+              "9.000099990000", "5.000000000000", "1.000000000000",
+              "1.99999999999996", "1.00009999999996", "1.00000000999996",
+              "8.99999999999973"]
+    return [float(f"{d}e{k}") for d in digits
+            for k in (-10, -3, -1, 0, 4, 33, 34)]
+
+
 ties = exact_ties()
 powers = [float(f"1e{k}") for k in range(-12, 41)]
 carries = [float(f"9.9999999999995e{k}") for k in range(-12, 41)]
@@ -88,8 +104,9 @@ def test_tie_values_are_ties():
 
 @pytest.mark.parametrize("values", [around(ties), around(powers),
                                     around(carries), around(extremes),
-                                    around(wide)],
-                         ids=["ties", "powers", "carries", "extremes", "wide"])
+                                    around(wide), around(group_edges())],
+                         ids=["ties", "powers", "carries", "extremes", "wide",
+                              "group_edges"])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_hand_picked_values_match_python(values, sign):
     values = [sign * v for v in values]
@@ -106,6 +123,12 @@ def test_fallback_is_taken_on_ties_and_outside_the_exponent_range():
     v = np.array([0.0, -0.0, 0.2625, 1.0, 0.1, 1e-10, 9.5e34, -3.25])
     _, fast = cli._fast_cells(v)
     assert fast.all()
+    # so the numpy path writes every group edge, and each carry across one;
+    # a carry into the next exponent is left to Python
+    assert cli._fast_cells(np.array(group_edges()))[1].all()
+    _, fast = cli._fast_cells(np.array([9.99999999999951e-10, 9.9999999999996,
+                                        9.99999999999951e33]))
+    assert not fast.any()
     grid = np.linspace(-2.0, 2.0, 10001)
     assert cli._fast_cells(grid)[1].mean() > 0.99
 
@@ -114,6 +137,16 @@ def test_carry_moves_into_the_next_exponent():
     assert formatted([9.99999999999996e4]) == ["1.000000000000e+05,"]
     assert formatted([9.99999999999996e34]) == ["1.000000000000e+35,"]
     assert formatted([9.9999999999995e99]) == ["1.000000000000e+100,"]
+
+
+def test_the_tables_hold_every_group_and_exponent_and_the_blank_is_zero():
+    assert [cli._QUADS[k].tobytes() for k in range(10000)] == [
+        f"{k:04d}".encode() for k in range(10000)]
+    assert [cli._EXPS[e + 10].tobytes() for e in range(-10, 35)] == [
+        ("%.0e," % 10.0 ** e)[2:].encode() for e in range(-10, 35)]
+    assert bytes(cli._BLANK) == b"0.000000000000e+00,"
+    assert texts(cli._fast_cells(np.zeros(2))[0].view(f"V{cli._FIXED}")) \
+        == ["0.000000000000e+00,"] * 2
 
 
 def test_non_finite_values_fall_back_to_python():

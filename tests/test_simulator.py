@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import warnings
 
@@ -361,14 +362,21 @@ def absolute_rows(system):
                                 np.abs(system.sup), np.zeros(system.size))
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(n_elements=100),
-    dict(n_elements=1000, steady_tolerance=1e-10, model=tf.ModelSpec(
-        "rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0})),
-    dict(n_elements=200, flux_left=0.3, flux_right=0.3, model=tf.ModelSpec(
-        "rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": -0.5})),
-], ids=["fig1", "rational_n1000", "ntc_n200"])
-def test_steady_equations_hold_at_the_final_state(overrides):
+STEADY_CASES = {
+    "fig1": dict(n_elements=100),
+    "rational_n1000": dict(
+        n_elements=1000, steady_tolerance=1e-10, model=tf.ModelSpec(
+            "rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0})),
+    "ntc_n200": dict(
+        n_elements=200, flux_left=0.3, flux_right=0.3, model=tf.ModelSpec(
+            "rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": -0.5})),
+}
+
+
+@functools.cache
+def steady_run(case: str):
+    """A corrected run of ``STEADY_CASES[case]`` to its steady state, run
+    once: its step operator, final state a, F(a) and the bound below."""
     # The steady equations are F(a) = (T a - M a) / tau - S(a) = 0, with
     # T = M + tau K the step's rows and S the Joule source at tau = 1, with
     # sigma and the potential at a.  The last step solved
@@ -383,9 +391,7 @@ def test_steady_equations_hold_at_the_final_state(overrides):
     # 1 + max|rhs|.  T a, M a and T a - rhs are each formed to 3 eps of
     # |T| |a|, |M| |a| and |rhs| per row, so 8 eps of their sum covers the
     # rounding of F and of the recorded residual.
-    # measured max|F|: fig1 9.96e-11 (h tol = 1e-10), rational N = 1000
-    # 6.31e-13 (1e-13), ntc N = 200 5.0e-11 (5e-11)
-    config = small_config(t_max=200.0, record_every=1, **overrides)
+    config = small_config(t_max=200.0, record_every=1, **STEADY_CASES[case])
     result = tf.run(config)
     assert result.steady_reached
     mesh, model, tau = config.build_mesh(), config.build_model(), config.tau
@@ -407,7 +413,62 @@ def test_steady_equations_hold_at_the_final_state(overrides):
     bound = mesh.h * config.steady_tolerance + np.abs(moved).max() \
         + 8 * eps * np.abs(source).max() \
         + (solve + 8 * eps * rows.max()) / tau
+    return operator, final, residual, bound
+
+
+@pytest.mark.parametrize("case", STEADY_CASES)
+def test_steady_equations_hold_at_the_final_state(case):
+    # measured max|F|: fig1 9.96e-11 (h tol = 1e-10), rational N = 1000
+    # 6.31e-13 (1e-13), ntc N = 200 5.0e-11 (5e-11)
+    _, _, residual, bound = steady_run(case)
     assert np.abs(residual).max() <= bound
+
+
+@pytest.mark.parametrize("case", STEADY_CASES)
+def test_steady_residual_is_k_a_minus_the_source(case):
+    # K a - S(a) from the held K rows, against F(a) formed from T and M.
+    # Both take S(a) by the same operations, so they differ by the
+    # rounding of K a against (T a - M a) / tau alone.  Each entry of T is
+    # M's plus tau K's to 4 eps of |M| + tau |K|, and each of K is within
+    # 3 eps of its exact value; T a, M a and K a are each formed to 3 eps
+    # of |T| |a|, |M| |a| and |K| |a|, and the difference, the division by
+    # tau and the source's subtraction add an eps each.  With
+    # |T| <= |M| + tau |K| (1 + 4 eps), 16 eps of |M| |a| / tau + |K| |a|
+    # per row covers them all.
+    # measured max|difference| / that bound: fig1 0.042, rational N = 1000
+    # 0.035, ntc N = 200 0.050
+    operator, final, residual, bound = steady_run(case)
+    steady = operator.steady_residual(final)
+    assert np.abs(steady).max() <= bound
+    a = np.abs(final)
+    rounding = 16 * np.finfo(float).eps * (
+        absolute_rows(operator.mass_matrix).matvec(a) / operator.tau
+        + absolute_rows(operator.stiffness).matvec(a))
+    assert (np.abs(steady - residual) <= rounding).all()
+
+
+def test_steady_residual_refuses_paper_literal():
+    config = small_config(variant=tf.PAPER_LITERAL)
+    operator = tf.TemperatureOperator(config.build_mesh(),
+                                      config.build_model(), config.tau,
+                                      config.beta, config.variant)
+    assert operator.stiffness is None
+    with pytest.raises(tf.ConfigurationError, match="corrected"):
+        operator.steady_residual(np.zeros(config.n_elements + 1))
+
+
+def test_steady_rows_that_overflow_fail_only_in_the_steady_residual():
+    # k = 1e307 at h = 0.01: tau k / h = 1e307 is a float, k / h is not, so
+    # the step rows are built and K is refused where it is first used
+    config = small_config(n_elements=100, tau=0.01, model=tf.ModelSpec(
+        "constant", {"k0": 1e307, "sigma0": 1.0}))
+    operator = tf.TemperatureOperator(config.build_mesh(),
+                                      config.build_model(), config.tau,
+                                      config.beta, config.variant)
+    assert np.isfinite(operator.matrix.main).all()
+    with pytest.raises(tf.NumericalFailureError,
+                       match="^temperature solve failed: non-finite"):
+        operator.steady_residual(np.zeros(config.n_elements + 1))
 
 
 def test_corrected_rational_run_is_mirror_symmetric():

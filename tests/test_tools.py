@@ -81,6 +81,27 @@ def test_ab_pairs_phases_prints_one_row_per_size():
         assert all(float(value) > 0.0 for value in row[1:])
 
 
+def test_ab_pairs_csv_prints_one_row_per_size():
+    lines = ab_pairs("csv", "--pairs", "1", "--runs", "1")
+    assert lines[0].startswith("record_every = 1; ns per value")
+    assert lines[1].split() == ["N", "fig1", "rational", "cells"]
+    rows = [line.split() for line in lines[2:]]
+    assert [int(row[0]) for row in rows] == [100, 1000]
+    for row in rows:
+        assert len(row) == 4
+        assert all(float(value) > 0.0 for value in row[1:])
+
+
+def test_ab_pairs_csv_compares_the_bytes_of_two_trees():
+    lines = ab_pairs("csv", "--against", str(ROOT), "--pairs", "1",
+                     "--runs", "1", "--sizes", "100")
+    assert lines[0].startswith("csv: 1 pairs")
+    assert len(lines) == 7 and lines[-1] == "same output bits: yes"
+    for line, figure in zip(lines[3:6], ("fig1", "rational", "cells")):
+        assert line.startswith("N 100 ")
+        two_sided(line[line.index(figure):], figure, 1)
+
+
 def two_sided(line: str, label: str, pairs: int) -> None:
     """``line`` gives the figure ``label`` on both sides: each side's
     median and quartiles, their ratio and the pairs the change won."""

@@ -30,6 +30,13 @@ tables, over sizes m or N:
             which also takes the compatibility residual, inside the run's
             error state, entered once a loop, as ``simulator._march`` calls
             it (a tree without that state calls it as it is)
+    csv     the series CSV of a run recorded at every step, by
+            ``write_series_csv`` into a ``BytesIO`` (4 values a row): of
+            fig1, whose blocks share one potential array, and of fig1 with
+            a ``rational_sigma`` (k0 = sigma0 = lambda = 1), whose
+            snapshots each hold their own; and ``_cells`` alone on the
+            temperatures of fig1's first block (about ``_BLOCK_ROWS``
+            rows); each in ns per value
 
 A figure is one loop of ``--runs`` calls, timed per call (a workload's is
 its median call), and reads as its median over ``--pairs`` pairs; a pair
@@ -37,9 +44,10 @@ times the figure on each side, the other tree first in odd-numbered pairs.
 With ``--against DIR``, the root of another checkout (the parent commit,
 say, from ``git archive``), both trees' packages are imported under two
 module names, and every figure prints both sides' medians and quartiles,
-their ratio and the pairs this tree won; a workload also says whether the
-first outputs have the same bits.  Fresh processes time a solve bimodally,
-by where its arrays land, so two trees compare more closely in one process.
+their ratio and the pairs this tree won; a workload and ``csv`` also say
+whether the first outputs have the same bits.  Fresh processes time a
+solve bimodally, by where its arrays land, so two trees compare more
+closely in one process.
 ``tools/bench_pairs.py`` writes the BENCH records.
 """
 
@@ -51,12 +59,14 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import statistics
 import sys
 import tempfile
 from contextlib import contextmanager, nullcontext
+from io import BytesIO
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, NamedTuple
@@ -189,11 +199,40 @@ def phases(tf, n: int):
     }, None
 
 
+def csv(tf, n: int):
+    cli = importlib.import_module(f"{tf.__name__}.cli")
+    fig1 = dataclasses.replace(
+        cli.parse_config((ROOT / "fig1.cfg").read_text()), n_elements=n,
+        record_every=1)
+    # sigma depends on the temperature: a potential array per snapshot
+    rational = dataclasses.replace(fig1, model=tf.ModelSpec(
+        "rational_sigma", {"k0": 1.0, "sigma0": 1.0, "lambda": 1.0}))
+    results = [tf.run(fig1), tf.run(rational)]
+    block = results[0].snapshots[:max(1, cli._BLOCK_ROWS // (n + 1))]
+    temperatures = np.concatenate([snap.temperature for snap in block])
+
+    def series(result) -> BytesIO:
+        out = BytesIO()
+        cli.write_series_csv(result, out)
+        return out
+
+    def per_value(loop, values: int):  # ns per value
+        return lambda calls: loop(calls) * 1e3 / values
+
+    return {"N": n}, {
+        **{name: per_value(timed(series, result),
+                           4 * len(result.snapshots) * (n + 1))
+           for name, result in zip(("fig1", "rational"), results)},
+        "cells": per_value(timed(cli._cells, temperatures),
+                           temperatures.size),
+    }, [series(result).getvalue() for result in results]
+
+
 class Table(NamedTuple):
     """``row(tf, size)`` gives a row's keys, its figures' loops and its
-    first output (None for a layer); ``columns`` are figures and "ratio",
-    the figure before it over the one before that; ``title`` is formatted
-    with ``tf`` and ``runs``."""
+    first output, compared by ``==`` (None for a layer); ``columns`` are
+    figures and "ratio", the figure before it over the one before that;
+    ``title`` is formatted with ``tf`` and ``runs``."""
     row: Callable
     sizes: tuple
     runs: int
@@ -217,6 +256,11 @@ TABLES = {
         ("sigma", "potential", "source", "advance", "step"),
         "rational_sigma, corrected; us per step, loops of {runs} steps; "
         "direct calls in their own error states, the stepper in the run's"),
+    "csv": Table(
+        csv, (100, 1000), 5, ("fig1", "rational", "cells"),
+        "record_every = 1; ns per value, loops of {runs} calls: "
+        "write_series_csv into a BytesIO of fig1 and of rational_sigma, "
+        "_cells on a fig1 block's temperatures"),
 }
 
 
@@ -240,7 +284,8 @@ def workload(workloads, name: str, tmp: Path) -> Table:
                 times.append(perf_counter() - t0)
                 work.collect(case, raw)  # removes a run's files
             return statistics.median(times) * 1e3
-        return {"workload": name, "N": n}, {"ms": loop}, first
+        return {"workload": name, "N": n}, {"ms": loop}, (
+            first.profile.tobytes(), first.series)
 
     return Table(row, (work.n_elements,), 5, ("ms",), f"{name}, nominal "
                  "draw; ms per run, median of {runs} runs")
@@ -249,7 +294,8 @@ def workload(workloads, name: str, tmp: Path) -> Table:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("what", metavar="WHAT",
-                        help="solve, cells, phases or a perfbench workload")
+                        help="solve, cells, phases, csv or a perfbench "
+                             "workload")
     parser.add_argument("--against", type=Path,
                         help="root of a tree to time with this one")
     parser.add_argument("--pairs", type=int, default=21)
@@ -321,9 +367,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"change faster in {s['change_better']} of {s['pairs']}")
     firsts = [(a[2], c[2]) for a, c in zip(built["against"], built["change"])
               if c[2] is not None]
-    if firsts:  # a workload's, at every size
-        same = all(a.profile.tobytes() == c.profile.tobytes()
-                   and a.series == c.series for a, c in firsts)
+    if firsts:  # a workload's or the csv's, at every size
+        same = all(a == c for a, c in firsts)
         print(f"same output bits: {'yes' if same else 'no'}")
     return 0
 
