@@ -107,7 +107,10 @@ class SimulationResult:
     final profile lies from the steady state, in the max norm: with q the
     last ratio of ``max_change``, the changes still to come sum to about
     ``max_change[-1] * q / (1 - q)``.  It is None when the run is not
-    steady, took fewer than two steps, or q is not in (0, 1)."""
+    steady, took fewer than two steps, or q is not in (0, 1).
+    ``extrapolated_profile`` adds those changes to the final profile, as
+    its last step times q / (1 - q) (Aitken's extrapolation); it is None
+    exactly when the estimate is, and no output writes it."""
 
     snapshots: list
     steady_reached: bool
@@ -116,6 +119,7 @@ class SimulationResult:
     diagnostics: Diagnostics
     nodes: np.ndarray
     steady_error_estimate: float | None = None
+    extrapolated_profile: np.ndarray | None = None
 
 
 def step(state: temp.TemperatureState, config: SimulationConfig,
@@ -233,7 +237,8 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
     t0 + n*tau grid, until steady or t_max.
 
     ``state`` is a checked one, float64 values at a float time; the loop
-    holds alpha^n and t0 + n*tau itself.  The stepper appends each
+    holds alpha^n and t0 + n*tau itself, and alpha^{n-1} by reference, for
+    the extrapolated profile.  The stepper appends each
     potential's residual to ``potential_sink``,
     ``Diagnostics.potential_residuals``.  ``stepper(alpha, residual_sink)``
     returns the next level alpha^{n+1} from alpha^n = ``alpha``, the
@@ -284,7 +289,7 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
                     residuals.check()
                 n += 1
                 # keep times on the exact t0 + n*tau grid, not accumulated
-                alpha, time = new, t0 + n * tau
+                previous, alpha, time = alpha, new, t0 + n * tau
                 diag.max_change.append(change)
                 diag.compatibility_residuals.append(compatibility)
                 if n % every == 0:
@@ -300,19 +305,21 @@ def _march(config: SimulationConfig, mesh: Mesh, make_stepper,
             residuals.flush()
     if snapshots[-1].time != time:
         record()
-    estimate = None
+    estimate = extrapolated = None
     changes = diag.max_change
     # a change before the steady one is >= tau * tolerance > 0
     if steady_time is not None and len(changes) >= 2:
         q = changes[-1] / changes[-2]
         if 0.0 < q < 1.0:
             estimate = changes[-1] * q / (1.0 - q)
+            extrapolated = alpha + (alpha - previous) * (q / (1.0 - q))
     return SimulationResult(snapshots=snapshots,
                             steady_reached=steady_time is not None,
                             steady_time=steady_time,
                             final_profile=alpha.copy(),
                             diagnostics=diag, nodes=mesh.nodes.copy(),
-                            steady_error_estimate=estimate)
+                            steady_error_estimate=estimate,
+                            extrapolated_profile=extrapolated)
 
 
 def run(config: SimulationConfig,

@@ -184,11 +184,7 @@ class TemperatureOperator:
         m_main = np.full(size, diag)
         if variant.stiffness == "corrected":
             m_main[0] = m_main[n] = h / 3.0  # half-hat rows
-            k_half = 0.5 * (k + k)
-            sub = m_sub - tau * k_half / h
-            sup = m_sup - tau * k_half / h
-            main = m_main + tau * (k_half + k_half) / h
-            main[[0, n]] = m_main[[0, n]] + tau * k_half / h + tau * beta
+            sub, main, sup = self._rows(m_sub, m_main, m_sup, tau)
         else:
             # paper_literal: unknowns alpha_0..alpha_{N-1}; end rows from the ghosts
             m_main[0] = (h / 2.0) * (1.0 + h * beta / (3.0 * k))
@@ -212,26 +208,30 @@ class TemperatureOperator:
             self.mass_matrix = TridiagonalSystem(m_sub, m_main, m_sup, zeros)
             self.matrix = TridiagonalSystem(sub, main, sup, zeros)
 
+    def _rows(self, m_sub, m_main, m_sup, s):
+        """Corrected rows M + s K: a step's at s = tau, K's at M = 0, s = 1."""
+        h, k_half = self.mesh.h, 0.5 * (self.model.k + self.model.k)
+        main = m_main + s * (k_half + k_half) / h
+        main[[0, -1]] = m_main[[0, -1]] + s * k_half / h + s * self.beta
+        return m_sub - s * k_half / h, main, m_sup - s * k_half / h
+
     def mass(self, alpha: np.ndarray) -> np.ndarray:
         """Mass rows times alpha^n: the right-hand side before any source."""
         return self.mass_matrix.matvec(alpha[:self.matrix.size])
 
     @cached_property
     def stiffness(self) -> TridiagonalSystem | None:
-        """K, the corrected scheme's stiffness-plus-Robin rows, by the
-        expressions of ``matrix``'s k_half terms, without tau; None for
-        paper_literal.  Not (matrix - M) / tau, which rounds otherwise.  K
-        can overflow where tau K does not (k / h above the largest float,
-        say), which fails here, not in a run."""
+        """K, the corrected scheme's stiffness-plus-Robin rows: the rows of
+        ``matrix`` from the same builder, at zero mass rows and scale 1;
+        None for paper_literal.  Not (matrix - M) / tau, which rounds
+        otherwise.  K can overflow where tau K does not (k / h above the
+        largest float, say), which fails here, not in a run."""
         if self.variant.stiffness != "corrected":
             return None
-        n, h, k = self.mesh.n_elements, self.mesh.h, self.model.k
-        k_half = 0.5 * (k + k)
-        off = np.full(n, -k_half / h)
-        main = np.full(n + 1, (k_half + k_half) / h)
-        main[[0, n]] = k_half / h + self.beta
+        zeros = np.zeros(self.mesh.n_nodes)
+        rows = self._rows(zeros[1:], zeros, zeros[1:], 1.0)
         with tridiag._named(self.what):
-            return TridiagonalSystem(off, main, off, np.zeros(n + 1))
+            return TridiagonalSystem(*rows, zeros)
 
     def steady_residual(self, alpha: np.ndarray) -> np.ndarray:
         """K alpha - S(alpha), zero where alpha is a steady state of the

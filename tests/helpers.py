@@ -1,7 +1,7 @@
 """Shared test utilities: random system generators, the reference Thomas
-sweep, checked solve and held step, the reference coupled stepper, the
-reference series CSV writer, quadrature oracles and a Chebyshev oracle of
-the rational-sigma steady state."""
+sweep, checked solve and held step, the reference corrected rows, the
+reference coupled stepper, the reference series CSV writer, quadrature
+oracles and a Chebyshev oracle of the rational-sigma steady state."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from thermistor_fem import (ModelSpec, NumericalFailureError,
                             TridiagonalSystem, tridiag)
 from thermistor_fem import temperature as temp
 from thermistor_fem.coefficients import eval_sigma
+from thermistor_fem.mesh import mass_row
 from thermistor_fem.potential import (check_current_compatibility,
                                       solve_potential)
 from thermistor_fem.tridiag import PIVOT_RTOL
@@ -137,6 +138,30 @@ def reference_advance(operator, alpha, source, residual_sink=None):
         return x
     return np.append(x, temp.ghost_temp_right(
         float(x[-1]), operator.model.k, operator.mesh.h, operator.beta))
+
+
+def reference_corrected_rows(mesh, k: float, tau: float, beta: float):
+    """The corrected scheme's rows as they were built before one builder
+    formed them all, each set by its own expressions: the mass rows M, the
+    step rows M + tau K and the stiffness-plus-Robin rows K, each as (sub,
+    main, sup).  K may overflow where M + tau K does not.
+    ``TemperatureOperator``'s ``mass_matrix``, ``matrix`` and ``stiffness``
+    must hold exactly these bytes.
+    """
+    n, h = mesh.n_elements, mesh.h
+    below, diag, above = mass_row(mesh, 1)
+    m_sub, m_sup = np.full(n, below), np.full(n, above)
+    m_main = np.full(n + 1, diag)
+    m_main[0] = m_main[n] = h / 3.0  # half-hat rows
+    k_half = 0.5 * (k + k)
+    sub = m_sub - tau * k_half / h
+    sup = m_sup - tau * k_half / h
+    main = m_main + tau * (k_half + k_half) / h
+    main[[0, n]] = m_main[[0, n]] + tau * k_half / h + tau * beta
+    off = np.full(n, -k_half / h)
+    k_main = np.full(n + 1, (k_half + k_half) / h)
+    k_main[[0, n]] = k_half / h + beta
+    return (m_sub, m_main, m_sup), (sub, main, sup), (off, k_main, off)
 
 
 def reference_residual_norm(system: TridiagonalSystem, x: np.ndarray) -> float:

@@ -522,19 +522,27 @@ def test_max_change_contracts_after_first_steps(fig1_config):
 @pytest.mark.parametrize("tolerance", [1e-8, 1e-10])
 def test_steady_error_estimate_is_the_fig1_leftover(fig1_config, tolerance):
     # the corrected scheme is nodally exact for fig1, so its steady error
-    # is what the steady detection leaves; criterion 5 reads it at 1e-10
+    # is what the steady detection leaves; criterion 5 reads it at 1e-10.
+    # The extrapolated profile removes nearly all of it: measured 1.18e-12
+    # from the steady state at 1e-8 (the final profile 2.57e-8) and
+    # 1.02e-12 at 1e-10 (2.52e-10)
     result = tf.run(dataclasses.replace(fig1_config,
                                         steady_tolerance=tolerance))
     leftover = tf.steady_state_error(result, BETA, GAMMA)
     assert result.steady_error_estimate == pytest.approx(leftover, rel=0.05)
+    exact = tf.analytic_steady_state(result.nodes, BETA, GAMMA)
+    assert np.abs(result.extrapolated_profile - exact).max() <= 1e-10
 
 
 @pytest.mark.parametrize("n, lam, flux", [
-    (100, 1.0, 1.0), (1000, 1.0, 1.0), (200, -0.5, 0.3),
-], ids=["rational_n100", "rational_n1000", "ntc_n200"])
+    (100, 1.0, 1.0), (200, 1.0, 1.0), (1000, 1.0, 1.0), (200, -0.5, 0.3),
+], ids=["rational_n100", "rational_n200", "rational_n1000", "ntc_n200"])
 def test_steady_error_estimate_is_the_leftover_of_a_rational_run(n, lam,
                                                                  flux):
-    # the true leftover is the distance to the same run stopped far later
+    # the true leftover is the distance to the same run stopped far later.
+    # The extrapolated profile lies within rounding of that run: measured
+    # 1.97e-14, 8.8e-15, 1.84e-14 and 4.7e-14 (the final profile 1.26e-8,
+    # 1.26e-8, 1.26e-8 and 4.0e-8)
     config = small_config(
         n_elements=n, t_max=1000.0, record_every=10**6,
         flux_left=flux, flux_right=flux,
@@ -545,18 +553,25 @@ def test_steady_error_estimate_is_the_leftover_of_a_rational_run(n, lam,
     assert tight.steady_reached
     leftover = np.max(np.abs(result.final_profile - tight.final_profile))
     assert result.steady_error_estimate == pytest.approx(leftover, rel=0.05)
+    extrapolated = np.abs(result.extrapolated_profile - tight.final_profile)
+    assert extrapolated.max() <= 1e-12
 
 
 def test_steady_error_estimate_is_none_without_two_steps_to_steady():
     unsteady = small_config(t_max=1.0)
     for driver in DRIVERS:
-        assert driver(unsteady).steady_error_estimate is None, driver.__name__
+        result = driver(unsteady)
+        assert result.steady_error_estimate is None, driver.__name__
+        assert result.extrapolated_profile is None, driver.__name__
     # steady at the first step, so there is no ratio to take
     dark = tf.run(small_config(
         model=tf.ModelSpec("constant", {"k0": 1.0, "sigma0": 0.0})))
     assert dark.steady_reached and len(dark.diagnostics.max_change) == 1
     assert dark.steady_error_estimate is None
-    assert tf.run_reduced(small_config()).steady_error_estimate > 0.0
+    assert dark.extrapolated_profile is None
+    reduced = tf.run_reduced(small_config())
+    assert reduced.steady_error_estimate > 0.0
+    assert reduced.extrapolated_profile.shape == reduced.final_profile.shape
 
 
 def test_trajectory_stays_below_analytic_bound(fig1_config):

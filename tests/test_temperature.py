@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import thermistor_fem as tf
 from conftest import constant_model
+from helpers import reference_corrected_rows
 
 H, TAU, BETA = 0.01, 0.1, 0.2
 A1 = H / 6 - TAU / H          # -9.998333...
@@ -343,6 +345,44 @@ def test_held_mass_rows_are_the_published_ones(variant, n):
         np.testing.assert_array_equal(op.matrix.main, main)
         np.testing.assert_array_equal(op.matrix.sub, off)
         np.testing.assert_array_equal(op.matrix.sup, off)
+
+
+@pytest.mark.parametrize("n, refused_step, refused_k", [
+    (3, 3, 0), (10, 3, 6), (100, 6, 3), (1000, 6, 3), (4097, 6, 3)])
+def test_corrected_rows_keep_the_bytes_of_their_own_expressions(
+        n, refused_step, refused_k):
+    # M + tau K and K come from one builder; each keeps the bytes its own
+    # expressions gave.  Rows that overflow are refused where they are
+    # built: the step rows at construction, K at its first use.  At
+    # k = 1e307 (three betas each), tau (k + k) / h overflows at tau = 3
+    # at every n here and at tau = 0.1 from n = 100 on, and K's (k + k) / h
+    # from n = 10 on
+    mesh = tf.build_mesh(n)
+    refused = {"step": 0, "stiffness": 0}
+    for k, beta, tau in itertools.product(
+            (1e-300, 0.3, 1.0, 7.7, 1e300, 1e307), (0.0, 0.2, 3.3),
+            (1e-7, 0.1, 3.0)):
+        mass, step, stiffness = reference_corrected_rows(mesh, k, tau, beta)
+        model = constant_model(k, 1.0)
+        if not np.isfinite(np.concatenate(step)).all():
+            with pytest.raises(tf.NumericalFailureError,
+                               match="^temperature solve failed: non-finite"):
+                tf.TemperatureOperator(mesh, model, tau, beta, tf.CORRECTED)
+            refused["step"] += 1
+            continue
+        op = tf.TemperatureOperator(mesh, model, tau, beta, tf.CORRECTED)
+        built = [(op.mass_matrix, mass), (op.matrix, step)]
+        if np.isfinite(np.concatenate(stiffness)).all():
+            built.append((op.stiffness, stiffness))
+        else:
+            with pytest.raises(tf.NumericalFailureError,
+                               match="^temperature solve failed: non-finite"):
+                op.stiffness
+            refused["stiffness"] += 1
+        for system, rows in built:
+            for got, want in zip((system.sub, system.main, system.sup), rows):
+                assert got.tobytes() == want.tobytes(), (k, beta, tau)
+    assert refused == {"step": refused_step, "stiffness": refused_k}
 
 
 def fig1_operator(n=100, variant=tf.CORRECTED):
