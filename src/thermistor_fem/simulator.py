@@ -18,11 +18,10 @@ import numpy as np
 
 from . import temperature as temp
 from .coefficients import CoefficientModel, ModelSpec, eval_sigma, finite_float
-from .errors import (ConfigurationError, NotSteadyError, SingularSystemError,
-                     StepFailure, _run_state)
+from .errors import ConfigurationError, NotSteadyError, StepFailure, _run_state
 from .mesh import Mesh, build_mesh, check_integer
 from .potential import (CORRECTED, PAPER_LITERAL, SchemeVariant,
-                        check_current_compatibility, solve_potential)
+                        check_current_compatibility)
 
 COMPATIBILITY_WARN_THRESHOLD = 1e-9
 # the factors a run holds, with the work arrays of their solves, take
@@ -134,12 +133,7 @@ def step(state: temp.TemperatureState, config: SimulationConfig,
     temperature's.  A bad state is refused as in run(); failures carry the
     step index.  The step runs in the run's floating-point error state,
     entered once, as a run's steps do.  Each call builds and factors the
-    temperature rows anew, and on at most 128 rows also forms their
-    inverse: for rational_sigma, 0.36-0.40 ms per call against
-    0.035-0.038 ms per step inside run at N = 100, and 0.92-0.95 ms
-    against 0.078-0.080 ms at N = 1000 (best of 15 x 40 calls and of
-    9 x 2 runs in four processes; one BLAS thread, a shared 2-CPU host).
-    Advance a state through many steps with run.
+    temperature rows anew, so many steps should use run.
     """
     mesh = mesh or config.build_mesh()
     model = model or config.build_model()
@@ -183,15 +177,14 @@ def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel,
     at the left temperature ghost.  A numeric sigma is evaluated once, here,
     and they are made once and held for the whole run.  A callable sigma is
     evaluated at each step's alpha^n and they are made anew every step: its
-    values change at every step until the run is steady.  Each potential
-    solved appends its residual to ``potential_sink``.  A sigma zero at
-    every node conducts no current, so its singular potential system gives
-    the zero potential.  ``config.freeze_potential_after_first_step`` keeps
-    the first potential and solves no other.
+    values change at every step until the run is steady.  The potential is
+    ``TemperatureOperator.potential``'s, as in ``steady_residual``, and
+    each one solved appends its residual to ``potential_sink``.
+    ``config.freeze_potential_after_first_step`` keeps the first potential
+    and solves no other.
     """
     operator = temp.TemperatureOperator(mesh, model, config.tau, config.beta,
                                         config.variant)
-    literal = config.variant.stiffness == "paper_literal"
     varying = callable(model.electrical_conductivity)
     potential = mu = source = compatibility = None
 
@@ -200,20 +193,7 @@ def _coupled(config: SimulationConfig, mesh: Mesh, model: CoefficientModel,
         sigma = eval_sigma(model, alpha)
         mu = potential
         if mu is None:
-            ghost = None
-            if literal:
-                # only the literal potential reads sigma at the temperature ghost
-                ghost = eval_sigma(model, temp.ghost_temp_left(
-                    float(alpha[1]), float(alpha[0]), model.k, mesh.h,
-                    config.beta)) if varying else model.electrical_conductivity
-            try:
-                mu = solve_potential(sigma, mesh, model, config.variant,
-                                     sigma_ghost_left=ghost,
-                                     residual_sink=potential_sink)
-            except SingularSystemError:
-                if sigma.any():
-                    raise
-                mu = np.zeros(mesh.n_nodes)  # no conduction, no current
+            mu = operator.potential(alpha, sigma, potential_sink)
             if config.freeze_potential_after_first_step:
                 potential = mu
         source = operator.source(sigma, mu)

@@ -8,8 +8,9 @@ tridiagonal solve.  A ``TemperatureOperator`` factors that matrix once and
 holds the factors, the package's only held factorisation.  A step's
 right-hand side is the mass rows times alpha^n, ``TemperatureOperator.mass``,
 plus a source; the run's stepper builds the Joule source once for a
-numeric sigma and at every step for a callable one, and solves with
-``TemperatureOperator.advance``.
+numeric sigma and at every step for a callable one, from the potential of
+``TemperatureOperator.potential``, the one ``steady_residual`` takes too,
+and solves with ``TemperatureOperator.advance``.
 ``assemble_temperature`` and ``solve_temperature`` build the source afresh,
 for one step.  On a system of at most ``CELLS // 8`` rows a run defers each
 step's residual check to a ``ResidualBlock``, which takes them a block of
@@ -46,7 +47,7 @@ import numpy as np
 from . import tridiag
 from .coefficients import CoefficientModel, eval_sigma
 from .errors import (ConfigurationError, ModelError, NumericalFailureError,
-                     _own_state, _run_state)
+                     SingularSystemError, _own_state, _run_state)
 from .mesh import Mesh, mass_row
 from .potential import SchemeVariant, solve_potential
 from .tridiag import TridiagonalSystem
@@ -243,12 +244,34 @@ class TemperatureOperator:
                 "the steady residual is defined for the corrected scheme, "
                 "not paper_literal")
         sigma = eval_sigma(self.model, alpha)
-        mu = solve_potential(sigma, self.mesh, self.model, self.variant)
+        mu = self.potential(alpha, sigma)
         # not decorated, as eval_sigma runs a user's sigma in the caller's
         # state; an overflow shows as a non-finite entry
         with _run_state():
             return self.stiffness.matvec(alpha) - joule_source_vector(
                 sigma, mu, self.mesh, self.model, 1.0, self.variant)
+
+    def potential(self, alpha: np.ndarray, sigma: np.ndarray,
+                  residual_sink: list | None = None) -> np.ndarray:
+        """The potential a step takes from alpha^n = ``alpha`` and its nodal
+        ``sigma``, its residual to the sink.  paper_literal's also reads
+        sigma at the left temperature ghost, a numeric sigma's unevaluated.
+        A sigma zero at every node gives the zero potential, no residual."""
+        model, mesh, ghost = self.model, self.mesh, None
+        if self.variant.stiffness == "paper_literal":
+            ghost = model.electrical_conductivity
+            if callable(ghost):
+                ghost = eval_sigma(model, ghost_temp_left(
+                    float(alpha[1]), float(alpha[0]), model.k, mesh.h,
+                    self.beta))
+        try:
+            return solve_potential(sigma, mesh, model, self.variant,
+                                   sigma_ghost_left=ghost,
+                                   residual_sink=residual_sink)
+        except SingularSystemError:
+            if sigma.any():
+                raise
+            return np.zeros(mesh.n_nodes)
 
     # an overflow shows as a non-finite rhs, which advance reports
     @_own_state

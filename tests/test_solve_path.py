@@ -70,7 +70,7 @@ def run_both(config, monkeypatch):
     calls = {}
     with monkeypatch.context() as m:
         m.setattr(tf.tridiag, "thomas_solve", replaced_thomas(calls))
-        m.setattr(simulator, "solve_potential",
+        m.setattr(tf.temperature, "solve_potential",
                   counting(assembled_potential, calls, "solve_potential"))
         old = tf.run(config)
     steps = len(old.diagnostics.max_change)
@@ -229,7 +229,7 @@ def test_held_coupling_records_the_same_run(config, monkeypatch):
 def count_rebuilds(monkeypatch) -> dict:
     """Count the potentials solved and the Joule sources built by a run."""
     calls = {"solve_potential": 0, "joule_source_vector": 0}
-    for module, name in ((simulator, "solve_potential"),
+    for module, name in ((tf.temperature, "solve_potential"),
                          (tf.temperature, "joule_source_vector")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1

@@ -73,11 +73,11 @@ def test_ab_pairs_phases_prints_one_row_per_size():
     lines = ab_pairs("phases", "--pairs", "1", "--runs", "4")
     assert lines[0].startswith("rational_sigma, corrected; ")
     assert lines[1].split() == ["N", "sigma", "potential", "source",
-                                "advance", "step"]
+                                "advance", "step", "residual"]
     rows = [line.split() for line in lines[2:]]
     assert [int(row[0]) for row in rows] == [100, 1000, 2000]
     for row in rows:
-        assert len(row) == 6
+        assert len(row) == 7
         assert all(float(value) > 0.0 for value in row[1:])
 
 

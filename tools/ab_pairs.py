@@ -29,7 +29,9 @@ tables, over sizes m or N:
             ``ResidualBlock``; and one call of the stepper ``run`` builds,
             which also takes the compatibility residual, inside the run's
             error state, entered once a loop, as ``simulator._march`` calls
-            it (a tree without that state calls it as it is)
+            it (a tree without that state calls it as it is); and
+            ``TemperatureOperator.steady_residual``, F = K alpha - S(alpha),
+            once its K is built, the cost of a Newton iteration's F
     csv     the series CSV of a run recorded at every step, by
             ``write_series_csv`` into a ``BytesIO`` (4 values a row): of
             fig1, whose blocks share one potential array, and of fig1 with
@@ -182,6 +184,7 @@ def phases(tf, n: int):
     mu = tf.solve_potential(sigma, mesh, model, tf.CORRECTED)
     source = operator.source(sigma, mu)
     operator.advance(alpha, source)  # factor once, outside the timing
+    operator.steady_residual(alpha)  # and build K
     stepper = tf.simulator._coupled(config, mesh, model, [])
     stepper(alpha, [])  # its operator factors at its first step
 
@@ -196,6 +199,7 @@ def phases(tf, n: int):
         "advance": timed(operator.advance, alpha, source, sink=block),
         "step": timed(stepper, alpha, sink=block, within=getattr(
             tf.errors, "_run_state", nullcontext)),
+        "residual": timed(operator.steady_residual, alpha),
     }, None
 
 
@@ -253,8 +257,8 @@ TABLES = {
         "both in the run's error state, so the ratio is the block check's"),
     "phases": Table(
         phases, (100, 1000, 2000), 2000,
-        ("sigma", "potential", "source", "advance", "step"),
-        "rational_sigma, corrected; us per step, loops of {runs} steps; "
+        ("sigma", "potential", "source", "advance", "step", "residual"),
+        "rational_sigma, corrected; us per call, loops of {runs} calls; "
         "direct calls in their own error states, the stepper in the run's"),
     "csv": Table(
         csv, (100, 1000), 5, ("fig1", "rational", "cells"),
